@@ -203,6 +203,66 @@ impl<const K: usize> Scalar for F64xK<K> {
     }
 }
 
+/// A real scalar made of independent `f64` lanes: `f64` is one lane,
+/// [`F64xK`] is `K`. Code written once against this trait (the
+/// `ams-net` transient engine) runs a single circuit on `f64` with
+/// plain `f64` arithmetic and a lane bundle on `F64xK` — the lane loops
+/// of the one-lane instance are a single iteration the compiler folds
+/// away.
+pub trait Lanes: Scalar + Default {
+    /// Number of lanes.
+    const LANES: usize;
+
+    /// Builds a value lane by lane.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+
+    /// Value of lane `l`.
+    fn lane(self, l: usize) -> f64;
+
+    /// Overwrites lane `l`.
+    fn set_lane(&mut self, l: usize, x: f64);
+}
+
+impl Lanes for f64 {
+    const LANES: usize = 1;
+
+    #[inline]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
+    }
+
+    #[inline]
+    fn lane(self, l: usize) -> f64 {
+        debug_assert_eq!(l, 0, "f64 has one lane");
+        self
+    }
+
+    #[inline]
+    fn set_lane(&mut self, l: usize, x: f64) {
+        debug_assert_eq!(l, 0, "f64 has one lane");
+        *self = x;
+    }
+}
+
+impl<const K: usize> Lanes for F64xK<K> {
+    const LANES: usize = K;
+
+    #[inline]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        F64xK::from_fn(f)
+    }
+
+    #[inline]
+    fn lane(self, l: usize) -> f64 {
+        self.0[l]
+    }
+
+    #[inline]
+    fn set_lane(&mut self, l: usize, x: f64) {
+        self.0[l] = x;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +307,20 @@ mod tests {
         assert_eq!(F64x8::ZERO.lanes(), &[0.0; 8]);
         assert_eq!(F64x8::ONE.lanes(), &[1.0; 8]);
         assert_eq!(F64x8::from_f64(2.5).lanes(), &[2.5; 8]);
+    }
+
+    #[test]
+    fn lanes_trait_views_f64_as_one_lane() {
+        fn sum<T: Lanes>(x: T) -> f64 {
+            (0..T::LANES).map(|l| x.lane(l)).sum()
+        }
+        assert_eq!(<f64 as Lanes>::LANES, 1);
+        assert_eq!(sum(2.5f64), 2.5);
+        assert_eq!(sum(F64x4::from_slice(&[1.0, 2.0, 3.0, 4.0])), 10.0);
+        let mut x = <f64 as Lanes>::from_fn(|l| l as f64 + 7.0);
+        assert_eq!(x, 7.0);
+        x.set_lane(0, 1.5);
+        assert_eq!(x, 1.5);
     }
 
     /// The generic dense LU over a lane bundle must match four scalar

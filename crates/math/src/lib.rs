@@ -65,7 +65,7 @@ pub mod stats;
 pub use complex::Complex64;
 pub use error::MathError;
 pub use interval::Interval;
-pub use lanes::{F64x16, F64x4, F64x8, F64xK};
+pub use lanes::{F64x16, F64x4, F64x8, F64xK, Lanes};
 pub use lu::{solve_dense, Lu};
 pub use matrix::{DMat, DVec};
 pub use poly::Poly;

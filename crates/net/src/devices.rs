@@ -2,17 +2,18 @@
 //! MOSFET used for behavioural transistor-level blocks in phase 2's
 //! "enriched mixed-signal library".
 
-/// Linearization of the NMOS drain current at a bias point.
+/// Linearization of the NMOS drain current at a bias point (per lane
+/// when `T` is a lane bundle).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct NmosOp {
+pub(crate) struct NmosOp<T = f64> {
     /// Drain current at the bias point (drain → source), amperes.
-    pub id: f64,
+    pub id: T,
     /// ∂i/∂v_gate.
-    pub a_g: f64,
+    pub a_g: T,
     /// ∂i/∂v_drain.
-    pub a_d: f64,
+    pub a_d: T,
     /// ∂i/∂v_source.
-    pub a_s: f64,
+    pub a_s: T,
 }
 
 /// Forward-mode square-law model: returns `(id, gm, gds)` for

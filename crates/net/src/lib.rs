@@ -11,13 +11,15 @@
 //! * [`DcSolution`] — DC operating point (Newton with junction limiting,
 //!   gmin stepping and source stepping) — the paper's "consistent initial
 //!   (quiescent) state";
-//! * [`TransientSolver`] — companion-model time stepping (backward Euler /
-//!   trapezoidal), a factor-once linear fast path ("such networks can be
-//!   simulated using efficient dedicated algorithms", §3), per-step Newton
-//!   for nonlinear networks and LTE-controlled variable steps (phase 2);
-//! * [`LaneTransientSolver`] — lane-bundled batch transient: `K`
-//!   parameter corners of one topology advanced in lockstep through
-//!   assembly, sparse LU and Newton over `ams_math::F64xK` bundles;
+//! * [`Transient`] — the one transient engine: companion-model time
+//!   stepping (backward Euler / trapezoidal), a factor-once linear fast
+//!   path ("such networks can be simulated using efficient dedicated
+//!   algorithms", §3), per-step Newton for nonlinear networks,
+//!   LTE-controlled variable steps (phase 2), checkpoints and monitor
+//!   taps. It is generic over the lane scalar: [`TransientSolver`] is the
+//!   `f64` instance (one circuit), [`LaneTransientSolver`] the
+//!   `ams_math::F64xK` instance (`K` parameter corners of one topology
+//!   advanced in lockstep through assembly, sparse LU and Newton);
 //! * [`Circuit::ac_sweep`] / [`Circuit::noise_analysis`] — small-signal
 //!   frequency-domain and noise analyses derived from the same netlist;
 //! * [`Multiphysics`] — discipline-typed mechanical (translational &
@@ -53,7 +55,6 @@ mod circuit;
 mod dcop;
 mod devices;
 mod error;
-mod lane;
 mod mna;
 mod multiphys;
 mod noise;
@@ -66,12 +67,12 @@ pub use checkpoint::Checkpoint;
 pub use circuit::{Circuit, Element, ElementId, ElementKind, InputId, NodeId, Waveform};
 pub use dcop::DcSolution;
 pub use error::NetError;
-pub use lane::{LaneSymbolicFactor, LaneTransientSolver, LaneView, ScenarioProbe};
 pub use multiphys::{MechNode, Multiphysics, RotNode, ThermalNode};
 pub use noise::{
     NoiseAnalysis, NoiseContribution, NoisePoint, BOLTZMANN, ELEMENTARY_CHARGE, NOISE_TEMP,
 };
 pub use pattern::StampPattern;
 pub use transient::{
-    AdaptiveOptions, IntegrationMethod, SymbolicFactor, TransientSolver, TransientStats,
+    AdaptiveOptions, IntegrationMethod, LaneSymbolicFactor, LaneTransientSolver, LaneView,
+    ScenarioProbe, SymbolicFactor, Transient, TransientSolver, TransientStats,
 };

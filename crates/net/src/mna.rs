@@ -165,16 +165,16 @@ pub(crate) fn stamp_vccs<T: Scalar>(
 /// `s`, gate `g`): `i ≈ i₀ + a_g·v_g + a_d·v_d + a_s·v_s` with the
 /// equivalent current source folded into the RHS.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stamp_mos(
+pub(crate) fn stamp_mos<T: Scalar>(
     layout: &MnaLayout,
-    st: &mut dyn Stamp<f64>,
+    st: &mut dyn Stamp<T>,
     d: NodeId,
     g: NodeId,
     s: NodeId,
-    op: &crate::devices::NmosOp,
-    vg: f64,
-    vd: f64,
-    vs: f64,
+    op: &crate::devices::NmosOp<T>,
+    vg: T,
+    vd: T,
+    vs: T,
 ) {
     let cols = [
         (layout.node_var(g), op.a_g),
@@ -185,7 +185,7 @@ pub(crate) fn stamp_mos(
         if let Some(r) = layout.node_var(row_node) {
             for (col, a) in cols {
                 if let Some(cc) = col {
-                    st.mat(r, cc, sign * a);
+                    st.mat(r, cc, T::from_f64(sign) * a);
                 }
             }
         }

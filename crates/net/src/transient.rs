@@ -1,4 +1,5 @@
-//! Transient (time-domain) analysis of conservative networks.
+//! Transient (time-domain) analysis of conservative networks: the one
+//! transient engine, [`Transient<T>`], generic over the lane scalar.
 //!
 //! Energy-storage elements are replaced per step by their companion
 //! models (Norton/Thévenin equivalents of the integration rule), turning
@@ -11,18 +12,56 @@
 //!   rebuilt per step — experiment E5 benchmarks exactly this.
 //! * **Stiff/nonlinear networks** (phase 2/3): Newton iteration per step
 //!   and local-truncation-error-controlled variable steps
-//!   ([`TransientSolver::run_adaptive`]) — experiment E3.
+//!   ([`Transient::run_adaptive`]) — experiment E3.
+//!
+//! # One engine, any lane width
+//!
+//! The engine is written once against [`Lanes`]: `f64` is one lane,
+//! [`F64xK`] is `K` *topology-identical* circuits (same nodes, element
+//! kinds and connectivity — only parameter values differ) advanced in
+//! lockstep through the same assembly, sparse LU and Newton. The two
+//! instances keep their established names: [`TransientSolver`] is
+//! `Transient<f64>` and [`LaneTransientSolver<K>`] is
+//! `Transient<F64xK<K>>`. The one-lane instance runs plain `f64`
+//! arithmetic, so a scalar run is exactly what it was before the lane
+//! engine existed.
+//!
+//! Semantics that only show at widths above one:
+//!
+//! * **Pivoting.** The sparse pivot *sequence* is pattern-determined
+//!   and shared by all lanes (the scalar symbolic factor's, when
+//!   adopted via [`Transient::adopt_scalar_factor`]). Pivot acceptance
+//!   guards use `modulus` = max across live lanes, so a refactor fails
+//!   ([`NetError::Singular`]) only when *every* lane is numerically dead
+//!   at that pivot.
+//! * **Newton.** Convergence is checked per lane; a lane whose iterate
+//!   goes non-finite is masked out (its solution becomes NaN) instead of
+//!   failing the bundle, and the step errors only when no live lane is
+//!   left. Live lanes iterate until *all* converge, so a hard corner can
+//!   add iterations to easy ones — the documented ≤1e-9 deviation source
+//!   against scalar runs (same fixed point, different iteration count).
+//! * **Step control.** [`Transient::run_adaptive`] estimates the local
+//!   truncation error per lane and accepts on the *maximum* over live
+//!   lanes: the shared step is the smallest per-lane desired step. A
+//!   lane that goes non-finite is masked out; at width one that leaves
+//!   no live lane and the run fails.
+//! * **Divergence isolation.** Lanewise arithmetic never mixes lanes, so
+//!   a NaN corner stays confined to its lane by construction.
+//!
+//! Checkpoints ([`Checkpoint`]) are captured from the scalar instance
+//! only; restoring one into a `K`-lane engine broadcasts the snapshot
+//! into every lane — the fork of a prefix-shared lane sweep.
 
 use crate::assembly::{MnaSystem, SolverBackend, Stamp};
 use crate::checkpoint::Checkpoint;
 use crate::dcop::{diode_iv, DcOptions, GMIN};
-use crate::devices::nmos_linearize;
+use crate::devices::{nmos_linearize, NmosOp};
 use crate::mna::{
     stamp_branch_kcl, stamp_branch_voltage, stamp_conductance, stamp_current, stamp_mos,
     stamp_vccs, MnaLayout,
 };
-use crate::{Circuit, ElementId, ElementKind, NetError, NodeId};
-use ams_math::{DVec, SolveStats};
+use crate::{Circuit, ElementId, ElementKind, InputId, NetError, NodeId, Waveform};
+use ams_math::{DVec, F64xK, Lanes, Scalar, SolveStats, SparseLu};
 use ams_monitor::MonitorBank;
 use ams_scope::{SpanKind, TraceEvent, Tracer};
 
@@ -42,7 +81,8 @@ pub enum IntegrationMethod {
     Trapezoidal,
 }
 
-/// Counters accumulated by a transient run.
+/// Counters accumulated by a transient run. Lane engines count per
+/// *bundle*: one step or factorization advances every lane at once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransientStats {
     /// Accepted timesteps.
@@ -59,21 +99,7 @@ pub struct TransientStats {
     pub solve: SolveStats,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct EnergyState {
-    v: f64,
-    i: f64,
-}
-
-#[derive(Debug, Clone)]
-struct Snapshot {
-    x: DVec<f64>,
-    time: f64,
-    state: Vec<EnergyState>,
-    force_be: u32,
-}
-
-/// Options controlling [`TransientSolver::run_adaptive`].
+/// Options controlling [`Transient::run_adaptive`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveOptions {
     /// Relative error tolerance on node voltages/branch currents.
@@ -100,11 +126,86 @@ impl Default for AdaptiveOptions {
     }
 }
 
-/// A stepping transient solver over one circuit.
+#[derive(Debug, Clone, Copy, Default)]
+struct EnergyState<T> {
+    v: T,
+    i: T,
+}
+
+#[derive(Debug, Clone)]
+struct Snapshot<T: Scalar> {
+    x: DVec<T>,
+    time: f64,
+    state: Vec<EnergyState<T>>,
+    force_be: u32,
+    live: u64,
+}
+
+/// Everything the linear-path system matrix depends on: step size,
+/// effective integration rule and switch states.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FactorKey {
+    h_bits: u64,
+    be: bool,
+    switches: Vec<bool>,
+}
+
+/// A monitor bank per lane bound to the engine's unknown vector:
+/// channel `ch` of every bank reads MNA variable `vars[ch]` (`None` =
+/// ground, 0 V) in that bank's lane.
+#[derive(Debug, Clone)]
+struct MonitorTap {
+    banks: Vec<MonitorBank>,
+    vars: Vec<Option<usize>>,
+}
+
+/// An opaque, cloneable symbolic sparse-LU analysis extracted from one
+/// engine and adoptable by engines over value-variants of the same
+/// circuit topology (same elements, different parameters).
+///
+/// The batched-sweep amortization primitive: the first scenario of a
+/// topology-invariant family pays the symbolic analysis (ordering,
+/// pivot sequence, fill pattern); every other scenario adopts it and
+/// pays only a numeric refactorization per matrix change. `T` is the
+/// lane scalar of the engine that computed it;
+/// [`LaneSymbolicFactor<K>`] names the `K`-lane instance.
+#[derive(Debug, Clone)]
+pub struct SymbolicFactor<T: Scalar = f64>(SparseLu<T>);
+
+/// The symbolic factor of a `K`-lane engine.
+pub type LaneSymbolicFactor<const K: usize> = SymbolicFactor<F64xK<K>>;
+
+impl<T: Scalar> SymbolicFactor<T> {
+    /// Dimension of the factored system (number of MNA unknowns).
+    pub fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    /// Estimated resident size in bytes. The currency of byte-budgeted
+    /// factor caches (`ams-serve`'s topology cache), not an exact
+    /// allocation count. Delegates to
+    /// [`SparseLu::approx_bytes`], which charges value arrays at their
+    /// true scalar width — a `K`-lane factor reports `K×` the value
+    /// bytes, so lane factors cannot slip under an LRU byte budget at
+    /// scalar prices.
+    pub fn approx_bytes(&self) -> usize {
+        self.0.approx_bytes()
+    }
+
+    /// The same symbolic analysis (ordering, pivot sequence, fill
+    /// pattern) re-typed for an engine of another lane width; the
+    /// values are left for the adopter's first refactor to fill.
+    pub fn cast<U: Scalar>(&self) -> SymbolicFactor<U> {
+        SymbolicFactor(self.0.cast_symbolic())
+    }
+}
+
+/// The transient engine over `T::LANES` topology-identical circuits.
+/// See the [module docs](self) for what changes at widths above one.
 ///
 /// # Example
 ///
-/// RC charging curve:
+/// RC charging curve on the scalar instance:
 ///
 /// ```
 /// use ams_net::{Circuit, IntegrationMethod, TransientSolver};
@@ -126,24 +227,62 @@ impl Default for AdaptiveOptions {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Four RC curves with different resistors, one instruction stream:
+///
+/// ```
+/// use ams_net::{Circuit, IntegrationMethod, LaneTransientSolver};
+///
+/// # fn main() -> Result<(), ams_net::NetError> {
+/// let build = |r: f64| -> Result<Circuit, ams_net::NetError> {
+///     let mut ckt = Circuit::new();
+///     let a = ckt.node("a");
+///     let out = ckt.node("out");
+///     ckt.voltage_source("V1", a, Circuit::GROUND, 1.0)?;
+///     ckt.resistor("R1", a, out, r)?;
+///     ckt.capacitor_ic("C1", out, Circuit::GROUND, 1e-6, 0.0)?;
+///     Ok(ckt)
+/// };
+/// let circuits: Vec<Circuit> = [0.5e3, 1e3, 2e3, 4e3]
+///     .iter()
+///     .map(|&r| build(r))
+///     .collect::<Result<_, _>>()?;
+/// let mut tr =
+///     LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal)?;
+/// tr.initialize_with_ic()?;
+/// for _ in 0..1000 {
+///     tr.step(1e-6)?; // 1 ms total
+/// }
+/// let out = circuits[0].nodes().nth(2).unwrap();
+/// // Lane 1 is the τ = 1 ms circuit: v = 1 − e⁻¹ after one τ.
+/// let expected = 1.0 - (-1.0f64).exp();
+/// assert!((tr.voltage_lane(out, 1) - expected).abs() < 1e-4);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-pub struct TransientSolver {
-    circuit: Circuit,
+pub struct Transient<T: Lanes> {
+    /// One circuit per lane (lane `l`'s parameters and waveforms);
+    /// `circuits[0]` is the topology every assembly walks.
+    circuits: Vec<Circuit>,
     layout: MnaLayout,
     method: IntegrationMethod,
-    x: DVec<f64>,
+    x: DVec<T>,
     time: f64,
-    ext: Vec<f64>,
+    /// Per-lane external inputs, lane-major (`ext[l][input]`) so each
+    /// lane's slice feeds `Waveform::value_at` directly.
+    ext: Vec<Vec<f64>>,
+    /// Switch states are topology-level events, shared by all lanes.
     switches: Vec<bool>,
     /// Per-element capacitor/inductor history (unused slots default).
-    state: Vec<EnergyState>,
+    state: Vec<EnergyState<T>>,
     nonlinear: bool,
     /// Steps remaining that are forced to backward Euler (after
     /// discontinuities such as switch toggles).
     force_be: u32,
     /// The backing linear system (pattern, values, cached factors);
     /// created lazily on the first assembly.
-    sys: Option<MnaSystem<f64>>,
+    sys: Option<MnaSystem<T>>,
     /// `(h, method, switches)` of the factorization currently cached by
     /// `sys` on the linear fast path.
     factor_key: Option<FactorKey>,
@@ -151,14 +290,17 @@ pub struct TransientSolver {
     pub backend: SolverBackend,
     /// Set to disable factorization reuse (for benchmarking E5).
     pub reuse_factorization: bool,
-    /// A symbolic analysis adopted from a topology-identical sibling
-    /// solver, consumed when the backing system is first created.
-    symbolic_hint: Option<ams_math::SparseLu<f64>>,
+    /// A symbolic analysis adopted from a topology-identical sibling,
+    /// consumed when the backing system is first created.
+    symbolic_hint: Option<SparseLu<T>>,
+    /// Lane liveness bits: a lane drops out on divergence instead of
+    /// failing the bundle.
+    live: u64,
     stats: TransientStats,
     initialized: bool,
     /// The adaptive controller's current step proposal, persisted
-    /// across [`TransientSolver::run_adaptive`] calls so a checkpointed
-    /// run resumes with the step it would have tried next.
+    /// across [`Transient::run_adaptive`] calls so a checkpointed run
+    /// resumes with the step it would have tried next.
     adaptive_h: Option<f64>,
     /// Span recorder (disabled by default: one branch per hook).
     tracer: Tracer,
@@ -167,86 +309,73 @@ pub struct TransientSolver {
     monitors: Option<MonitorTap>,
 }
 
-/// A monitor bank bound to this solver's unknown vector: channel `ch`
-/// of the bank reads MNA variable `vars[ch]` (`None` = ground, 0 V).
-#[derive(Debug, Clone)]
-struct MonitorTap {
-    bank: MonitorBank,
-    vars: Vec<Option<usize>>,
+/// The scalar engine: one circuit, plain `f64` arithmetic.
+pub type TransientSolver = Transient<f64>;
+
+/// The lane-bundled engine: `K` parameter corners of one topology per
+/// instruction stream.
+pub type LaneTransientSolver<const K: usize> = Transient<F64xK<K>>;
+
+/// Bundles field `$field` of the `$kind` element at `$idx` across the
+/// lane circuits. Lane 0 takes `$v0`, the value the caller already
+/// destructured from the template element, so the one-lane instance
+/// never re-matches.
+macro_rules! lane_param {
+    ($self:ident, $idx:expr, $v0:expr, $kind:ident, $field:ident) => {
+        T::from_fn(|l| {
+            if l == 0 {
+                $v0
+            } else {
+                match $self.kind(l, $idx) {
+                    ElementKind::$kind { $field, .. } => *$field,
+                    _ => unreachable!("lane circuits share one topology"),
+                }
+            }
+        })
+    };
 }
 
-/// An opaque, cloneable symbolic sparse-LU analysis extracted from one
-/// [`TransientSolver`] and adoptable by solvers over value-variants of
-/// the same circuit topology (same elements, different parameters).
-///
-/// The batched-sweep amortization primitive: the first scenario of a
-/// topology-invariant family pays the symbolic analysis (ordering,
-/// pivot sequence, fill pattern); every other scenario adopts it and
-/// pays only a numeric refactorization per matrix change.
-#[derive(Debug, Clone)]
-pub struct SymbolicFactor(ams_math::SparseLu<f64>);
-
-impl SymbolicFactor {
-    /// Dimension of the factored system (number of MNA unknowns).
-    pub fn dim(&self) -> usize {
-        self.0.dim()
-    }
-
-    /// Estimated resident size in bytes. The currency of byte-budgeted
-    /// factor caches (`ams-serve`'s topology cache), not an exact
-    /// allocation count. Delegates to
-    /// [`SparseLu::approx_bytes`](ams_math::SparseLu::approx_bytes),
-    /// which charges value arrays at their true scalar width — a
-    /// lane-widened factor ([`crate::lane::LaneSymbolicFactor`]) reports
-    /// `K×` the value bytes, so lane-mode factors cannot slip under an
-    /// LRU byte budget at scalar prices.
-    pub fn approx_bytes(&self) -> usize {
-        self.0.approx_bytes()
-    }
-
-    /// The wrapped sparse factorization (crate-internal: the lane
-    /// solver widens it via `cast_symbolic`).
-    pub(crate) fn inner(&self) -> &ams_math::SparseLu<f64> {
-        &self.0
-    }
-}
-
-/// Everything the linear-path system matrix depends on: step size,
-/// effective integration rule and switch states.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FactorKey {
-    h_bits: u64,
-    be: bool,
-    switches: Vec<bool>,
-}
-
-impl TransientSolver {
-    /// Creates a solver for the circuit.
+impl<T: Lanes> Transient<T> {
+    /// Creates an engine over `circuits`, one per lane.
     ///
     /// # Errors
     ///
-    /// Currently always succeeds for a valid circuit; returns
-    /// [`NetError`] variants for future element kinds that cannot be
-    /// simulated in the time domain.
-    pub fn new(circuit: &Circuit, method: IntegrationMethod) -> Result<Self, NetError> {
-        let layout = MnaLayout::build(circuit);
-        let nonlinear = circuit.elements().iter().any(|e| e.is_nonlinear());
-        Ok(TransientSolver {
-            circuit: circuit.clone(),
-            layout: layout.clone(),
-            method,
+    /// Returns [`NetError::InvalidValue`] unless exactly `T::LANES`
+    /// circuits are given and they are topology-identical: same node
+    /// and element counts, and element-for-element the same kind,
+    /// terminals and control references. Parameter *values* (R/L/C,
+    /// gains, waveform shapes, initial conditions) are free per lane.
+    pub fn from_circuits(
+        circuits: Vec<Circuit>,
+        method: IntegrationMethod,
+    ) -> Result<Self, NetError> {
+        if circuits.len() != T::LANES {
+            return Err(NetError::InvalidValue {
+                element: "lane bundle".to_string(),
+                reason: format!("expected {} circuits, got {}", T::LANES, circuits.len()),
+            });
+        }
+        check_topology_identical(&circuits)?;
+        let base = &circuits[0];
+        let layout = MnaLayout::build(base);
+        let nonlinear = base.elements().iter().any(|e| e.is_nonlinear());
+        Ok(Transient {
             x: DVec::zeros(layout.n_unknowns),
-            time: 0.0,
-            ext: vec![0.0; circuit.external_input_count()],
-            switches: circuit.initial_switch_states(),
-            state: vec![EnergyState::default(); circuit.element_count()],
+            ext: vec![vec![0.0; base.external_input_count()]; T::LANES],
+            switches: base.initial_switch_states(),
+            state: vec![EnergyState::default(); base.element_count()],
             nonlinear,
+            layout,
+            circuits,
+            method,
+            time: 0.0,
             force_be: 0,
             sys: None,
             factor_key: None,
             backend: SolverBackend::default(),
             reuse_factorization: true,
             symbolic_hint: None,
+            live: Self::ALL_LIVE,
             stats: TransientStats::default(),
             initialized: false,
             adaptive_h: None,
@@ -255,11 +384,21 @@ impl TransientSolver {
         })
     }
 
-    /// Attaches a compiled monitor bank: channel `ch` of the bank reads
-    /// node `nodes[ch]` (pair them with [`MonitorBank::channels`],
-    /// resolved via [`Circuit::find_node`]). The bank is fed once per
-    /// *accepted* step — trial and half steps of the adaptive
-    /// controller never reach it — replacing any bank attached earlier.
+    /// Every lane's liveness bit set.
+    const ALL_LIVE: u64 = u64::MAX >> (64 - T::LANES);
+
+    /// Element `idx`'s kind in lane `l`'s circuit.
+    #[inline]
+    fn kind(&self, l: usize, idx: usize) -> &ElementKind {
+        &self.circuits[l].elements()[idx].kind
+    }
+
+    /// Attaches a compiled monitor bank to every lane: channel `ch` of
+    /// the bank reads node `nodes[ch]` (pair them with
+    /// [`MonitorBank::channels`], resolved via [`Circuit::find_node`]).
+    /// Each lane's bank is fed once per *accepted* step — trial and half
+    /// steps of the adaptive controller never reach it — replacing any
+    /// banks attached earlier.
     ///
     /// # Panics
     ///
@@ -278,32 +417,31 @@ impl TransientSolver {
                 self.layout.node_var(n)
             })
             .collect();
-        self.monitors = Some(MonitorTap { bank, vars });
+        self.monitors = Some(MonitorTap {
+            banks: vec![bank; T::LANES],
+            vars,
+        });
     }
 
-    /// The attached monitor bank, when present.
-    pub fn monitor_bank(&self) -> Option<&MonitorBank> {
-        self.monitors.as_ref().map(|t| &t.bank)
+    /// The attached monitor banks, one per lane (empty when none are
+    /// attached).
+    pub fn monitor_banks(&self) -> &[MonitorBank] {
+        self.monitors
+            .as_ref()
+            .map_or(&[][..], |t| t.banks.as_slice())
     }
 
-    /// Detaches and returns the monitor bank (with all accumulated
-    /// automaton state), when present.
-    pub fn take_monitors(&mut self) -> Option<MonitorBank> {
-        self.monitors.take().map(|t| t.bank)
-    }
-
-    /// Feeds the attached monitors the current solution. One branch
-    /// when no bank is attached.
+    /// Feeds the attached monitors the current solution, each lane's
+    /// bank its own lane. One branch when no bank is attached.
     #[inline]
     fn feed_monitors(&mut self) {
         if let Some(tap) = self.monitors.as_mut() {
             let t = self.time;
-            for (ch, var) in tap.vars.iter().enumerate() {
-                let v = match *var {
-                    Some(i) => self.x[i],
-                    None => 0.0,
-                };
-                tap.bank.feed(ch, t, v);
+            for (l, bank) in tap.banks.iter_mut().enumerate() {
+                for (ch, var) in tap.vars.iter().enumerate() {
+                    let v = var.map_or(0.0, |i| self.x[i].lane(l));
+                    bank.feed(ch, t, v);
+                }
             }
         }
     }
@@ -326,31 +464,63 @@ impl TransientSolver {
         self.tracer.take_events()
     }
 
-    /// Current simulation time in seconds.
+    /// Current simulation time in seconds (shared by all lanes).
     pub fn time(&self) -> f64 {
         self.time
     }
 
-    /// Extracts the sparse symbolic analysis of this solver's transient
+    /// The lane width.
+    pub fn lanes(&self) -> usize {
+        T::LANES
+    }
+
+    #[inline]
+    fn is_live(&self, l: usize) -> bool {
+        self.live >> l & 1 == 1
+    }
+
+    /// A probe view of lane `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `l` is not a lane of this engine.
+    pub fn lane_view(&self, l: usize) -> LaneView<'_, T> {
+        assert!(l < T::LANES, "lane out of range");
+        LaneView {
+            solver: self,
+            lane: l,
+        }
+    }
+
+    /// Extracts the sparse symbolic analysis of this engine's transient
     /// system, if one has been computed (sparse backend, at least one
-    /// factored step). Solvers over value-variants of the same circuit
-    /// topology can [adopt](TransientSolver::adopt_symbolic_factor) it
-    /// to replace their own symbolic analysis with a numeric refactor.
-    pub fn symbolic_factor(&self) -> Option<SymbolicFactor> {
+    /// factored step). Engines over value-variants of the same circuit
+    /// topology can [adopt](Transient::adopt_symbolic_factor) it to
+    /// replace their own symbolic analysis with a numeric refactor.
+    pub fn symbolic_factor(&self) -> Option<SymbolicFactor<T>> {
         self.sys
             .as_ref()
             .and_then(|s| s.export_sparse_factor())
             .map(SymbolicFactor)
     }
 
-    /// Adopts a symbolic analysis extracted from a solver over the same
-    /// circuit topology: this solver's first sparse factorization
-    /// becomes a numeric refactor (counted in
-    /// [`SolveStats::numeric_refactors`](ams_math::SolveStats), not
-    /// `symbolic_analyses`). A hint whose pattern does not match is
-    /// ignored and a fresh symbolic analysis happens as usual.
-    pub fn adopt_symbolic_factor(&mut self, hint: &SymbolicFactor) {
+    /// Adopts a symbolic analysis extracted from an engine of the same
+    /// width over the same circuit topology: this engine's first sparse
+    /// factorization becomes a numeric refactor (counted in
+    /// [`SolveStats::numeric_refactors`], not `symbolic_analyses`). A
+    /// hint whose pattern does not match is ignored and a fresh
+    /// symbolic analysis happens as usual.
+    pub fn adopt_symbolic_factor(&mut self, hint: &SymbolicFactor<T>) {
         self.symbolic_hint = Some(hint.0.clone());
+    }
+
+    /// Adopts a *scalar* symbolic analysis (from a [`TransientSolver`]
+    /// over the same topology), widened to this engine's lanes. The
+    /// pivot sequence is pattern-determined, so each lane replays
+    /// exactly the scalar factor's elimination — the op-for-op basis of
+    /// lane-vs-scalar parity.
+    pub fn adopt_scalar_factor(&mut self, hint: &SymbolicFactor) {
+        self.symbolic_hint = Some(hint.0.cast_symbolic());
     }
 
     /// Accumulated statistics (including the live linear-solver
@@ -363,23 +533,29 @@ impl TransientSolver {
         s
     }
 
-    /// Sets an external source input (takes effect from the next step).
+    /// Sets an external source input of one lane (takes effect from the
+    /// next step).
     ///
     /// # Panics
     ///
-    /// Panics if the handle is out of range.
-    pub fn set_input(&mut self, input: crate::InputId, value: f64) {
-        self.ext[input.index()] = value;
+    /// Panics if the lane or handle is out of range.
+    pub fn set_input_lane(&mut self, input: InputId, lane: usize, value: f64) {
+        self.ext[lane][input.index()] = value;
     }
 
-    /// Sets a switch state; the next step uses backward Euler once to
-    /// damp the discontinuity.
+    /// Sets a switch state for **all** lanes (switch events are
+    /// topology-level); the next step uses backward Euler once to damp
+    /// the discontinuity.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::UnknownElement`] if `elem` is not a switch.
     pub fn set_switch(&mut self, elem: ElementId, on: bool) -> Result<(), NetError> {
-        match self.circuit.elements().get(elem.index()).map(|e| &e.kind) {
+        match self.circuits[0]
+            .elements()
+            .get(elem.index())
+            .map(|e| &e.kind)
+        {
             Some(ElementKind::Switch { .. }) => {
                 if self.switches[elem.index()] != on {
                     self.switches[elem.index()] = on;
@@ -395,28 +571,28 @@ impl TransientSolver {
         }
     }
 
-    /// The voltage of a node at the current time.
+    /// The voltage of a node in lane `l` at the current time.
     ///
     /// # Panics
     ///
-    /// Panics for nodes outside the circuit.
-    pub fn voltage(&self, node: NodeId) -> f64 {
+    /// Panics for nodes outside the circuit or lanes out of range.
+    pub fn voltage_lane(&self, node: NodeId, l: usize) -> f64 {
         assert!(node.index() < self.layout.n_nodes, "node out of range");
         match self.layout.node_var(node) {
             None => 0.0,
-            Some(i) => self.x[i],
+            Some(i) => self.x[i].lane(l),
         }
     }
 
-    /// The current through an element at the current time (branch
-    /// elements, resistors, switches, capacitors, inductors, diodes).
+    /// The current through an element in lane `l` at the current time
+    /// (branch elements, resistors, switches, capacitors, diodes,
+    /// NMOS).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::UnknownElement`] for unsupported kinds.
-    pub fn current(&self, elem: ElementId) -> Result<f64, NetError> {
-        let e = self
-            .circuit
+    pub fn current_lane(&self, elem: ElementId, l: usize) -> Result<f64, NetError> {
+        let e = self.circuits[l]
             .elements()
             .get(elem.index())
             .ok_or(NetError::UnknownElement {
@@ -424,12 +600,12 @@ impl TransientSolver {
                 what: "current",
             })?;
         if let Some(b) = self.layout.branch_var(elem) {
-            return Ok(self.x[b]);
+            return Ok(self.x[b].lane(l));
         }
-        let v = self.voltage(e.p) - self.voltage(e.n);
+        let v = self.voltage_lane(e.p, l) - self.voltage_lane(e.n, l);
         match &e.kind {
             ElementKind::Resistor { ohms } => Ok(v / ohms),
-            ElementKind::Capacitor { .. } => Ok(self.state[elem.index()].i),
+            ElementKind::Capacitor { .. } => Ok(self.state[elem.index()].i.lane(l)),
             ElementKind::Switch { r_on, r_off, .. } => {
                 let r = if self.switches[elem.index()] {
                     *r_on
@@ -445,9 +621,9 @@ impl TransientSolver {
                 vt,
                 lambda,
             } => {
-                let vg = self.voltage(*gate);
-                let vd = self.voltage(e.p);
-                let vs = self.voltage(e.n);
+                let vg = self.voltage_lane(*gate, l);
+                let vd = self.voltage_lane(e.p, l);
+                let vs = self.voltage_lane(e.n, l);
                 Ok(nmos_linearize(vg, vd, vs, *kp, *vt, *lambda).id + GMIN * v)
             }
             _ => Err(NetError::UnknownElement {
@@ -457,49 +633,60 @@ impl TransientSolver {
         }
     }
 
-    /// Initializes from the DC operating point (the paper's consistent
-    /// quiescent state), honoring element initial conditions where given.
+    /// Initializes every lane from its own DC operating point (the
+    /// paper's consistent quiescent state; one scalar DC solve per
+    /// lane), honoring element initial conditions where given.
     ///
     /// # Errors
     ///
-    /// Propagates DC solve failures.
+    /// Propagates DC solve failures (any lane failing fails
+    /// initialization: a consistent start is a precondition, not a
+    /// per-lane property).
     pub fn initialize_dc(&mut self) -> Result<(), NetError> {
-        let op = self
-            .circuit
-            .dc_operating_point_with(&self.ext, &self.switches)?;
-        self.x = op.x.clone();
-        self.seed_state_from_solution(true);
+        let mut x: DVec<T> = DVec::zeros(self.layout.n_unknowns);
+        for l in 0..T::LANES {
+            let op = self.circuits[l].dc_operating_point_with(&self.ext[l], &self.switches)?;
+            for i in 0..self.layout.n_unknowns {
+                x[i].set_lane(l, op.x[i]);
+            }
+        }
+        self.x = x;
+        self.seed_state_from_solution();
         self.time = 0.0;
         self.initialized = true;
         self.factor_key = None;
         self.adaptive_h = None;
+        self.live = Self::ALL_LIVE;
         Ok(())
     }
 
-    /// Initializes using element initial conditions only (SPICE `UIC`):
-    /// capacitors at their `ic` (default 0 V), inductors at their `ic`
-    /// (default 0 A); no DC solve is performed.
+    /// Initializes using element initial conditions only (SPICE `UIC`),
+    /// per lane: capacitors at their `ic` (default 0 V), inductors at
+    /// their `ic` (default 0 A); no DC solve is performed.
     ///
     /// # Errors
     ///
     /// Infallible today; reserved for future validation.
     pub fn initialize_with_ic(&mut self) -> Result<(), NetError> {
         self.x = DVec::zeros(self.layout.n_unknowns);
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
-            match e.kind {
-                ElementKind::Capacitor { ic, .. } => {
-                    self.state[idx] = EnergyState {
-                        v: ic.unwrap_or(0.0),
-                        i: 0.0,
-                    };
+        for idx in 0..self.state.len() {
+            let mut st = EnergyState::<T>::default();
+            let mut is_storage = false;
+            for l in 0..T::LANES {
+                match *self.kind(l, idx) {
+                    ElementKind::Capacitor { ic, .. } => {
+                        is_storage = true;
+                        st.v.set_lane(l, ic.unwrap_or(0.0));
+                    }
+                    ElementKind::Inductor { ic, .. } => {
+                        is_storage = true;
+                        st.i.set_lane(l, ic.unwrap_or(0.0));
+                    }
+                    _ => {}
                 }
-                ElementKind::Inductor { ic, .. } => {
-                    self.state[idx] = EnergyState {
-                        v: 0.0,
-                        i: ic.unwrap_or(0.0),
-                    };
-                }
-                _ => {}
+            }
+            if is_storage {
+                self.state[idx] = st;
             }
         }
         self.time = 0.0;
@@ -507,49 +694,71 @@ impl TransientSolver {
         self.initialized = true;
         self.factor_key = None;
         self.adaptive_h = None;
+        self.live = Self::ALL_LIVE;
         Ok(())
     }
 
-    fn seed_state_from_solution(&mut self, honor_ic: bool) {
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
+    /// Seeds the companion history from the DC solution, overridden
+    /// per lane by element initial conditions.
+    fn seed_state_from_solution(&mut self) {
+        for idx in 0..self.state.len() {
+            let e = &self.circuits[0].elements()[idx];
             match e.kind {
-                ElementKind::Capacitor { ic, .. } => {
-                    let v_sol = self.branch_voltage(e.p, e.n);
-                    let v = if honor_ic { ic.unwrap_or(v_sol) } else { v_sol };
-                    self.state[idx] = EnergyState { v, i: 0.0 };
-                    if honor_ic && ic.is_some() {
-                        self.force_be = 1;
+                ElementKind::Capacitor { .. } => {
+                    let mut v = self.branch_voltage(e.p, e.n);
+                    for l in 0..T::LANES {
+                        if let ElementKind::Capacitor { ic: Some(ic), .. } = *self.kind(l, idx) {
+                            v.set_lane(l, ic);
+                            self.force_be = 1;
+                        }
                     }
+                    self.state[idx] = EnergyState { v, i: T::ZERO };
                 }
-                ElementKind::Inductor { ic, .. } => {
-                    let i_sol = self
+                ElementKind::Inductor { .. } => {
+                    let mut i = self
                         .layout
                         .branch_var(ElementId(idx))
-                        .map_or(0.0, |b| self.x[b]);
-                    let i = if honor_ic { ic.unwrap_or(i_sol) } else { i_sol };
-                    self.state[idx] = EnergyState { v: 0.0, i };
-                    if honor_ic && ic.is_some() {
-                        self.force_be = 1;
+                        .map_or(T::ZERO, |b| self.x[b]);
+                    for l in 0..T::LANES {
+                        if let ElementKind::Inductor { ic: Some(ic), .. } = *self.kind(l, idx) {
+                            i.set_lane(l, ic);
+                            self.force_be = 1;
+                        }
                     }
+                    self.state[idx] = EnergyState { v: T::ZERO, i };
                 }
                 _ => {}
             }
         }
     }
 
-    fn branch_voltage(&self, p: NodeId, n: NodeId) -> f64 {
-        let vp = self.layout.node_var(p).map_or(0.0, |i| self.x[i]);
-        let vn = self.layout.node_var(n).map_or(0.0, |i| self.x[i]);
-        vp - vn
+    fn branch_voltage(&self, p: NodeId, n: NodeId) -> T {
+        node_value(&self.layout, &self.x, p) - node_value(&self.layout, &self.x, n)
     }
 
-    /// Advances the solution by one step of size `h` seconds.
+    /// Kills lane `l`: marks it dead and poisons its solution and
+    /// history with NaN so every later probe reads NaN.
+    fn kill_lane(&mut self, l: usize) {
+        self.live &= !(1 << l);
+        for i in 0..self.x.len() {
+            self.x[i].set_lane(l, f64::NAN);
+        }
+        for st in &mut self.state {
+            st.v.set_lane(l, f64::NAN);
+            st.i.set_lane(l, f64::NAN);
+        }
+    }
+
+    /// Advances all live lanes by one step of size `h` seconds.
     ///
     /// # Errors
     ///
     /// * [`NetError::InvalidValue`] for a non-positive step.
-    /// * [`NetError::NoConvergence`] if the per-step Newton fails.
-    /// * [`NetError::Singular`] for topology problems.
+    /// * [`NetError::NoConvergence`] when the per-step Newton leaves no
+    ///   live lane converged (at widths above one, a single lane's
+    ///   divergence only masks that lane).
+    /// * [`NetError::Singular`] for topology problems (every lane dead
+    ///   at some pivot).
     pub fn step(&mut self, h: f64) -> Result<(), NetError> {
         if !self.initialized {
             self.initialize_dc()?;
@@ -565,41 +774,49 @@ impl TransientSolver {
         let n = self.layout.n_unknowns;
 
         let x_new = if self.nonlinear {
-            // Newton loop: reassemble and refactor each iteration.
+            // Newton loop with per-lane convergence and divergence
+            // masks: reassemble and refactor each iteration.
             let mut x_iter = self.x.clone();
             let opts = DcOptions::default();
-            let mut converged = false;
+            let mut done = 0u64;
             let mut iters = 0;
             for _ in 0..opts.max_iter {
                 iters += 1;
                 self.assemble_and_factor(&x_iter, t_new, h, be, self.reuse_factorization)?;
-                if self.tracer.is_enabled() {
-                    self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
-                }
-                let solved = self
-                    .sys
-                    .as_ref()
-                    .expect("system just assembled")
-                    .solve_rhs();
-                if self.tracer.is_enabled() {
-                    self.tracer.end(SpanKind::MnaSolve, fs(t_new));
-                }
-                let x_next = solved?;
-                let mut done = true;
-                for i in 0..n {
-                    let d = (x_next[i] - x_iter[i]).abs();
-                    if d > opts.v_tol + opts.rel_tol * x_next[i].abs().max(x_iter[i].abs()) {
-                        done = false;
-                        break;
+                let x_next = self.solve_rhs(t_new)?;
+                for l in 0..T::LANES {
+                    if !self.is_live(l) {
+                        continue;
+                    }
+                    let mut lane_done = true;
+                    let mut lane_finite = true;
+                    for i in 0..n {
+                        let a = x_next[i].lane(l);
+                        let b = x_iter[i].lane(l);
+                        if !a.is_finite() {
+                            lane_finite = false;
+                            break;
+                        }
+                        let d = (a - b).abs();
+                        if d > opts.v_tol + opts.rel_tol * a.abs().max(b.abs()) {
+                            lane_done = false;
+                        }
+                    }
+                    if !lane_finite {
+                        // Divergence masking: the corner dies, the
+                        // bundle lives.
+                        self.kill_lane(l);
+                    } else if lane_done {
+                        done |= 1 << l;
+                    } else {
+                        done &= !(1 << l);
                     }
                 }
-                let finite = x_next.is_finite();
                 x_iter = x_next;
-                if done && finite {
-                    converged = true;
-                    break;
-                }
-                if !finite {
+                // Re-poison dead lanes so NaN keeps flowing through the
+                // next assembly instead of a stale finite iterate.
+                self.poison_dead(&mut x_iter);
+                if self.live & !done == 0 {
                     break;
                 }
             }
@@ -608,12 +825,20 @@ impl TransientSolver {
                 self.tracer
                     .instant(SpanKind::NewtonIteration, fs(t_new), iters);
             }
-            if !converged {
+            // Lanes that never converged are masked out; the step fails
+            // only when that leaves no live lane.
+            for l in 0..T::LANES {
+                if self.is_live(l) && done >> l & 1 == 0 {
+                    self.kill_lane(l);
+                }
+            }
+            if self.live == 0 {
                 return Err(NetError::NoConvergence {
                     analysis: "transient step",
                     iterations: iters as usize,
                 });
             }
+            self.poison_dead(&mut x_iter);
             x_iter
         } else {
             // Linear fast path: matrix depends only on (h, method, switches).
@@ -636,20 +861,38 @@ impl TransientSolver {
             // (Re)build only the RHS and reuse the cached factors.
             let mut sys = self.sys.take().expect("system just ensured");
             sys.assemble_rhs(|st| self.assemble_rhs_only(st, t_new, h, be));
-            if self.tracer.is_enabled() {
-                self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
-            }
-            let solved = sys.solve_rhs();
-            if self.tracer.is_enabled() {
-                self.tracer.end(SpanKind::MnaSolve, fs(t_new));
-            }
             self.sys = Some(sys);
             self.stats.newton_iterations += 1;
-            solved?
+            self.solve_rhs(t_new)?
         };
 
         self.commit_step(x_new, t_new, h, be);
         Ok(())
+    }
+
+    /// Overwrites the dead lanes of `x` with NaN.
+    fn poison_dead(&self, x: &mut DVec<T>) {
+        if self.live == Self::ALL_LIVE {
+            return;
+        }
+        for l in (0..T::LANES).filter(|&l| !self.is_live(l)) {
+            for i in 0..x.len() {
+                x[i].set_lane(l, f64::NAN);
+            }
+        }
+    }
+
+    /// Solves the assembled system (an `MnaSolve` span when traced).
+    fn solve_rhs(&mut self, t_new: f64) -> Result<DVec<T>, NetError> {
+        let traced = self.tracer.is_enabled();
+        if traced {
+            self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
+        }
+        let solved = self.sys.as_ref().expect("system assembled").solve_rhs();
+        if traced {
+            self.tracer.end(SpanKind::MnaSolve, fs(t_new));
+        }
+        solved
     }
 
     /// Shared assemble-then-factor step of both the Newton and the
@@ -660,7 +903,7 @@ impl TransientSolver {
     /// matrix values provably reuse the cached factors.
     fn assemble_and_factor(
         &mut self,
-        x: &DVec<f64>,
+        x: &DVec<T>,
         t_new: f64,
         h: f64,
         be: bool,
@@ -705,18 +948,22 @@ impl TransientSolver {
         Ok(())
     }
 
-    fn commit_step(&mut self, x_new: DVec<f64>, t_new: f64, h: f64, be: bool) {
+    fn commit_step(&mut self, x_new: DVec<T>, t_new: f64, h: f64, be: bool) {
         self.x = x_new;
+        let hh = T::from_f64(h);
+        let two = T::from_f64(2.0);
         // Update energy-storage history.
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
-            match e.kind {
+        for idx in 0..self.state.len() {
+            let e = &self.circuits[0].elements()[idx];
+            match &e.kind {
                 ElementKind::Capacitor { farads, .. } => {
+                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
                     let v_new = self.branch_voltage(e.p, e.n);
                     let st = self.state[idx];
                     let i_new = if be {
-                        farads / h * (v_new - st.v)
+                        c / hh * (v_new - st.v)
                     } else {
-                        2.0 * farads / h * (v_new - st.v) - st.i
+                        two * c / hh * (v_new - st.v) - st.i
                     };
                     self.state[idx] = EnergyState { v: v_new, i: i_new };
                 }
@@ -739,26 +986,50 @@ impl TransientSolver {
         }
     }
 
+    /// Evaluates an independent source's waveform per lane at `t`; lane
+    /// 0 uses `wave0`, the template element's.
+    #[inline]
+    fn lane_wave(&self, idx: usize, wave0: &Waveform, t: f64) -> T {
+        T::from_fn(|l| {
+            let wave = if l == 0 {
+                wave0
+            } else {
+                match self.kind(l, idx) {
+                    ElementKind::VoltageSource { wave, .. }
+                    | ElementKind::CurrentSource { wave, .. } => wave,
+                    _ => unreachable!("lane circuits share one topology"),
+                }
+            };
+            wave.value_at(t, &self.ext[l])
+        })
+    }
+
     /// Assembles the full linearized system at candidate solution `x`.
     ///
     /// The stamp-call sequence depends only on the circuit topology (not
-    /// on `x`, the time, the step or the switch states), which keeps the
-    /// recorded sparse pattern and stamp pointers valid across steps.
-    fn assemble(&self, st: &mut dyn Stamp<f64>, x: &DVec<f64>, t_new: f64, h: f64, be: bool) {
+    /// on `x`, the time, the step, the switch states or the lane), which
+    /// keeps the recorded sparse pattern, the stamp pointers and any
+    /// adopted symbolic factor valid across steps and lane widths.
+    fn assemble(&self, st: &mut dyn Stamp<T>, x: &DVec<T>, t_new: f64, h: f64, be: bool) {
         let layout = &self.layout;
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
+        let hh = T::from_f64(h);
+        let two = T::from_f64(2.0);
+        let gmin = T::from_f64(GMIN);
+        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             let eid = ElementId(idx);
             match &e.kind {
                 ElementKind::Resistor { ohms } => {
-                    stamp_conductance(layout, st, e.p, e.n, 1.0 / ohms);
+                    let r = lane_param!(self, idx, *ohms, Resistor, ohms);
+                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
                 }
                 ElementKind::Capacitor { farads, .. } => {
+                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
                     let es = self.state[idx];
                     let (geq, ieq) = if be {
-                        let g = farads / h;
+                        let g = c / hh;
                         (g, g * es.v)
                     } else {
-                        let g = 2.0 * farads / h;
+                        let g = two * c / hh;
                         (g, g * es.v + es.i)
                     };
                     stamp_conductance(layout, st, e.p, e.n, geq);
@@ -766,137 +1037,164 @@ impl TransientSolver {
                     stamp_current(layout, st, e.n, e.p, ieq);
                 }
                 ElementKind::Inductor { henries, .. } => {
+                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
                     let b = layout.branch_var(eid).expect("inductor branch");
                     let es = self.state[idx];
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    let req = if be { ind / hh } else { two * ind / hh };
+                    st.mat(b, b, -req);
                     if be {
-                        let req = henries / h;
-                        st.mat(b, b, -req);
                         st.rhs(b, -req * es.i);
                     } else {
-                        let req = 2.0 * henries / h;
-                        st.mat(b, b, -req);
                         st.rhs(b, -req * es.i - es.v);
                     }
                 }
                 ElementKind::VoltageSource { wave, .. } => {
                     let b = layout.branch_var(eid).expect("vsource branch");
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                    st.rhs(b, wave.value_at(t_new, &self.ext));
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    st.rhs(b, self.lane_wave(idx, wave, t_new));
                 }
                 ElementKind::CurrentSource { wave, .. } => {
-                    stamp_current(layout, st, e.p, e.n, wave.value_at(t_new, &self.ext));
+                    let i = self.lane_wave(idx, wave, t_new);
+                    stamp_current(layout, st, e.p, e.n, i);
                 }
                 ElementKind::Vcvs { cp, cn, gain } => {
+                    let gain = lane_param!(self, idx, *gain, Vcvs, gain);
                     let b = layout.branch_var(eid).expect("vcvs branch");
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                    stamp_branch_voltage(layout, st, b, *cp, *cn, -*gain);
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    stamp_branch_voltage(layout, st, b, *cp, *cn, -gain);
                 }
                 ElementKind::Vccs { cp, cn, gm } => {
-                    stamp_vccs(layout, st, e.p, e.n, *cp, *cn, *gm);
+                    let gm = lane_param!(self, idx, *gm, Vccs, gm);
+                    stamp_vccs(layout, st, e.p, e.n, *cp, *cn, gm);
                 }
                 ElementKind::Cccs { ctrl, gain } => {
+                    let gain = lane_param!(self, idx, *gain, Cccs, gain);
                     let cb = layout.branch_var(*ctrl).expect("validated control");
                     if let Some(ip) = layout.node_var(e.p) {
-                        st.mat(ip, cb, *gain);
+                        st.mat(ip, cb, gain);
                     }
                     if let Some(in_) = layout.node_var(e.n) {
-                        st.mat(in_, cb, -*gain);
+                        st.mat(in_, cb, -gain);
                     }
                 }
                 ElementKind::Ccvs { ctrl, r } => {
+                    let r = lane_param!(self, idx, *r, Ccvs, r);
                     let b = layout.branch_var(eid).expect("ccvs branch");
                     let cb = layout.branch_var(*ctrl).expect("validated control");
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                    st.mat(b, cb, -*r);
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    st.mat(b, cb, -r);
                 }
-                ElementKind::Diode { is_sat, n } => {
-                    let vp = layout.node_var(e.p).map_or(0.0, |i| x[i]);
-                    let vn = layout.node_var(e.n).map_or(0.0, |i| x[i]);
-                    let v = vp - vn;
-                    let (i, g) = diode_iv(v, *is_sat, *n);
-                    stamp_conductance(layout, st, e.p, e.n, g + GMIN);
+                ElementKind::Diode { .. } => {
+                    let v = node_value(layout, x, e.p) - node_value(layout, x, e.n);
+                    // The exponential is inherently scalar: linearize
+                    // each lane at its own bias.
+                    let (mut i, mut g) = (T::ZERO, T::ZERO);
+                    for l in 0..T::LANES {
+                        if let ElementKind::Diode { is_sat, n } = *self.kind(l, idx) {
+                            let (il, gl) = diode_iv(v.lane(l), is_sat, n);
+                            i.set_lane(l, il);
+                            g.set_lane(l, gl);
+                        }
+                    }
+                    stamp_conductance(layout, st, e.p, e.n, g + gmin);
                     stamp_current(layout, st, e.p, e.n, i - g * v);
                 }
-                ElementKind::Nmos {
-                    gate,
-                    kp,
-                    vt,
-                    lambda,
-                } => {
-                    let vg = layout.node_var(*gate).map_or(0.0, |i| x[i]);
-                    let vd = layout.node_var(e.p).map_or(0.0, |i| x[i]);
-                    let vs = layout.node_var(e.n).map_or(0.0, |i| x[i]);
-                    let op = nmos_linearize(vg, vd, vs, *kp, *vt, *lambda);
+                ElementKind::Nmos { gate, .. } => {
+                    let vg = node_value(layout, x, *gate);
+                    let vd = node_value(layout, x, e.p);
+                    let vs = node_value(layout, x, e.n);
+                    let mut op = NmosOp::<T>::default();
+                    for l in 0..T::LANES {
+                        if let ElementKind::Nmos { kp, vt, lambda, .. } = *self.kind(l, idx) {
+                            let o =
+                                nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);
+                            op.id.set_lane(l, o.id);
+                            op.a_g.set_lane(l, o.a_g);
+                            op.a_d.set_lane(l, o.a_d);
+                            op.a_s.set_lane(l, o.a_s);
+                        }
+                    }
                     stamp_mos(layout, st, e.p, *gate, e.n, &op, vg, vd, vs);
-                    stamp_conductance(layout, st, e.p, e.n, GMIN);
+                    stamp_conductance(layout, st, e.p, e.n, gmin);
                 }
                 ElementKind::Switch { r_on, r_off, .. } => {
-                    let r = if self.switches[idx] { *r_on } else { *r_off };
-                    stamp_conductance(layout, st, e.p, e.n, 1.0 / r);
+                    let r = if self.switches[idx] {
+                        lane_param!(self, idx, *r_on, Switch, r_on)
+                    } else {
+                        lane_param!(self, idx, *r_off, Switch, r_off)
+                    };
+                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
                 }
             }
         }
     }
 
     /// Rebuilds only the RHS (linear fast path).
-    fn assemble_rhs_only(&self, st: &mut dyn Stamp<f64>, t_new: f64, h: f64, be: bool) {
+    fn assemble_rhs_only(&self, st: &mut dyn Stamp<T>, t_new: f64, h: f64, be: bool) {
         let layout = &self.layout;
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
+        let hh = T::from_f64(h);
+        let two = T::from_f64(2.0);
+        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             let eid = ElementId(idx);
             match &e.kind {
                 ElementKind::Capacitor { farads, .. } => {
+                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
                     let es = self.state[idx];
                     let ieq = if be {
-                        farads / h * es.v
+                        c / hh * es.v
                     } else {
-                        2.0 * farads / h * es.v + es.i
+                        two * c / hh * es.v + es.i
                     };
                     stamp_current(layout, st, e.n, e.p, ieq);
                 }
                 ElementKind::Inductor { henries, .. } => {
+                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
                     let b = layout.branch_var(eid).expect("inductor branch");
                     let es = self.state[idx];
                     if be {
-                        st.rhs(b, -(henries / h) * es.i);
+                        st.rhs(b, -(ind / hh) * es.i);
                     } else {
-                        st.rhs(b, -(2.0 * henries / h) * es.i - es.v);
+                        st.rhs(b, -(two * ind / hh) * es.i - es.v);
                     }
                 }
                 ElementKind::VoltageSource { wave, .. } => {
                     let b = layout.branch_var(eid).expect("vsource branch");
-                    st.rhs(b, wave.value_at(t_new, &self.ext));
+                    st.rhs(b, self.lane_wave(idx, wave, t_new));
                 }
                 ElementKind::CurrentSource { wave, .. } => {
-                    stamp_current(layout, st, e.p, e.n, wave.value_at(t_new, &self.ext));
+                    let i = self.lane_wave(idx, wave, t_new);
+                    stamp_current(layout, st, e.p, e.n, i);
                 }
                 _ => {}
             }
         }
     }
 
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot<T> {
         Snapshot {
             x: self.x.clone(),
             time: self.time,
             state: self.state.clone(),
             force_be: self.force_be,
+            live: self.live,
         }
     }
 
-    fn restore(&mut self, s: &Snapshot) {
+    fn restore(&mut self, s: &Snapshot<T>) {
         self.x = s.x.clone();
         self.time = s.time;
         self.state = s.state.clone();
         self.force_be = s.force_be;
+        self.live = s.live;
     }
 
-    /// Runs fixed-step transient until `t_end`, invoking `probe` after
-    /// each step.
+    /// Runs fixed-step transient until `t_end`, feeding the attached
+    /// monitors and invoking `probe` after each step.
     ///
     /// # Errors
     ///
@@ -905,7 +1203,7 @@ impl TransientSolver {
         &mut self,
         t_end: f64,
         h: f64,
-        mut probe: impl FnMut(&TransientSolver),
+        mut probe: impl FnMut(&Transient<T>),
     ) -> Result<(), NetError> {
         if !self.initialized {
             self.initialize_dc()?;
@@ -920,25 +1218,31 @@ impl TransientSolver {
     }
 
     /// Runs variable-step transient until `t_end` using step-doubling
-    /// local-truncation-error control, invoking `probe` after each
-    /// accepted step.
+    /// local-truncation-error control, feeding the attached monitors and
+    /// invoking `probe` after each accepted step. The error estimate is
+    /// evaluated per lane and the accept decision uses the maximum over
+    /// live lanes; a lane whose half- or full-step solution goes
+    /// non-finite is masked out (NaN results) rather than rejecting the
+    /// bundle's step.
     ///
     /// # Errors
     ///
     /// * [`NetError::InvalidValue`] when the controller underflows
     ///   `min_step`.
+    /// * [`NetError::NoConvergence`] when every lane has gone
+    ///   non-finite — at width one, any non-finite solution.
     /// * Propagates solver failures.
     pub fn run_adaptive(
         &mut self,
         t_end: f64,
         opts: &AdaptiveOptions,
-        mut probe: impl FnMut(&TransientSolver),
+        mut probe: impl FnMut(&Transient<T>),
     ) -> Result<(), NetError> {
         if !self.initialized {
             self.initialize_dc()?;
         }
         // Resume with the step proposal a previous (checkpointed) run
-        // left behind; a fresh solver starts at initial_step.
+        // left behind; a fresh engine starts at initial_step.
         let mut h = self.adaptive_h.unwrap_or(opts.initial_step);
         // Step-doubling on an order-p method estimates an O(h^(p+1))
         // local error, so the optimal-step update is
@@ -968,38 +1272,42 @@ impl TransientSolver {
             let half_ok =
                 full_ok && self.step(h_step / 2.0).is_ok() && self.step(h_step / 2.0).is_ok();
 
-            if !half_ok {
-                self.restore(&start);
-                self.stats.rejected += 1;
-                if self.tracer.is_enabled() {
-                    self.tracer
-                        .instant(SpanKind::StepReject, fs(self.time), h_step.to_bits());
+            // Error estimate between the two solutions, per lane; lanes
+            // that went non-finite on either attempt are masked out.
+            let mut err = 0.0f64;
+            if half_ok {
+                for l in 0..T::LANES {
+                    if !self.is_live(l) {
+                        continue;
+                    }
+                    let mut lane_err = 0.0f64;
+                    let mut lane_finite = true;
+                    for i in 0..self.x.len() {
+                        let (xh, xf) = (self.x[i].lane(l), x_full[i].lane(l));
+                        if !xh.is_finite() || !xf.is_finite() {
+                            lane_finite = false;
+                            break;
+                        }
+                        let scale = opts.abs_tol + opts.rel_tol * xh.abs().max(xf.abs());
+                        lane_err = lane_err.max(((xh - xf) / scale).abs());
+                    }
+                    if lane_finite {
+                        // Shared step = min over lanes ⇔ shared error =
+                        // max over lanes.
+                        err = err.max(lane_err);
+                    } else {
+                        self.kill_lane(l);
+                    }
                 }
-                // Underflow only when the step just attempted was
-                // already at the floor: any larger rejected step earns
-                // one retry clamped to min_step. Both reject paths (and
-                // the lane controller) share this predicate — the clamp
-                // must never mask the abort, nor the abort skip the
-                // retry.
-                if h_step <= opts.min_step {
-                    return Err(NetError::InvalidValue {
-                        element: "adaptive timestep".to_string(),
-                        reason: format!("step underflow at t = {}", self.time),
+                if self.live == 0 {
+                    return Err(NetError::NoConvergence {
+                        analysis: "adaptive transient step",
+                        iterations: 0,
                     });
                 }
-                h = (h_step * 0.25).max(opts.min_step);
-                self.adaptive_h = Some(h);
-                continue;
             }
 
-            // Error estimate between the two solutions.
-            let mut err = 0.0f64;
-            for i in 0..self.x.len() {
-                let scale = opts.abs_tol + opts.rel_tol * self.x[i].abs().max(x_full[i].abs());
-                err = err.max(((self.x[i] - x_full[i]) / scale).abs());
-            }
-
-            if err <= 1.0 {
+            if half_ok && err <= 1.0 {
                 // Accept the half-step solution (already committed).
                 // The two half steps of a span-clamped final step can
                 // drift an ulp past t_end; land exactly on the horizon
@@ -1019,7 +1327,6 @@ impl TransientSolver {
                     3.0
                 };
                 h = (h_step * grow).clamp(opts.min_step, opts.max_step);
-                self.adaptive_h = Some(h);
             } else {
                 self.restore(&start);
                 self.stats.rejected += 1;
@@ -1027,58 +1334,49 @@ impl TransientSolver {
                     self.tracer
                         .instant(SpanKind::StepReject, fs(self.time), h_step.to_bits());
                 }
+                // Underflow only when the step just attempted was
+                // already at the floor: any larger rejected step earns
+                // one retry clamped to min_step. Both reject causes
+                // share this predicate — the clamp must never mask the
+                // abort, nor the abort skip the retry.
                 if h_step <= opts.min_step {
                     return Err(NetError::InvalidValue {
                         element: "adaptive timestep".to_string(),
                         reason: format!("step underflow at t = {}", self.time),
                     });
                 }
-                let shrink = (SAFETY * err.powf(-order_exp)).max(0.1);
-                h = (h_step * shrink).max(opts.min_step);
-                self.adaptive_h = Some(h);
+                h = if half_ok {
+                    let shrink = (SAFETY * err.powf(-order_exp)).max(0.1);
+                    (h_step * shrink).max(opts.min_step)
+                } else {
+                    (h_step * 0.25).max(opts.min_step)
+                };
             }
+            self.adaptive_h = Some(h);
         }
         Ok(())
     }
 
-    /// Freezes the solver's dynamic state into a [`Checkpoint`]: the
-    /// fork point for copy-on-write scenario forking (run the shared
-    /// prefix once, restore per fork) and the suspend point for
-    /// restartable jobs. The factored matrix is *not* captured — see
-    /// the [`checkpoint`](crate::checkpoint) module docs for exactly
-    /// what is and is not included.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            x: self.x.iter().copied().collect(),
-            time: self.time,
-            ext: self.ext.clone(),
-            switches: self.switches.clone(),
-            state: self.state.iter().map(|s| (s.v, s.i)).collect(),
-            force_be: self.force_be,
-            stats: self.stats,
-            adaptive_h: self.adaptive_h,
-            initialized: self.initialized,
-        }
-    }
-
-    /// Restores a [`Checkpoint`] taken from this solver or from a
-    /// solver over a **value-variant of the same topology** (the CoW
-    /// fork: one prefix solver, many restored siblings). Continuing a
-    /// restored run reproduces the donor's trajectory bit for bit as
-    /// long as both circuits agree on `[0, checkpoint.time()]`.
+    /// Restores a [`Checkpoint`] taken from a [`TransientSolver`] over
+    /// this circuit or a **value-variant of the same topology** (the CoW
+    /// fork: one prefix run, many restored siblings). A `K`-lane engine
+    /// receives the snapshot in every lane. Continuing a restored run
+    /// reproduces the donor's trajectory bit for bit as long as each
+    /// lane's circuit agrees with the donor's on
+    /// `[0, checkpoint.time()]`.
     ///
     /// The cached factorization is invalidated — the next step
-    /// refactors (a numeric refactor when a
-    /// [`SymbolicFactor`] was adopted), which only perturbs
-    /// fingerprint-excluded policy counters. The step counters are
-    /// overwritten with the checkpoint's, so a continued run
-    /// accumulates to run-from-zero totals.
+    /// refactors (a numeric refactor when a [`SymbolicFactor`] was
+    /// adopted), which only perturbs fingerprint-excluded policy
+    /// counters. The step counters are overwritten with the
+    /// checkpoint's, so a continued run accumulates to run-from-zero
+    /// totals.
     ///
     /// # Errors
     ///
     /// [`NetError::InvalidValue`] when the checkpoint's dimensions
     /// (unknowns, elements, inputs, switches) do not match this
-    /// solver's circuit.
+    /// engine's circuit.
     pub fn restore_checkpoint(&mut self, cp: &Checkpoint) -> Result<(), NetError> {
         let mismatch = |what: &str| NetError::InvalidValue {
             element: "checkpoint".to_string(),
@@ -1087,31 +1385,260 @@ impl TransientSolver {
         if cp.x.len() != self.layout.n_unknowns {
             return Err(mismatch("unknown count"));
         }
-        if cp.state.len() != self.circuit.element_count() {
+        if cp.state.len() != self.state.len() {
             return Err(mismatch("element count"));
         }
-        if cp.ext.len() != self.ext.len() {
+        if cp.ext.len() != self.ext[0].len() {
             return Err(mismatch("external input count"));
         }
         if cp.switches.len() != self.switches.len() {
             return Err(mismatch("switch count"));
         }
         for (i, &v) in cp.x.iter().enumerate() {
-            self.x[i] = v;
+            self.x[i] = T::from_f64(v);
         }
         self.time = cp.time;
-        self.ext.copy_from_slice(&cp.ext);
+        for ext in &mut self.ext {
+            ext.copy_from_slice(&cp.ext);
+        }
         self.switches.copy_from_slice(&cp.switches);
         for (s, &(v, i)) in self.state.iter_mut().zip(&cp.state) {
-            *s = EnergyState { v, i };
+            *s = EnergyState {
+                v: T::from_f64(v),
+                i: T::from_f64(i),
+            };
         }
         self.force_be = cp.force_be;
         self.stats = cp.stats;
         self.adaptive_h = cp.adaptive_h;
         self.initialized = cp.initialized;
         self.factor_key = None;
+        self.live = Self::ALL_LIVE;
         Ok(())
     }
+}
+
+/// Value of `node` in solution `x` (zero for ground).
+#[inline]
+fn node_value<T: Scalar>(layout: &MnaLayout, x: &DVec<T>, node: NodeId) -> T {
+    layout.node_var(node).map_or(T::ZERO, |i| x[i])
+}
+
+impl TransientSolver {
+    /// Creates the scalar engine for one circuit.
+    ///
+    /// # Errors
+    ///
+    /// Currently always succeeds for a valid circuit; returns
+    /// [`NetError`] variants for future element kinds that cannot be
+    /// simulated in the time domain.
+    pub fn new(circuit: &Circuit, method: IntegrationMethod) -> Result<Self, NetError> {
+        Self::from_circuits(vec![circuit.clone()], method)
+    }
+
+    /// The voltage of a node at the current time.
+    ///
+    /// # Panics
+    ///
+    /// Panics for nodes outside the circuit.
+    pub fn voltage(&self, node: NodeId) -> f64 {
+        self.voltage_lane(node, 0)
+    }
+
+    /// The current through an element at the current time (branch
+    /// elements, resistors, switches, capacitors, inductors, diodes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::UnknownElement`] for unsupported kinds.
+    pub fn current(&self, elem: ElementId) -> Result<f64, NetError> {
+        self.current_lane(elem, 0)
+    }
+
+    /// Sets an external source input (takes effect from the next step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is out of range.
+    pub fn set_input(&mut self, input: InputId, value: f64) {
+        self.set_input_lane(input, 0, value);
+    }
+
+    /// The attached monitor bank, when present.
+    pub fn monitor_bank(&self) -> Option<&MonitorBank> {
+        self.monitor_banks().first()
+    }
+
+    /// Detaches and returns the monitor bank (with all accumulated
+    /// automaton state), when present.
+    pub fn take_monitors(&mut self) -> Option<MonitorBank> {
+        self.monitors
+            .take()
+            .and_then(|t| t.banks.into_iter().next())
+    }
+
+    /// Freezes the engine's dynamic state into a [`Checkpoint`]: the
+    /// fork point for copy-on-write scenario forking (run the shared
+    /// prefix once, restore per fork — into an engine of any width) and
+    /// the suspend point for restartable jobs. The factored matrix is
+    /// *not* captured — see the [`checkpoint`](crate::checkpoint)
+    /// module docs for exactly what is and is not included.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            x: self.x.iter().copied().collect(),
+            time: self.time,
+            ext: self.ext[0].clone(),
+            switches: self.switches.clone(),
+            state: self.state.iter().map(|s| (s.v, s.i)).collect(),
+            force_be: self.force_be,
+            stats: self.stats,
+            adaptive_h: self.adaptive_h,
+            initialized: self.initialized,
+        }
+    }
+}
+
+impl<const K: usize> LaneTransientSolver<K> {
+    /// Creates a bundled engine over `circuits[0..K]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transient::from_circuits`]: exactly `K` topology-identical
+    /// circuits are required.
+    pub fn new(circuits: &[Circuit], method: IntegrationMethod) -> Result<Self, NetError> {
+        Self::from_circuits(circuits.to_vec(), method)
+    }
+
+    /// Which lanes are still live (not masked out by divergence).
+    pub fn active_lanes(&self) -> [bool; K] {
+        std::array::from_fn(|l| self.is_live(l))
+    }
+}
+
+/// The probe surface shared by the scalar [`TransientSolver`] and a
+/// [`LaneView`] of any engine: what a sweep's metric-extraction closure
+/// is allowed to see after each accepted step.
+pub trait ScenarioProbe {
+    /// Current simulation time in seconds.
+    fn time(&self) -> f64;
+
+    /// The voltage of a node at the current time.
+    fn voltage(&self, node: NodeId) -> f64;
+
+    /// The current through an element at the current time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::UnknownElement`] for kinds without a
+    /// computable branch current.
+    fn current(&self, elem: ElementId) -> Result<f64, NetError>;
+}
+
+impl ScenarioProbe for TransientSolver {
+    fn time(&self) -> f64 {
+        Transient::time(self)
+    }
+
+    fn voltage(&self, node: NodeId) -> f64 {
+        TransientSolver::voltage(self, node)
+    }
+
+    fn current(&self, elem: ElementId) -> Result<f64, NetError> {
+        TransientSolver::current(self, elem)
+    }
+}
+
+/// A read-only view of one lane of a [`Transient`] engine, exposing the
+/// [`ScenarioProbe`] surface. Sweep observers written against the probe
+/// trait work unchanged at every lane width.
+#[derive(Clone, Copy)]
+pub struct LaneView<'a, T: Lanes> {
+    solver: &'a Transient<T>,
+    lane: usize,
+}
+
+impl<T: Lanes> LaneView<'_, T> {
+    /// The lane index this view reads.
+    pub fn lane(&self) -> usize {
+        self.lane
+    }
+}
+
+impl<T: Lanes> ScenarioProbe for LaneView<'_, T> {
+    fn time(&self) -> f64 {
+        self.solver.time()
+    }
+
+    fn voltage(&self, node: NodeId) -> f64 {
+        self.solver.voltage_lane(node, self.lane)
+    }
+
+    fn current(&self, elem: ElementId) -> Result<f64, NetError> {
+        self.solver.current_lane(elem, self.lane)
+    }
+}
+
+/// Verifies that every circuit in `circuits` is a value-variant of
+/// `circuits[0]`: identical node/element counts and, per element, the
+/// same kind, terminals, control references and switch initial state.
+fn check_topology_identical(circuits: &[Circuit]) -> Result<(), NetError> {
+    let base = &circuits[0];
+    for (l, c) in circuits.iter().enumerate().skip(1) {
+        let mismatch = |what: &str| NetError::InvalidValue {
+            element: format!("lane {l}"),
+            reason: format!("lane circuits must be topology-identical: {what} differs"),
+        };
+        if c.node_count() != base.node_count() {
+            return Err(mismatch("node count"));
+        }
+        if c.element_count() != base.element_count() {
+            return Err(mismatch("element count"));
+        }
+        if c.external_input_count() != base.external_input_count() {
+            return Err(mismatch("external input count"));
+        }
+        for (a, b) in base.elements().iter().zip(c.elements()) {
+            if a.p != b.p || a.n != b.n {
+                return Err(mismatch("element terminals"));
+            }
+            use std::mem::discriminant;
+            if discriminant(&a.kind) != discriminant(&b.kind) {
+                return Err(mismatch("element kind"));
+            }
+            let controls_match = match (&a.kind, &b.kind) {
+                (
+                    ElementKind::Vcvs { cp, cn, .. },
+                    ElementKind::Vcvs {
+                        cp: cp2, cn: cn2, ..
+                    },
+                )
+                | (
+                    ElementKind::Vccs { cp, cn, .. },
+                    ElementKind::Vccs {
+                        cp: cp2, cn: cn2, ..
+                    },
+                ) => cp == cp2 && cn == cn2,
+                (ElementKind::Cccs { ctrl, .. }, ElementKind::Cccs { ctrl: ctrl2, .. })
+                | (ElementKind::Ccvs { ctrl, .. }, ElementKind::Ccvs { ctrl: ctrl2, .. }) => {
+                    ctrl == ctrl2
+                }
+                (ElementKind::Nmos { gate, .. }, ElementKind::Nmos { gate: gate2, .. }) => {
+                    gate == gate2
+                }
+                (
+                    ElementKind::Switch { initially_on, .. },
+                    ElementKind::Switch {
+                        initially_on: on2, ..
+                    },
+                ) => initially_on == on2,
+                _ => true,
+            };
+            if !controls_match {
+                return Err(mismatch("element control references"));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1607,5 +2134,215 @@ mod tests {
             (trace, f.stats().steps, f.stats().rejected)
         };
         assert_eq!(run_fork(), run_fork());
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use crate::{Circuit, TransientSolver, Waveform};
+
+    fn rc_ladder(r: f64, c: f64) -> Circuit {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        ckt.voltage_source("V1", a, Circuit::GROUND, 1.0).unwrap();
+        ckt.resistor("R1", a, out, r).unwrap();
+        ckt.capacitor_ic("C1", out, Circuit::GROUND, c, 0.0)
+            .unwrap();
+        ckt
+    }
+
+    #[test]
+    fn bundle_size_and_topology_are_checked() {
+        let c = rc_ladder(1e3, 1e-6);
+        assert!(LaneTransientSolver::<4>::new(
+            &[c.clone(), c.clone()],
+            IntegrationMethod::Trapezoidal
+        )
+        .is_err());
+        let mut other = Circuit::new();
+        other.node("a");
+        other.node("out");
+        assert!(
+            LaneTransientSolver::<2>::new(&[c.clone(), other], IntegrationMethod::Trapezoidal)
+                .is_err()
+        );
+        assert!(
+            LaneTransientSolver::<2>::new(&[c.clone(), c], IntegrationMethod::Trapezoidal).is_ok()
+        );
+    }
+
+    #[test]
+    fn lane_run_matches_scalar_runs() {
+        let rs = [0.5e3, 1e3, 2e3, 4e3];
+        let circuits: Vec<Circuit> = rs.iter().map(|&r| rc_ladder(r, 1e-6)).collect();
+        let mut lane =
+            LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.initialize_with_ic().unwrap();
+        lane.run(1e-3, 1e-6, |_| {}).unwrap();
+        let out = NodeId(2);
+        for (l, ckt) in circuits.iter().enumerate() {
+            let mut tr = TransientSolver::new(ckt, IntegrationMethod::Trapezoidal).unwrap();
+            tr.initialize_with_ic().unwrap();
+            tr.run(1e-3, 1e-6, |_| {}).unwrap();
+            let scalar = tr.voltage(out);
+            let bundled = lane.voltage_lane(out, l);
+            assert!(
+                (bundled - scalar).abs() <= 1e-9 * scalar.abs().max(1.0),
+                "lane {l}: {bundled} vs {scalar}"
+            );
+        }
+    }
+
+    #[test]
+    fn diode_newton_lane_matches_scalar() {
+        let build = |ampl: f64| {
+            let mut ckt = Circuit::new();
+            let src = ckt.node("src");
+            let out = ckt.node("out");
+            ckt.voltage_source_wave(
+                "V1",
+                src,
+                Circuit::GROUND,
+                Waveform::Sine {
+                    offset: 0.0,
+                    ampl,
+                    freq: 50.0,
+                    phase: 0.0,
+                },
+            )
+            .unwrap();
+            ckt.diode("D1", src, out, 1e-14, 1.0).unwrap();
+            ckt.resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
+            ckt
+        };
+        let ampls = [2.0, 5.0];
+        let circuits: Vec<Circuit> = ampls.iter().map(|&a| build(a)).collect();
+        let mut lane =
+            LaneTransientSolver::<2>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.initialize_dc().unwrap();
+        lane.run(10e-3, 50e-6, |_| {}).unwrap();
+        let out = NodeId(2);
+        for (l, ckt) in circuits.iter().enumerate() {
+            let mut tr = TransientSolver::new(ckt, IntegrationMethod::Trapezoidal).unwrap();
+            tr.initialize_dc().unwrap();
+            tr.run(10e-3, 50e-6, |_| {}).unwrap();
+            let scalar = tr.voltage(out);
+            let bundled = lane.voltage_lane(out, l);
+            // Shared Newton iteration counts can move the iterate by a
+            // few ulps relative to the scalar runs.
+            assert!(
+                (bundled - scalar).abs() <= 1e-9 * scalar.abs().max(1.0),
+                "lane {l}: {bundled} vs {scalar}"
+            );
+        }
+    }
+
+    #[test]
+    fn dead_lane_is_isolated_and_reports_nan() {
+        // Lane 1's externally driven source is poisoned with NaN after
+        // the run starts; lanes 0 and 2 stay healthy.
+        let build = || {
+            let mut ckt = Circuit::new();
+            let src = ckt.node("src");
+            let out = ckt.node("out");
+            let inp = ckt.external_input();
+            ckt.voltage_source_wave("V1", src, Circuit::GROUND, Waveform::External(inp))
+                .unwrap();
+            ckt.diode("D1", src, out, 1e-14, 1.0).unwrap();
+            ckt.resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
+            ckt
+        };
+        let circuits = vec![build(), build(), build()];
+        let mut lane =
+            LaneTransientSolver::<3>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.initialize_with_ic().unwrap();
+        let inp = crate::InputId(0);
+        lane.set_input_lane(inp, 0, 0.8);
+        lane.set_input_lane(inp, 1, f64::NAN);
+        lane.set_input_lane(inp, 2, 0.7);
+        lane.run(1e-4, 1e-6, |_| {}).unwrap();
+        let out = NodeId(2);
+        assert!(!lane.active_lanes()[1]);
+        assert!(lane.voltage_lane(out, 1).is_nan());
+        for l in [0usize, 2] {
+            assert!(lane.active_lanes()[l], "lane {l} should be live");
+            let v = lane.voltage_lane(out, l);
+            assert!(v.is_finite() && v > 0.0, "lane {l}: {v}");
+        }
+    }
+
+    #[test]
+    fn adaptive_lane_matches_scalar_within_tolerance() {
+        let rs = [0.8e3, 1e3, 1.6e3, 3.2e3];
+        let circuits: Vec<Circuit> = rs.iter().map(|&r| rc_ladder(r, 1e-6)).collect();
+        let opts = AdaptiveOptions {
+            rel_tol: 1e-6,
+            abs_tol: 1e-9,
+            initial_step: 1e-8,
+            ..Default::default()
+        };
+        let mut lane =
+            LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.initialize_with_ic().unwrap();
+        lane.run_adaptive(1e-3, &opts, |_| {}).unwrap();
+        let out = NodeId(2);
+        for (l, &r) in rs.iter().enumerate() {
+            let expected = 1.0 - (-1e-3 / (r * 1e-6)).exp();
+            let bundled = lane.voltage_lane(out, l);
+            // The shared (min-over-lanes) step keeps every lane at or
+            // below its own error target.
+            assert!(
+                (bundled - expected).abs() < 1e-4,
+                "lane {l}: {bundled} vs analytic {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn scalar_factor_adoption_skips_symbolic_analysis() {
+        let rs = [0.9e3, 1e3, 1.1e3, 1.2e3];
+        let circuits: Vec<Circuit> = rs.iter().map(|&r| rc_ladder(r, 1e-6)).collect();
+        // Scalar run provides the symbolic factor.
+        let mut tr = TransientSolver::new(&circuits[0], IntegrationMethod::Trapezoidal).unwrap();
+        tr.backend = SolverBackend::Sparse;
+        tr.initialize_with_ic().unwrap();
+        tr.run(1e-5, 1e-6, |_| {}).unwrap();
+        let hint = tr.symbolic_factor().expect("sparse factor");
+
+        let mut lane =
+            LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.backend = SolverBackend::Sparse;
+        lane.adopt_scalar_factor(&hint);
+        lane.initialize_with_ic().unwrap();
+        lane.run(1e-5, 1e-6, |_| {}).unwrap();
+        let stats = lane.stats();
+        assert_eq!(
+            stats.solve.symbolic_analyses, 0,
+            "adopted factor must turn the first factorization into a refactor: {stats:?}"
+        );
+        assert!(stats.solve.numeric_refactors >= 1);
+        // And the widened factor reports lane-width bytes.
+        let lane_factor = lane.symbolic_factor().expect("lane factor");
+        assert!(lane_factor.approx_bytes() > hint.approx_bytes());
+    }
+
+    #[test]
+    fn lane_view_implements_probe_surface() {
+        let circuits: Vec<Circuit> = [1e3, 2e3].iter().map(|&r| rc_ladder(r, 1e-6)).collect();
+        let mut lane =
+            LaneTransientSolver::<2>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+        lane.initialize_with_ic().unwrap();
+        lane.run(1e-4, 1e-6, |_| {}).unwrap();
+        let out = NodeId(2);
+        let view = lane.lane_view(0);
+        fn probe_voltage(p: &dyn ScenarioProbe, node: NodeId) -> f64 {
+            p.voltage(node)
+        }
+        assert_eq!(probe_voltage(&view, out), lane.voltage_lane(out, 0));
+        assert!(view.time() > 0.0);
+        // The resistor current is computable through the view too.
+        assert!(view.current(ElementId(1)).is_ok());
     }
 }

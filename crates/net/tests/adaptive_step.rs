@@ -8,8 +8,15 @@
 //! 2. the growth factor `(0.8 / err).min(3.0)` used an order-blind
 //!    exponent of −1, over-reacting to the error estimate and causing
 //!    needless rejections on stiff workloads.
+//!
+//! A third shipped in the scalar controller alone: it folded its error
+//! estimate with `f64::max`, which drops NaN, so a non-finite solution
+//! scored `err = 0`, was accepted and tripled the step.
 
-use ams_net::{AdaptiveOptions, Circuit, IntegrationMethod, NodeId, TransientSolver, Waveform};
+use ams_net::{
+    AdaptiveOptions, Circuit, IntegrationMethod, LaneTransientSolver, NetError, NodeId,
+    TransientSolver, Waveform,
+};
 
 fn rc_circuit() -> (Circuit, NodeId) {
     let mut ckt = Circuit::new();
@@ -150,4 +157,52 @@ fn adaptive_backward_euler_stays_accurate() {
         tr.voltage(out)
     );
     assert!((tr.time() - 1e-3).abs() < 1e-12);
+}
+
+/// Bug 3: a NaN-driven RC used to finish `Ok(())` with `v_out = NaN`
+/// on the scalar path while the lane path failed. Every width now masks
+/// a non-finite lane out; at width one that leaves no live lane, so
+/// the run fails, and at width four only the poisoned lane dies.
+#[test]
+fn adaptive_masks_non_finite_lanes_and_fails_when_none_is_left() {
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    let out = ckt.node("out");
+    let inp = ckt.external_input();
+    ckt.voltage_source_wave("V1", a, Circuit::GROUND, Waveform::External(inp))
+        .unwrap();
+    ckt.resistor("R1", a, out, 1e3).unwrap();
+    ckt.capacitor_ic("C1", out, Circuit::GROUND, 1e-6, 0.0)
+        .unwrap();
+    let opts = AdaptiveOptions {
+        initial_step: 1e-6,
+        ..Default::default()
+    };
+
+    let mut tr = TransientSolver::new(&ckt, IntegrationMethod::Trapezoidal).unwrap();
+    tr.initialize_with_ic().unwrap();
+    tr.set_input(inp, f64::NAN);
+    let mut accepted = 0;
+    let res = tr.run_adaptive(1e-5, &opts, |_| accepted += 1);
+    assert!(
+        matches!(res, Err(NetError::NoConvergence { .. })),
+        "{res:?}"
+    );
+    assert_eq!(accepted, 0, "no non-finite step may be accepted");
+
+    let circuits = vec![ckt.clone(); 4];
+    let mut lanes =
+        LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+    lanes.initialize_with_ic().unwrap();
+    for l in 0..4 {
+        lanes.set_input_lane(inp, l, if l == 2 { f64::NAN } else { 1.0 });
+    }
+    lanes.run_adaptive(1e-3, &opts, |_| {}).unwrap();
+    assert_eq!(lanes.active_lanes(), [true, true, false, true]);
+    assert!(lanes.voltage_lane(out, 2).is_nan());
+    let expected = 1.0 - (-1.0f64).exp();
+    for l in [0, 1, 3] {
+        let v = lanes.voltage_lane(out, l);
+        assert!((v - expected).abs() < 1e-3, "lane {l}: {v} vs {expected}");
+    }
 }
