@@ -27,7 +27,7 @@
 
 use ams_monitor::{MonitorBank, MonitorSpec};
 use ams_net::{
-    Circuit, ElementId, IntegrationMethod, NodeId, SolverBackend, TransientSolver, Waveform,
+    Circuit, ElementId, IntegrationMethod, NodeId, ScenarioProbe, SolverBackend, Waveform,
 };
 use ams_sweep::{NetlistSweep, SweepReport, SweepSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -108,7 +108,7 @@ fn sweep(monitored: bool) -> SweepReport {
                 }
                 Ok(())
             },
-            |tr: &TransientSolver, m| m[0] = tr.voltage(out),
+            |tr: &dyn ScenarioProbe, m| m[0] = tr.voltage(out),
         )
         .unwrap()
 }

@@ -209,7 +209,7 @@ impl<const K: usize> Scalar for F64xK<K> {
 /// plain `f64` arithmetic and a lane bundle on `F64xK` — the lane loops
 /// of the one-lane instance are a single iteration the compiler folds
 /// away.
-pub trait Lanes: Scalar + Default {
+pub trait Lanes: Scalar + Default + Send + Sync {
     /// Number of lanes.
     const LANES: usize;
 

@@ -783,7 +783,18 @@ impl<T: Lanes> Transient<T> {
             for _ in 0..opts.max_iter {
                 iters += 1;
                 self.assemble_and_factor(&x_iter, t_new, h, be, self.reuse_factorization)?;
-                let x_next = self.solve_rhs(t_new)?;
+                if self.tracer.is_enabled() {
+                    self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
+                }
+                let solved = self
+                    .sys
+                    .as_ref()
+                    .expect("system just assembled")
+                    .solve_rhs();
+                if self.tracer.is_enabled() {
+                    self.tracer.end(SpanKind::MnaSolve, fs(t_new));
+                }
+                let x_next = solved?;
                 for l in 0..T::LANES {
                     if !self.is_live(l) {
                         continue;
@@ -861,9 +872,16 @@ impl<T: Lanes> Transient<T> {
             // (Re)build only the RHS and reuse the cached factors.
             let mut sys = self.sys.take().expect("system just ensured");
             sys.assemble_rhs(|st| self.assemble_rhs_only(st, t_new, h, be));
+            if self.tracer.is_enabled() {
+                self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
+            }
+            let solved = sys.solve_rhs();
+            if self.tracer.is_enabled() {
+                self.tracer.end(SpanKind::MnaSolve, fs(t_new));
+            }
             self.sys = Some(sys);
             self.stats.newton_iterations += 1;
-            self.solve_rhs(t_new)?
+            solved?
         };
 
         self.commit_step(x_new, t_new, h, be);
@@ -880,19 +898,6 @@ impl<T: Lanes> Transient<T> {
                 x[i].set_lane(l, f64::NAN);
             }
         }
-    }
-
-    /// Solves the assembled system (an `MnaSolve` span when traced).
-    fn solve_rhs(&mut self, t_new: f64) -> Result<DVec<T>, NetError> {
-        let traced = self.tracer.is_enabled();
-        if traced {
-            self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
-        }
-        let solved = self.sys.as_ref().expect("system assembled").solve_rhs();
-        if traced {
-            self.tracer.end(SpanKind::MnaSolve, fs(t_new));
-        }
-        solved
     }
 
     /// Shared assemble-then-factor step of both the Newton and the
@@ -953,8 +958,7 @@ impl<T: Lanes> Transient<T> {
         let hh = T::from_f64(h);
         let two = T::from_f64(2.0);
         // Update energy-storage history.
-        for idx in 0..self.state.len() {
-            let e = &self.circuits[0].elements()[idx];
+        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             match &e.kind {
                 ElementKind::Capacitor { farads, .. } => {
                     let c = lane_param!(self, idx, *farads, Capacitor, farads);

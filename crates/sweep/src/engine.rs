@@ -10,11 +10,12 @@
 //! no matter which worker ran which scenario or in what order the rings
 //! drained.
 
+use crate::report::{ScenarioResult, SweepReport};
 use crate::SweepError;
 use ams_core::ClusterStats;
-use ams_exec::{partition, ring, ExecHook, RingConsumer, RingMonitor, RingProducer};
+use ams_exec::{partition, ring, ExecHook, ExecStats, RingConsumer, RingMonitor, RingProducer};
 use ams_kernel::SimTime;
-use ams_scope::{TraceEvent, Tracer};
+use ams_scope::{ScopeTrace, TraceEvent, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,6 +54,66 @@ pub(crate) struct ShardRun {
     /// Per-shard hooks handed back by the workers, in shard order, ready
     /// for the caller's `on_finish` dispatch.
     pub hooks: Vec<Box<dyn ExecHook + Send>>,
+}
+
+impl ShardRun {
+    /// The report tail every sweep driver shares: folds `scenarios`
+    /// into the batch [`ExecStats`] (`windows` = scenarios, `barriers`
+    /// = shards), fires each shard hook's `on_finish` exactly once on
+    /// the coordinator after the aggregate exists, and merges the trace
+    /// — the `coordinator` track first (when it recorded anything),
+    /// then one `shard-N` track per shard. The report is scalar-shaped
+    /// (one lane, no bundles, nothing pruned, no prefix); drivers
+    /// override those fields.
+    pub(crate) fn into_report(
+        mut self,
+        metrics: &[&str],
+        monitor_names: Vec<String>,
+        scenarios: Vec<ScenarioResult>,
+        lint_warnings: usize,
+        coordinator: Vec<TraceEvent>,
+        tracing: bool,
+    ) -> SweepReport {
+        let mut exec = ExecStats {
+            windows: scenarios.len() as u64,
+            barriers: self.shards as u64,
+            ring_high_water: self.ring_high_water,
+            compute_wall: self.compute_wall,
+            sync_wall: self.sync_wall,
+            lint_warnings,
+            ..ExecStats::default()
+        };
+        for r in &scenarios {
+            exec.clusters.push((r.label.clone(), r.stats));
+        }
+        for h in &mut self.hooks {
+            h.on_finish(&exec);
+        }
+        let trace = tracing.then(|| {
+            let mut t = ScopeTrace::new();
+            if !coordinator.is_empty() {
+                t.add_track("coordinator", "scenarios", coordinator);
+            }
+            for (s, events) in self.traces.into_iter().enumerate() {
+                if !events.is_empty() {
+                    t.add_track(format!("shard-{s}"), "scenarios", events);
+                }
+            }
+            t
+        });
+        SweepReport {
+            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
+            monitor_names,
+            scenarios,
+            exec,
+            trace,
+            lanes: 1,
+            bundles: 0,
+            space_pruned: Vec::new(),
+            prefix_forks: 0,
+            prefix_steps: 0,
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardRun {

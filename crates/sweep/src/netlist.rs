@@ -19,15 +19,14 @@ use crate::report::{ScenarioResult, SweepReport};
 use crate::spec::{Scenario, SweepSpec};
 use crate::{CancelToken, SweepError};
 use ams_core::ClusterStats;
-use ams_exec::ExecStats;
 use ams_lint::{classify_point, lint_circuit, lint_space, LintPolicy, SpaceSpec};
+use ams_math::{F64xK, Lanes};
 use ams_monitor::{codes as mon_codes, MonitorBank, MonitorSpec, Verdict, VERDICT_SLOTS};
 use ams_net::{
-    AdaptiveOptions, Checkpoint, Circuit, IntegrationMethod, LaneSymbolicFactor,
-    LaneTransientSolver, NetError, NodeId, ScenarioProbe, SolverBackend, SymbolicFactor,
-    TransientSolver, TransientStats,
+    AdaptiveOptions, Checkpoint, Circuit, IntegrationMethod, NetError, NodeId, ScenarioProbe,
+    SolverBackend, SymbolicFactor, Transient, TransientSolver, TransientStats,
 };
-use ams_scope::{scenario_arg, ScopeTrace, SpanKind, Tracer};
+use ams_scope::{scenario_arg, SpanKind, Tracer};
 
 /// How each scenario's transient analysis is stepped.
 #[derive(Debug, Clone)]
@@ -67,10 +66,10 @@ pub type ProgressFn =
 /// (nothing new was analyzed) or the backend is dense.
 pub type FactorSink = std::sync::Arc<std::sync::Mutex<Option<SymbolicFactor>>>;
 
-/// What one lane bundle produces: the `K` metric rows (padding lanes
-/// included), the bundle's counters, and — when asked to export — the
-/// lane symbolic factor for sibling bundles.
-type BundleOutcome<const K: usize> = (Vec<Vec<f64>>, ClusterStats, Option<LaneSymbolicFactor<K>>);
+/// What one bundle produces: the `K` rows (padding lanes included), the
+/// bundle's counters, and — when asked to export — its symbolic factor
+/// for sibling bundles.
+type Bundle<T> = (Vec<Vec<f64>>, ClusterStats, Option<SymbolicFactor<T>>);
 
 /// A monitor spec resolved against the template circuit: the prototype
 /// (unfed) bank every scenario clones, and the node each bank channel
@@ -476,15 +475,18 @@ impl NetlistSweep {
         Ok(Some(survivors))
     }
 
-    /// Runs every scenario of `spec` on up to `workers` threads and
-    /// aggregates a [`SweepReport`].
+    /// Runs every scenario of `spec` on up to `workers` threads, one
+    /// scalar engine per scenario, and aggregates a [`SweepReport`] —
+    /// [`run_lanes`](NetlistSweep::run_lanes) at width 1, whatever
+    /// [`lanes`](NetlistSweep::lanes) says.
     ///
     /// `apply` receives a clone of the template and the scenario, and
     /// writes the scenario's parameter values into it (element-value
     /// mutators only — the topology must stay fixed). `observe` is the
-    /// probe: it runs after every accepted step with the solver and the
-    /// scenario's metric slots (initialized to NaN; one slot per name in
-    /// `metrics`), and typically records last/extreme values.
+    /// probe: it runs after every accepted step with a
+    /// [`ScenarioProbe`] and the scenario's metric slots (initialized
+    /// to NaN; one slot per name in `metrics`), and typically records
+    /// last/extreme values.
     ///
     /// The first scenario always runs on the coordinator thread; with a
     /// sparse backend its symbolic analysis seeds every other scenario's
@@ -508,7 +510,93 @@ impl NetlistSweep {
     ) -> Result<SweepReport, SweepError>
     where
         A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&TransientSolver, &mut [f64]) + Sync,
+        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
+    {
+        self.drive::<f64, A, O>(spec, workers, metrics, &apply, &observe)
+    }
+
+    /// Runs every scenario of `spec` lane-batched: consecutive
+    /// scenarios are packed [`lanes`](NetlistSweep::lanes) at a time
+    /// into one [`Transient`] engine, which assembles, factors and
+    /// solves all of them per instruction stream. Width 1 *is* the
+    /// scalar path ([`run`](NetlistSweep::run)); every width goes
+    /// through the same driver and the same bundle executor, and the
+    /// report has the same per-scenario shape.
+    ///
+    /// `observe` receives a [`ScenarioProbe`] — a view of its
+    /// scenario's lane — so one closure body serves every width.
+    ///
+    /// Semantics that differ from the scalar path, all inherited from
+    /// the engine's lane semantics:
+    ///
+    /// * Metric values may deviate from a scalar run by up to ~1e-9
+    ///   relative: bundled Newton iterates until every live lane
+    ///   converges and adaptive runs share the min-over-lanes step, so
+    ///   easy corners get extra (convergent) iterations. Lane-mode
+    ///   reports are still **bit-identical across worker counts** —
+    ///   bundle composition is index-determined and one symbolic
+    ///   analysis seeds all shards.
+    /// * A diverging scenario surfaces as NaN metrics for its lane
+    ///   instead of failing the whole run; the run errors only when a
+    ///   bundle loses *all* its lanes (attributed to the bundle's first
+    ///   scenario).
+    /// * Per-scenario solver counters are the *bundle's* counters (one
+    ///   step advances every lane), so [`SweepReport::totals`]
+    ///   over-counts by up to the lane width vs. a scalar run.
+    /// * The last bundle is padded by replicating the final scenario;
+    ///   padded lanes are dropped before the report is assembled.
+    /// * A [`FactorSink`] only receives scalar analyses (the
+    ///   [`prefix`](NetlistSweep::prefix) run's, or scenario 0's at
+    ///   width 1); a scalar
+    ///   [`symbolic_hint`](NetlistSweep::symbolic_hint) is honored at
+    ///   every width by widening it to the lane scalar.
+    ///
+    /// [`prefix`](NetlistSweep::prefix) works at every width: the
+    /// prefix runs once at width 1 and every bundle forks from its
+    /// checkpoint, broadcast into each lane.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](NetlistSweep::run), plus [`SweepError::Invalid`] for
+    /// a lane width outside {1, 4, 8, 16}.
+    pub fn run_lanes<A, O>(
+        &self,
+        spec: &SweepSpec,
+        workers: usize,
+        metrics: &[&str],
+        apply: A,
+        observe: O,
+    ) -> Result<SweepReport, SweepError>
+    where
+        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
+        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
+    {
+        match self.lanes {
+            1 => self.drive::<f64, A, O>(spec, workers, metrics, &apply, &observe),
+            4 => self.drive::<F64xK<4>, A, O>(spec, workers, metrics, &apply, &observe),
+            8 => self.drive::<F64xK<8>, A, O>(spec, workers, metrics, &apply, &observe),
+            16 => self.drive::<F64xK<16>, A, O>(spec, workers, metrics, &apply, &observe),
+            other => Err(SweepError::invalid(format!(
+                "unsupported lane width {other}: pick 1, 4, 8 or 16"
+            ))),
+        }
+    }
+
+    /// The one sweep driver, at lane width `T::LANES`: gates, optional
+    /// shared prefix, bundle 0 inline on the coordinator (when there is
+    /// no prefix to donate the symbolic analysis), every other bundle
+    /// through the sharded engine, then the shared report tail.
+    fn drive<T: Lanes, A, O>(
+        &self,
+        spec: &SweepSpec,
+        workers: usize,
+        metrics: &[&str],
+        apply: &A,
+        observe: &O,
+    ) -> Result<SweepReport, SweepError>
+    where
+        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
+        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
     {
         if spec.is_empty() {
             return Err(SweepError::invalid("sweep spec has no scenarios"));
@@ -544,280 +632,7 @@ impl NetlistSweep {
 
         // Space gate: one abstract-interpretation pass over the whole
         // parameter box; statically doomed scenarios never reach a
-        // solver.
-        let mut space_pruned = Vec::new();
-        let gated;
-        let spec = match self.space_gate(
-            spec,
-            &mut coord_tracer,
-            &mut lint_warnings,
-            &mut space_pruned,
-        )? {
-            Some(s) => {
-                gated = s;
-                &gated
-            }
-            None => spec,
-        };
-
-        // Prefix sharing replaces the scenario loop wholesale: one
-        // coordinator run to t0, then every scenario forks.
-        if let Some(t0) = self.prefix_t0 {
-            return self.run_prefixed(
-                spec,
-                workers,
-                metrics,
-                &apply,
-                &observe,
-                t0,
-                coord_tracer,
-                lint_warnings,
-                space_pruned,
-            );
-        }
-
-        let scenarios = spec.scenarios();
-        let n_metrics = metrics.len();
-        let mon = self.resolve_monitors()?;
-        let mon_ref = mon.as_ref();
-        let n_slots = mon_ref.map_or(0, |m| m.bank.len() * VERDICT_SLOTS);
-
-        // Scenario 0 runs inline on the coordinator: it seeds the shared
-        // symbolic factor, so every worker count sees the same pivot
-        // sequence.
-        let first = &scenarios[0];
-        let (first_vals, first_stats, first_verdicts, exported) = self.run_scenario(
-            first,
-            self.symbolic_hint.as_ref(),
-            self.symbolic_hint.is_none(),
-            n_metrics,
-            mon_ref,
-            &mut coord_tracer,
-            &apply,
-            &observe,
-        )?;
-        if let Some(p) = &self.progress {
-            p(first.index(), &first_vals, &first_stats, &first_verdicts);
-        }
-        if let (Some(sink), Some(f)) = (&self.factor_sink, &exported) {
-            *sink.lock().expect("factor sink poisoned") = Some(f.clone());
-        }
-
-        let rest = &scenarios[1..];
-        // An externally supplied factor wins; otherwise scenario 0's
-        // export seeds the siblings as before.
-        let hint_ref = self.symbolic_hint.as_ref().or(exported.as_ref());
-        let mut shard = run_sharded(
-            rest.len(),
-            n_metrics + n_slots,
-            workers,
-            self.trace,
-            self.hooks.as_ref(),
-            |_slot, _items| Ok(()),
-            |_state: &mut (), item, tracer: &mut Tracer| {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(SweepError::Cancelled);
-                }
-                let (vals, stats, verdicts, _) = self.run_scenario(
-                    &rest[item],
-                    hint_ref,
-                    false,
-                    n_metrics,
-                    mon_ref,
-                    tracer,
-                    &apply,
-                    &observe,
-                )?;
-                if let Some(p) = &self.progress {
-                    p(rest[item].index(), &vals, &stats, &verdicts);
-                }
-                // Verdicts ride home in extra row slots; the report
-                // assembly strips and decodes them.
-                let mut row = vals;
-                push_verdict_slots(&mut row, &verdicts);
-                Ok((row, stats))
-            },
-        )?;
-
-        let mut results = Vec::with_capacity(scenarios.len());
-        results.push(ScenarioResult {
-            index: first.index(),
-            label: first.label(),
-            metrics: first_vals,
-            stats: first_stats,
-            verdicts: first_verdicts,
-        });
-        for (pos, sc) in rest.iter().enumerate() {
-            let (metrics_row, verdicts) =
-                split_verdict_slots(shard.metrics[pos].clone(), n_metrics);
-            results.push(ScenarioResult {
-                index: sc.index(),
-                label: sc.label(),
-                metrics: metrics_row,
-                stats: shard.stats[pos],
-                verdicts,
-            });
-        }
-
-        let mut exec = ExecStats {
-            windows: scenarios.len() as u64,
-            barriers: shard.shards as u64,
-            ring_high_water: shard.ring_high_water,
-            compute_wall: shard.compute_wall,
-            sync_wall: shard.sync_wall,
-            lint_warnings,
-            ..ExecStats::default()
-        };
-        for r in &results {
-            exec.clusters.push((r.label.clone(), r.stats));
-        }
-
-        // Exactly-once finish notification per shard hook, fired on the
-        // coordinator after the aggregate exists.
-        for h in &mut shard.hooks {
-            h.on_finish(&exec);
-        }
-
-        let trace = if self.trace {
-            let mut t = ScopeTrace::new();
-            let own = coord_tracer.take_events();
-            if !own.is_empty() {
-                t.add_track("coordinator", "scenarios", own);
-            }
-            for (s, events) in shard.traces.into_iter().enumerate() {
-                if !events.is_empty() {
-                    t.add_track(format!("shard-{s}"), "scenarios", events);
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
-
-        Ok(SweepReport {
-            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names: mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default(),
-            scenarios: results,
-            exec,
-            trace,
-            lanes: 1,
-            bundles: 0,
-            space_pruned,
-            prefix_forks: 0,
-            prefix_steps: 0,
-        })
-    }
-
-    /// Runs every scenario of `spec` lane-batched: consecutive
-    /// scenarios are packed [`lanes`](NetlistSweep::lanes) at a time
-    /// into one [`LaneTransientSolver`], which assembles, factors and
-    /// solves all of them per instruction stream. The report is the
-    /// same per-scenario shape [`run`](NetlistSweep::run) produces.
-    ///
-    /// `observe` receives a [`ScenarioProbe`] instead of a concrete
-    /// solver — the same closure body works against a scalar
-    /// [`TransientSolver`] and a lane view, so callers can switch modes
-    /// without rewriting their metric extraction. With `lanes(1)` this
-    /// method *is* the scalar path (it delegates to `run`), and its
-    /// report fingerprints identically to `run`'s.
-    ///
-    /// Semantics that differ from the scalar path, all inherited from
-    /// [`LaneTransientSolver`]:
-    ///
-    /// * Metric values may deviate from a scalar run by up to ~1e-9
-    ///   relative: bundled Newton iterates until every live lane
-    ///   converges and adaptive runs share the min-over-lanes step, so
-    ///   easy corners get extra (convergent) iterations. Lane-mode
-    ///   reports are still **bit-identical across worker counts** —
-    ///   bundle composition is index-determined and bundle 0's lane
-    ///   factor seeds all shards.
-    /// * A diverging scenario surfaces as NaN metrics for its lane
-    ///   instead of failing the whole run; the run errors only when a
-    ///   bundle loses *all* its lanes (attributed to the bundle's first
-    ///   scenario).
-    /// * Per-scenario solver counters are the *bundle's* counters (one
-    ///   step advances every lane), so [`SweepReport::totals`]
-    ///   over-counts by up to the lane width vs. a scalar run.
-    /// * The last bundle is padded by replicating the final scenario;
-    ///   padded lanes are dropped before the report is assembled.
-    /// * A [`FactorSink`] is left untouched (lane factors are not
-    ///   scalar factors); a scalar
-    ///   [`symbolic_hint`](NetlistSweep::symbolic_hint) *is* honored by
-    ///   widening it to the lane scalar.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](NetlistSweep::run), plus [`SweepError::Invalid`] for
-    /// a lane width outside {1, 4, 8, 16}.
-    pub fn run_lanes<A, O>(
-        &self,
-        spec: &SweepSpec,
-        workers: usize,
-        metrics: &[&str],
-        apply: A,
-        observe: O,
-    ) -> Result<SweepReport, SweepError>
-    where
-        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
-    {
-        match self.lanes {
-            1 => self.run(spec, workers, metrics, apply, |tr, m| observe(tr, m)),
-            4 => self.run_lanes_k::<4, A, O>(spec, workers, metrics, &apply, &observe),
-            8 => self.run_lanes_k::<8, A, O>(spec, workers, metrics, &apply, &observe),
-            16 => self.run_lanes_k::<16, A, O>(spec, workers, metrics, &apply, &observe),
-            other => Err(SweepError::invalid(format!(
-                "unsupported lane width {other}: pick 1, 4, 8 or 16"
-            ))),
-        }
-    }
-
-    fn run_lanes_k<const K: usize, A, O>(
-        &self,
-        spec: &SweepSpec,
-        workers: usize,
-        metrics: &[&str],
-        apply: &A,
-        observe: &O,
-    ) -> Result<SweepReport, SweepError>
-    where
-        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
-    {
-        if spec.is_empty() {
-            return Err(SweepError::invalid("sweep spec has no scenarios"));
-        }
-        if metrics.is_empty() {
-            return Err(SweepError::invalid("sweep needs at least one metric"));
-        }
-        if self.prefix_t0.is_some() {
-            return Err(SweepError::invalid(
-                "prefix sharing is a scalar-path feature: use lanes(1)",
-            ));
-        }
-        let mut lint_warnings = if self.pre_linted {
-            0
-        } else {
-            let report = self.lint_report();
-            if !self.lint.denied(&report).is_empty() {
-                return Err(SweepError::Lint(report));
-            }
-            for d in self.lint.warned(&report) {
-                eprintln!("[{}] warning: {d}", self.context);
-            }
-            self.lint.warned(&report).len()
-        };
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(SweepError::Cancelled);
-        }
-
-        let mut coord_tracer = if self.trace {
-            Tracer::on()
-        } else {
-            Tracer::off()
-        };
-        // Space gate, exactly as on the scalar path: pruning happens
-        // before bundle composition, so lanes pack only survivors.
+        // solver, and bundles pack only survivors.
         let mut space_pruned = Vec::new();
         let gated;
         let spec = match self.space_gate(
@@ -835,44 +650,78 @@ impl NetlistSweep {
 
         let scenarios = spec.scenarios();
         let n = scenarios.len();
+        let k = T::LANES;
+        let n_bundles = n.div_ceil(k);
         let n_metrics = metrics.len();
-        let n_bundles = n.div_ceil(K);
-        let mon = self.resolve_monitors()?;
+        let mut prefix = match self.prefix_t0 {
+            Some(t0) => Some(self.run_prefix(t0, n, n_metrics, observe, &mut coord_tracer)?),
+            None => None,
+        };
+        let mon = match prefix.as_mut() {
+            // Forks resume from the banks the prefix fed on [0, t0].
+            Some(p) => p.monitors.take(),
+            None => self.resolve_monitors()?,
+        };
         let mon_ref = mon.as_ref();
         // Each lane's row carries its verdict slots after the metrics.
-        let lane_w = n_metrics + mon_ref.map_or(0, |m| m.bank.len() * VERDICT_SLOTS);
-
-        // Bundle 0 runs inline on the coordinator and exports the lane
-        // symbolic factor every shard adopts — the pivot sequence is
-        // the same at every worker count.
-        let (first_rows, first_stats, exported) = self.run_bundle::<K, A, O>(
-            scenarios,
-            0,
-            None,
-            self.symbolic_hint.is_none(),
-            n_metrics,
-            mon_ref,
-            &mut coord_tracer,
-            apply,
-            observe,
-        )?;
-        let first_used = K.min(n);
-        if let Some(p) = &self.progress {
-            for (l, sc) in scenarios[..first_used].iter().enumerate() {
-                let verdicts = decode_verdict_slots(&first_rows[l][n_metrics..]);
-                p(
-                    sc.index(),
-                    &first_rows[l][..n_metrics],
-                    &first_stats,
-                    &verdicts,
-                );
+        let row_w = n_metrics + mon_ref.map_or(0, |m| m.bank.len() * VERDICT_SLOTS);
+        let progress = |b: usize, rows: &[Vec<f64>], stats: &ClusterStats| {
+            if let Some(p) = &self.progress {
+                for (sc, row) in scenarios[b * k..].iter().zip(rows) {
+                    let verdicts = decode_verdict_slots(&row[n_metrics..]);
+                    p(sc.index(), &row[..n_metrics], stats, &verdicts);
+                }
             }
+        };
+
+        // The symbolic donor every bundle adopts: a caller-supplied
+        // hint wins, then the prefix run's analysis, then bundle 0's.
+        let share = self.share_symbolic;
+        let mut donor: Option<SymbolicFactor<T>> = self
+            .symbolic_hint
+            .as_ref()
+            .or(prefix.as_ref().and_then(|p| p.factor.as_ref()))
+            .filter(|_| share)
+            .map(SymbolicFactor::cast);
+        let mut sink_factor = prefix.as_ref().and_then(|p| p.factor.clone());
+
+        // Without a prefix, bundle 0 runs inline on the coordinator: it
+        // computes the shared symbolic analysis, so every worker count
+        // sees the same pivot sequence.
+        let first = if prefix.is_none() {
+            let (rows, stats, exported) = self.run_bundle::<T, A, O>(
+                scenarios,
+                0,
+                None,
+                donor.as_ref(),
+                share && donor.is_none(),
+                n_metrics,
+                mon_ref,
+                &mut coord_tracer,
+                apply,
+                observe,
+            )?;
+            progress(0, &rows, &stats);
+            if let Some(f) = exported {
+                // Only a one-lane analysis is a scalar factor a cache
+                // may hand to scalar runs later.
+                if k == 1 {
+                    sink_factor = Some(f.cast());
+                }
+                donor = Some(f);
+            }
+            Some((rows, stats))
+        } else {
+            None
+        };
+        if let (Some(sink), Some(f)) = (&self.factor_sink, sink_factor) {
+            *sink.lock().expect("factor sink poisoned") = Some(f);
         }
 
-        let hint_ref = exported.as_ref();
+        let inline = usize::from(first.is_some());
         let mut shard = run_sharded(
-            n_bundles - 1,
-            K * lane_w,
+            n_bundles - inline,
+            k * row_w,
             workers,
             self.trace,
             self.hooks.as_ref(),
@@ -881,37 +730,38 @@ impl NetlistSweep {
                 if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     return Err(SweepError::Cancelled);
                 }
-                let b = item + 1;
-                let (rows, stats, _) = self.run_bundle::<K, A, O>(
-                    scenarios, b, hint_ref, false, n_metrics, mon_ref, tracer, apply, observe,
+                let b = item + inline;
+                let (rows, stats, _) = self.run_bundle::<T, A, O>(
+                    scenarios,
+                    b,
+                    prefix.as_ref(),
+                    donor.as_ref(),
+                    false,
+                    n_metrics,
+                    mon_ref,
+                    tracer,
+                    apply,
+                    observe,
                 )?;
-                if let Some(p) = &self.progress {
-                    let used = K.min(n - b * K);
-                    for l in 0..used {
-                        let verdicts = decode_verdict_slots(&rows[l][n_metrics..]);
-                        p(
-                            scenarios[b * K + l].index(),
-                            &rows[l][..n_metrics],
-                            &stats,
-                            &verdicts,
-                        );
-                    }
-                }
-                Ok((rows.into_iter().flatten().collect(), stats))
+                progress(b, &rows, &stats);
+                // Verdicts ride home in extra row slots; the report
+                // assembly strips and decodes them.
+                Ok((rows.concat(), stats))
             },
         )?;
 
         let mut results = Vec::with_capacity(n);
         for (i, sc) in scenarios.iter().enumerate() {
-            let (b, l) = (i / K, i % K);
-            let (row, stats) = if b == 0 {
-                (first_rows[l].clone(), first_stats)
-            } else {
-                let flat = &shard.metrics[b - 1];
-                (
-                    flat[l * lane_w..(l + 1) * lane_w].to_vec(),
-                    shard.stats[b - 1],
-                )
+            let (b, l) = (i / k, i % k);
+            let (row, stats) = match &first {
+                Some((rows, stats)) if b == 0 => (rows[l].clone(), *stats),
+                _ => {
+                    let flat = &shard.metrics[b - inline];
+                    (
+                        flat[l * row_w..(l + 1) * row_w].to_vec(),
+                        shard.stats[b - inline],
+                    )
+                }
             };
             let (metrics_row, verdicts) = split_verdict_slots(row, n_metrics);
             results.push(ScenarioResult {
@@ -922,217 +772,50 @@ impl NetlistSweep {
                 verdicts,
             });
         }
+        shard.metrics.clear();
 
-        let mut exec = ExecStats {
-            windows: n as u64,
-            barriers: shard.shards as u64,
-            ring_high_water: shard.ring_high_water,
-            compute_wall: shard.compute_wall,
-            sync_wall: shard.sync_wall,
+        let monitor_names = mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default();
+        let report = shard.into_report(
+            metrics,
+            monitor_names,
+            results,
             lint_warnings,
-            ..ExecStats::default()
-        };
-        for r in &results {
-            exec.clusters.push((r.label.clone(), r.stats));
-        }
-        for h in &mut shard.hooks {
-            h.on_finish(&exec);
-        }
-
-        let trace = if self.trace {
-            let mut t = ScopeTrace::new();
-            let own = coord_tracer.take_events();
-            if !own.is_empty() {
-                t.add_track("coordinator", "scenarios", own);
-            }
-            for (s, events) in shard.traces.into_iter().enumerate() {
-                if !events.is_empty() {
-                    t.add_track(format!("shard-{s}"), "scenarios", events);
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
-
+            coord_tracer.take_events(),
+            self.trace,
+        );
         Ok(SweepReport {
-            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names: mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default(),
-            scenarios: results,
-            exec,
-            trace,
-            lanes: K,
-            bundles: n_bundles,
+            lanes: k,
+            bundles: if k > 1 { n_bundles } else { 0 },
             space_pruned,
-            prefix_forks: 0,
-            prefix_steps: 0,
+            prefix_forks: if prefix.is_some() { n as u64 } else { 0 },
+            prefix_steps: prefix.map_or(0, |p| p.steps),
+            ..report
         })
     }
 
-    /// Runs bundle `b` (scenarios `b*K ..` padded to `K` by replicating
-    /// the last): returns all `K` metric rows (padding included — the
-    /// caller drops it), the bundle's counters, and (when
-    /// `export_hint`) the lane factor for sibling bundles.
-    #[allow(clippy::too_many_arguments)]
-    fn run_bundle<const K: usize, A, O>(
+    /// Integrates the *template* once to `t0` on the coordinator at
+    /// width 1 and freezes the fork point (see
+    /// [`NetlistSweep::prefix`]). The contract guarantees every
+    /// scenario is indistinguishable from the template on `[0, t0]`, so
+    /// prefix failures are batch failures, not scenario failures.
+    fn run_prefix<O>(
         &self,
-        scenarios: &[Scenario],
-        b: usize,
-        hint: Option<&LaneSymbolicFactor<K>>,
-        export_hint: bool,
+        t0: f64,
+        n: usize,
         n_metrics: usize,
-        mon: Option<&ResolvedMonitors>,
-        tracer: &mut Tracer,
-        apply: &A,
         observe: &O,
-    ) -> Result<BundleOutcome<K>, SweepError>
+        coord_tracer: &mut Tracer,
+    ) -> Result<Prefix, SweepError>
     where
-        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
         O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
     {
-        let n = scenarios.len();
-        let start = b * K;
-        let used = K.min(n - start);
-        let first_idx = scenarios[start].index();
-        let fail = |e: NetError| SweepError::scenario(first_idx, e);
-
-        let mut circuits = Vec::with_capacity(K);
-        for l in 0..K {
-            let sc = &scenarios[(start + l).min(n - 1)];
-            let mut ckt = self.template.clone();
-            apply(&mut ckt, sc).map_err(|e| SweepError::scenario(sc.index(), e))?;
-            circuits.push(ckt);
-        }
-
-        let mut tr = LaneTransientSolver::<K>::new(&circuits, self.method).map_err(fail)?;
-        tr.backend = self.backend;
-        if self.share_symbolic {
-            if let Some(h) = &self.symbolic_hint {
-                tr.adopt_scalar_factor(h);
-            } else if let Some(h) = hint {
-                tr.adopt_symbolic_factor(h);
-            }
-        }
-        let traced = tracer.is_enabled();
-        if traced {
-            tracer.begin_with(
-                SpanKind::Scenario,
-                first_idx as u64,
-                scenario_arg(first_idx as u64, K),
-            );
-            tr.set_tracing(true);
-        }
-
-        // One monitor bank per live lane: lanes share the instruction
-        // stream but each watches its own scenario's waveforms.
-        let mut banks: Vec<MonitorBank> = match mon {
-            Some(m) => (0..used).map(|_| m.bank.clone()).collect(),
-            None => Vec::new(),
-        };
-        let mut rows = vec![vec![f64::NAN; n_metrics]; K];
-        let mut probes = 0u64;
-        let run = match &self.mode {
-            RunMode::Fixed { t_end, h } => tr.run(*t_end, *h, |s| {
-                probes += 1;
-                for (l, row) in rows.iter_mut().enumerate().take(used) {
-                    let view = s.lane_view(l);
-                    observe(&view, row);
-                    if let Some(m) = mon {
-                        let t = view.time();
-                        for (ci, node) in m.nodes.iter().enumerate() {
-                            banks[l].feed(ci, t, view.voltage(*node));
-                        }
-                    }
-                }
-            }),
-            RunMode::Adaptive { t_end, opts } => tr.run_adaptive(*t_end, opts, |s| {
-                probes += 1;
-                for (l, row) in rows.iter_mut().enumerate().take(used) {
-                    let view = s.lane_view(l);
-                    observe(&view, row);
-                    if let Some(m) = mon {
-                        let t = view.time();
-                        for (ci, node) in m.nodes.iter().enumerate() {
-                            banks[l].feed(ci, t, view.voltage(*node));
-                        }
-                    }
-                }
-            }),
-        };
-        run.map_err(fail)?;
-        let lane_verdicts: Vec<Vec<Verdict>> = banks.iter().map(MonitorBank::finish).collect();
-        if let Some(m) = mon {
-            // Padding lanes replicate the last scenario's circuit but
-            // carry no bank; their slots are vacuous and dropped at
-            // assembly (rows must stay uniform for the flat transport).
-            let pad = vec![Verdict::Vacuous; m.bank.len()];
-            for (l, row) in rows.iter_mut().enumerate() {
-                push_verdict_slots(row, lane_verdicts.get(l).unwrap_or(&pad));
-            }
-        }
-        if traced {
-            tracer.extend(tr.take_trace_events());
-            for verdicts in &lane_verdicts {
-                emit_monitor_instants(tracer, verdicts, self.horizon());
-            }
-            tracer.end_with(
-                SpanKind::Scenario,
-                scenarios[start + used - 1].index() as u64 + 1,
-                scenario_arg(first_idx as u64, K),
-            );
-        }
-
-        let stats = cluster_stats(tr.stats(), probes);
-        let exported = if export_hint && self.share_symbolic {
-            tr.symbolic_factor()
-        } else {
-            None
-        };
-        Ok((rows, stats, exported))
-    }
-
-    /// The prefix-shared scenario loop (see [`NetlistSweep::prefix`]):
-    /// integrates the template once to `t0` on the coordinator, takes a
-    /// [`Checkpoint`], then runs **every** scenario as a fork of it
-    /// through the sharded engine. Scheduling and the shared factor
-    /// are worker-independent, so the report stays bit-identical
-    /// across worker counts.
-    #[allow(clippy::too_many_arguments)]
-    fn run_prefixed<A, O>(
-        &self,
-        spec: &SweepSpec,
-        workers: usize,
-        metrics: &[&str],
-        apply: &A,
-        observe: &O,
-        t0: f64,
-        mut coord_tracer: Tracer,
-        lint_warnings: usize,
-        space_pruned: Vec<(usize, String)>,
-    ) -> Result<SweepReport, SweepError>
-    where
-        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&TransientSolver, &mut [f64]) + Sync,
-    {
-        let t_end = match &self.mode {
-            RunMode::Fixed { t_end, .. } | RunMode::Adaptive { t_end, .. } => *t_end,
-        };
+        let t_end = self.horizon();
         if !t0.is_finite() || t0 <= 0.0 || t0 >= t_end {
             return Err(SweepError::invalid(format!(
                 "prefix t0 = {t0} must satisfy 0 < t0 < t_end = {t_end}"
             )));
         }
-
-        let scenarios = spec.scenarios();
-        let n = scenarios.len();
-        let n_metrics = metrics.len();
-        let mon = self.resolve_monitors()?;
-        let n_slots = mon.as_ref().map_or(0, |m| m.bank.len() * VERDICT_SLOTS);
-
-        // The shared prefix integrates the *template* — the contract
-        // guarantees every scenario is indistinguishable from it on
-        // [0, t0]. Prefix failures are batch failures, not scenario
-        // failures: no scenario's parameters are in play yet.
+        let mut monitors = self.resolve_monitors()?;
         let mut pre = TransientSolver::new(&self.template, self.method).map_err(SweepError::Net)?;
         pre.backend = self.backend;
         if let (true, Some(h)) = (self.share_symbolic, self.symbolic_hint.as_ref()) {
@@ -1141,7 +824,7 @@ impl NetlistSweep {
         // Monitors watch the whole trajectory: the prefix feeds the
         // prototype bank on [0, t0] and every fork resumes from that
         // fed state — verdicts match a run-from-zero scenario.
-        if let Some(m) = &mon {
+        if let Some(m) = &monitors {
             pre.attach_monitors(m.bank.clone(), &m.nodes);
         }
         let traced = coord_tracer.is_enabled();
@@ -1153,278 +836,150 @@ impl NetlistSweep {
         // The prefix observes into a template metric row every fork
         // starts from, so whole-trajectory metrics (max, integral, …)
         // see exactly what a run-from-zero scenario would.
-        let mut prefix_vals = vec![f64::NAN; n_metrics];
-        let mut prefix_probes = 0u64;
+        let mut vals = vec![f64::NAN; n_metrics];
+        let mut probes = 0u64;
+        let probe = |s: &TransientSolver| {
+            probes += 1;
+            observe(s, &mut vals);
+        };
         let run = match &self.mode {
-            RunMode::Fixed { h, .. } => pre.run(t0, *h, |s| {
-                prefix_probes += 1;
-                observe(s, &mut prefix_vals);
-            }),
-            RunMode::Adaptive { opts, .. } => pre.run_adaptive(t0, opts, |s| {
-                prefix_probes += 1;
-                observe(s, &mut prefix_vals);
-            }),
+            RunMode::Fixed { h, .. } => pre.run(t0, *h, probe),
+            RunMode::Adaptive { opts, .. } => pre.run_adaptive(t0, opts, probe),
         };
         run.map_err(SweepError::Net)?;
-        let cp = pre.checkpoint();
-        let prefix_steps = pre.stats().steps;
         // Swap the prototype for the fed bank: forks clone automaton
         // state as of t0, not fresh monitors.
-        let mon = mon.map(|m| ResolvedMonitors {
-            bank: pre.take_monitors().expect("prefix monitors attached"),
-            nodes: m.nodes,
-        });
-        let mon_ref = mon.as_ref();
+        if let Some(m) = &mut monitors {
+            m.bank = pre.take_monitors().expect("prefix monitors attached");
+        }
         if traced {
             coord_tracer.extend(pre.take_trace_events());
             coord_tracer.end_with(SpanKind::Checkpoint, 1, n as u64);
         }
-
-        // The prefix run doubles as the symbolic-analysis donor the
-        // inline scenario 0 is on the plain path.
-        let exported = if self.share_symbolic && self.symbolic_hint.is_none() {
+        // The prefix run doubles as the symbolic-analysis donor that
+        // the inline bundle 0 is on the plain path.
+        let factor = if self.share_symbolic && self.symbolic_hint.is_none() {
             pre.symbolic_factor()
         } else {
             None
         };
-        if let (Some(sink), Some(f)) = (&self.factor_sink, &exported) {
-            *sink.lock().expect("factor sink poisoned") = Some(f.clone());
-        }
-        let hint_ref = self.symbolic_hint.as_ref().or(exported.as_ref());
-
-        let mut shard = run_sharded(
-            n,
-            n_metrics + n_slots,
-            workers,
-            self.trace,
-            self.hooks.as_ref(),
-            |_slot, _items| Ok(()),
-            |_state: &mut (), item, tracer: &mut Tracer| {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(SweepError::Cancelled);
-                }
-                let (vals, stats, verdicts) = self.run_scenario_forked(
-                    &scenarios[item],
-                    &cp,
-                    hint_ref,
-                    &prefix_vals,
-                    prefix_probes,
-                    mon_ref,
-                    tracer,
-                    apply,
-                    observe,
-                )?;
-                if let Some(p) = &self.progress {
-                    p(scenarios[item].index(), &vals, &stats, &verdicts);
-                }
-                let mut row = vals;
-                push_verdict_slots(&mut row, &verdicts);
-                Ok((row, stats))
-            },
-        )?;
-
-        let mut results = Vec::with_capacity(n);
-        for (pos, sc) in scenarios.iter().enumerate() {
-            let (metrics_row, verdicts) =
-                split_verdict_slots(shard.metrics[pos].clone(), n_metrics);
-            results.push(ScenarioResult {
-                index: sc.index(),
-                label: sc.label(),
-                metrics: metrics_row,
-                stats: shard.stats[pos],
-                verdicts,
-            });
-        }
-
-        let mut exec = ExecStats {
-            windows: n as u64,
-            barriers: shard.shards as u64,
-            ring_high_water: shard.ring_high_water,
-            compute_wall: shard.compute_wall,
-            sync_wall: shard.sync_wall,
-            lint_warnings,
-            ..ExecStats::default()
-        };
-        for r in &results {
-            exec.clusters.push((r.label.clone(), r.stats));
-        }
-        for h in &mut shard.hooks {
-            h.on_finish(&exec);
-        }
-
-        let trace = if self.trace {
-            let mut t = ScopeTrace::new();
-            let own = coord_tracer.take_events();
-            if !own.is_empty() {
-                t.add_track("coordinator", "scenarios", own);
-            }
-            for (s, events) in shard.traces.into_iter().enumerate() {
-                if !events.is_empty() {
-                    t.add_track(format!("shard-{s}"), "scenarios", events);
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
-
-        Ok(SweepReport {
-            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names: mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default(),
-            scenarios: results,
-            exec,
-            trace,
-            lanes: 1,
-            bundles: 0,
-            space_pruned,
-            prefix_forks: n as u64,
-            prefix_steps,
+        Ok(Prefix {
+            cp: pre.checkpoint(),
+            steps: pre.stats().steps,
+            vals,
+            probes,
+            monitors,
+            factor,
         })
     }
 
-    /// Runs one scenario as a fork of the shared-prefix checkpoint:
-    /// apply the scenario's values to a template clone, restore `cp`,
-    /// and integrate only `[t0, t_end]`. The restored step counters
-    /// continue from the checkpoint's, so the scenario's stats — and
-    /// with them the report fingerprint — accumulate to run-from-zero
-    /// totals.
+    /// The one scenario executor: runs bundle `b` (scenarios `b·K ..`,
+    /// padded to `K = T::LANES` by replicating the last) from t = 0 or,
+    /// with `start`, as a fork of the shared prefix. Returns all `K`
+    /// rows (metrics then verdict slots; padding included — the caller
+    /// drops it), the bundle's counters, and (when `export`) its
+    /// symbolic factor for sibling bundles.
+    ///
+    /// A fork restores the prefix checkpoint into every lane and
+    /// continues the prefix's metric rows, probe count and step
+    /// counters, so its stats — and with them the report fingerprint —
+    /// accumulate to run-from-zero totals.
     #[allow(clippy::too_many_arguments)]
-    fn run_scenario_forked<A, O>(
+    fn run_bundle<T: Lanes, A, O>(
         &self,
-        sc: &Scenario,
-        cp: &Checkpoint,
-        hint: Option<&SymbolicFactor>,
-        prefix_vals: &[f64],
-        prefix_probes: u64,
-        mon: Option<&ResolvedMonitors>,
-        tracer: &mut Tracer,
-        apply: &A,
-        observe: &O,
-    ) -> Result<(Vec<f64>, ClusterStats, Vec<Verdict>), SweepError>
-    where
-        A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&TransientSolver, &mut [f64]) + Sync,
-    {
-        let fail = |e: NetError| SweepError::scenario(sc.index(), e);
-        let mut ckt = self.template.clone();
-        apply(&mut ckt, sc).map_err(fail)?;
-        let mut tr = TransientSolver::new(&ckt, self.method).map_err(fail)?;
-        tr.backend = self.backend;
-        if let (true, Some(h)) = (self.share_symbolic, hint) {
-            tr.adopt_symbolic_factor(h);
-        }
-        tr.restore_checkpoint(cp).map_err(fail)?;
-        // Checkpoints deliberately exclude monitor state; the fork
-        // resumes from the bank the prefix run already fed on [0, t0],
-        // so verdicts match a run-from-zero scenario.
-        if let Some(m) = mon {
-            tr.attach_monitors(m.bank.clone(), &m.nodes);
-        }
-        let traced = tracer.is_enabled();
-        if traced {
-            tracer.begin_with(SpanKind::Scenario, sc.index() as u64, sc.index() as u64);
-            tracer.instant(
-                SpanKind::Checkpoint,
-                sc.index() as u64,
-                cp.approx_bytes() as u64,
-            );
-            tr.set_tracing(true);
-        }
-
-        let mut vals = prefix_vals.to_vec();
-        let mut probes = prefix_probes;
-        let run = match &self.mode {
-            RunMode::Fixed { t_end, h } => tr.run(*t_end, *h, |s| {
-                probes += 1;
-                observe(s, &mut vals);
-            }),
-            RunMode::Adaptive { t_end, opts } => tr.run_adaptive(*t_end, opts, |s| {
-                probes += 1;
-                observe(s, &mut vals);
-            }),
-        };
-        run.map_err(fail)?;
-        let verdicts = tr
-            .monitor_bank()
-            .map(MonitorBank::finish)
-            .unwrap_or_default();
-        if traced {
-            tracer.extend(tr.take_trace_events());
-            emit_monitor_instants(tracer, &verdicts, self.horizon());
-            tracer.end_with(SpanKind::Scenario, sc.index() as u64 + 1, sc.index() as u64);
-        }
-        Ok((vals, cluster_stats(tr.stats(), probes), verdicts))
-    }
-
-    /// Runs one scenario; returns its metric row, counters, monitor
-    /// verdicts (empty without monitors) and (when `export_hint`) the
-    /// symbolic factor for siblings to adopt.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn run_scenario<A, O>(
-        &self,
-        sc: &Scenario,
-        hint: Option<&SymbolicFactor>,
-        export_hint: bool,
+        scenarios: &[Scenario],
+        b: usize,
+        start: Option<&Prefix>,
+        donor: Option<&SymbolicFactor<T>>,
+        export: bool,
         n_metrics: usize,
         mon: Option<&ResolvedMonitors>,
         tracer: &mut Tracer,
         apply: &A,
         observe: &O,
-    ) -> Result<(Vec<f64>, ClusterStats, Vec<Verdict>, Option<SymbolicFactor>), SweepError>
+    ) -> Result<Bundle<T>, SweepError>
     where
         A: Fn(&mut Circuit, &Scenario) -> Result<(), NetError> + Sync,
-        O: Fn(&TransientSolver, &mut [f64]) + Sync,
+        O: Fn(&dyn ScenarioProbe, &mut [f64]) + Sync,
     {
-        let fail = |e: NetError| SweepError::scenario(sc.index(), e);
-        let mut ckt = self.template.clone();
-        apply(&mut ckt, sc).map_err(fail)?;
-        let mut tr = TransientSolver::new(&ckt, self.method).map_err(fail)?;
+        let k = T::LANES;
+        let n = scenarios.len();
+        let lo = b * k;
+        let used = k.min(n - lo);
+        let first_idx = scenarios[lo].index();
+        let fail = |e: NetError| SweepError::scenario(first_idx, e);
+
+        let mut circuits = Vec::with_capacity(k);
+        for l in 0..k {
+            let sc = &scenarios[(lo + l).min(n - 1)];
+            let mut ckt = self.template.clone();
+            apply(&mut ckt, sc).map_err(|e| SweepError::scenario(sc.index(), e))?;
+            circuits.push(ckt);
+        }
+        let mut tr = Transient::<T>::from_circuits(circuits, self.method).map_err(fail)?;
         tr.backend = self.backend;
-        if let (true, Some(h)) = (self.share_symbolic, hint) {
+        if let Some(h) = donor {
             tr.adopt_symbolic_factor(h);
+        }
+        if let Some(p) = start {
+            tr.restore_checkpoint(&p.cp).map_err(fail)?;
         }
         if let Some(m) = mon {
             tr.attach_monitors(m.bank.clone(), &m.nodes);
         }
+        let span_arg = scenario_arg(first_idx as u64, k);
         let traced = tracer.is_enabled();
         if traced {
-            tracer.begin_with(SpanKind::Scenario, sc.index() as u64, sc.index() as u64);
+            tracer.begin_with(SpanKind::Scenario, first_idx as u64, span_arg);
+            if let Some(p) = start {
+                tracer.instant(
+                    SpanKind::Checkpoint,
+                    first_idx as u64,
+                    p.cp.approx_bytes() as u64,
+                );
+            }
             tr.set_tracing(true);
         }
 
-        let mut vals = vec![f64::NAN; n_metrics];
-        let mut probes = 0u64;
+        let mut rows = match start {
+            Some(p) => vec![p.vals.clone(); k],
+            None => vec![vec![f64::NAN; n_metrics]; k],
+        };
+        let mut probes = start.map_or(0, |p| p.probes);
+        let probe = |s: &Transient<T>| {
+            probes += 1;
+            for (l, row) in rows.iter_mut().enumerate().take(used) {
+                observe(&s.lane_view(l), row);
+            }
+        };
         let run = match &self.mode {
-            RunMode::Fixed { t_end, h } => tr.run(*t_end, *h, |s| {
-                probes += 1;
-                observe(s, &mut vals);
-            }),
-            RunMode::Adaptive { t_end, opts } => tr.run_adaptive(*t_end, opts, |s| {
-                probes += 1;
-                observe(s, &mut vals);
-            }),
+            RunMode::Fixed { t_end, h } => tr.run(*t_end, *h, probe),
+            RunMode::Adaptive { t_end, opts } => tr.run_adaptive(*t_end, opts, probe),
         };
         run.map_err(fail)?;
-        let verdicts = tr
-            .monitor_bank()
-            .map(MonitorBank::finish)
-            .unwrap_or_default();
+        let verdicts: Vec<Vec<Verdict>> =
+            tr.monitor_banks().iter().map(MonitorBank::finish).collect();
+        for (row, v) in rows.iter_mut().zip(&verdicts) {
+            push_verdict_slots(row, v);
+        }
         if traced {
             // Solver spans ride on the same track, inside the scenario
             // span (solver timestamps are the scenario's local simulated
             // time; the span itself lives in the index domain).
             tracer.extend(tr.take_trace_events());
-            emit_monitor_instants(tracer, &verdicts, self.horizon());
-            tracer.end_with(SpanKind::Scenario, sc.index() as u64 + 1, sc.index() as u64);
+            for v in verdicts.iter().take(used) {
+                emit_monitor_instants(tracer, v, self.horizon());
+            }
+            tracer.end_with(
+                SpanKind::Scenario,
+                scenarios[lo + used - 1].index() as u64 + 1,
+                span_arg,
+            );
         }
 
         let stats = cluster_stats(tr.stats(), probes);
-        let exported = if export_hint && self.share_symbolic {
-            tr.symbolic_factor()
-        } else {
-            None
-        };
-        Ok((vals, stats, verdicts, exported))
+        let exported = if export { tr.symbolic_factor() } else { None };
+        Ok((rows, stats, exported))
     }
 
     /// The simulation horizon of the configured [`RunMode`].
@@ -1433,6 +988,19 @@ impl NetlistSweep {
             RunMode::Fixed { t_end, .. } | RunMode::Adaptive { t_end, .. } => *t_end,
         }
     }
+}
+
+/// The shared prefix every fork starts from: the checkpoint at `t0`,
+/// the template's metric row and probe count up to it, its accepted
+/// steps, the monitor banks it fed, and its symbolic analysis (when it
+/// is the donor).
+struct Prefix {
+    cp: Checkpoint,
+    steps: u64,
+    vals: Vec<f64>,
+    probes: u64,
+    monitors: Option<ResolvedMonitors>,
+    factor: Option<SymbolicFactor>,
 }
 
 /// Maps a scenario's transient counters onto the common
@@ -1871,7 +1439,7 @@ mod tests {
             |c: &mut Circuit, sc: &Scenario| c.set_source_waveform(v, pulse(sc.value("v2"), t0, h));
         // One last-value and one whole-trajectory metric: the latter
         // only matches when forks inherit the prefix's observations.
-        let observe = |tr: &TransientSolver, m: &mut [f64]| {
+        let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| {
             let x = tr.voltage(out);
             m[0] = x;
             m[1] = m[1].max(x);
@@ -1958,7 +1526,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_rejects_bad_t0_and_lane_widths() {
+    fn prefix_rejects_bad_t0_and_forks_at_every_lane_width() {
         let h = (2.0f64).powi(-20);
         let t0 = 64.0 * h;
         let t_end = 256.0 * h;
@@ -1967,7 +1535,7 @@ mod tests {
         let spec = SweepSpec::grid(&[("v2", &values)], 0).unwrap();
         let apply =
             |c: &mut Circuit, sc: &Scenario| c.set_source_waveform(v, pulse(sc.value("v2"), t0, h));
-        let observe = |tr: &TransientSolver, m: &mut [f64]| m[0] = tr.voltage(out);
+        let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| m[0] = tr.voltage(out);
         let base = NetlistSweep::new(ckt, IntegrationMethod::Trapezoidal).fixed_step(t_end, h);
         for bad in [0.0, -1.0, t_end, 2.0 * t_end, f64::NAN] {
             assert!(
@@ -1980,27 +1548,56 @@ mod tests {
                 "t0 = {bad}"
             );
         }
-        // Lane bundles amortize differently; prefix + lanes > 1 is
-        // rejected, lanes(1) is the scalar path and works.
-        assert!(matches!(
-            base.clone()
-                .prefix(t0)
-                .lanes(4)
-                .run_lanes(&spec, 1, &["v"], apply, |p, m| m[0] = p.voltage(out)),
-            Err(SweepError::Invalid(_))
-        ));
+        // lanes(1) is the scalar path.
         let scalar = base
             .clone()
             .prefix(t0)
             .run(&spec, 2, &["v"], apply, observe)
             .unwrap();
         let via_lanes = base
+            .clone()
             .prefix(t0)
             .lanes(1)
-            .run_lanes(&spec, 2, &["v"], apply, |p, m| m[0] = p.voltage(out))
+            .run_lanes(&spec, 2, &["v"], apply, observe)
             .unwrap();
         assert_eq!(scalar.fingerprint(), via_lanes.fingerprint());
         assert_eq!(via_lanes.prefix_forks, 2);
+
+        // Wider bundles fork from the same width-1 prefix, broadcast
+        // into every lane: bit-identical to the same lane sweep from
+        // zero at every worker count, padded last bundle included
+        // (10 scenarios = 4+4+2 and 8+2).
+        let values = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0];
+        let spec = SweepSpec::grid(&[("v2", &values)], 5).unwrap();
+        let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| {
+            let x = tr.voltage(out);
+            m[0] = x;
+            m[1] = m[1].max(x);
+        };
+        for k in [4, 8] {
+            let from_zero = base
+                .clone()
+                .lanes(k)
+                .run_lanes(&spec, 1, &["v_end", "v_max"], apply, observe)
+                .unwrap();
+            assert_eq!(from_zero.prefix_forks, 0);
+            for workers in [1, 2, 4] {
+                let forked = base
+                    .clone()
+                    .prefix(t0)
+                    .lanes(k)
+                    .run_lanes(&spec, workers, &["v_end", "v_max"], apply, observe)
+                    .unwrap();
+                assert_eq!(
+                    forked.fingerprint(),
+                    from_zero.fingerprint(),
+                    "lanes={k} workers={workers}"
+                );
+                assert_eq!(forked.prefix_forks, 10);
+                assert_eq!(forked.prefix_steps, 64);
+                assert_eq!(forked.bundles, 10usize.div_ceil(k));
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,9 @@ use crate::report::{ScenarioResult, SweepReport};
 use crate::spec::{Scenario, SweepSpec};
 use crate::SweepError;
 use ams_core::{Cluster, ClusterCheckpoint, TdfGraph};
-use ams_exec::ExecStats;
 use ams_lint::LintPolicy;
 use ams_monitor::{MonitorBank, MonitorSpec, VERDICT_SLOTS};
-use ams_scope::{scenario_arg, ScopeTrace, SpanKind, Tracer};
+use ams_scope::{scenario_arg, SpanKind, Tracer};
 
 /// The per-worker model half of a TDF sweep: applies a scenario's
 /// parameters before the run and extracts its metrics after.
@@ -247,7 +246,7 @@ impl TdfSweep {
         let mon_spec = self.effective_monitors();
         let n_slots = mon_spec.map_or(0, |s| s.len() * VERDICT_SLOTS);
 
-        let mut shard = run_sharded(
+        let shard = run_sharded(
             scenarios.len(),
             n_metrics + n_slots,
             workers,
@@ -377,54 +376,24 @@ impl TdfSweep {
             });
         }
 
-        let mut exec = ExecStats {
-            windows: scenarios.len() as u64,
-            barriers: shard.shards as u64,
-            ring_high_water: shard.ring_high_water,
-            compute_wall: shard.compute_wall,
-            sync_wall: shard.sync_wall,
+        // The space pass is MNA-specific; TDF structure is
+        // scenario-invariant, so nothing is ever pruned here.
+        let report = shard.into_report(
+            metrics,
+            mon_spec.map(MonitorSpec::names).unwrap_or_default(),
+            results,
             lint_warnings,
-            ..ExecStats::default()
-        };
-        for r in &results {
-            exec.clusters.push((r.label.clone(), r.stats));
-        }
-
-        // Exactly-once finish notification per shard hook, fired on the
-        // coordinator after the aggregate exists.
-        for h in &mut shard.hooks {
-            h.on_finish(&exec);
-        }
-
-        let trace = if self.trace {
-            let mut t = ScopeTrace::new();
-            for (s, events) in shard.traces.into_iter().enumerate() {
-                if !events.is_empty() {
-                    t.add_track(format!("shard-{s}"), "scenarios", events);
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
-
+            Vec::new(),
+            self.trace,
+        );
         Ok(SweepReport {
-            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names: mon_spec.map(MonitorSpec::names).unwrap_or_default(),
-            scenarios: results,
-            exec,
-            trace,
-            lanes: 1,
-            bundles: 0,
-            // The space pass is MNA-specific; TDF structure is
-            // scenario-invariant, so nothing is ever pruned here.
-            space_pruned: Vec::new(),
             prefix_forks: if prefix.is_some() {
                 scenarios.len() as u64
             } else {
                 0
             },
             prefix_steps: prefix.unwrap_or(0),
+            ..report
         })
     }
 
@@ -499,7 +468,7 @@ impl TdfSweep {
         let iterations = self.iterations;
         let tracing = self.trace;
 
-        let mut shard = run_sharded(
+        let shard = run_sharded(
             n_bundles,
             lanes * n_metrics,
             workers,
@@ -572,45 +541,18 @@ impl TdfSweep {
             });
         }
 
-        let mut exec = ExecStats {
-            windows: n as u64,
-            barriers: shard.shards as u64,
-            ring_high_water: shard.ring_high_water,
-            compute_wall: shard.compute_wall,
-            sync_wall: shard.sync_wall,
+        let report = shard.into_report(
+            metrics,
+            Vec::new(),
+            results,
             lint_warnings,
-            ..ExecStats::default()
-        };
-        for r in &results {
-            exec.clusters.push((r.label.clone(), r.stats));
-        }
-        for h in &mut shard.hooks {
-            h.on_finish(&exec);
-        }
-
-        let trace = if self.trace {
-            let mut t = ScopeTrace::new();
-            for (s, events) in shard.traces.into_iter().enumerate() {
-                if !events.is_empty() {
-                    t.add_track(format!("shard-{s}"), "scenarios", events);
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
-
+            Vec::new(),
+            self.trace,
+        );
         Ok(SweepReport {
-            metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names: Vec::new(),
-            scenarios: results,
-            exec,
-            trace,
             lanes,
             bundles: n_bundles,
-            space_pruned: Vec::new(),
-            prefix_forks: 0,
-            prefix_steps: 0,
+            ..report
         })
     }
 }

@@ -16,7 +16,7 @@
 
 use systemc_ams::monitor::{MonitorBank, MonitorSpec, Property, Verdict};
 use systemc_ams::net::{
-    Circuit, ElementId, IntegrationMethod, NodeId, ScenarioProbe, SolverBackend, TransientSolver,
+    Circuit, ElementId, IntegrationMethod, NodeId, ScenarioProbe, SolverBackend,
 };
 use systemc_ams::sweep::{NetlistSweep, Scenario, SweepReport, SweepSpec};
 
@@ -110,7 +110,7 @@ fn monitored_sweep(scenarios: usize, workers: usize) -> SweepReport {
                 }
                 Ok(())
             },
-            |tr: &TransientSolver, m| m[0] = tr.voltage(out),
+            |tr: &dyn ScenarioProbe, m| m[0] = tr.voltage(out),
         )
         .unwrap()
 }
@@ -228,7 +228,7 @@ fn monitored_prefix_fork_matches_run_from_zero_bit_for_bit() {
     };
     let apply =
         |c: &mut Circuit, sc: &Scenario| c.set_source_waveform(v, pulse(sc.value("v2"), t0, h));
-    let observe = |tr: &TransientSolver, m: &mut [f64]| m[0] = tr.voltage(out);
+    let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| m[0] = tr.voltage(out);
     let plain = NetlistSweep::new(ckt.clone(), IntegrationMethod::Trapezoidal)
         .fixed_step(t_end, h)
         .monitors(monitors())
@@ -410,7 +410,7 @@ fn vacuous_and_nan_edges_are_stable() {
                     }
                     Ok(())
                 },
-                |tr: &TransientSolver, m| m[0] = tr.voltage(out),
+                |tr: &dyn ScenarioProbe, m| m[0] = tr.voltage(out),
             )
             .unwrap()
     };
