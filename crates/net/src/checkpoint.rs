@@ -1,7 +1,8 @@
 //! Serializable transient-solver snapshots for copy-on-write forking.
 //!
-//! A [`Checkpoint`] freezes everything a [`TransientSolver`]
-//! (crate::TransientSolver) needs to continue a run bit-identically:
+//! A [`Checkpoint`] freezes everything a
+//! [`TransientSolver`](crate::TransientSolver) needs to continue a run
+//! bit-identically:
 //! the MNA solution vector, simulation time, per-element companion
 //! history, switch states, external inputs, the backward-Euler damping
 //! counter, the accumulated step counters and the adaptive controller's
@@ -31,10 +32,11 @@ const MAGIC: &[u8; 8] = b"AMSCKP01";
 /// A frozen transient-solver state: the fork point of prefix-shared
 /// sweeps and the suspend point of restartable service jobs.
 ///
-/// Produced by [`TransientSolver::checkpoint`]
-/// (crate::TransientSolver::checkpoint), consumed by
-/// [`TransientSolver::restore_checkpoint`]
-/// (crate::TransientSolver::restore_checkpoint). Cloning is cheap
+/// Produced by the scalar engine's
+/// [`checkpoint`](crate::Transient::checkpoint), consumed by
+/// [`restore_checkpoint`](crate::Transient::restore_checkpoint) on an
+/// engine of any lane width (a `K`-lane engine receives it in every
+/// lane). Cloning is cheap
 /// relative to a solve (a few `Vec<f64>` clones) — the copy-on-write
 /// idiom is "clone the checkpoint, restore into a fresh solver per
 /// fork".

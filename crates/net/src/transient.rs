@@ -13,44 +13,6 @@
 //! * **Stiff/nonlinear networks** (phase 2/3): Newton iteration per step
 //!   and local-truncation-error-controlled variable steps
 //!   ([`Transient::run_adaptive`]) — experiment E3.
-//!
-//! # One engine, any lane width
-//!
-//! The engine is written once against [`Lanes`]: `f64` is one lane,
-//! [`F64xK`] is `K` *topology-identical* circuits (same nodes, element
-//! kinds and connectivity — only parameter values differ) advanced in
-//! lockstep through the same assembly, sparse LU and Newton. The two
-//! instances keep their established names: [`TransientSolver`] is
-//! `Transient<f64>` and [`LaneTransientSolver<K>`] is
-//! `Transient<F64xK<K>>`. The one-lane instance runs plain `f64`
-//! arithmetic, so a scalar run is exactly what it was before the lane
-//! engine existed.
-//!
-//! Semantics that only show at widths above one:
-//!
-//! * **Pivoting.** The sparse pivot *sequence* is pattern-determined
-//!   and shared by all lanes (the scalar symbolic factor's, when
-//!   adopted via [`Transient::adopt_scalar_factor`]). Pivot acceptance
-//!   guards use `modulus` = max across live lanes, so a refactor fails
-//!   ([`NetError::Singular`]) only when *every* lane is numerically dead
-//!   at that pivot.
-//! * **Newton.** Convergence is checked per lane; a lane whose iterate
-//!   goes non-finite is masked out (its solution becomes NaN) instead of
-//!   failing the bundle, and the step errors only when no live lane is
-//!   left. Live lanes iterate until *all* converge, so a hard corner can
-//!   add iterations to easy ones — the documented ≤1e-9 deviation source
-//!   against scalar runs (same fixed point, different iteration count).
-//! * **Step control.** [`Transient::run_adaptive`] estimates the local
-//!   truncation error per lane and accepts on the *maximum* over live
-//!   lanes: the shared step is the smallest per-lane desired step. A
-//!   lane that goes non-finite is masked out; at width one that leaves
-//!   no live lane and the run fails.
-//! * **Divergence isolation.** Lanewise arithmetic never mixes lanes, so
-//!   a NaN corner stays confined to its lane by construction.
-//!
-//! Checkpoints ([`Checkpoint`]) are captured from the scalar instance
-//! only; restoring one into a `K`-lane engine broadcasts the snapshot
-//! into every lane — the fork of a prefix-shared lane sweep.
 
 use crate::assembly::{MnaSystem, SolverBackend, Stamp};
 use crate::checkpoint::Checkpoint;
@@ -201,7 +163,42 @@ impl<T: Scalar> SymbolicFactor<T> {
 }
 
 /// The transient engine over `T::LANES` topology-identical circuits.
-/// See the [module docs](self) for what changes at widths above one.
+///
+/// The engine is written once against [`Lanes`]: `f64` is one lane,
+/// [`F64xK`] is `K` *topology-identical* circuits (same nodes, element
+/// kinds and connectivity — only parameter values differ) advanced in
+/// lockstep through the same assembly, sparse LU and Newton. The two
+/// instances keep their established names: [`TransientSolver`] is
+/// `Transient<f64>` and [`LaneTransientSolver<K>`] is
+/// `Transient<F64xK<K>>`. The one-lane instance runs plain `f64`
+/// arithmetic, so a scalar run is exactly what it was before the lane
+/// engine existed.
+///
+/// Semantics that only show at widths above one:
+///
+/// * **Pivoting.** The sparse pivot *sequence* is pattern-determined
+///   and shared by all lanes (the scalar symbolic factor's, when
+///   adopted via [`Transient::adopt_scalar_factor`]). Pivot acceptance
+///   guards use `modulus` = max across live lanes, so a refactor fails
+///   ([`NetError::Singular`]) only when *every* lane is numerically dead
+///   at that pivot.
+/// * **Newton.** Convergence is checked per lane; a lane whose iterate
+///   goes non-finite is masked out (its solution becomes NaN) instead of
+///   failing the bundle, and the step errors only when no live lane is
+///   left. Live lanes iterate until *all* converge, so a hard corner can
+///   add iterations to easy ones — the documented ≤1e-9 deviation source
+///   against scalar runs (same fixed point, different iteration count).
+/// * **Step control.** [`Transient::run_adaptive`] estimates the local
+///   truncation error per lane and accepts on the *maximum* over live
+///   lanes: the shared step is the smallest per-lane desired step. A
+///   lane that goes non-finite is masked out; at width one that leaves
+///   no live lane and the run fails.
+/// * **Divergence isolation.** Lanewise arithmetic never mixes lanes, so
+///   a NaN corner stays confined to its lane by construction.
+///
+/// Checkpoints ([`Checkpoint`]) are captured from the scalar instance
+/// only; restoring one into a `K`-lane engine broadcasts the snapshot
+/// into every lane — the fork of a prefix-shared lane sweep.
 ///
 /// # Example
 ///

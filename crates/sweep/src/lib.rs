@@ -15,8 +15,9 @@
 //! * [`NetlistSweep`] runs transient analyses of value-variants of one
 //!   [`Circuit`](ams_net::Circuit). Scenarios share the topology, so
 //!   the sparse **symbolic analysis is paid once** and adopted by every
-//!   sibling solver ([`TransientSolver::adopt_symbolic_factor`]
-//!   (ams_net::TransientSolver::adopt_symbolic_factor)) — per-scenario
+//!   sibling engine
+//!   ([`adopt_symbolic_factor`](ams_net::Transient::adopt_symbolic_factor))
+//!   — per-scenario
 //!   cost drops to numeric refactorization;
 //! * [`TdfSweep`] runs variants of one TDF cluster, elaborating the
 //!   graph **once per worker** and replaying scenarios through

@@ -8,11 +8,17 @@
 //!
 //! * the `ams-lint` MNA checks run **once**, on the template, not per
 //!   scenario;
-//! * with the sparse backend, the first scenario's symbolic LU analysis
-//!   (ordering, pivot sequence, fill pattern) is exported and adopted by
-//!   every other scenario's solver, which then pays only numeric
-//!   refactorization — see the `e10_sweep_throughput` benchmark for the
-//!   measured win.
+//! * with the sparse backend, one symbolic LU analysis (ordering, pivot
+//!   sequence, fill pattern) — the first bundle's, or the shared
+//!   prefix run's — is exported and adopted by every other bundle, which
+//!   then pays only numeric refactorization — see the
+//!   `e10_sweep_throughput` benchmark for the measured win.
+//!
+//! Every entry point runs through one driver and one bundle executor,
+//! generic over the engine's lane scalar: [`NetlistSweep::run`] is width
+//! 1 (`f64`), [`NetlistSweep::run_lanes`] the configured width, and a
+//! [`NetlistSweep::prefix`] fork is a bundle that starts from the prefix
+//! checkpoint instead of t = 0.
 
 use crate::engine::{run_sharded, HookFactory};
 use crate::report::{ScenarioResult, SweepReport};
@@ -247,11 +253,15 @@ impl NetlistSweep {
     }
 
     /// Declares the first `t0` seconds of every scenario as a shared
-    /// prefix: [`run`](NetlistSweep::run) integrates the *template*
-    /// circuit once to `t0` on the coordinator, freezes a
+    /// prefix: the sweep integrates the *template* circuit once to `t0`
+    /// on the coordinator with the scalar engine, freezes a
     /// [`Checkpoint`], and forks every scenario from it — each
-    /// scenario pays only the `[t0, t_end]` tail of solver work. The
-    /// report counts the sharing in [`SweepReport::prefix_forks`] /
+    /// scenario pays only the `[t0, t_end]` tail of solver work. Under
+    /// [`run_lanes`](NetlistSweep::run_lanes) at widths above 1 each
+    /// bundle restores the checkpoint broadcast into all of its lanes,
+    /// and the prefix's scalar symbolic analysis, widened, seeds every
+    /// bundle. The report counts the sharing in
+    /// [`SweepReport::prefix_forks`] (one per scenario at any width) /
     /// [`SweepReport::prefix_steps`] (fingerprint-excluded), and with
     /// tracing enabled the prefix run appears as a
     /// [`SpanKind::Checkpoint`] span on the coordinator track (`arg` =
@@ -271,18 +281,19 @@ impl NetlistSweep {
     /// (the step sequence is unchanged); an **adaptive** prefix
     /// clamps its last step at `t0`, so forked runs are
     /// self-consistent and worker-invariant but not bit-comparable to
-    /// run-from-zero. Rejected by
-    /// [`run_lanes`](NetlistSweep::run_lanes) at widths above 1
-    /// (lane bundles already amortize differently).
+    /// run-from-zero. The same holds per lane width: a forked
+    /// `lanes(K)` sweep fingerprints like `lanes(K)` from zero.
     pub fn prefix(mut self, t0: f64) -> NetlistSweep {
         self.prefix_t0 = Some(t0);
         self
     }
 
     /// Sets the lane width [`run_lanes`](NetlistSweep::run_lanes) packs
-    /// scenarios at (default 8). Valid widths are 1 (scalar fallback)
-    /// and the [`F64xK`](ams_math::F64xK) bundle widths 4, 8 and 16.
-    /// Ignored by [`run`](NetlistSweep::run).
+    /// scenarios at (default 8): 1 (the scalar `f64` engine) or the
+    /// [`F64xK`] bundle widths 4, 8 and 16. Every width runs through
+    /// the same driver and bundle executor, with or without a
+    /// [`prefix`](NetlistSweep::prefix). Ignored by
+    /// [`run`](NetlistSweep::run), which is always width 1.
     pub fn lanes(mut self, lanes: usize) -> NetlistSweep {
         self.lanes = lanes;
         self
@@ -333,7 +344,7 @@ impl NetlistSweep {
     /// [`SpanKind::Scenario`] span (timestamped in the scenario-index
     /// domain, `arg` = scenario index) with the solver's
     /// assemble/factor/solve/Newton spans folded in. The merged
-    /// [`ScopeTrace`] lands in [`SweepReport::trace`] — scenario 0 on
+    /// [`ScopeTrace`](ams_scope::ScopeTrace) lands in [`SweepReport::trace`] — scenario 0 on
     /// the `coordinator` track, shard `s` on `shard-s`. Disabled (the
     /// default) costs one branch per scenario.
     pub fn trace(mut self, enabled: bool) -> NetlistSweep {

@@ -257,6 +257,63 @@ fn monitored_prefix_fork_matches_run_from_zero_bit_for_bit() {
     }
 }
 
+/// Prefix forking at lane widths above one: the prefix runs once at
+/// width 1, and every bundle restores its checkpoint — and clones its
+/// fed banks — into each lane. Verdicts and fingerprints must match the
+/// same lane sweep from t = 0 at every worker count, padded last
+/// bundle included (five scenarios = 4 + 1 and 5 of 8).
+#[test]
+fn monitored_prefix_fork_at_lane_widths_matches_lane_run_from_zero() {
+    let h = (2.0f64).powi(-20);
+    let t0 = 64.0 * h;
+    let t_end = 256.0 * h;
+    let (ckt, v, out) = pulse_rc(t0, h);
+    let values = [0.0, 0.5, 2.0, 4.0, 8.0];
+    let spec = SweepSpec::grid(&[("v2", &values)], 3).unwrap();
+    let monitors = || {
+        MonitorSpec::parse(&format!(
+            "over:overshoot(max=6.0)@out;\
+             ramp:ramp(from=0.0,until={t0},tol=1e-9)@out;\
+             fin:finite()@out"
+        ))
+        .unwrap()
+    };
+    let apply =
+        |c: &mut Circuit, sc: &Scenario| c.set_source_waveform(v, pulse(sc.value("v2"), t0, h));
+    let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| m[0] = tr.voltage(out);
+    let sweep = NetlistSweep::new(ckt, IntegrationMethod::Trapezoidal)
+        .backend(SolverBackend::Sparse)
+        .fixed_step(t_end, h)
+        .monitors(monitors());
+    for k in [4, 8] {
+        let plain = sweep
+            .clone()
+            .lanes(k)
+            .run_lanes(&spec, 1, &["v_end"], apply, observe)
+            .unwrap();
+        let summary = plain.monitor_summary();
+        assert!(
+            summary[0].pass > 0 && summary[0].fail > 0,
+            "{:?}",
+            summary[0]
+        );
+        for workers in [1, 2, 4] {
+            let forked = sweep
+                .clone()
+                .prefix(t0)
+                .lanes(k)
+                .run_lanes(&spec, workers, &["v_end"], apply, observe)
+                .unwrap();
+            assert_eq!(forked.prefix_forks, 5);
+            assert_verdicts_identical(
+                &plain,
+                &forked,
+                &format!("prefix lanes={k} workers={workers}"),
+            );
+        }
+    }
+}
+
 // ---------- lane batching ----------------------------------------------------
 
 fn lane_sweep(lanes: usize, workers: usize) -> SweepReport {
