@@ -499,11 +499,12 @@ impl NetlistSweep {
     /// to NaN; one slot per name in `metrics`), and typically records
     /// last/extreme values.
     ///
-    /// The first scenario always runs on the coordinator thread; with a
-    /// sparse backend its symbolic analysis seeds every other scenario's
-    /// solver. Scheduling, seeds and the shared factor are all
-    /// independent of `workers`, so the report is **bit-identical**
-    /// across worker counts.
+    /// The first scenario runs on the coordinator thread (the
+    /// [`prefix`](NetlistSweep::prefix) run takes that role when one is
+    /// declared); with a sparse backend its symbolic analysis seeds
+    /// every other scenario's solver. Scheduling, seeds and the shared
+    /// factor are all independent of `workers`, so the report is
+    /// **bit-identical** across worker counts.
     ///
     /// # Errors
     ///
@@ -730,7 +731,7 @@ impl NetlistSweep {
         }
 
         let inline = usize::from(first.is_some());
-        let mut shard = run_sharded(
+        let shard = run_sharded(
             n_bundles - inline,
             k * row_w,
             workers,
@@ -783,7 +784,6 @@ impl NetlistSweep {
                 verdicts,
             });
         }
-        shard.metrics.clear();
 
         let monitor_names = mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default();
         let report = shard.into_report(
