@@ -381,7 +381,9 @@ impl<T: Lanes> Transient<T> {
         })
     }
 
-    /// Every lane's liveness bit set.
+    /// Every lane's liveness bit set. Liveness is a `u64` mask, so an
+    /// engine holds at most 64 lanes; a wider instance fails to compile
+    /// here.
     const ALL_LIVE: u64 = u64::MAX >> (64 - T::LANES);
 
     /// Element `idx`'s kind in lane `l`'s circuit.

@@ -343,9 +343,11 @@ impl NetlistSweep {
     /// Enables span tracing: every scenario records a
     /// [`SpanKind::Scenario`] span (timestamped in the scenario-index
     /// domain, `arg` = scenario index) with the solver's
-    /// assemble/factor/solve/Newton spans folded in. The merged
-    /// [`ScopeTrace`](ams_scope::ScopeTrace) lands in [`SweepReport::trace`] — scenario 0 on
-    /// the `coordinator` track, shard `s` on `shard-s`. Disabled (the
+    /// assemble/factor/solve/Newton spans folded in (a lane bundle is
+    /// one span whose `arg` also carries the width). The merged
+    /// [`ScopeTrace`](ams_scope::ScopeTrace) lands in
+    /// [`SweepReport::trace`] — scenario 0 (or the prefix run) on the
+    /// `coordinator` track, shard `s` on `shard-s`. Disabled (the
     /// default) costs one branch per scenario.
     pub fn trace(mut self, enabled: bool) -> NetlistSweep {
         self.trace = enabled;

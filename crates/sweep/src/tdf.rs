@@ -160,8 +160,9 @@ impl TdfSweep {
     /// Enables span tracing: every scenario records a
     /// [`SpanKind::Scenario`] span (timestamped in the scenario-index
     /// domain, `arg` = scenario index) with the cluster's iteration and
-    /// embedded-solver spans folded in. The merged [`ScopeTrace`](ams_scope::ScopeTrace) lands
-    /// in [`SweepReport::trace`], one `shard-s` track per worker shard.
+    /// embedded-solver spans folded in. The merged
+    /// [`ScopeTrace`](ams_scope::ScopeTrace) lands in
+    /// [`SweepReport::trace`], one `shard-s` track per worker shard.
     /// Disabled (the default) costs one branch per scenario.
     pub fn trace(mut self, enabled: bool) -> TdfSweep {
         self.trace = enabled;
