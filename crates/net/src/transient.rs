@@ -168,11 +168,11 @@ impl<T: Scalar> SymbolicFactor<T> {
 /// [`F64xK`] is `K` *topology-identical* circuits (same nodes, element
 /// kinds and connectivity — only parameter values differ) advanced in
 /// lockstep through the same assembly, sparse LU and Newton. The two
-/// instances keep their established names: [`TransientSolver`] is
+/// instances have names of their own: [`TransientSolver`] is
 /// `Transient<f64>` and [`LaneTransientSolver<K>`] is
 /// `Transient<F64xK<K>>`. The one-lane instance runs plain `f64`
-/// arithmetic, so a scalar run is exactly what it was before the lane
-/// engine existed.
+/// arithmetic: its lane loops are a single iteration the compiler
+/// folds away.
 ///
 /// Semantics that only show at widths above one:
 ///
