@@ -141,26 +141,6 @@ impl RingProducer {
         Ok(())
     }
 
-    /// Enqueues a sample, spinning (with yields) until the consumer
-    /// frees a slot. Use when the consumer drains the ring concurrently
-    /// — e.g. a sweep worker streaming per-scenario results to a live
-    /// aggregator — rather than only at synchronization barriers (where
-    /// the panicking [`SampleSink::push`] semantics are correct, since
-    /// waiting there would deadlock).
-    pub fn push_spin(&mut self, t: SimTime, value: f64) {
-        let mut item = (t, value);
-        let mut spins = 0u32;
-        while let Err(back) = self.try_push(item.0, item.1) {
-            item = back;
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
     /// Samples currently in flight (approximate under concurrency).
     pub fn len(&self) -> usize {
         let s = &self.shared;
@@ -309,30 +289,6 @@ mod tests {
     fn capacity_rounds_to_power_of_two() {
         let (tx, _rx) = ring(5);
         assert_eq!(tx.capacity(), 8);
-    }
-
-    #[test]
-    fn push_spin_waits_for_a_concurrent_consumer() {
-        let (mut tx, mut rx) = ring(4);
-        const N: u64 = 50_000;
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                tx.push_spin(SimTime::from_fs(i), i as f64);
-            }
-        });
-        let mut next = 0u64;
-        while next < N {
-            match rx.try_pop() {
-                Some((t, v)) => {
-                    assert_eq!(t, SimTime::from_fs(next));
-                    assert_eq!(v, next as f64);
-                    next += 1;
-                }
-                None => std::thread::yield_now(),
-            }
-        }
-        producer.join().expect("producer panicked");
-        assert!(rx.is_empty());
     }
 
     #[test]

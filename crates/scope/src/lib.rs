@@ -14,9 +14,8 @@
 //!   SDF iterations, MNA assemble/factor/solve, Newton iterations and
 //!   adaptive-step accept/reject, each carrying *simulated* time (in
 //!   femtoseconds) and wall time. Every tracer is single-owner, so the
-//!   per-worker buffers are lock-free by construction; buffers that
-//!   must cross threads live either travel with their owner or stream
-//!   through the SPSC [`EventRing`](ring::EventRing).
+//!   per-worker buffers are lock-free by construction; a buffer that
+//!   must cross threads travels with its owner.
 //! * **Metrics** ([`MetricsRegistry`], [`Histogram`]): named counters,
 //!   gauges and HDR-style log-bucket histograms (pure Rust, no deps)
 //!   for step sizes, Newton iteration counts, refactorizations, ring
@@ -58,7 +57,6 @@ pub mod args;
 pub mod chrome;
 pub mod metrics;
 pub mod report;
-pub mod ring;
 mod tracer;
 
 pub use args::ScopeArgs;

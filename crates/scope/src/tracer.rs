@@ -117,14 +117,10 @@ impl SpanKind {
         }
     }
 
-    /// Packs the kind into a `u8` (for the SPSC event ring).
+    /// The kind's position in [`SpanKind::ALL`]; report tables are
+    /// indexed by it.
     pub(crate) fn index(self) -> u8 {
         self as u8
-    }
-
-    /// Recovers a kind from its [`SpanKind::index`].
-    pub(crate) fn from_index(i: u8) -> Option<SpanKind> {
-        SpanKind::ALL.get(i as usize).copied()
     }
 }
 
@@ -163,21 +159,6 @@ pub enum Phase {
     End = 1,
     /// A point event.
     Instant = 2,
-}
-
-impl Phase {
-    pub(crate) fn index(self) -> u8 {
-        self as u8
-    }
-
-    pub(crate) fn from_index(i: u8) -> Option<Phase> {
-        match i {
-            0 => Some(Phase::Begin),
-            1 => Some(Phase::End),
-            2 => Some(Phase::Instant),
-            _ => None,
-        }
-    }
 }
 
 /// One recorded event: a span boundary or an instant, stamped with both
@@ -459,11 +440,7 @@ mod tests {
     #[test]
     fn kind_indices_round_trip() {
         for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_index(kind.index()), Some(kind));
-        }
-        assert_eq!(SpanKind::from_index(200), None);
-        for phase in [Phase::Begin, Phase::End, Phase::Instant] {
-            assert_eq!(Phase::from_index(phase.index()), Some(phase));
+            assert_eq!(SpanKind::ALL[kind.index() as usize], kind);
         }
     }
 

@@ -732,6 +732,12 @@ impl ServeHandle {
         }
     }
 
+    /// Adds one to the service counter `name`: the transport reports
+    /// its own events (refused lines) into the same registry.
+    pub(crate) fn count(&self, name: &str) {
+        self.lock().metrics.counter_add(name, 1);
+    }
+
     fn lock(&self) -> MutexGuard<'_, Core> {
         self.shared.core.lock().expect("serve core poisoned")
     }

@@ -105,6 +105,9 @@ pub enum ServeError {
     Failed(String),
     /// The job was cancelled before completion.
     Cancelled,
+    /// A request line exceeded the daemon's line cap (the payload, in
+    /// bytes); the daemon answers once and closes the connection.
+    TooLarge(usize),
 }
 
 impl ServeError {
@@ -123,6 +126,7 @@ impl ServeError {
             ServeError::Sweep(_) => "sweep",
             ServeError::Failed(_) => "failed",
             ServeError::Cancelled => "cancelled",
+            ServeError::TooLarge(_) => "too_large",
         }
     }
 }
@@ -138,6 +142,7 @@ impl fmt::Display for ServeError {
             ServeError::Sweep(e) => write!(f, "sweep failed: {e}"),
             ServeError::Failed(msg) => write!(f, "job failed: {msg}"),
             ServeError::Cancelled => write!(f, "job cancelled"),
+            ServeError::TooLarge(cap) => write!(f, "request line longer than {cap} bytes"),
         }
     }
 }

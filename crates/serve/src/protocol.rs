@@ -33,9 +33,13 @@
 //!
 //! Failure codes are [`ServeError::code`] values (`auth`,
 //! `backpressure`, `quota`, `invalid`, `shutdown`, `failed`,
-//! `cancelled`, `sweep`). The handler is a pure request→response
-//! function over a [`ServeHandle`], so the whole protocol is testable
-//! without a socket; [`crate::daemon`] adds the TCP framing.
+//! `cancelled`, `sweep`, `too_large`). The handler is a pure
+//! request→response function over a [`ServeHandle`], so the whole
+//! protocol is testable without a socket; [`crate::daemon`] adds the
+//! TCP framing. A request line longer than
+//! [`MAX_LINE`](crate::daemon::MAX_LINE) bytes (newline excluded) is
+//! never buffered whole: the daemon answers it once with `too_large`,
+//! counts `serve.conn.too_large` and closes the connection.
 
 use crate::handle::{JobStatus, ServeHandle};
 use crate::model::JobSpec;
@@ -64,7 +68,7 @@ impl Reply {
         }
     }
 
-    fn err(e: &ServeError) -> Reply {
+    pub(crate) fn err(e: &ServeError) -> Reply {
         Reply {
             line: Json::Obj(vec![
                 ("ok".into(), Json::Bool(false)),

@@ -1,6 +1,6 @@
-//! End-to-end daemon test over real TCP: two concurrent tenants on an
-//! ephemeral port, authority-pair enforcement on the wire, and the
-//! shutdown → drain → exit path.
+//! End-to-end daemon tests over real TCP: two concurrent tenants on an
+//! ephemeral port, authority-pair enforcement on the wire, the
+//! shutdown → drain → exit path, line reassembly and the line cap.
 
 use ams_serve::{daemon, JobSpec, ServeConfig, ServeHandle};
 use ams_sweep::json::{parse, Json};
@@ -22,11 +22,16 @@ impl Wire {
         }
     }
 
-    /// One request/response round trip; the raw reply object.
+    /// One request/response round trip, the request sent in one write;
+    /// the raw reply object.
     fn roundtrip(&mut self, line: &str) -> Json {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write nl");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+        self.read_reply()
+    }
+
+    fn read_reply(&mut self) -> Json {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read");
         parse(reply.trim_end()).expect("reply is JSON")
@@ -148,4 +153,42 @@ fn two_tenants_submit_over_tcp_and_get_identical_reports() {
     assert_eq!(reply.get("draining").and_then(Json::as_bool), Some(true));
     server.join().expect("daemon thread exits cleanly");
     assert!(handle.is_draining());
+}
+
+#[test]
+fn split_requests_are_reassembled_and_over_long_lines_are_refused() {
+    let (addr, handle, server) = start_daemon(ServeConfig::default());
+    let admin = handle.admin_token().to_string();
+
+    // A request whose bytes arrive in two writes is one request.
+    let mut wire = Wire::connect(&addr);
+    let hello = format!(r#"{{"op":"hello","admin":"{admin}","tenant":{{"name":"split"}}}}"#);
+    let (head, tail) = hello.split_at(hello.len() / 2);
+    wire.writer.write_all(head.as_bytes()).expect("write head");
+    wire.writer.flush().expect("flush head");
+    wire.writer
+        .write_all(format!("{tail}\n").as_bytes())
+        .expect("write tail");
+    let reply = wire.read_reply();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    assert!(reply.get("tenant_token").is_some());
+
+    // A line one byte over the cap is answered once with `too_large`,
+    // then the connection closes. The line is sent unterminated so the
+    // daemon has read every byte before it closes.
+    let mut wire = Wire::connect(&addr);
+    wire.writer
+        .write_all(&vec![b'x'; daemon::MAX_LINE + 1])
+        .expect("write over-long line");
+    let reply = wire.read_reply();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(reply.get("code").and_then(Json::as_str), Some("too_large"));
+    let mut rest = String::new();
+    assert_eq!(wire.reader.read_line(&mut rest).expect("read EOF"), 0);
+    assert_eq!(handle.metrics().counter("serve.conn.too_large"), 1);
+
+    // The daemon still serves new connections.
+    let mut wire = Wire::connect(&addr);
+    wire.ok(&format!(r#"{{"op":"shutdown","admin":"{admin}"}}"#));
+    server.join().expect("daemon thread exits cleanly");
 }

@@ -3,26 +3,22 @@
 //! Scenarios are split over workers by [`ams_exec::partition`]'s
 //! longest-processing-time heuristic with uniform costs — a pure
 //! function of `(scenario count, worker count)`, so the shard layout is
-//! reproducible. Each worker streams its metric values back through an
-//! `ams-exec` SPSC ring while the coordinator drains all rings live;
-//! solver counters travel with the worker's join result. Because every
-//! result is keyed by scenario index, the assembled rows are identical
-//! no matter which worker ran which scenario or in what order the rings
-//! drained.
+//! reproducible. The coordinator spawns one thread per shard but the
+//! last, runs the last shard itself, then joins the others; every shard
+//! hands back its `(item, row, counters)` list with its join result.
+//! There is nothing to poll while shards compute, and a one-shard batch
+//! spawns no thread at all. Rows are placed by item index, so the
+//! assembled report is identical no matter which thread ran which
+//! scenario.
 
 use crate::report::{ScenarioResult, SweepReport};
 use crate::SweepError;
 use ams_core::ClusterStats;
-use ams_exec::{partition, ring, ExecHook, ExecStats, RingConsumer, RingMonitor, RingProducer};
+use ams_exec::{partition, ExecHook, ExecStats};
 use ams_kernel::SimTime;
 use ams_scope::{ScopeTrace, TraceEvent, Tracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Result-ring capacity per worker. Streaming is keyed, not windowed,
-/// so capacity only bounds batching; `push_spin` waits out a full ring.
-const RING_CAPACITY: usize = 256;
 
 /// Builds one [`ExecHook`] per worker shard of a sweep. The factory is
 /// invoked **on the coordinator**, once per shard in shard order (the
@@ -43,15 +39,15 @@ pub(crate) struct ShardRun {
     pub stats: Vec<ClusterStats>,
     /// Worker shards actually used.
     pub shards: usize,
-    /// Peak occupancy across the result rings.
-    pub ring_high_water: usize,
-    /// Wall time from first dispatch to last worker exit.
+    /// Wall time from dispatch until the coordinator's own shard
+    /// finished.
     pub compute_wall: Duration,
-    /// Wall time the coordinator spent in the final drain + join.
+    /// Wall time the coordinator then spent waiting for and joining the
+    /// other shards.
     pub sync_wall: Duration,
     /// Per-shard trace buffers, in shard order (empty unless tracing).
     pub traces: Vec<Vec<TraceEvent>>,
-    /// Per-shard hooks handed back by the workers, in shard order, ready
+    /// Per-shard hooks handed back by the shards, in shard order, ready
     /// for the caller's `on_finish` dispatch.
     pub hooks: Vec<Box<dyn ExecHook + Send>>,
 }
@@ -77,7 +73,6 @@ impl ShardRun {
         let mut exec = ExecStats {
             windows: scenarios.len() as u64,
             barriers: self.shards as u64,
-            ring_high_water: self.ring_high_water,
             compute_wall: self.compute_wall,
             sync_wall: self.sync_wall,
             lint_warnings,
@@ -121,7 +116,6 @@ impl std::fmt::Debug for ShardRun {
         f.debug_struct("ShardRun")
             .field("items", &self.metrics.len())
             .field("shards", &self.shards)
-            .field("ring_high_water", &self.ring_high_water)
             .field(
                 "traced_events",
                 &self.traces.iter().map(Vec::len).sum::<usize>(),
@@ -131,16 +125,26 @@ impl std::fmt::Debug for ShardRun {
     }
 }
 
+/// What one shard hands back: its `(item, row, counters)` list or the
+/// error that stopped it, its trace buffer and its hook.
+type ShardOut = (
+    Result<Vec<(usize, Vec<f64>, ClusterStats)>, SweepError>,
+    Vec<TraceEvent>,
+    Option<Box<dyn ExecHook + Send>>,
+);
+
 /// Runs `run_one` for every item in `0..n_items`, sharded over at most
-/// `workers` threads.
+/// `workers` threads, the calling thread included.
 ///
 /// `build_state` is invoked **on the coordinator**, once per shard in
 /// shard order, with the shard's item list — the place to pay per-worker
 /// setup (cluster elaboration, solver construction) deterministically.
-/// `run_one` then executes on the worker for each of the shard's items
-/// (ascending) with the shard's [`Tracer`] (enabled iff `tracing`) and
-/// returns the item's metric values and counters; whatever the closure
-/// records lands in [`ShardRun::traces`] under the shard's slot.
+/// `run_one` then executes each of the shard's items (ascending) with
+/// the shard's own [`Tracer`] (enabled iff `tracing`) and returns the
+/// item's metric row and counters; whatever the closure records lands
+/// in [`ShardRun::traces`] under the shard's slot. Every shard but the
+/// last runs on a scoped thread; the last runs on the calling thread,
+/// so a one-shard batch spawns nothing.
 ///
 /// When a [`HookFactory`] is given, one hook is built per shard (on the
 /// coordinator, in shard order) and observes the shard's items as
@@ -149,10 +153,10 @@ impl std::fmt::Debug for ShardRun {
 ///
 /// The first failing item (lowest item index wins, so the error is
 /// deterministic too) aborts the batch with
-/// [`SweepError::Scenario`]-style context attached by the caller.
+/// [`SweepError::Scenario`]-style context attached by the caller. A
+/// panic in any shard propagates to the caller.
 pub(crate) fn run_sharded<S, B, R>(
     n_items: usize,
-    n_metrics: usize,
     workers: usize,
     tracing: bool,
     hooks: Option<&HookFactory>,
@@ -164,14 +168,11 @@ where
     B: FnMut(usize, &[usize]) -> Result<S, SweepError>,
     R: Fn(&mut S, usize, &mut Tracer) -> Result<(Vec<f64>, ClusterStats), SweepError> + Sync,
 {
-    let mut metrics = vec![vec![f64::NAN; n_metrics]; n_items];
-    let mut stats = vec![ClusterStats::default(); n_items];
     if n_items == 0 {
         return Ok(ShardRun {
-            metrics,
-            stats,
+            metrics: Vec::new(),
+            stats: Vec::new(),
             shards: 0,
-            ring_high_water: 0,
             compute_wall: Duration::ZERO,
             sync_wall: Duration::ZERO,
             traces: Vec::new(),
@@ -197,167 +198,98 @@ where
     let shard_hooks: Vec<Option<Box<dyn ExecHook + Send>>> =
         (0..shards).map(|s| hooks.map(|f| f(s))).collect();
 
-    let mut producers: Vec<RingProducer> = Vec::with_capacity(shards);
-    let mut consumers: Vec<RingConsumer> = Vec::with_capacity(shards);
-    let mut monitors: Vec<RingMonitor> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (p, c) = ring(RING_CAPACITY);
-        monitors.push(p.monitor());
-        producers.push(p);
-        consumers.push(c);
-    }
+    let run_shard =
+        |items: &[usize], mut state: S, mut hook: Option<Box<dyn ExecHook + Send>>| -> ShardOut {
+            let mut tracer = if tracing { Tracer::on() } else { Tracer::off() };
+            let mut rows = Vec::with_capacity(items.len());
+            let mut result = Ok(());
+            for &item in items {
+                if let Some(h) = &mut hook {
+                    h.on_window(
+                        SimTime::from_fs(item as u64),
+                        SimTime::from_fs(item as u64 + 1),
+                    );
+                }
+                match run_one(&mut state, item, &mut tracer) {
+                    Ok((row, st)) => rows.push((item, row, st)),
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            if let Some(h) = &mut hook {
+                let last = items.last().copied().unwrap_or(0) as u64;
+                h.on_barrier(SimTime::from_fs(last + 1));
+            }
+            (result.map(|()| rows), tracer.take_events(), hook)
+        };
 
-    let finished = AtomicUsize::new(0);
-    let run_one = &run_one;
-    let finished_ref = &finished;
     let t0 = Instant::now();
     let mut compute_wall = Duration::ZERO;
     let mut sync_wall = Duration::ZERO;
-
-    type ShardOut = (
-        Result<Vec<(usize, ClusterStats)>, SweepError>,
-        Vec<TraceEvent>,
-        Option<Box<dyn ExecHook + Send>>,
-    );
-    type Joined = (
-        Vec<Vec<(usize, ClusterStats)>>,
-        Vec<Vec<TraceEvent>>,
-        Vec<Box<dyn ExecHook + Send>>,
-    );
-    let outcome: Result<Joined, SweepError> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for (((items, mut state), mut producer), mut hook) in shard_items
-            .iter()
-            .zip(states)
-            .zip(producers)
-            .zip(shard_hooks)
-        {
-            handles.push(scope.spawn(move || -> ShardOut {
-                let mut tracer = if tracing { Tracer::on() } else { Tracer::off() };
-                let mut local: Vec<(usize, ClusterStats)> = Vec::with_capacity(items.len());
-                let mut failure: Option<SweepError> = None;
-                for &item in items {
-                    if let Some(h) = &mut hook {
-                        h.on_window(
-                            SimTime::from_fs(item as u64),
-                            SimTime::from_fs(item as u64 + 1),
-                        );
-                    }
-                    match run_one(&mut state, item, &mut tracer) {
-                        Ok((values, st)) => {
-                            debug_assert_eq!(values.len(), n_metrics);
-                            for (pos, v) in values.into_iter().enumerate() {
-                                // Key each sample by (item, metric):
-                                // the timestamp channel carries the
-                                // slot, the payload the value. The key
-                                // is u64 end-to-end — computing it in
-                                // usize would overflow on 32-bit
-                                // targets before the cast.
-                                let key = item as u64 * n_metrics as u64 + pos as u64;
-                                producer.push_spin(SimTime::from_fs(key), v);
-                            }
-                            local.push((item, st));
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(h) = &mut hook {
-                    let last = items.last().copied().unwrap_or(0) as u64;
-                    h.on_barrier(SimTime::from_fs(last + 1));
-                }
-                finished_ref.fetch_add(1, Ordering::Release);
-                let result = match failure {
-                    None => Ok(local),
-                    Some(e) => Err(e),
-                };
-                (result, tracer.take_events(), hook)
-            }));
-        }
-
-        // Live drain: keep the rings shallow while workers run.
-        while finished.load(Ordering::Acquire) < shards {
-            let mut drained = false;
-            for c in &mut consumers {
-                while let Some((key, v)) = c.try_pop() {
-                    // Split the u64 key before narrowing: `as usize`
-                    // on the raw key truncates on 32-bit targets.
-                    let (key, n) = (key.as_fs(), n_metrics.max(1) as u64);
-                    metrics[(key / n) as usize][(key % n) as usize] = v;
-                    drained = true;
-                }
-            }
-            if !drained {
-                std::thread::yield_now();
-            }
-        }
+    let outs: Vec<ShardOut> = std::thread::scope(|scope| {
+        let run_shard = &run_shard;
+        let mut jobs = shard_items.iter().zip(states).zip(shard_hooks);
+        let (mine, others) = (jobs.next_back(), jobs);
+        let handles: Vec<_> = others
+            .map(|((items, state), hook)| scope.spawn(move || run_shard(items, state, hook)))
+            .collect();
+        let ((items, state), hook) = mine.expect("a non-empty batch has a shard");
+        let own = run_shard(items, state, hook);
         compute_wall = t0.elapsed();
-
-        // Final drain after the last worker exited, then join.
         let t1 = Instant::now();
-        for c in &mut consumers {
-            while let Some((key, v)) = c.try_pop() {
-                let (key, n) = (key.as_fs(), n_metrics.max(1) as u64);
-                metrics[(key / n) as usize][(key % n) as usize] = v;
-            }
-        }
-        let mut all = Vec::with_capacity(shards);
-        let mut traces = Vec::with_capacity(shards);
-        let mut out_hooks = Vec::with_capacity(shards);
-        let mut first_err: Option<(usize, SweepError)> = None;
-        for h in handles {
-            match h.join() {
-                Ok((result, events, hook)) => {
-                    // Traces and hooks come back in shard order
-                    // because the handles were spawned in shard
-                    // order — the merge never depends on timing.
-                    traces.push(events);
-                    if let Some(hk) = hook {
-                        out_hooks.push(hk);
-                    }
-                    match result {
-                        Ok(local) => all.push(local),
-                        Err(e) => {
-                            // Keep the error of the lowest failing
-                            // item so the reported failure does not
-                            // depend on shard scheduling.
-                            let item = match &e {
-                                SweepError::Scenario { index, .. } => *index,
-                                _ => usize::MAX,
-                            };
-                            if first_err.as_ref().is_none_or(|(i, _)| item < *i) {
-                                first_err = Some((item, e));
-                            }
-                        }
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
+        // Joined in spawn order and the coordinator's shard appended
+        // last, so traces and hooks come back in shard order and the
+        // merge never depends on timing.
+        let mut outs: Vec<ShardOut> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        outs.push(own);
         sync_wall = t1.elapsed();
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok((all, traces, out_hooks)),
-        }
+        outs
     });
 
-    let (per_shard, traces, out_hooks) = outcome?;
-    for (item, st) in per_shard.into_iter().flatten() {
-        stats[item] = st;
+    let mut metrics = vec![Vec::new(); n_items];
+    let mut stats = vec![ClusterStats::default(); n_items];
+    let mut traces = Vec::with_capacity(shards);
+    let mut out_hooks = Vec::with_capacity(shards);
+    let mut first_err: Option<(usize, SweepError)> = None;
+    for (result, events, hook) in outs {
+        traces.push(events);
+        out_hooks.extend(hook);
+        match result {
+            Ok(rows) => {
+                for (item, row, st) in rows {
+                    metrics[item] = row;
+                    stats[item] = st;
+                }
+            }
+            Err(e) => {
+                // Keep the error of the lowest failing item so the
+                // reported failure does not depend on shard scheduling.
+                let item = match &e {
+                    SweepError::Scenario { index, .. } => *index,
+                    _ => usize::MAX,
+                };
+                if first_err.as_ref().is_none_or(|(i, _)| item < *i) {
+                    first_err = Some((item, e));
+                }
+            }
+        }
     }
-    let ring_high_water = monitors
-        .iter()
-        .map(RingMonitor::high_water)
-        .max()
-        .unwrap_or(0);
+    if let Some((_, e)) = first_err {
+        return Err(e);
+    }
 
     Ok(ShardRun {
         metrics,
         stats,
         shards,
-        ring_high_water,
         compute_wall,
         sync_wall,
         traces,
@@ -372,7 +304,6 @@ mod tests {
     fn double_and_count(workers: usize) -> ShardRun {
         run_sharded(
             10,
-            2,
             workers,
             false,
             None,
@@ -406,11 +337,43 @@ mod tests {
         }
     }
 
+    /// The items `run_one` saw on the thread that called `run_sharded`.
+    fn items_run_by_caller(n_items: usize, workers: usize) -> Vec<usize> {
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        run_sharded(
+            n_items,
+            workers,
+            false,
+            None,
+            |_, _| Ok(()),
+            |_: &mut (), item, _tracer: &mut Tracer| {
+                if std::thread::current().id() == caller {
+                    seen.lock().unwrap().push(item);
+                }
+                Ok((vec![item as f64], ClusterStats::default()))
+            },
+        )
+        .unwrap();
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_worker_runs_every_item_on_the_calling_thread() {
+        assert_eq!(items_run_by_caller(7, 1), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_caller_runs_exactly_the_last_shard() {
+        let last = partition(&[1; 10], &[], 3).nodes_of(2);
+        assert!(!last.is_empty() && last.len() < 10);
+        assert_eq!(items_run_by_caller(10, 3), last);
+    }
+
     #[test]
     fn worker_error_reports_the_lowest_failing_item() {
         let err = run_sharded(
             8,
-            1,
             4,
             false,
             None,
@@ -434,7 +397,6 @@ mod tests {
     fn build_failure_aborts_before_spawning() {
         let err = run_sharded(
             4,
-            1,
             2,
             false,
             None,
@@ -455,7 +417,6 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let run = run_sharded(
             0,
-            3,
             4,
             false,
             None,
@@ -483,7 +444,6 @@ mod tests {
 
         let run = run_sharded(
             6,
-            1,
             2,
             true,
             Some(&factory),

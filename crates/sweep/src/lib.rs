@@ -24,7 +24,7 @@
 //!   [`Cluster::reset`](ams_core::Cluster::reset) instead of
 //!   re-elaborating;
 //! * the `ams-lint` gate runs **once per topology**, not per scenario;
-//! * results stream back through the `ams-exec` SPSC rings into a
+//! * results come back with each shard's join into a
 //!   [`SweepReport`]: per-scenario metric rows, min/max/mean/percentile
 //!   summaries, worst-case scenario identification, and aggregated
 //!   solver counters.

@@ -735,7 +735,6 @@ impl NetlistSweep {
         let inline = usize::from(first.is_some());
         let shard = run_sharded(
             n_bundles - inline,
-            k * row_w,
             workers,
             self.trace,
             self.hooks.as_ref(),

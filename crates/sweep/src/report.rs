@@ -93,10 +93,10 @@ pub struct SweepReport {
     pub scenarios: Vec<ScenarioResult>,
     /// Execution-level statistics: `windows` counts scenarios,
     /// `barriers` counts workers, `clusters` holds one entry per
-    /// scenario, `ring_high_water` is the peak occupancy of the result
-    /// rings, and the wall clocks time the whole batch. Wall times and
-    /// high-water marks are *measurements*, not results — they are
-    /// excluded from [`SweepReport::fingerprint`].
+    /// scenario, and the wall clocks time the whole batch. Rows return
+    /// with each shard's join, not through rings, so `ring_high_water`
+    /// is 0 for sweeps. Wall times are *measurements*, not results —
+    /// they are excluded from [`SweepReport::fingerprint`].
     pub exec: ExecStats,
     /// The merged span trace when the sweep ran with tracing enabled
     /// (`.trace(true)` on the sweep builder), `None` otherwise. Tracks

@@ -19,7 +19,7 @@ use crate::spec::{Scenario, SweepSpec};
 use crate::SweepError;
 use ams_core::{Cluster, ClusterCheckpoint, TdfGraph};
 use ams_lint::LintPolicy;
-use ams_monitor::{MonitorBank, MonitorSpec, VERDICT_SLOTS};
+use ams_monitor::{MonitorBank, MonitorSpec};
 use ams_scope::{scenario_arg, SpanKind, Tracer};
 
 /// The per-worker model half of a TDF sweep: applies a scenario's
@@ -245,11 +245,9 @@ impl TdfSweep {
         let tail = iterations - prefix.unwrap_or(0);
         let tracing = self.trace;
         let mon_spec = self.effective_monitors();
-        let n_slots = mon_spec.map_or(0, |s| s.len() * VERDICT_SLOTS);
 
         let shard = run_sharded(
             scenarios.len(),
-            n_metrics + n_slots,
             workers,
             tracing,
             self.hooks.as_ref(),
@@ -471,7 +469,6 @@ impl TdfSweep {
 
         let shard = run_sharded(
             n_bundles,
-            lanes * n_metrics,
             workers,
             tracing,
             self.hooks.as_ref(),
@@ -522,11 +519,7 @@ impl TdfSweep {
                         scenario_arg(first as u64, lanes),
                     );
                 }
-                // Pad dropped lanes with NaN so every ring row has the
-                // same width; the unpack below never reads the padding.
-                let mut flat: Vec<f64> = rows.into_iter().flatten().collect();
-                flat.resize(lanes * n_metrics, f64::NAN);
-                Ok((flat, cluster.stats()))
+                Ok((rows.concat(), cluster.stats()))
             },
         )?;
 

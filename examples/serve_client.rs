@@ -65,9 +65,9 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Result<Json, Box<dyn std::error::Error>> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write per request: a newline sent on its own would wait
+        // for the daemon's delayed acknowledgement of the line.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut reply = String::new();
         self.reader.read_line(&mut reply)?;
         let obj = parse(reply.trim_end()).map_err(|e| format!("bad reply: {e}"))?;
