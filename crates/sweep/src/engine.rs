@@ -371,6 +371,29 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_in_any_shard_reaches_the_caller() {
+        // Item 0 runs on a spawned shard, the last shard's first item on
+        // the caller.
+        let last = partition(&[1; 6], &[], 3).nodes_of(2);
+        for bad in [0, last[0]] {
+            let caught = std::panic::catch_unwind(|| {
+                run_sharded(
+                    6,
+                    3,
+                    false,
+                    None,
+                    |_, _| Ok(()),
+                    |_: &mut (), item, _tracer: &mut Tracer| {
+                        assert_ne!(item, bad, "deliberate shard panic");
+                        Ok((vec![0.0], ClusterStats::default()))
+                    },
+                )
+            });
+            assert!(caught.is_err(), "the panic on item {bad} was swallowed");
+        }
+    }
+
+    #[test]
     fn worker_error_reports_the_lowest_failing_item() {
         let err = run_sharded(
             8,
