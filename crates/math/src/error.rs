@@ -83,6 +83,18 @@ impl MathError {
     }
 }
 
+/// Checks that a solve operand (`what`) has the factored dimension `n`.
+pub(crate) fn check_len(what: &str, n: usize, len: usize) -> crate::Result<()> {
+    if len == n {
+        Ok(())
+    } else {
+        Err(MathError::dims(
+            format!("{what} of length {n}"),
+            format!("length {len}"),
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

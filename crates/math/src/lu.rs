@@ -1,3 +1,4 @@
+use crate::error::check_len;
 use crate::{DMat, DVec, MathError, Scalar};
 
 /// LU factorization with partial (row) pivoting: `P·A = L·U`.
@@ -121,15 +122,24 @@ impl<T: Scalar> Lu<T> {
     ///
     /// Returns [`MathError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &DVec<T>) -> crate::Result<DVec<T>> {
+        let mut x = DVec::zeros(self.dim());
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into `x` without allocating. Every entry of `x`
+    /// is overwritten before it is read, so a reused buffer gives the
+    /// bits [`Lu::solve`] gives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] unless `b` and `x` both
+    /// have length `self.dim()`.
+    pub fn solve_into(&self, b: &DVec<T>, x: &mut DVec<T>) -> crate::Result<()> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(MathError::dims(
-                format!("rhs of length {n}"),
-                format!("length {}", b.len()),
-            ));
-        }
+        check_len("rhs", n, b.len())?;
+        check_len("solution", n, x.len())?;
         // Apply permutation.
-        let mut x = DVec::zeros(n);
         for i in 0..n {
             x[i] = b[self.perm[i]];
         }
@@ -149,7 +159,7 @@ impl<T: Scalar> Lu<T> {
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves `A·X = B` column by column.

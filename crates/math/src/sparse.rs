@@ -46,6 +46,7 @@
 //! # }
 //! ```
 
+use crate::error::check_len;
 use crate::{DMat, DVec, MathError, Scalar};
 
 /// Relative pivot threshold below which a matrix is declared singular
@@ -457,9 +458,14 @@ fn min_degree_order<T: Scalar>(a: &CsrMat<T>) -> Vec<usize> {
 /// left-looking elimination with threshold partial pivoting `P`, and the
 /// resulting fill pattern of `L`/`U`. [`SparseLu::refactor`] then reuses
 /// all of it for a matrix with the same pattern but new values, doing
-/// only the numeric replay. [`SparseLu::solve`] and
-/// [`SparseLu::solve_transpose`] (for adjoint noise analysis) run over
-/// the cached factors.
+/// only the numeric replay. [`SparseLu::solve`] (or the allocation-free
+/// [`SparseLu::solve_into`]) and [`SparseLu::solve_transpose`] (for
+/// adjoint noise analysis) run over the cached factors.
+///
+/// Every row index the factorization keeps is an *elimination step*
+/// (row `r` of `P·A` is stored as the step `k` that pivoted on it), so
+/// the numeric replay and the solves index their step-ordered vectors
+/// with one load per nonzero.
 #[derive(Debug, Clone)]
 pub struct SparseLu<T: Scalar = f64> {
     n: usize,
@@ -467,10 +473,8 @@ pub struct SparseLu<T: Scalar = f64> {
     colperm: Vec<usize>,
     /// `rowperm[k]` = original row chosen as pivot at step `k` (the `P`).
     rowperm: Vec<usize>,
-    /// Inverse row permutation: `pinv[rowperm[k]] = k`.
-    pinv: Vec<usize>,
     /// Unit lower-triangular factor, stored per elimination step
-    /// (column) with original row indices.
+    /// (column) with elimination-step row indices.
     l_colptr: Vec<usize>,
     l_rows: Vec<usize>,
     l_vals: Vec<T>,
@@ -481,7 +485,8 @@ pub struct SparseLu<T: Scalar = f64> {
     u_rows: Vec<usize>,
     u_vals: Vec<T>,
     u_diag: Vec<T>,
-    /// CSC view of the factored pattern, with a map back into CSR value
+    /// CSC view of the factored pattern (per original column, with
+    /// elimination-step row indices), with a map back into CSR value
     /// positions so refactor can gather values without re-sorting.
     csc_colptr: Vec<usize>,
     csc_rows: Vec<usize>,
@@ -490,7 +495,8 @@ pub struct SparseLu<T: Scalar = f64> {
     pat_row_ptr: Vec<usize>,
     pat_col_idx: Vec<usize>,
     a_nnz: usize,
-    /// Dense scatter workspace reused across refactorizations.
+    /// Dense scatter workspace (indexed by elimination step) reused
+    /// across refactorizations; all zero between them.
     work: Vec<T>,
 }
 
@@ -510,7 +516,7 @@ impl<T: Scalar> SparseLu<T> {
             ));
         }
         let n = a.rows;
-        let (csc_colptr, csc_rows, csc_map) = a.to_csc();
+        let (csc_colptr, mut csc_rows, csc_map) = a.to_csc();
         let colperm = min_degree_order(a);
 
         let mut pinv = vec![usize::MAX; n];
@@ -630,12 +636,16 @@ impl<T: Scalar> SparseLu<T> {
                 x[r] = T::ZERO;
             }
         }
+        // Every row has its pivot step now: re-index the factor and the
+        // pattern by step, so nothing after this pass needs `pinv`.
+        for r in l_rows.iter_mut().chain(csc_rows.iter_mut()) {
+            *r = pinv[*r];
+        }
 
         Ok(SparseLu {
             n,
             colperm,
             rowperm,
-            pinv,
             l_colptr,
             l_rows,
             l_vals,
@@ -680,7 +690,6 @@ impl<T: Scalar> SparseLu<T> {
         let values = self.l_vals.len() + self.u_vals.len() + self.u_diag.len() + self.work.len();
         let indices = self.colperm.len()
             + self.rowperm.len()
-            + self.pinv.len()
             + self.l_colptr.len()
             + self.l_rows.len()
             + self.u_colptr.len()
@@ -709,7 +718,6 @@ impl<T: Scalar> SparseLu<T> {
             n: self.n,
             colperm: self.colperm.clone(),
             rowperm: self.rowperm.clone(),
-            pinv: self.pinv.clone(),
             l_colptr: self.l_colptr.clone(),
             l_rows: self.l_rows.clone(),
             l_vals: vec![U::ZERO; self.l_vals.len()],
@@ -768,57 +776,52 @@ impl<T: Scalar> SparseLu<T> {
     ///   fall back to a fresh [`SparseLu::factor`] (new symbolic
     ///   analysis).
     pub fn refactor(&mut self, a: &CsrMat<T>) -> crate::Result<()> {
-        if a.rows != self.n
-            || a.cols != self.n
-            || a.row_ptr != self.pat_row_ptr
-            || a.col_idx != self.pat_col_idx
-        {
+        if !self.matches_pattern(a) {
             return Err(MathError::invalid(
                 "refactor requires the exact pattern of the original factorization",
             ));
         }
-        let n = self.n;
-        for k in 0..n {
+        let work = &mut self.work;
+        for k in 0..self.n {
             let j = self.colperm[k];
             let mut col_scale = f64::MIN_POSITIVE;
             for p in self.csc_colptr[j]..self.csc_colptr[j + 1] {
                 let v = a.vals[self.csc_map[p]];
-                self.work[self.csc_rows[p]] = v;
+                work[self.csc_rows[p]] = v;
                 col_scale = col_scale.max(v.modulus());
             }
-            for idx in self.u_colptr[k]..self.u_colptr[k + 1] {
+            let u_col = self.u_colptr[k]..self.u_colptr[k + 1];
+            for idx in u_col.clone() {
                 let t = self.u_rows[idx];
-                let xt = self.work[self.rowperm[t]];
+                let xt = work[t];
                 self.u_vals[idx] = xt;
                 if xt != T::ZERO {
                     for q in self.l_colptr[t]..self.l_colptr[t + 1] {
                         let lv = self.l_vals[q];
-                        self.work[self.l_rows[q]] -= lv * xt;
+                        work[self.l_rows[q]] -= lv * xt;
                     }
                 }
             }
-            let piv = self.rowperm[k];
-            let d = self.work[piv];
+            let d = work[k];
             let threshold = col_scale * PIVOT_REL_TOL;
             if d.modulus().partial_cmp(&threshold) != Some(std::cmp::Ordering::Greater) {
                 // Leave the workspace clean before bailing out.
-                for v in &mut self.work {
-                    *v = T::ZERO;
-                }
+                work.fill(T::ZERO);
                 return Err(MathError::SingularMatrix { pivot: k });
             }
             self.u_diag[k] = d;
-            for q in self.l_colptr[k]..self.l_colptr[k + 1] {
-                self.l_vals[q] = self.work[self.l_rows[q]] / d;
+            let l_col = self.l_colptr[k]..self.l_colptr[k + 1];
+            for q in l_col.clone() {
+                self.l_vals[q] = work[self.l_rows[q]] / d;
             }
             // Clear exactly the column's pattern (it covers every
             // scattered A entry by construction).
-            for idx in self.u_colptr[k]..self.u_colptr[k + 1] {
-                self.work[self.rowperm[self.u_rows[idx]]] = T::ZERO;
+            for idx in u_col {
+                work[self.u_rows[idx]] = T::ZERO;
             }
-            self.work[piv] = T::ZERO;
-            for q in self.l_colptr[k]..self.l_colptr[k + 1] {
-                self.work[self.l_rows[q]] = T::ZERO;
+            work[k] = T::ZERO;
+            for q in l_col {
+                work[self.l_rows[q]] = T::ZERO;
             }
         }
         Ok(())
@@ -830,21 +833,36 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`MathError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &DVec<T>) -> crate::Result<DVec<T>> {
+        let mut z = DVec::zeros(self.n);
+        let mut x = DVec::zeros(self.n);
+        self.solve_into(b, &mut z, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` over the cached factors into `x`, with `z` as
+    /// the step-ordered scratch, without allocating. Every entry of both
+    /// buffers is overwritten before it is read, so reused buffers give
+    /// the bits [`SparseLu::solve`] gives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] unless `b`, `z` and `x`
+    /// all have length `dim()`.
+    pub fn solve_into(&self, b: &DVec<T>, z: &mut DVec<T>, x: &mut DVec<T>) -> crate::Result<()> {
         let n = self.n;
-        if b.len() != n {
-            return Err(MathError::dims(
-                format!("rhs of length {n}"),
-                format!("length {}", b.len()),
-            ));
-        }
+        check_len("rhs", n, b.len())?;
+        check_len("scratch", n, z.len())?;
+        check_len("solution", n, x.len())?;
         // z = P·b, then forward solve L·z = P·b (column-oriented).
-        let mut z: Vec<T> = self.rowperm.iter().map(|&r| b[r]).collect();
+        for (zk, &r) in z.iter_mut().zip(&self.rowperm) {
+            *zk = b[r];
+        }
         for k in 0..n {
             let zk = z[k];
             if zk != T::ZERO {
                 for q in self.l_colptr[k]..self.l_colptr[k + 1] {
                     let lv = self.l_vals[q];
-                    z[self.pinv[self.l_rows[q]]] -= lv * zk;
+                    z[self.l_rows[q]] -= lv * zk;
                 }
             }
         }
@@ -860,11 +878,10 @@ impl<T: Scalar> SparseLu<T> {
             }
         }
         // x = Q·w.
-        let mut out = DVec::zeros(n);
         for (k, &j) in self.colperm.iter().enumerate() {
-            out[j] = z[k];
+            x[j] = z[k];
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Solves `Aᵀ·y = b` over the same cached factors — the adjoint
@@ -878,12 +895,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Returns [`MathError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve_transpose(&self, b: &DVec<T>) -> crate::Result<DVec<T>> {
         let n = self.n;
-        if b.len() != n {
-            return Err(MathError::dims(
-                format!("rhs of length {n}"),
-                format!("length {}", b.len()),
-            ));
-        }
+        check_len("rhs", n, b.len())?;
         // c = Qᵀ·b, then Uᵀ·v = c: lower-triangular forward sweep where
         // row k of Uᵀ is the stored column k of U.
         let mut v: Vec<T> = self.colperm.iter().map(|&j| b[j]).collect();
@@ -900,7 +912,7 @@ impl<T: Scalar> SparseLu<T> {
             let mut acc = v[k];
             for q in self.l_colptr[k]..self.l_colptr[k + 1] {
                 let lv = self.l_vals[q];
-                acc -= lv * v[self.pinv[self.l_rows[q]]];
+                acc -= lv * v[self.l_rows[q]];
             }
             v[k] = acc;
         }

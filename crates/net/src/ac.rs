@@ -202,7 +202,7 @@ impl Circuit {
                 assemble_ac_rhs(self, &layout, st);
             });
             sys.factor(true)?;
-            let x = sys.solve_rhs()?;
+            let x = sys.solve_rhs()?.clone();
             out.push(AcSolution {
                 layout: layout.clone(),
                 x,

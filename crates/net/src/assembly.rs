@@ -18,8 +18,9 @@
 //!
 //! [`MnaSystem`] bundles the matrix storage, the right-hand side, the
 //! cached factorization ([`ams_math::Lu`] or [`ams_math::SparseLu`] with
-//! symbolic reuse) and the [`SolveStats`] counters behind one API used
-//! by DC, transient, AC and noise analyses.
+//! symbolic reuse), the solve's scratch and output vectors and the
+//! [`SolveStats`] counters behind one API used by DC, transient, AC and
+//! noise analyses.
 
 use crate::NetError;
 use ams_math::{CsrMat, DMat, DVec, Lu, MathError, Scalar, SolveStats, SparseLu, Triplets};
@@ -137,19 +138,26 @@ enum BackendState<T: Scalar> {
         csr: CsrMat<T>,
         ptrs: Vec<usize>,
         lu: Option<SparseLu<T>>,
+        /// The sparse solve's step-ordered scratch vector.
+        scratch: DVec<T>,
     },
 }
 
 /// The assembled linear system of one analysis: matrix storage (dense or
-/// sparse with stamp pointers), RHS, cached factorization and counters.
+/// sparse with stamp pointers), RHS, cached factorization, solve buffers
+/// and counters.
 ///
 /// The pattern is recorded once at construction; [`MnaSystem::assemble`]
-/// then zeroes the values and replays the caller's assembly closure, and
+/// then zeroes the values and replays the caller's assembly closure,
 /// [`MnaSystem::factor`] factors (or provably reuses / numerically
-/// refactors) the result.
+/// refactors) the result, and [`MnaSystem::solve_rhs`] solves into the
+/// system's own buffers. Assembly, a sparse numeric refactor and the
+/// solve allocate nothing; a dense factor builds a fresh `Lu`.
 #[derive(Debug, Clone)]
 pub(crate) struct MnaSystem<T: Scalar> {
     rhs: DVec<T>,
+    /// The output of [`MnaSystem::solve_rhs`], lent to the caller.
+    solution: DVec<T>,
     backend: BackendState<T>,
     /// Values of the last factored matrix, for bitwise reuse detection.
     snapshot: Vec<T>,
@@ -181,6 +189,7 @@ impl<T: Scalar> MnaSystem<T> {
                 csr,
                 ptrs,
                 lu: None,
+                scratch: DVec::zeros(n),
             }
         } else {
             BackendState::Dense {
@@ -190,6 +199,7 @@ impl<T: Scalar> MnaSystem<T> {
         };
         MnaSystem {
             rhs: DVec::zeros(n),
+            solution: DVec::zeros(n),
             backend,
             snapshot: Vec::new(),
             stats: SolveStats::default(),
@@ -322,25 +332,30 @@ impl<T: Scalar> MnaSystem<T> {
         }
     }
 
-    /// Solves against the assembled RHS.
-    pub fn solve_rhs(&self) -> Result<DVec<T>, NetError> {
-        self.solve(&self.rhs)
-    }
-
-    /// Solves `A·x = b` with the cached factorization.
+    /// Solves against the assembled RHS with the cached factorization,
+    /// into the system's own solution vector, and lends that vector
+    /// out. A caller that keeps the solution swaps it with a vector of
+    /// the same length instead of copying; the solve overwrites every
+    /// entry, so whatever it swapped in is never read.
     ///
     /// # Panics
     ///
     /// Panics if called before a successful [`MnaSystem::factor`].
-    pub fn solve(&self, b: &DVec<T>) -> Result<DVec<T>, NetError> {
-        match &self.backend {
-            BackendState::Dense { lu, .. } => {
-                Ok(lu.as_ref().expect("factor before solve").solve(b)?)
-            }
-            BackendState::Sparse { lu, .. } => {
-                Ok(lu.as_ref().expect("factor before solve").solve(b)?)
+    pub fn solve_rhs(&mut self) -> Result<&mut DVec<T>, NetError> {
+        match &mut self.backend {
+            BackendState::Dense { lu, .. } => lu
+                .as_ref()
+                .expect("factor before solve")
+                .solve_into(&self.rhs, &mut self.solution)?,
+            BackendState::Sparse { lu, scratch, .. } => {
+                lu.as_ref().expect("factor before solve").solve_into(
+                    &self.rhs,
+                    scratch,
+                    &mut self.solution,
+                )?
             }
         }
+        Ok(&mut self.solution)
     }
 
     /// Solves `Aᵀ·y = b` (the adjoint system of noise analysis). The

@@ -220,18 +220,45 @@ impl Circuit {
         backend: SolverBackend,
     ) -> Result<DcSolution, NetError> {
         let layout = MnaLayout::build(self);
+        let DcPoint {
+            x,
+            iterations,
+            solve,
+        } = self.dc_solve(&layout, ext, switches, backend)?;
+        Ok(DcSolution {
+            diode_ops: compute_diode_ops(self, &layout, &x),
+            nmos_ops: compute_nmos_ops(self, &layout, &x),
+            circuit: self.clone(),
+            layout,
+            x,
+            iterations,
+            solve,
+        })
+    }
+
+    /// The DC operating point's unknowns alone, over this circuit's
+    /// `layout`: the solve behind every `dc_operating_point*`, without
+    /// the circuit copy and device operating points a [`DcSolution`]
+    /// carries (the transient engine's DC start needs neither).
+    pub(crate) fn dc_solve(
+        &self,
+        layout: &MnaLayout,
+        ext: &[f64],
+        switches: &[bool],
+        backend: SolverBackend,
+    ) -> Result<DcPoint, NetError> {
         let opts = DcOptions::default();
         let n = layout.n_unknowns;
         // One system for all attempts: the stamp sequence (hence the
         // pattern) does not depend on the iterate, gmin or source scale.
         let zero = DVec::zeros(n);
         let mut sys = MnaSystem::new(n, backend.use_sparse(n), |st| {
-            assemble_dc(self, &layout, &zero, ext, switches, 1.0, GMIN, st)
+            assemble_dc(self, layout, &zero, ext, switches, 1.0, GMIN, st)
         });
 
         // Attempt 1: plain Newton from zero.
         if let Ok(sol) = dc_newton(
-            self, &layout, &mut sys, ext, switches, 1.0, GMIN, None, &opts,
+            self, layout, &mut sys, ext, switches, 1.0, GMIN, None, &opts,
         ) {
             return Ok(sol);
         }
@@ -241,7 +268,7 @@ impl Circuit {
         for exp in (-12..=-2).rev().map(|e| 10f64.powi(e)) {
             match dc_newton(
                 self,
-                &layout,
+                layout,
                 &mut sys,
                 ext,
                 switches,
@@ -263,7 +290,7 @@ impl Circuit {
             if let Some(g) = guess {
                 if let Ok(sol) = dc_newton(
                     self,
-                    &layout,
+                    layout,
                     &mut sys,
                     ext,
                     switches,
@@ -282,7 +309,7 @@ impl Circuit {
             let scale = k as f64 / 20.0;
             match dc_newton(
                 self,
-                &layout,
+                layout,
                 &mut sys,
                 ext,
                 switches,
@@ -296,7 +323,7 @@ impl Circuit {
             }
         }
         dc_newton(
-            self, &layout, &mut sys, ext, switches, 1.0, GMIN, guess, &opts,
+            self, layout, &mut sys, ext, switches, 1.0, GMIN, guess, &opts,
         )
     }
 
@@ -312,6 +339,16 @@ impl Circuit {
     }
 }
 
+/// A converged DC solve: the unknowns and what they cost.
+pub(crate) struct DcPoint {
+    /// The MNA unknowns at the operating point.
+    pub x: DVec<f64>,
+    /// Newton iterations used by the successful attempt.
+    pub iterations: usize,
+    /// Linear-solver counters accumulated over every attempt.
+    pub solve: SolveStats,
+}
+
 /// One Newton solve at fixed gmin / source scaling.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dc_newton(
@@ -324,12 +361,15 @@ pub(crate) fn dc_newton(
     gmin: f64,
     guess: Option<DVec<f64>>,
     opts: &DcOptions,
-) -> Result<DcSolution, NetError> {
+) -> Result<DcPoint, NetError> {
     let n = layout.n_unknowns;
     let mut x = guess.unwrap_or_else(|| DVec::zeros(n));
     if x.len() != n {
         x = DVec::zeros(n);
     }
+    // The junction-limited solution; it trades places with `x` every
+    // iteration, so the loop allocates nothing.
+    let mut x_lim = DVec::zeros(n);
     let nonlinear = ckt.elements().iter().any(|e| e.is_nonlinear());
 
     let max_iter = if nonlinear { opts.max_iter } else { 2 };
@@ -338,14 +378,16 @@ pub(crate) fn dc_newton(
         sys.factor(true)?;
         let x_new = sys.solve_rhs()?;
 
-        // Junction limiting on diode voltages.
-        let mut x_lim = x_new.clone();
+        // Junction limiting on diode voltages (read from the unlimited
+        // solution, so diodes sharing a node do not see each other's
+        // limiting).
+        x_lim.as_mut_slice().copy_from_slice(x_new.as_slice());
         for e in ckt.elements() {
             if let ElementKind::Diode { is_sat, n: nf } = e.kind {
                 let vt = nf * VT;
                 let vcrit = vt * (vt / (std::f64::consts::SQRT_2 * is_sat)).ln();
                 let vold = branch_voltage(layout, &x, e.p, e.n);
-                let vnew = branch_voltage(layout, &x_new, e.p, e.n);
+                let vnew = branch_voltage(layout, x_new, e.p, e.n);
                 let vlim = pnjlim(vnew, vold, vt, vcrit);
                 if (vlim - vnew).abs() > 0.0 {
                     // Push the limited voltage back onto the node pair,
@@ -370,16 +412,10 @@ pub(crate) fn dc_newton(
             }
         }
         let finite = x_lim.is_finite();
-        x = x_lim;
+        std::mem::swap(&mut x, &mut x_lim);
         if converged && finite && (iter > 1 || !nonlinear) {
-            let diode_ops = compute_diode_ops(ckt, layout, &x);
-            let nmos_ops = compute_nmos_ops(ckt, layout, &x);
-            return Ok(DcSolution {
-                circuit: ckt.clone(),
-                layout: layout.clone(),
+            return Ok(DcPoint {
                 x,
-                diode_ops,
-                nmos_ops,
                 iterations: iter,
                 solve: sys.stats(),
             });

@@ -105,11 +105,17 @@ struct Snapshot<T: Scalar> {
 
 /// Everything the linear-path system matrix depends on: step size,
 /// effective integration rule and switch states.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct FactorKey {
     h_bits: u64,
     be: bool,
     switches: Vec<bool>,
+}
+
+impl FactorKey {
+    fn matches(&self, h: f64, be: bool, switches: &[bool]) -> bool {
+        self.h_bits == h.to_bits() && self.be == be && self.switches == switches
+    }
 }
 
 /// A monitor bank per lane bound to the engine's unknown vector:
@@ -273,13 +279,25 @@ pub struct Transient<T: Lanes> {
     switches: Vec<bool>,
     /// Per-element capacitor/inductor history (unused slots default).
     state: Vec<EnergyState<T>>,
+    /// Per-element companion conductance of the current `(h, rule)`:
+    /// `2C/h` or `C/h` per capacitor, `2L/h` or `L/h` per inductor
+    /// (zero elsewhere). Assembly, the RHS rebuild and the commit all
+    /// read it; it is recomputed only when `companion_key` changes.
+    companion: Vec<T>,
+    /// `(h bits, backward Euler)` that `companion` was computed for.
+    companion_key: Option<(u64, bool)>,
     nonlinear: bool,
     /// Steps remaining that are forced to backward Euler (after
     /// discontinuities such as switch toggles).
     force_be: u32,
-    /// The backing linear system (pattern, values, cached factors);
-    /// created lazily on the first assembly.
-    sys: Option<MnaSystem<T>>,
+    /// The backing linear system (pattern, values, cached factors,
+    /// solve buffers); created lazily on the first assembly. Boxed, so
+    /// taking it out of the engine for a solve moves one pointer.
+    sys: Option<Box<MnaSystem<T>>>,
+    /// The point the next assembly linearizes at: the Newton iterate,
+    /// or a copy of `x` before a linear-path refactor. It trades places
+    /// with the system's solution vector instead of being reallocated.
+    iterate: DVec<T>,
     /// `(h, method, switches)` of the factorization currently cached by
     /// `sys` on the linear fast path.
     factor_key: Option<FactorKey>,
@@ -358,9 +376,12 @@ impl<T: Lanes> Transient<T> {
         let nonlinear = base.elements().iter().any(|e| e.is_nonlinear());
         Ok(Transient {
             x: DVec::zeros(layout.n_unknowns),
+            iterate: DVec::zeros(layout.n_unknowns),
             ext: vec![vec![0.0; base.external_input_count()]; T::LANES],
             switches: base.initial_switch_states(),
             state: vec![EnergyState::default(); base.element_count()],
+            companion: vec![T::ZERO; base.element_count()],
+            companion_key: None,
             nonlinear,
             layout,
             circuits,
@@ -644,7 +665,12 @@ impl<T: Lanes> Transient<T> {
     pub fn initialize_dc(&mut self) -> Result<(), NetError> {
         let mut x: DVec<T> = DVec::zeros(self.layout.n_unknowns);
         for l in 0..T::LANES {
-            let op = self.circuits[l].dc_operating_point_with(&self.ext[l], &self.switches)?;
+            let op = self.circuits[l].dc_solve(
+                &self.layout,
+                &self.ext[l],
+                &self.switches,
+                SolverBackend::default(),
+            )?;
             for i in 0..self.layout.n_unknowns {
                 x[i].set_lane(l, op.x[i]);
             }
@@ -771,29 +797,37 @@ impl<T: Lanes> Transient<T> {
         let be = self.force_be > 0 || matches!(self.method, IntegrationMethod::BackwardEuler);
         let t_new = self.time + h;
         let n = self.layout.n_unknowns;
+        self.refresh_companion(h, be);
 
-        let x_new = if self.nonlinear {
+        if self.nonlinear {
             // Newton loop with per-lane convergence and divergence
-            // masks: reassemble and refactor each iteration.
-            let mut x_iter = self.x.clone();
+            // masks: reassemble and refactor each iteration. Each
+            // solution trades places with the iterate, and the
+            // converged iterate with `x`.
+            self.iterate
+                .as_mut_slice()
+                .copy_from_slice(self.x.as_slice());
             let opts = DcOptions::default();
             let mut done = 0u64;
             let mut iters = 0;
             for _ in 0..opts.max_iter {
                 iters += 1;
-                self.assemble_and_factor(&x_iter, t_new, h, be, self.reuse_factorization)?;
+                self.assemble_and_factor(t_new, be, self.reuse_factorization)?;
+                let mut sys = self.sys.take().expect("system just assembled");
                 if self.tracer.is_enabled() {
                     self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
                 }
-                let solved = self
-                    .sys
-                    .as_ref()
-                    .expect("system just assembled")
-                    .solve_rhs();
+                let solved = sys.solve_rhs();
                 if self.tracer.is_enabled() {
                     self.tracer.end(SpanKind::MnaSolve, fs(t_new));
                 }
-                let x_next = solved?;
+                let x_next = match solved {
+                    Ok(x_next) => x_next,
+                    Err(e) => {
+                        self.sys = Some(sys);
+                        return Err(e);
+                    }
+                };
                 for l in 0..T::LANES {
                     if !self.is_live(l) {
                         continue;
@@ -802,7 +836,7 @@ impl<T: Lanes> Transient<T> {
                     let mut lane_finite = true;
                     for i in 0..n {
                         let a = x_next[i].lane(l);
-                        let b = x_iter[i].lane(l);
+                        let b = self.iterate[i].lane(l);
                         if !a.is_finite() {
                             lane_finite = false;
                             break;
@@ -822,10 +856,11 @@ impl<T: Lanes> Transient<T> {
                         done &= !(1 << l);
                     }
                 }
-                x_iter = x_next;
+                std::mem::swap(&mut self.iterate, x_next);
+                self.sys = Some(sys);
                 // Re-poison dead lanes so NaN keeps flowing through the
                 // next assembly instead of a stale finite iterate.
-                self.poison_dead(&mut x_iter);
+                self.poison_dead_iterate();
                 if self.live & !done == 0 {
                     break;
                 }
@@ -848,29 +883,34 @@ impl<T: Lanes> Transient<T> {
                     iterations: iters as usize,
                 });
             }
-            self.poison_dead(&mut x_iter);
-            x_iter
+            self.poison_dead_iterate();
+            std::mem::swap(&mut self.x, &mut self.iterate);
         } else {
             // Linear fast path: matrix depends only on (h, method, switches).
-            let key = FactorKey {
-                h_bits: h.to_bits(),
-                be,
-                switches: self.switches.clone(),
-            };
             let cache_ok = self.reuse_factorization
-                && self.factor_key.as_ref() == Some(&key)
+                && self
+                    .factor_key
+                    .as_ref()
+                    .is_some_and(|k| k.matches(h, be, &self.switches))
                 && self
                     .sys
                     .as_ref()
                     .is_some_and(|s| s.is_sparse() == self.backend.use_sparse(n));
             if !cache_ok {
-                let x = self.x.clone();
-                self.assemble_and_factor(&x, t_new, h, be, self.reuse_factorization)?;
-                self.factor_key = Some(key);
+                self.iterate
+                    .as_mut_slice()
+                    .copy_from_slice(self.x.as_slice());
+                self.assemble_and_factor(t_new, be, self.reuse_factorization)?;
+                self.factor_key = Some(FactorKey {
+                    h_bits: h.to_bits(),
+                    be,
+                    switches: self.switches.clone(),
+                });
             }
-            // (Re)build only the RHS and reuse the cached factors.
+            // (Re)build only the RHS and reuse the cached factors; the
+            // solution trades places with `x`.
             let mut sys = self.sys.take().expect("system just ensured");
-            sys.assemble_rhs(|st| self.assemble_rhs_only(st, t_new, h, be));
+            sys.assemble_rhs(|st| self.assemble_rhs_only(st, t_new, be));
             if self.tracer.is_enabled() {
                 self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
             }
@@ -878,38 +918,73 @@ impl<T: Lanes> Transient<T> {
             if self.tracer.is_enabled() {
                 self.tracer.end(SpanKind::MnaSolve, fs(t_new));
             }
+            let solved = solved.map(|x_new| std::mem::swap(&mut self.x, x_new));
             self.sys = Some(sys);
             self.stats.newton_iterations += 1;
-            solved?
-        };
+            solved?;
+        }
 
-        self.commit_step(x_new, t_new, h, be);
+        self.commit_step(t_new, be);
         Ok(())
     }
 
-    /// Overwrites the dead lanes of `x` with NaN.
-    fn poison_dead(&self, x: &mut DVec<T>) {
-        if self.live == Self::ALL_LIVE {
+    /// Overwrites the dead lanes of the Newton iterate with NaN.
+    fn poison_dead_iterate(&mut self) {
+        let live = self.live;
+        if live == Self::ALL_LIVE {
             return;
         }
-        for l in (0..T::LANES).filter(|&l| !self.is_live(l)) {
-            for i in 0..x.len() {
-                x[i].set_lane(l, f64::NAN);
+        for l in (0..T::LANES).filter(|&l| live >> l & 1 == 0) {
+            for v in self.iterate.iter_mut() {
+                v.set_lane(l, f64::NAN);
             }
         }
+    }
+
+    /// Recomputes the companion conductances when `(h, rule)` differs
+    /// from the last step's, with the expressions assembly and commit
+    /// would otherwise evaluate every step, so the bits are the same.
+    fn refresh_companion(&mut self, h: f64, be: bool) {
+        let key = (h.to_bits(), be);
+        if self.companion_key == Some(key) {
+            return;
+        }
+        let hh = T::from_f64(h);
+        let two = T::from_f64(2.0);
+        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
+            let g = match &e.kind {
+                ElementKind::Capacitor { farads, .. } => {
+                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
+                    if be {
+                        c / hh
+                    } else {
+                        two * c / hh
+                    }
+                }
+                ElementKind::Inductor { henries, .. } => {
+                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
+                    if be {
+                        ind / hh
+                    } else {
+                        two * ind / hh
+                    }
+                }
+                _ => continue,
+            };
+            self.companion[idx] = g;
+        }
+        self.companion_key = Some(key);
     }
 
     /// Shared assemble-then-factor step of both the Newton and the
     /// linear paths: lazily creates the backing [`MnaSystem`] (recording
     /// the sparsity pattern once — the stamp sequence is
     /// topology-determined, so any state works), replays the assembly at
-    /// iterate `x`, and factors. With `allow_reuse`, bitwise-identical
+    /// `self.iterate`, and factors. With `allow_reuse`, bitwise-identical
     /// matrix values provably reuse the cached factors.
     fn assemble_and_factor(
         &mut self,
-        x: &DVec<T>,
         t_new: f64,
-        h: f64,
         be: bool,
         allow_reuse: bool,
     ) -> Result<(), NetError> {
@@ -926,17 +1001,18 @@ impl<T: Lanes> Transient<T> {
                     // Keep the counters of a system we are replacing.
                     self.stats.solve.merge(&old.stats());
                 }
-                let mut fresh =
-                    MnaSystem::new(n, use_sparse, |st| self.assemble(st, x, t_new, h, be));
+                let mut fresh = MnaSystem::new(n, use_sparse, |st| {
+                    self.assemble(st, &self.iterate, t_new, be)
+                });
                 if let Some(hint) = self.symbolic_hint.take() {
                     // Adopted from a topology-identical sibling: the
                     // first factor becomes a numeric refactor.
                     fresh.import_sparse_factor(hint);
                 }
-                fresh
+                Box::new(fresh)
             }
         };
-        sys.assemble(|st| self.assemble(st, x, t_new, h, be));
+        sys.assemble(|st| self.assemble(st, &self.iterate, t_new, be));
         if traced {
             self.tracer.end(SpanKind::MnaAssemble, fs(t_new));
             self.tracer.begin(SpanKind::MnaFactor, fs(t_new));
@@ -952,22 +1028,17 @@ impl<T: Lanes> Transient<T> {
         Ok(())
     }
 
-    fn commit_step(&mut self, x_new: DVec<T>, t_new: f64, h: f64, be: bool) {
-        self.x = x_new;
-        let hh = T::from_f64(h);
-        let two = T::from_f64(2.0);
+    /// Commits the solution already in `x`: updates the energy-storage
+    /// history and advances time and counters.
+    fn commit_step(&mut self, t_new: f64, be: bool) {
         // Update energy-storage history.
         for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             match &e.kind {
-                ElementKind::Capacitor { farads, .. } => {
-                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
+                ElementKind::Capacitor { .. } => {
                     let v_new = self.branch_voltage(e.p, e.n);
                     let st = self.state[idx];
-                    let i_new = if be {
-                        c / hh * (v_new - st.v)
-                    } else {
-                        two * c / hh * (v_new - st.v) - st.i
-                    };
+                    let i = self.companion[idx] * (v_new - st.v);
+                    let i_new = if be { i } else { i - st.i };
                     self.state[idx] = EnergyState { v: v_new, i: i_new };
                 }
                 ElementKind::Inductor { .. } => {
@@ -1013,10 +1084,8 @@ impl<T: Lanes> Transient<T> {
     /// on `x`, the time, the step, the switch states or the lane), which
     /// keeps the recorded sparse pattern, the stamp pointers and any
     /// adopted symbolic factor valid across steps and lane widths.
-    fn assemble(&self, st: &mut dyn Stamp<T>, x: &DVec<T>, t_new: f64, h: f64, be: bool) {
+    fn assemble(&self, st: &mut dyn Stamp<T>, x: &DVec<T>, t_new: f64, be: bool) {
         let layout = &self.layout;
-        let hh = T::from_f64(h);
-        let two = T::from_f64(2.0);
         let gmin = T::from_f64(GMIN);
         for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             let eid = ElementId(idx);
@@ -1025,27 +1094,20 @@ impl<T: Lanes> Transient<T> {
                     let r = lane_param!(self, idx, *ohms, Resistor, ohms);
                     stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
                 }
-                ElementKind::Capacitor { farads, .. } => {
-                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
+                ElementKind::Capacitor { .. } => {
+                    let geq = self.companion[idx];
                     let es = self.state[idx];
-                    let (geq, ieq) = if be {
-                        let g = c / hh;
-                        (g, g * es.v)
-                    } else {
-                        let g = two * c / hh;
-                        (g, g * es.v + es.i)
-                    };
+                    let ieq = if be { geq * es.v } else { geq * es.v + es.i };
                     stamp_conductance(layout, st, e.p, e.n, geq);
                     // Norton source injecting Ieq into p.
                     stamp_current(layout, st, e.n, e.p, ieq);
                 }
-                ElementKind::Inductor { henries, .. } => {
-                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
+                ElementKind::Inductor { .. } => {
                     let b = layout.branch_var(eid).expect("inductor branch");
                     let es = self.state[idx];
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
                     stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
-                    let req = if be { ind / hh } else { two * ind / hh };
+                    let req = self.companion[idx];
                     st.mat(b, b, -req);
                     if be {
                         st.rhs(b, -req * es.i);
@@ -1138,31 +1200,25 @@ impl<T: Lanes> Transient<T> {
     }
 
     /// Rebuilds only the RHS (linear fast path).
-    fn assemble_rhs_only(&self, st: &mut dyn Stamp<T>, t_new: f64, h: f64, be: bool) {
+    fn assemble_rhs_only(&self, st: &mut dyn Stamp<T>, t_new: f64, be: bool) {
         let layout = &self.layout;
-        let hh = T::from_f64(h);
-        let two = T::from_f64(2.0);
         for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             let eid = ElementId(idx);
             match &e.kind {
-                ElementKind::Capacitor { farads, .. } => {
-                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
+                ElementKind::Capacitor { .. } => {
+                    let geq = self.companion[idx];
                     let es = self.state[idx];
-                    let ieq = if be {
-                        c / hh * es.v
-                    } else {
-                        two * c / hh * es.v + es.i
-                    };
+                    let ieq = if be { geq * es.v } else { geq * es.v + es.i };
                     stamp_current(layout, st, e.n, e.p, ieq);
                 }
-                ElementKind::Inductor { henries, .. } => {
-                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
+                ElementKind::Inductor { .. } => {
                     let b = layout.branch_var(eid).expect("inductor branch");
                     let es = self.state[idx];
+                    let req = self.companion[idx];
                     if be {
-                        st.rhs(b, -(ind / hh) * es.i);
+                        st.rhs(b, -req * es.i);
                     } else {
-                        st.rhs(b, -(two * ind / hh) * es.i - es.v);
+                        st.rhs(b, -req * es.i - es.v);
                     }
                 }
                 ElementKind::VoltageSource { wave, .. } => {
