@@ -1,23 +1,33 @@
-//! Golden pins for the transient engine and the netlist sweep driver.
+//! Golden pins for the transient engine, the netlist sweep driver and
+//! the TDF sweep executor.
 //!
 //! Every other determinism test is *relative*: worker counts against
 //! each other, prefix forks against runs from zero, served jobs against
 //! direct runs. None of them would notice an ulp drift that moved every
 //! run the same way. These pins are absolute: each constant is a
 //! [`SweepReport::fingerprint`] or an FNV-1a hash of per-step voltage
-//! bits, recorded once and expected never to change.
+//! bits (or of a Chrome trace export), recorded once and expected never
+//! to change.
 //!
 //! The diode and NMOS models call the platform `exp`, so the pins are
 //! only meaningful where they were recorded: x86_64.
 
 #![cfg(target_arch = "x86_64")]
 
+use std::sync::{Arc, Mutex};
+use systemc_ams::core::{
+    Cluster, CoreError, SharedSample, TdfGraph, TdfIn, TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
+};
+use systemc_ams::kernel::SimTime;
 use systemc_ams::monitor::MonitorSpec;
 use systemc_ams::net::{
     AdaptiveOptions, Circuit, ElementId, IntegrationMethod, NetError, NodeId, ScenarioProbe,
     SolverBackend, TransientSolver, Waveform,
 };
-use systemc_ams::sweep::{NetlistSweep, Scenario, SweepReport, SweepSpec};
+use systemc_ams::scope::chrome;
+use systemc_ams::sweep::{
+    LaneSweepModel, NetlistSweep, Scenario, SweepModel, SweepReport, SweepSpec, TdfSweep,
+};
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -28,7 +38,11 @@ impl Fnv {
     }
 
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -328,4 +342,295 @@ fn direct_run_over_every_element_kind_is_pinned() {
         every_kind_hash(IntegrationMethod::BackwardEuler),
         0x32c6_8459_86dd_e1df
     );
+}
+
+// ---------- TDF sweep ----------------------------------------------------
+
+/// Schedule iterations per TDF scenario.
+const TDF_ITERS: u64 = 256;
+/// The iteration at which the scenario amplitude takes over from the
+/// unit tone: every scenario shares the trajectory before it, so a
+/// prefix fork point below it keeps the prefix contract.
+const TDF_START: u64 = 96;
+/// Pole of the leaky integrator.
+const TDF_LEAK: f64 = 0.75;
+
+/// A sine of 40 samples per period.
+fn tone(k: u64) -> f64 {
+    (2.0 * std::f64::consts::PI * k as f64 / 40.0).sin()
+}
+
+/// The tone's gain at iteration `k`: 1 before [`TDF_START`], `amp` after.
+fn gain_at(k: u64, amp: f64) -> f64 {
+    if k >= TDF_START {
+        amp
+    } else {
+        1.0
+    }
+}
+
+/// `y[k] = gain_at(k, amp) · tone(k)`.
+struct Tone {
+    out: TdfOut,
+    amp: SharedSample,
+    k: u64,
+}
+
+impl TdfModule for Tone {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.output(self.out);
+        cfg.set_timestep(SimTime::from_us(1));
+    }
+
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        io.write1(self.out, gain_at(self.k, self.amp.get()) * tone(self.k));
+        self.k += 1;
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.k = 0;
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.push(self.k as f64);
+    }
+
+    fn restore_state(&mut self, state: &[f64]) {
+        self.k = state[0] as u64;
+    }
+}
+
+/// `z[k] = TDF_LEAK · z[k-1] + y[k]`.
+struct Leaky {
+    inp: TdfIn,
+    out: TdfOut,
+    acc: f64,
+}
+
+impl TdfModule for Leaky {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.input(self.inp);
+        cfg.output(self.out);
+    }
+
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        self.acc = TDF_LEAK * self.acc + io.read1(self.inp);
+        io.write1(self.out, self.acc);
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.acc = 0.0;
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.push(self.acc);
+    }
+
+    fn restore_state(&mut self, state: &[f64]) {
+        self.acc = state[0];
+    }
+}
+
+/// Last value and peak magnitude of the integrator output `z`.
+struct ToneModel {
+    amp: SharedSample,
+    z: TdfProbe,
+}
+
+impl SweepModel for ToneModel {
+    fn apply(&mut self, scenario: &Scenario) {
+        self.amp.set(scenario.value("amp"));
+    }
+
+    fn metrics(&mut self, _cluster: &Cluster, out: &mut [f64]) {
+        let z = self.z.values();
+        out[0] = *z.last().expect("the run recorded samples");
+        out[1] = z.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    }
+}
+
+/// The tone feeding the integrator, on signals `y` and `z`.
+fn tone_build(slot: usize) -> (TdfGraph, ToneModel) {
+    let mut g = TdfGraph::new(format!("tone{slot}"));
+    let y = g.signal("y");
+    let z = g.signal("z");
+    let probe = g.probe(z);
+    let amp = SharedSample::new(1.0);
+    g.add_module(
+        "tone",
+        Tone {
+            out: y.writer(),
+            amp: amp.clone(),
+            k: 0,
+        },
+    );
+    g.add_module(
+        "leaky",
+        Leaky {
+            inp: y.reader(),
+            out: z.writer(),
+            acc: 0.0,
+        },
+    );
+    (g, ToneModel { amp, z: probe })
+}
+
+/// Per-lane amplitude, integrator state and peak, shared by the lane
+/// module and its model.
+#[derive(Default)]
+struct LaneState {
+    amp: Vec<f64>,
+    acc: Vec<f64>,
+    peak: Vec<f64>,
+}
+
+/// [`Tone`] and [`Leaky`] for every lane in one firing, with the same
+/// arithmetic per lane; lane 0 drives the scalar signal.
+struct LaneTone {
+    out: TdfOut,
+    lanes: Arc<Mutex<LaneState>>,
+    k: u64,
+}
+
+impl TdfModule for LaneTone {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.output(self.out);
+        cfg.set_timestep(SimTime::from_us(1));
+    }
+
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        let mut st = self.lanes.lock().unwrap();
+        let LaneState { amp, acc, peak } = &mut *st;
+        for l in 0..amp.len() {
+            acc[l] = TDF_LEAK * acc[l] + gain_at(self.k, amp[l]) * tone(self.k);
+            peak[l] = peak[l].max(acc[l].abs());
+        }
+        io.write1(self.out, acc.first().copied().unwrap_or(0.0));
+        self.k += 1;
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.k = 0;
+    }
+}
+
+struct LaneToneModel {
+    lanes: Arc<Mutex<LaneState>>,
+}
+
+impl LaneSweepModel for LaneToneModel {
+    fn apply(&mut self, scenarios: &[Scenario]) {
+        let mut st = self.lanes.lock().unwrap();
+        st.amp = scenarios.iter().map(|s| s.value("amp")).collect();
+        st.acc = vec![0.0; scenarios.len()];
+        st.peak = vec![0.0; scenarios.len()];
+    }
+
+    fn metrics(&mut self, _cluster: &Cluster, out: &mut [Vec<f64>]) {
+        let st = self.lanes.lock().unwrap();
+        for (l, row) in out.iter_mut().enumerate() {
+            row[0] = st.acc[l];
+            row[1] = st.peak[l];
+        }
+    }
+}
+
+fn lane_tone_build(slot: usize) -> (TdfGraph, LaneToneModel) {
+    let mut g = TdfGraph::new(format!("lanes{slot}"));
+    let z = g.signal("z");
+    // Probed so the lint sees the signal read.
+    g.probe(z);
+    let lanes = Arc::new(Mutex::new(LaneState::default()));
+    g.add_module(
+        "lane_tone",
+        LaneTone {
+            out: z.writer(),
+            lanes: lanes.clone(),
+            k: 0,
+        },
+    );
+    (g, LaneToneModel { lanes })
+}
+
+const TDF_METRICS: [&str; 2] = ["z_last", "z_peak"];
+
+/// Ten scenarios: at lane width 4 the last bundle holds two.
+fn tone_spec() -> SweepSpec {
+    SweepSpec::monte_carlo(&[("amp", 0.2, 1.5)], 10, 0x7DF0).unwrap()
+}
+
+/// Two properties that split the amplitude box (the unit-tone prefix
+/// stays inside both) and one that always holds.
+fn tone_monitors() -> MonitorSpec {
+    MonitorSpec::parse("env:envelope(lo=-4.0,hi=4.0)@z;over:overshoot(max=1.2)@y;fin:finite()@z")
+        .unwrap()
+}
+
+/// `run` and its prefix fork fingerprint alike: the fork point precedes
+/// [`TDF_START`].
+const TDF_RUN_PIN: u64 = 0xfa2d_3d5c_6bcc_4e09;
+
+#[test]
+fn tdf_run_fingerprint_is_pinned() {
+    let report = TdfSweep::new(TDF_ITERS)
+        .run(&tone_spec(), 1, &TDF_METRICS, tone_build)
+        .unwrap();
+    assert_eq!(report.fingerprint(), TDF_RUN_PIN);
+}
+
+#[test]
+fn tdf_prefix_fingerprint_is_pinned() {
+    let report = TdfSweep::new(TDF_ITERS)
+        .prefix(64)
+        .run(&tone_spec(), 2, &TDF_METRICS, tone_build)
+        .unwrap();
+    assert_eq!(report.prefix_forks, 10);
+    assert_eq!(report.fingerprint(), TDF_RUN_PIN);
+}
+
+#[test]
+fn tdf_lane_fingerprint_is_pinned() {
+    let report = TdfSweep::new(TDF_ITERS)
+        .run_lanes(&tone_spec(), 2, &TDF_METRICS, 4, lane_tone_build)
+        .unwrap();
+    assert_eq!(report.lanes, 4);
+    assert_eq!(report.bundles, 3);
+    // Each lane repeats the scalar arithmetic: metric values match the
+    // scalar run bit for bit (only the bundle-shared counters differ).
+    let scalar = TdfSweep::new(TDF_ITERS)
+        .run(&tone_spec(), 1, &TDF_METRICS, tone_build)
+        .unwrap();
+    for m in TDF_METRICS {
+        assert_eq!(report.values(m), scalar.values(m), "{m}");
+    }
+    assert_eq!(report.fingerprint(), 0xd495_2734_5770_0f45);
+}
+
+#[test]
+fn tdf_monitored_fingerprint_is_pinned() {
+    let report = TdfSweep::new(TDF_ITERS)
+        .monitors(tone_monitors())
+        .run(&tone_spec(), 2, &TDF_METRICS, tone_build)
+        .unwrap();
+    let s = report.monitor_summary();
+    assert!(s[0].pass > 0 && s[0].fail > 0, "{:?}", s[0]);
+    assert!(s[1].pass > 0 && s[1].fail > 0, "{:?}", s[1]);
+    assert_eq!(s[2].pass, 10, "{:?}", s[2]);
+    assert_eq!(report.fingerprint(), 0xdbef_9be8_58a4_3441);
+}
+
+#[test]
+fn tdf_traced_chrome_export_is_pinned() {
+    let report = TdfSweep::new(TDF_ITERS)
+        .monitors(tone_monitors())
+        .trace(true)
+        .run(&tone_spec(), 2, &TDF_METRICS, tone_build)
+        .unwrap();
+    let export = chrome::export(report.trace.as_ref().expect("trace enabled"));
+    let mut h = Fnv::new();
+    h.bytes(export.as_bytes());
+    assert_eq!(h.0, 0x4b94_7e07_1864_12cd);
 }
