@@ -14,11 +14,18 @@
 //! required to agree; within the lane engine, worker count must again
 //! change nothing.
 
+use systemc_ams::core::{
+    Cluster, CoreError, SharedSample, TdfGraph, TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
+};
+use systemc_ams::kernel::SimTime;
 use systemc_ams::monitor::{MonitorBank, MonitorSpec, Property, Verdict};
 use systemc_ams::net::{
     Circuit, ElementId, IntegrationMethod, NodeId, ScenarioProbe, SolverBackend,
 };
-use systemc_ams::sweep::{NetlistSweep, Scenario, SweepReport, SweepSpec};
+use systemc_ams::sweep::{
+    LaneSweepModel, NetlistSweep, Scenario, SweepError, SweepModel, SweepReport, SweepSpec,
+    TdfSweep,
+};
 
 // ---------- shared fixture ---------------------------------------------------
 
@@ -380,6 +387,163 @@ fn lane_batched_monitors_agree_with_scalar_verdicts() {
             }
         }
     }
+}
+
+// ---------- TDF sweeps -------------------------------------------------------
+
+/// Iterations per TDF scenario, and the iteration from which the swept
+/// gain replaces the unit gain: every scenario shares the trajectory
+/// before it, so a prefix fork point below it keeps the prefix contract.
+const OSC_ITERS: u64 = 200;
+const OSC_START: u64 = 80;
+
+/// `y[k] = g · sin(2π f k Δt)`, f = 10 kHz at Δt = 1 µs, with `g = 1`
+/// before [`OSC_START`] and the scenario gain from it on.
+struct Osc {
+    out: TdfOut,
+    gain: SharedSample,
+    k: u64,
+}
+
+impl TdfModule for Osc {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.output(self.out);
+        cfg.set_timestep(SimTime::from_us(1));
+    }
+
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        let g = if self.k >= OSC_START {
+            self.gain.get()
+        } else {
+            1.0
+        };
+        let t = self.k as f64 * 1e-6;
+        io.write1(self.out, g * (2.0 * std::f64::consts::PI * 1e4 * t).sin());
+        self.k += 1;
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        self.k = 0;
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.push(self.k as f64);
+    }
+
+    fn restore_state(&mut self, state: &[f64]) {
+        self.k = state[0] as u64;
+    }
+}
+
+/// The oscillator's peak magnitude.
+struct OscModel {
+    gain: SharedSample,
+    probe: TdfProbe,
+}
+
+impl SweepModel for OscModel {
+    fn apply(&mut self, scenario: &Scenario) {
+        self.gain.set(scenario.value("gain"));
+    }
+
+    fn metrics(&mut self, _cluster: &Cluster, out: &mut [f64]) {
+        out[0] = self
+            .probe
+            .values()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+    }
+}
+
+impl LaneSweepModel for OscModel {
+    fn apply(&mut self, scenarios: &[Scenario]) {
+        self.gain.set(scenarios[0].value("gain"));
+    }
+
+    fn metrics(&mut self, cluster: &Cluster, out: &mut [Vec<f64>]) {
+        for row in out {
+            SweepModel::metrics(self, cluster, row);
+        }
+    }
+}
+
+fn osc_build(slot: usize) -> (TdfGraph, OscModel) {
+    let mut g = TdfGraph::new(format!("osc{slot}"));
+    let y = g.signal("y");
+    let probe = g.probe(y);
+    let gain = SharedSample::new(1.0);
+    g.add_module(
+        "osc",
+        Osc {
+            out: y.writer(),
+            gain: gain.clone(),
+            k: 0,
+        },
+    );
+    (g, OscModel { gain, probe })
+}
+
+fn osc_monitors() -> MonitorSpec {
+    MonitorSpec::parse("env:envelope(lo=-2.0,hi=2.0)@y;fin:finite()@y").unwrap()
+}
+
+fn osc_spec() -> SweepSpec {
+    SweepSpec::monte_carlo(&[("gain", 0.5, 3.0)], 24, 0x05C1).unwrap()
+}
+
+fn monitored_osc_sweep(sweep: TdfSweep, workers: usize) -> SweepReport {
+    sweep
+        .monitors(osc_monitors())
+        .run(&osc_spec(), workers, &["peak"], osc_build)
+        .unwrap()
+}
+
+#[test]
+fn tdf_monitored_sweep_is_worker_invariant() {
+    let serial = monitored_osc_sweep(TdfSweep::new(OSC_ITERS), 1);
+    let summary = serial.monitor_summary();
+    assert!(
+        summary[0].pass > 0 && summary[0].fail > 0,
+        "the envelope should split the gain box: {:?}",
+        summary[0]
+    );
+    assert_eq!(summary[1].pass, 24, "{:?}", summary[1]);
+    let (_, code, t, _) = summary[0].first_fail.expect("a failing scenario");
+    assert_eq!(code, "MON005");
+    assert!(t >= OSC_START as f64 * 1e-6, "witness time {t}");
+    for workers in [2, 4] {
+        let parallel = monitored_osc_sweep(TdfSweep::new(OSC_ITERS), workers);
+        assert_verdicts_identical(&serial, &parallel, &format!("tdf workers={workers}"));
+    }
+}
+
+#[test]
+fn tdf_monitored_prefix_fork_matches_run_from_zero() {
+    let plain = monitored_osc_sweep(TdfSweep::new(OSC_ITERS), 2);
+    for workers in [1, 2, 4] {
+        let forked = monitored_osc_sweep(TdfSweep::new(OSC_ITERS).prefix(50), workers);
+        assert_eq!(forked.prefix_forks, 24);
+        assert_verdicts_identical(&plain, &forked, &format!("tdf prefix workers={workers}"));
+    }
+}
+
+#[test]
+fn tdf_monitors_reject_unknown_channels_and_lane_bundles() {
+    let unknown = MonitorSpec::parse("env:envelope(lo=-2.0,hi=2.0)@nope").unwrap();
+    let err = TdfSweep::new(OSC_ITERS)
+        .monitors(unknown)
+        .run(&osc_spec(), 2, &["peak"], osc_build)
+        .unwrap_err();
+    assert!(matches!(err, SweepError::Invalid(_)), "got {err}");
+
+    // Lane bundles share one signal trace, so no lane has a waveform of
+    // its own to monitor.
+    let err = TdfSweep::new(OSC_ITERS)
+        .monitors(osc_monitors())
+        .run_lanes(&osc_spec(), 2, &["peak"], 4, osc_build)
+        .unwrap_err();
+    assert!(matches!(err, SweepError::Invalid(_)), "got {err}");
 }
 
 // ---------- edge cases: vacuity and non-finite samples -----------------------
