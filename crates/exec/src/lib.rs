@@ -7,7 +7,7 @@
 //! crate takes that loose coupling to its logical conclusion and runs
 //! the clusters **concurrently**:
 //!
-//! * [`partition`] — deterministic static partitioning: connected
+//! * [`mod@partition`] — deterministic static partitioning: connected
 //!   components of the cluster/actor coupling graph, packed onto workers
 //!   by a longest-processing-time heuristic over the balance-equation
 //!   cost model;

@@ -5,7 +5,7 @@
 //! inside embedded solvers, FIFO pressure on converter streams, and the
 //! synchronization overhead of meeting the DE kernel at every cluster
 //! period. [`ExecStats`] aggregates all of it from the per-component
-//! counters ([`ClusterStats`](ams_core::ClusterStats),
+//! counters ([`ClusterStats`],
 //! [`SdfExecStats`](ams_sdf::SdfExecStats),
 //! `ams_net::TransientStats` folded in through
 //! `TdfModule::solver_stats`); [`ExecHook`] lets callers observe every

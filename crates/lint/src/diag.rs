@@ -7,6 +7,7 @@
 //! `CoreError::code`), so a problem caught late maps to the same
 //! identifier the linter would have reported up front.
 
+use ams_scope::json::JsonStr;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -265,12 +266,12 @@ impl Diagnostic {
 
     /// Serializes this diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.items.iter().map(|i| json_string(i)).collect();
+        let items: Vec<String> = self.items.iter().map(|i| JsonStr(i).to_string()).collect();
         format!(
             "{{\"code\":{},\"severity\":{},\"message\":{},\"items\":[{}]}}",
-            json_string(self.code),
-            json_string(&self.severity.to_string()),
-            json_string(&self.message),
+            JsonStr(self.code),
+            JsonStr(&self.severity.to_string()),
+            JsonStr(&self.message),
             items.join(",")
         )
     }
@@ -361,30 +362,12 @@ impl LintReport {
         let diags: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
         format!(
             "{{\"context\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[{}]}}",
-            json_string(&self.context),
+            JsonStr(&self.context),
             self.error_count(),
             self.warning_count(),
             diags.join(",")
         )
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Maps diagnostics to actions: what severity class is denied, warned

@@ -14,6 +14,7 @@
 //! exports a **byte-identical** file. Wall-time profiling lives in
 //! [`ScopeReport`](crate::ScopeReport) instead.
 
+use crate::json::JsonStr;
 use crate::{Phase, ScopeTrace, SpanKind};
 use std::fmt::Write;
 
@@ -59,8 +60,8 @@ pub fn export(trace: &ScopeTrace) -> String {
             };
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}",
-                escape(ev.kind.name()),
+                "{{\"name\":{},\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}",
+                JsonStr(ev.kind.name()),
                 fs_to_us(ev.t_sim_fs),
             );
             if ev.phase == Phase::Instant {
@@ -101,8 +102,8 @@ fn push_meta(out: &mut String, first: &mut bool, name: &str, pid: usize, tid: us
     let _ = write!(
         out,
         "{{\"name\":\"{name}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(value)
+         \"args\":{{\"name\":{}}}}}",
+        JsonStr(value)
     );
 }
 
@@ -118,21 +119,6 @@ fn sep(out: &mut String, first: &mut bool) {
 /// arithmetic (`fs / 1e9` with nine fractional digits).
 fn fs_to_us(fs: u64) -> String {
     format!("{}.{:09}", fs / 1_000_000_000, fs % 1_000_000_000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Checks that `json` is structurally a Chrome trace: an array of
@@ -299,6 +285,16 @@ mod tests {
         assert!(json.contains("{\"name\":\"scenarios\"}"));
         // Second process gets pid 2.
         assert!(json.contains("\"pid\":2"));
+    }
+
+    #[test]
+    fn track_names_are_json_escaped() {
+        let mut trace = ScopeTrace::new();
+        trace.add_track("a\"b", "c\nd\u{1}", Vec::new());
+        let json = export(&trace);
+        assert!(json.contains(r#"{"name":"a\"b"}"#), "{json}");
+        assert!(json.contains(r#"{"name":"c\nd\u0001"}"#), "{json}");
+        assert_eq!(validate(&json).unwrap(), 2);
     }
 
     #[test]

@@ -55,6 +55,7 @@
 
 pub mod args;
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod report;
 mod tracer;

@@ -17,7 +17,7 @@
 //!   it would make the hot topology the one that is never warm.
 //! * **Counters, not logs.** Hits, misses, evictions, resident bytes
 //!   and lint runs are exported into the shared
-//!   [`MetricsRegistry`](ams_scope::MetricsRegistry) under `serve.*`
+//!   [`MetricsRegistry`] under `serve.*`
 //!   names — the acceptance proof that a warm job did no cold work
 //!   reads these.
 

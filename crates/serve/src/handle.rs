@@ -2,9 +2,9 @@
 //!
 //! One dispatcher thread owns admission: it repeatedly asks the WFQ
 //! scheduler for the next dispatchable job, leases worker slots from
-//! the shared [`SlotPool`](ams_exec::SlotPool), and spawns a job
+//! the shared [`SlotPool`], and spawns a job
 //! thread that runs the sweep. All mutable state lives behind one
-//! mutex ([`Core`]) with one condvar for every wake-up (dispatcher,
+//! mutex (`Core`) with one condvar for every wake-up (dispatcher,
 //! `wait` callers, drain) — the daemon's concurrency is deliberately
 //! boring.
 //!

@@ -3,7 +3,7 @@
 //! The DATE 2003 paper's speed argument (§3: statically scheduled
 //! dataflow "can be implemented very efficiently") is about one run.
 //! This crate amortizes across *many* runs: a long-lived daemon keeps
-//! per-topology artifacts warm — the elaborated [`Circuit`], its
+//! per-topology artifacts warm — the elaborated [`Circuit`](ams_net::Circuit), its
 //! `ams-lint` verdict, and the sparse symbolic LU factor — so a repeat
 //! job over a known topology pays **zero** lint passes and **zero**
 //! symbolic analyses, only numeric work. Layers:

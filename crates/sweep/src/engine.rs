@@ -1,4 +1,5 @@
-//! The deterministic sharded runner shared by netlist and TDF sweeps.
+//! The deterministic sharded runner shared by netlist and TDF sweeps,
+//! with the verdict transport and the report tail both drivers use.
 //!
 //! Scenarios are split over workers by [`ams_exec::partition`]'s
 //! longest-processing-time heuristic with uniform costs — a pure
@@ -11,28 +12,54 @@
 //! assembled report is identical no matter which thread ran which
 //! scenario.
 
+use crate::options::SweepOptions;
 use crate::report::{ScenarioResult, SweepReport};
+use crate::spec::Scenario;
 use crate::SweepError;
 use ams_core::ClusterStats;
-use ams_exec::{partition, ExecHook, ExecStats};
-use ams_kernel::SimTime;
-use ams_scope::{ScopeTrace, TraceEvent, Tracer};
-use std::sync::Arc;
+use ams_exec::{partition, ExecStats};
+use ams_monitor::{codes as mon_codes, MonitorSpec, Verdict, VERDICT_SLOTS};
+use ams_scope::{ScopeTrace, SpanKind, TraceEvent, Tracer};
 use std::time::{Duration, Instant};
 
-/// Builds one [`ExecHook`] per worker shard of a sweep. The factory is
-/// invoked **on the coordinator**, once per shard in shard order (the
-/// shard slot is the argument), before any worker thread spawns — so
-/// hook construction is deterministic even for factories with side
-/// effects. Each hook then observes its shard's items as windows
-/// (`on_window` per item, in the item domain: item `k` is the window
-/// `[k fs, k+1 fs)`), one `on_barrier` when the shard drains, and one
-/// `on_finish` with the assembled batch statistics.
-pub type HookFactory = Arc<dyn Fn(usize) -> Box<dyn ExecHook + Send> + Send + Sync>;
+/// Appends each verdict's [`Verdict::encode`] slots to a metric row —
+/// the transport that carries verdicts through the sharded engine
+/// without widening its `(row, stats)` item shape.
+pub(crate) fn push_verdict_slots(row: &mut Vec<f64>, verdicts: &[Verdict]) {
+    for v in verdicts {
+        row.extend_from_slice(&v.encode());
+    }
+}
+
+/// Decodes a slice of transported verdict slots (a multiple of
+/// [`VERDICT_SLOTS`] wide, possibly empty).
+pub(crate) fn decode_verdict_slots(tail: &[f64]) -> Vec<Verdict> {
+    tail.chunks_exact(VERDICT_SLOTS)
+        .map(|c| Verdict::decode(c.try_into().expect("verdict slot width")))
+        .collect()
+}
+
+/// Emits one [`SpanKind::Monitor`] instant per property verdict,
+/// timestamped with the witness point's simulated time (the horizon
+/// for non-failures); `arg` = property index `<< 8 |` violation-code
+/// number (low byte 0 for a pass or vacuous verdict).
+pub(crate) fn emit_monitor_instants(tracer: &mut Tracer, verdicts: &[Verdict], t_end: f64) {
+    for (i, v) in verdicts.iter().enumerate() {
+        let (t, code) = match v {
+            Verdict::Fail { code, t, .. } => (*t, mon_codes::code_number(code).unwrap_or(0)),
+            _ => (t_end, 0),
+        };
+        tracer.instant(
+            SpanKind::Monitor,
+            (t * 1e15) as u64,
+            ((i as u64) << 8) | u64::from(code),
+        );
+    }
+}
 
 /// Outcome of one sharded batch over items `0..n_items`.
+#[derive(Debug)]
 pub(crate) struct ShardRun {
-    // `hooks` holds trait objects, so Debug is manual (below).
     /// Metric rows, one per item, in item order.
     pub metrics: Vec<Vec<f64>>,
     /// Solver counters, one per item.
@@ -47,44 +74,58 @@ pub(crate) struct ShardRun {
     pub sync_wall: Duration,
     /// Per-shard trace buffers, in shard order (empty unless tracing).
     pub traces: Vec<Vec<TraceEvent>>,
-    /// Per-shard hooks handed back by the shards, in shard order, ready
-    /// for the caller's `on_finish` dispatch.
-    pub hooks: Vec<Box<dyn ExecHook + Send>>,
 }
 
 impl ShardRun {
-    /// The report tail every sweep driver shares: folds `scenarios`
-    /// into the batch [`ExecStats`] (`windows` = scenarios, `barriers`
-    /// = shards), fires each shard hook's `on_finish` exactly once on
-    /// the coordinator after the aggregate exists, and merges the trace
-    /// — the `coordinator` track first (when it recorded anything),
-    /// then one `shard-N` track per shard. The report is scalar-shaped
-    /// (one lane, no bundles, nothing pruned, no prefix); drivers
-    /// override those fields.
+    /// The report tail every sweep driver shares. Item `b` is lane
+    /// bundle `b`: its row holds one slice per scenario of the bundle
+    /// (metrics, then the monitors' verdict slots), and its counters
+    /// stand for every scenario in it. The tail unpacks those into one
+    /// [`ScenarioResult`] per scenario, folds them into the batch
+    /// [`ExecStats`] (`windows` = scenarios, `barriers` = shards), and
+    /// merges the trace — the `coordinator` track first (when it
+    /// recorded anything), then one `shard-N` track per shard. Nothing
+    /// is pruned and no prefix is shared; drivers override those
+    /// fields.
     pub(crate) fn into_report(
-        mut self,
+        self,
+        opts: &SweepOptions,
         metrics: &[&str],
-        monitor_names: Vec<String>,
-        scenarios: Vec<ScenarioResult>,
+        scenarios: &[Scenario],
+        lanes: usize,
         lint_warnings: usize,
         coordinator: Vec<TraceEvent>,
-        tracing: bool,
     ) -> SweepReport {
+        let monitor_names = opts.monitors().map(MonitorSpec::names).unwrap_or_default();
+        let n_metrics = metrics.len();
+        let row_w = n_metrics + monitor_names.len() * VERDICT_SLOTS;
+        let results: Vec<ScenarioResult> = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, sc)| {
+                let (b, l) = (i / lanes, i % lanes);
+                let row = &self.metrics[b][l * row_w..(l + 1) * row_w];
+                ScenarioResult {
+                    index: sc.index(),
+                    label: sc.label(),
+                    metrics: row[..n_metrics].to_vec(),
+                    stats: self.stats[b],
+                    verdicts: decode_verdict_slots(&row[n_metrics..]),
+                }
+            })
+            .collect();
         let mut exec = ExecStats {
-            windows: scenarios.len() as u64,
+            windows: results.len() as u64,
             barriers: self.shards as u64,
             compute_wall: self.compute_wall,
             sync_wall: self.sync_wall,
             lint_warnings,
             ..ExecStats::default()
         };
-        for r in &scenarios {
+        for r in &results {
             exec.clusters.push((r.label.clone(), r.stats));
         }
-        for h in &mut self.hooks {
-            h.on_finish(&exec);
-        }
-        let trace = tracing.then(|| {
+        let trace = opts.trace.then(|| {
             let mut t = ScopeTrace::new();
             if !coordinator.is_empty() {
                 t.add_track("coordinator", "scenarios", coordinator);
@@ -99,11 +140,11 @@ impl ShardRun {
         SweepReport {
             metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
             monitor_names,
-            scenarios,
+            scenarios: results,
             exec,
             trace,
-            lanes: 1,
-            bundles: 0,
+            lanes,
+            bundles: if lanes > 1 { self.metrics.len() } else { 0 },
             space_pruned: Vec::new(),
             prefix_forks: 0,
             prefix_steps: 0,
@@ -111,26 +152,11 @@ impl ShardRun {
     }
 }
 
-impl std::fmt::Debug for ShardRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardRun")
-            .field("items", &self.metrics.len())
-            .field("shards", &self.shards)
-            .field(
-                "traced_events",
-                &self.traces.iter().map(Vec::len).sum::<usize>(),
-            )
-            .field("hooks", &self.hooks.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// What one shard hands back: its `(item, row, counters)` list or the
-/// error that stopped it, its trace buffer and its hook.
+/// error that stopped it, and its trace buffer.
 type ShardOut = (
     Result<Vec<(usize, Vec<f64>, ClusterStats)>, SweepError>,
     Vec<TraceEvent>,
-    Option<Box<dyn ExecHook + Send>>,
 );
 
 /// Runs `run_one` for every item in `0..n_items`, sharded over at most
@@ -146,11 +172,6 @@ type ShardOut = (
 /// last runs on a scoped thread; the last runs on the calling thread,
 /// so a one-shard batch spawns nothing.
 ///
-/// When a [`HookFactory`] is given, one hook is built per shard (on the
-/// coordinator, in shard order) and observes the shard's items as
-/// windows; the hooks come back in [`ShardRun::hooks`] so the caller can
-/// fire `on_finish` with the assembled statistics.
-///
 /// The first failing item (lowest item index wins, so the error is
 /// deterministic too) aborts the batch with
 /// [`SweepError::Scenario`]-style context attached by the caller. A
@@ -159,7 +180,6 @@ pub(crate) fn run_sharded<S, B, R>(
     n_items: usize,
     workers: usize,
     tracing: bool,
-    hooks: Option<&HookFactory>,
     mut build_state: B,
     run_one: R,
 ) -> Result<ShardRun, SweepError>
@@ -176,7 +196,6 @@ where
             compute_wall: Duration::ZERO,
             sync_wall: Duration::ZERO,
             traces: Vec::new(),
-            hooks: Vec::new(),
         });
     }
 
@@ -194,54 +213,39 @@ where
         states.push(build_state(slot, items)?);
     }
 
-    // Per-shard hooks, likewise built in deterministic shard order.
-    let shard_hooks: Vec<Option<Box<dyn ExecHook + Send>>> =
-        (0..shards).map(|s| hooks.map(|f| f(s))).collect();
-
-    let run_shard =
-        |items: &[usize], mut state: S, mut hook: Option<Box<dyn ExecHook + Send>>| -> ShardOut {
-            let mut tracer = if tracing { Tracer::on() } else { Tracer::off() };
-            let mut rows = Vec::with_capacity(items.len());
-            let mut result = Ok(());
-            for &item in items {
-                if let Some(h) = &mut hook {
-                    h.on_window(
-                        SimTime::from_fs(item as u64),
-                        SimTime::from_fs(item as u64 + 1),
-                    );
-                }
-                match run_one(&mut state, item, &mut tracer) {
-                    Ok((row, st)) => rows.push((item, row, st)),
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+    let run_shard = |items: &[usize], mut state: S| -> ShardOut {
+        let mut tracer = if tracing { Tracer::on() } else { Tracer::off() };
+        let mut rows = Vec::with_capacity(items.len());
+        let mut result = Ok(());
+        for &item in items {
+            match run_one(&mut state, item, &mut tracer) {
+                Ok((row, st)) => rows.push((item, row, st)),
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
-            if let Some(h) = &mut hook {
-                let last = items.last().copied().unwrap_or(0) as u64;
-                h.on_barrier(SimTime::from_fs(last + 1));
-            }
-            (result.map(|()| rows), tracer.take_events(), hook)
-        };
+        }
+        (result.map(|()| rows), tracer.take_events())
+    };
 
     let t0 = Instant::now();
     let mut compute_wall = Duration::ZERO;
     let mut sync_wall = Duration::ZERO;
     let outs: Vec<ShardOut> = std::thread::scope(|scope| {
         let run_shard = &run_shard;
-        let mut jobs = shard_items.iter().zip(states).zip(shard_hooks);
+        let mut jobs = shard_items.iter().zip(states);
         let (mine, others) = (jobs.next_back(), jobs);
         let handles: Vec<_> = others
-            .map(|((items, state), hook)| scope.spawn(move || run_shard(items, state, hook)))
+            .map(|(items, state)| scope.spawn(move || run_shard(items, state)))
             .collect();
-        let ((items, state), hook) = mine.expect("a non-empty batch has a shard");
-        let own = run_shard(items, state, hook);
+        let (items, state) = mine.expect("a non-empty batch has a shard");
+        let own = run_shard(items, state);
         compute_wall = t0.elapsed();
         let t1 = Instant::now();
         // Joined in spawn order and the coordinator's shard appended
-        // last, so traces and hooks come back in shard order and the
-        // merge never depends on timing.
+        // last, so traces come back in shard order and the merge never
+        // depends on timing.
         let mut outs: Vec<ShardOut> = handles
             .into_iter()
             .map(|h| {
@@ -257,11 +261,9 @@ where
     let mut metrics = vec![Vec::new(); n_items];
     let mut stats = vec![ClusterStats::default(); n_items];
     let mut traces = Vec::with_capacity(shards);
-    let mut out_hooks = Vec::with_capacity(shards);
     let mut first_err: Option<(usize, SweepError)> = None;
-    for (result, events, hook) in outs {
+    for (result, events) in outs {
         traces.push(events);
-        out_hooks.extend(hook);
         match result {
             Ok(rows) => {
                 for (item, row, st) in rows {
@@ -293,7 +295,6 @@ where
         compute_wall,
         sync_wall,
         traces,
-        hooks: out_hooks,
     })
 }
 
@@ -306,7 +307,6 @@ mod tests {
             10,
             workers,
             false,
-            None,
             |_slot, _items| Ok(0u64),
             |state: &mut u64, item, _tracer: &mut Tracer| {
                 *state += 1;
@@ -345,7 +345,6 @@ mod tests {
             n_items,
             workers,
             false,
-            None,
             |_, _| Ok(()),
             |_: &mut (), item, _tracer: &mut Tracer| {
                 if std::thread::current().id() == caller {
@@ -381,7 +380,6 @@ mod tests {
                     6,
                     3,
                     false,
-                    None,
                     |_, _| Ok(()),
                     |_: &mut (), item, _tracer: &mut Tracer| {
                         assert_ne!(item, bad, "deliberate shard panic");
@@ -399,7 +397,6 @@ mod tests {
             8,
             4,
             false,
-            None,
             |_, _| Ok(()),
             |_state: &mut (), item, _tracer: &mut Tracer| {
                 if item >= 3 {
@@ -422,7 +419,6 @@ mod tests {
             4,
             2,
             false,
-            None,
             |slot, _| {
                 if slot == 1 {
                     Err(SweepError::invalid("bad slot"))
@@ -442,7 +438,6 @@ mod tests {
             0,
             4,
             false,
-            None,
             |_, _| Ok(()),
             |_: &mut (), _, _tracer: &mut Tracer| Ok((vec![0.0; 3], ClusterStats::default())),
         )
@@ -452,24 +447,13 @@ mod tests {
     }
 
     #[test]
-    fn tracing_and_hooks_observe_every_item_per_shard() {
-        use ams_exec::CountingHook;
+    fn tracing_records_every_item_on_its_shard_track() {
         use ams_scope::SpanKind;
-        use std::sync::Mutex;
-
-        let handles: Arc<Mutex<Vec<Arc<Mutex<CountingHook>>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = handles.clone();
-        let factory: HookFactory = Arc::new(move |_slot| {
-            let h = Arc::new(Mutex::new(CountingHook::default()));
-            sink.lock().unwrap().push(h.clone());
-            Box::new(h)
-        });
 
         let run = run_sharded(
             6,
             2,
             true,
-            Some(&factory),
             |_, _| Ok(()),
             |_: &mut (), item, tracer: &mut Tracer| {
                 let idx = item as u64;
@@ -482,7 +466,6 @@ mod tests {
 
         assert_eq!(run.shards, 2);
         assert_eq!(run.traces.len(), 2);
-        assert_eq!(run.hooks.len(), 2);
         // Every item produced one begin/end span pair in its shard's
         // buffer; the union covers all six scenario indices.
         let mut seen: Vec<u64> = run
@@ -494,16 +477,5 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        // One hook per shard, built in shard order; windows sum to the
-        // item count, one barrier each, no finish (the caller owns it).
-        let handles = handles.lock().unwrap();
-        assert_eq!(handles.len(), 2);
-        let windows: u64 = handles.iter().map(|h| h.lock().unwrap().windows).sum();
-        assert_eq!(windows, 6);
-        for h in handles.iter() {
-            let h = h.lock().unwrap();
-            assert_eq!(h.barriers, 1);
-            assert_eq!(h.finishes, 0);
-        }
     }
 }

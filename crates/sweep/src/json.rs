@@ -25,6 +25,7 @@ use ams_core::ClusterStats;
 use ams_exec::ExecStats;
 use ams_math::SolveStats;
 use ams_monitor::{codes as mon_codes, Verdict};
+use ams_scope::json::JsonStr;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -157,7 +158,9 @@ impl Json {
                 debug_assert!(v.is_finite(), "non-finite Num: use from_f64");
                 let _ = write!(out, "{v:?}");
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => {
+                let _ = write!(out, "{}", JsonStr(s));
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -174,32 +177,13 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
-                    out.push(':');
+                    let _ = write!(out, "{}:", JsonStr(k));
                     v.write(out);
                 }
                 out.push('}');
             }
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.
@@ -829,7 +813,7 @@ pub fn report_from_json(value: &Json) -> Result<SweepReport, SweepError> {
     Ok(report)
 }
 
-/// Serializes a full [`MetricsRegistry`] — every counter, gauge and
+/// Serializes a full [`MetricsRegistry`](ams_scope::MetricsRegistry) — every counter, gauge and
 /// histogram — grouped by kind, in registry (name) order, so the
 /// rendering is byte-deterministic for a given registry. Histograms
 /// expand to `{count, min, max, mean, p50, p95}` objects (empty ones

@@ -31,7 +31,7 @@
 //!
 //! # Determinism
 //!
-//! Scenario seeds, scheduling (via [`ams_exec::partition`]) and the
+//! Scenario seeds, scheduling (via [`ams_exec::partition()`]) and the
 //! shared symbolic factor are all computed on the coordinator from the
 //! spec alone. The same spec therefore produces a **bit-identical**
 //! [`SweepReport`] (compare [`SweepReport::fingerprint`]) regardless of
@@ -73,11 +73,11 @@
 mod engine;
 pub mod json;
 pub mod netlist;
+mod options;
 pub mod report;
 pub mod spec;
 pub mod tdf;
 
-pub use engine::HookFactory;
 pub use netlist::{FactorSink, NetlistSweep, ProgressFn, RunMode};
 // Re-exported because it appears in the public surface twice over:
 // [`ScenarioResult::stats`] and the [`ProgressFn`] callback signature.

@@ -20,14 +20,15 @@
 //! [`NetlistSweep::prefix`] fork is a bundle that starts from the prefix
 //! checkpoint instead of t = 0.
 
-use crate::engine::{run_sharded, HookFactory};
-use crate::report::{ScenarioResult, SweepReport};
+use crate::engine::{decode_verdict_slots, emit_monitor_instants, push_verdict_slots, run_sharded};
+use crate::options::{ResolvedMonitors, SweepOptions};
+use crate::report::SweepReport;
 use crate::spec::{Scenario, SweepSpec};
 use crate::{CancelToken, SweepError};
 use ams_core::ClusterStats;
 use ams_lint::{classify_point, lint_circuit, lint_space, LintPolicy, SpaceSpec};
 use ams_math::{F64xK, Lanes};
-use ams_monitor::{codes as mon_codes, MonitorBank, MonitorSpec, Verdict, VERDICT_SLOTS};
+use ams_monitor::{MonitorBank, MonitorSpec, Verdict};
 use ams_net::{
     AdaptiveOptions, Checkpoint, Circuit, IntegrationMethod, NetError, NodeId, ScenarioProbe,
     SolverBackend, SymbolicFactor, Transient, TransientSolver, TransientStats,
@@ -57,11 +58,12 @@ pub enum RunMode {
 /// solver counters, monitor verdicts)`. Runs on whichever thread
 /// finished the scenario, so implementations must be `Send + Sync`;
 /// keyed by index, the stream is order-independent. The counters are
-/// the same [`ClusterStats`] the scenario's [`ScenarioResult`] will
-/// carry, and the verdicts the same slice (empty with no monitors
-/// attached), so a consumer can persist resumable, fingerprint-grade
-/// partial results (lane runs report the bundle's counters for every
-/// scenario in the bundle, exactly as the report does).
+/// the same [`ClusterStats`] the scenario's
+/// [`ScenarioResult`](crate::ScenarioResult) will carry, and the
+/// verdicts the same slice (empty with no monitors attached), so a
+/// consumer can persist resumable, fingerprint-grade partial results
+/// (lane runs report the bundle's counters for every scenario in the
+/// bundle, exactly as the report does).
 pub type ProgressFn =
     std::sync::Arc<dyn Fn(usize, &[f64], &ClusterStats, &[Verdict]) + Send + Sync>;
 
@@ -77,60 +79,6 @@ pub type FactorSink = std::sync::Arc<std::sync::Mutex<Option<SymbolicFactor>>>;
 /// for sibling bundles.
 type Bundle<T> = (Vec<Vec<f64>>, ClusterStats, Option<SymbolicFactor<T>>);
 
-/// A monitor spec resolved against the template circuit: the prototype
-/// (unfed) bank every scenario clones, and the node each bank channel
-/// probes (parallel to [`MonitorBank::channels`]). Resolution happens
-/// once per run — unknown channel names reject the batch before any
-/// scenario is built.
-struct ResolvedMonitors {
-    bank: MonitorBank,
-    nodes: Vec<NodeId>,
-}
-
-/// Appends each verdict's [`Verdict::encode`] slots to a metric row —
-/// the transport that carries verdicts through the sharded engine
-/// without widening its `(row, stats)` item shape.
-pub(crate) fn push_verdict_slots(row: &mut Vec<f64>, verdicts: &[Verdict]) {
-    for v in verdicts {
-        row.extend_from_slice(&v.encode());
-    }
-}
-
-/// Decodes a slice of transported verdict slots (a multiple of
-/// [`VERDICT_SLOTS`] wide, possibly empty).
-pub(crate) fn decode_verdict_slots(tail: &[f64]) -> Vec<Verdict> {
-    tail.chunks_exact(VERDICT_SLOTS)
-        .map(|c| Verdict::decode(c.try_into().expect("verdict slot width")))
-        .collect()
-}
-
-/// Splits a transported row back into its metric prefix and decoded
-/// verdicts — the inverse of [`push_verdict_slots`]. With no monitors
-/// attached the tail is empty and the row passes through untouched.
-pub(crate) fn split_verdict_slots(mut row: Vec<f64>, n_metrics: usize) -> (Vec<f64>, Vec<Verdict>) {
-    let verdicts = decode_verdict_slots(&row[n_metrics..]);
-    row.truncate(n_metrics);
-    (row, verdicts)
-}
-
-/// Emits one [`SpanKind::Monitor`] instant per property verdict,
-/// timestamped with the witness point's simulated time (the horizon
-/// for non-failures); `arg` = property index `<< 8 |` violation-code
-/// number (low byte 0 for a pass or vacuous verdict).
-pub(crate) fn emit_monitor_instants(tracer: &mut Tracer, verdicts: &[Verdict], t_end: f64) {
-    for (i, v) in verdicts.iter().enumerate() {
-        let (t, code) = match v {
-            Verdict::Fail { code, t, .. } => (*t, mon_codes::code_number(code).unwrap_or(0)),
-            _ => (t_end, 0),
-        };
-        tracer.instant(
-            SpanKind::Monitor,
-            (t * 1e15) as u64,
-            ((i as u64) << 8) | u64::from(code),
-        );
-    }
-}
-
 /// A batched transient sweep over one circuit topology.
 #[derive(Clone)]
 pub struct NetlistSweep {
@@ -139,11 +87,8 @@ pub struct NetlistSweep {
     backend: SolverBackend,
     mode: RunMode,
     share_symbolic: bool,
-    lint: LintPolicy,
+    opts: SweepOptions,
     space: Option<SpaceSpec>,
-    context: String,
-    trace: bool,
-    hooks: Option<HookFactory>,
     pre_linted: bool,
     symbolic_hint: Option<SymbolicFactor>,
     cancel: Option<CancelToken>,
@@ -151,7 +96,6 @@ pub struct NetlistSweep {
     factor_sink: Option<FactorSink>,
     lanes: usize,
     prefix_t0: Option<f64>,
-    monitors: Option<MonitorSpec>,
 }
 
 impl std::fmt::Debug for NetlistSweep {
@@ -161,17 +105,14 @@ impl std::fmt::Debug for NetlistSweep {
             .field("backend", &self.backend)
             .field("mode", &self.mode)
             .field("share_symbolic", &self.share_symbolic)
+            .field("opts", &self.opts)
             .field("space", &self.space.is_some())
-            .field("context", &self.context)
-            .field("trace", &self.trace)
-            .field("hooks", &self.hooks.is_some())
             .field("pre_linted", &self.pre_linted)
             .field("symbolic_hint", &self.symbolic_hint.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
             .field("factor_sink", &self.factor_sink.is_some())
             .field("prefix_t0", &self.prefix_t0)
-            .field("monitors", &self.monitors.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -190,11 +131,8 @@ impl NetlistSweep {
                 h: 1e-9,
             },
             share_symbolic: true,
-            lint: LintPolicy::default(),
+            opts: SweepOptions::new("sweep"),
             space: None,
-            context: "sweep".into(),
-            trace: false,
-            hooks: None,
             pre_linted: false,
             symbolic_hint: None,
             cancel: None,
@@ -202,7 +140,6 @@ impl NetlistSweep {
             factor_sink: None,
             lanes: 8,
             prefix_t0: None,
-            monitors: None,
         }
     }
 
@@ -210,10 +147,10 @@ impl NetlistSweep {
     /// evaluates `spec`'s properties *during* integration (fed on
     /// accepted steps only, exactly when the probe fires — no sample
     /// is buffered), and the report carries one
-    /// [`Verdict`](ams_monitor::Verdict) per property per scenario.
+    /// [`Verdict`] per property per scenario.
     /// Channel names are resolved against the *template* circuit's
     /// node names once per run; an unknown channel rejects the batch
-    /// with [`SweepError::Invalid`](crate::SweepError::Invalid).
+    /// with [`SweepError::Invalid`].
     ///
     /// Verdicts are part of the report's deterministic surface: they
     /// fold into [`SweepReport::fingerprint`], are bit-identical
@@ -225,31 +162,17 @@ impl NetlistSweep {
     /// [`SpanKind::Monitor`] instant per property, timestamped with
     /// the violation's witness time.
     pub fn monitors(mut self, spec: MonitorSpec) -> NetlistSweep {
-        self.monitors = Some(spec);
+        self.opts.monitors = Some(spec);
         self
     }
 
     /// Resolves the installed monitor spec (if any) against the
-    /// template: builds the prototype bank and maps each channel name
-    /// to a node. An empty spec behaves as no monitors at all.
-    fn resolve_monitors(&self) -> Result<Option<ResolvedMonitors>, SweepError> {
-        let Some(spec) = &self.monitors else {
-            return Ok(None);
-        };
-        if spec.is_empty() {
-            return Ok(None);
-        }
-        let bank = MonitorBank::new(spec);
-        let mut nodes = Vec::with_capacity(bank.channels().len());
-        for ch in bank.channels() {
-            let node = self.template.find_node(ch).ok_or_else(|| {
-                SweepError::invalid(format!(
-                    "monitor channel {ch:?} names no node in the sweep template"
-                ))
-            })?;
-            nodes.push(node);
-        }
-        Ok(Some(ResolvedMonitors { bank, nodes }))
+    /// template's node names, once per run.
+    fn resolve_monitors(&self) -> Result<Option<ResolvedMonitors<NodeId>>, SweepError> {
+        self.opts
+            .resolve_monitors("node in the sweep template", |ch| {
+                self.template.find_node(ch)
+            })
     }
 
     /// Declares the first `t0` seconds of every scenario as a shared
@@ -350,17 +273,7 @@ impl NetlistSweep {
     /// `coordinator` track, shard `s` on `shard-s`. Disabled (the
     /// default) costs one branch per scenario.
     pub fn trace(mut self, enabled: bool) -> NetlistSweep {
-        self.trace = enabled;
-        self
-    }
-
-    /// Installs an [`ExecHook`](ams_exec::ExecHook) factory: one hook
-    /// per worker shard (built on the coordinator in shard order),
-    /// observing the shard's scenarios as windows and receiving
-    /// `on_finish` with the final aggregate. See
-    /// [`HookFactory`](crate::HookFactory).
-    pub fn hooks(mut self, factory: HookFactory) -> NetlistSweep {
-        self.hooks = Some(factory);
+        self.opts.trace = enabled;
         self
     }
 
@@ -392,7 +305,7 @@ impl NetlistSweep {
 
     /// Sets the lint policy gating the template topology.
     pub fn lint_policy(mut self, policy: LintPolicy) -> NetlistSweep {
-        self.lint = policy;
+        self.opts.lint = policy;
         self
     }
 
@@ -403,7 +316,7 @@ impl NetlistSweep {
     ///
     /// * a policy-denied space-wide defect (`SPC004` unknown bind,
     ///   `SPC005` structural defect at every corner) rejects the batch
-    ///   with [`SweepError::Lint`](crate::SweepError::Lint);
+    ///   with [`SweepError::Lint`];
     /// * a policy-denied corner-dependent defect (`SPC001` domain
     ///   crossing, `SPC002` singular corner) **prunes** exactly the
     ///   statically doomed scenarios — each one re-classified at its
@@ -425,14 +338,8 @@ impl NetlistSweep {
 
     /// Names the sweep for lint reports and diagnostics.
     pub fn context(mut self, context: impl Into<String>) -> NetlistSweep {
-        self.context = context.into();
+        self.opts.context = context.into();
         self
-    }
-
-    /// Lints the template topology without running anything — for
-    /// `--lint-only` tooling.
-    pub fn lint_report(&self) -> ams_lint::LintReport {
-        lint_circuit(self.context.clone(), &self.template)
     }
 
     /// Runs the installed space pass (if any) and applies the policy:
@@ -453,15 +360,12 @@ impl NetlistSweep {
         if traced {
             tracer.begin_with(SpanKind::SpaceLint, 0, spec.len() as u64);
         }
-        let sr = lint_space(self.context.clone(), &self.template, sspec);
+        let sr = lint_space(self.opts.context.clone(), &self.template, sspec);
         if traced {
             tracer.end_with(SpanKind::SpaceLint, 0, spec.len() as u64);
         }
-        for d in self.lint.warned(&sr.report) {
-            eprintln!("[{}] warning: {d}", self.context);
-        }
-        *lint_warnings += self.lint.warned(&sr.report).len();
-        let denied = self.lint.denied(&sr.report);
+        *lint_warnings += self.opts.warn(&sr.report);
+        let denied = self.opts.lint.denied(&sr.report);
         if denied.is_empty() {
             return Ok(None);
         }
@@ -624,21 +528,15 @@ impl NetlistSweep {
         let mut lint_warnings = if self.pre_linted {
             0
         } else {
-            let report = self.lint_report();
-            if !self.lint.denied(&report).is_empty() {
-                return Err(SweepError::Lint(report));
-            }
-            for d in self.lint.warned(&report) {
-                eprintln!("[{}] warning: {d}", self.context);
-            }
-            self.lint.warned(&report).len()
+            self.opts
+                .gate(lint_circuit(self.opts.context.clone(), &self.template))?
         };
 
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(SweepError::Cancelled);
         }
 
-        let mut coord_tracer = if self.trace {
+        let mut coord_tracer = if self.opts.trace {
             Tracer::on()
         } else {
             Tracer::off()
@@ -677,8 +575,6 @@ impl NetlistSweep {
             None => self.resolve_monitors()?,
         };
         let mon_ref = mon.as_ref();
-        // Each lane's row carries its verdict slots after the metrics.
-        let row_w = n_metrics + mon_ref.map_or(0, |m| m.bank.len() * VERDICT_SLOTS);
         let progress = |b: usize, rows: &[Vec<f64>], stats: &ClusterStats| {
             if let Some(p) = &self.progress {
                 for (sc, row) in scenarios[b * k..].iter().zip(rows) {
@@ -724,7 +620,7 @@ impl NetlistSweep {
                 }
                 donor = Some(f);
             }
-            Some((rows, stats))
+            Some((rows.concat(), stats))
         } else {
             None
         };
@@ -733,11 +629,10 @@ impl NetlistSweep {
         }
 
         let inline = usize::from(first.is_some());
-        let shard = run_sharded(
+        let mut shard = run_sharded(
             n_bundles - inline,
             workers,
-            self.trace,
-            self.hooks.as_ref(),
+            self.opts.trace,
             |_slot, _items| Ok(()),
             |_state: &mut (), item, tracer: &mut Tracer| {
                 if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
@@ -763,41 +658,19 @@ impl NetlistSweep {
             },
         )?;
 
-        let mut results = Vec::with_capacity(n);
-        for (i, sc) in scenarios.iter().enumerate() {
-            let (b, l) = (i / k, i % k);
-            let (row, stats) = match &first {
-                Some((rows, stats)) if b == 0 => (rows[l].clone(), *stats),
-                _ => {
-                    let flat = &shard.metrics[b - inline];
-                    (
-                        flat[l * row_w..(l + 1) * row_w].to_vec(),
-                        shard.stats[b - inline],
-                    )
-                }
-            };
-            let (metrics_row, verdicts) = split_verdict_slots(row, n_metrics);
-            results.push(ScenarioResult {
-                index: sc.index(),
-                label: sc.label(),
-                metrics: metrics_row,
-                stats,
-                verdicts,
-            });
+        if let Some((row, stats)) = first {
+            shard.metrics.insert(0, row);
+            shard.stats.insert(0, stats);
         }
-
-        let monitor_names = mon_ref.map(|m| m.bank.names().to_vec()).unwrap_or_default();
         let report = shard.into_report(
+            &self.opts,
             metrics,
-            monitor_names,
-            results,
+            scenarios,
+            k,
             lint_warnings,
             coord_tracer.take_events(),
-            self.trace,
         );
         Ok(SweepReport {
-            lanes: k,
-            bundles: if k > 1 { n_bundles } else { 0 },
             space_pruned,
             prefix_forks: if prefix.is_some() { n as u64 } else { 0 },
             prefix_steps: prefix.map_or(0, |p| p.steps),
@@ -837,7 +710,7 @@ impl NetlistSweep {
         // prototype bank on [0, t0] and every fork resumes from that
         // fed state — verdicts match a run-from-zero scenario.
         if let Some(m) = &monitors {
-            pre.attach_monitors(m.bank.clone(), &m.nodes);
+            pre.attach_monitors(m.bank.clone(), &m.targets);
         }
         let traced = coord_tracer.is_enabled();
         if traced {
@@ -905,7 +778,7 @@ impl NetlistSweep {
         donor: Option<&SymbolicFactor<T>>,
         export: bool,
         n_metrics: usize,
-        mon: Option<&ResolvedMonitors>,
+        mon: Option<&ResolvedMonitors<NodeId>>,
         tracer: &mut Tracer,
         apply: &A,
         observe: &O,
@@ -937,7 +810,7 @@ impl NetlistSweep {
             tr.restore_checkpoint(&p.cp).map_err(fail)?;
         }
         if let Some(m) = mon {
-            tr.attach_monitors(m.bank.clone(), &m.nodes);
+            tr.attach_monitors(m.bank.clone(), &m.targets);
         }
         let span_arg = scenario_arg(first_idx as u64, k);
         let traced = tracer.is_enabled();
@@ -1011,7 +884,7 @@ struct Prefix {
     steps: u64,
     vals: Vec<f64>,
     probes: u64,
-    monitors: Option<ResolvedMonitors>,
+    monitors: Option<ResolvedMonitors<NodeId>>,
     factor: Option<SymbolicFactor>,
 }
 

@@ -4,17 +4,22 @@
 //! `setup`, balance-equation solving, schedule construction and
 //! timestep propagation once — and then replays scenarios through
 //! [`Cluster::reset`], which rewinds the elaborated cluster to `t = 0`
-//! without re-elaboration. The `ams-lint` gate likewise runs once, on
-//! the first worker's graph, since every worker builds the same
-//! topology.
+//! without re-elaboration (or through [`Cluster::restore`] of a shared
+//! prefix checkpoint). The `ams-lint` gate likewise runs once, on the
+//! first worker's graph, since every worker builds the same topology.
+//!
+//! There is one executor: [`TdfSweep::run_lanes`] runs bundles of
+//! scenarios, and [`TdfSweep::run`] is its width-1 case, reached
+//! through an adapter that presents a [`SweepModel`] as a one-lane
+//! [`LaneSweepModel`].
 //!
 //! Scenario parameters reach the modules through whatever channel the
 //! model chooses — typically [`SharedSample`](ams_core::SharedSample)
 //! cells captured by both the modules and the [`SweepModel`].
 
-use crate::engine::{run_sharded, HookFactory};
-use crate::netlist::{emit_monitor_instants, push_verdict_slots, split_verdict_slots};
-use crate::report::{ScenarioResult, SweepReport};
+use crate::engine::{emit_monitor_instants, push_verdict_slots, run_sharded};
+use crate::options::SweepOptions;
+use crate::report::SweepReport;
 use crate::spec::{Scenario, SweepSpec};
 use crate::SweepError;
 use ams_core::{Cluster, ClusterCheckpoint, TdfGraph};
@@ -62,29 +67,36 @@ pub trait LaneSweepModel: Send {
     fn metrics(&mut self, cluster: &Cluster, out: &mut [Vec<f64>]);
 }
 
-/// A batched sweep over one TDF cluster topology.
-#[derive(Clone)]
-pub struct TdfSweep {
-    iterations: u64,
-    lint: LintPolicy,
-    context: String,
-    trace: bool,
-    hooks: Option<HookFactory>,
-    prefix_iterations: Option<u64>,
-    monitors: Option<MonitorSpec>,
+/// Presents a [`SweepModel`] as a one-lane [`LaneSweepModel`], so
+/// [`TdfSweep::run`] is the width-1 case of the lane executor.
+struct OneLane<M>(M);
+
+impl<M: SweepModel> LaneSweepModel for OneLane<M> {
+    fn apply(&mut self, scenarios: &[Scenario]) {
+        self.0.apply(&scenarios[0]);
+    }
+
+    fn metrics(&mut self, cluster: &Cluster, out: &mut [Vec<f64>]) {
+        self.0.metrics(cluster, &mut out[0]);
+    }
 }
 
-impl std::fmt::Debug for TdfSweep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TdfSweep")
-            .field("iterations", &self.iterations)
-            .field("context", &self.context)
-            .field("trace", &self.trace)
-            .field("hooks", &self.hooks.is_some())
-            .field("prefix_iterations", &self.prefix_iterations)
-            .field("monitors", &self.monitors.is_some())
-            .finish_non_exhaustive()
-    }
+/// One worker's state: its elaborated cluster, its model and — with a
+/// [`prefix`](TdfSweep::prefix) — the checkpoint every bundle restores
+/// plus the monitor bank as the prefix left it (checkpoints exclude
+/// monitor state).
+struct Worker<M> {
+    cluster: Cluster,
+    model: M,
+    fork: Option<(ClusterCheckpoint, Option<MonitorBank>)>,
+}
+
+/// A batched sweep over one TDF cluster topology.
+#[derive(Debug, Clone)]
+pub struct TdfSweep {
+    iterations: u64,
+    opts: SweepOptions,
+    prefix_iterations: Option<u64>,
 }
 
 impl TdfSweep {
@@ -93,12 +105,8 @@ impl TdfSweep {
     pub fn new(iterations: u64) -> TdfSweep {
         TdfSweep {
             iterations,
-            lint: LintPolicy::default(),
-            context: "tdf-sweep".into(),
-            trace: false,
-            hooks: None,
+            opts: SweepOptions::new("tdf-sweep"),
             prefix_iterations: None,
-            monitors: None,
         }
     }
 
@@ -109,32 +117,27 @@ impl TdfSweep {
     /// [`Verdict`](ams_monitor::Verdict) per property per scenario.
     /// Channel names are resolved against each worker's elaborated
     /// cluster by signal name; an unknown channel rejects the batch
-    /// with [`SweepError::Invalid`](crate::SweepError::Invalid).
+    /// with [`SweepError::Invalid`].
     ///
     /// Verdicts fold into [`SweepReport::fingerprint`], are
     /// bit-identical across worker counts, and survive
     /// [`prefix`](TdfSweep::prefix) forking unchanged (each fork
     /// resumes from the automaton state the shared prefix accumulated).
-    /// Rejected by [`run_lanes`](TdfSweep::run_lanes): a lane-bundled
-    /// cluster multiplexes all lanes through one scalar signal trace,
-    /// so no per-scenario waveform exists to monitor.
+    /// Rejected by [`run_lanes`](TdfSweep::run_lanes) at widths above 1:
+    /// a lane-bundled cluster multiplexes all lanes through one scalar
+    /// signal trace, so no per-scenario waveform exists to monitor.
     pub fn monitors(mut self, spec: MonitorSpec) -> TdfSweep {
-        self.monitors = Some(spec);
+        self.opts.monitors = Some(spec);
         self
-    }
-
-    /// The installed monitor spec, with an empty spec normalized to
-    /// "no monitors".
-    fn effective_monitors(&self) -> Option<&MonitorSpec> {
-        self.monitors.as_ref().filter(|s| !s.is_empty())
     }
 
     /// Declares the first `prefix` schedule iterations of every
     /// scenario as a shared prefix: each worker runs its pristine
     /// cluster once to the fork point, saves a [`ClusterCheckpoint`],
-    /// and every scenario **restores** it instead of rewinding to
+    /// and every bundle **restores** it instead of rewinding to
     /// iteration 0 — paying only the remaining iterations of cluster
-    /// work. The sharing is counted in [`SweepReport::prefix_forks`] /
+    /// work. Works at every lane width. The sharing is counted in
+    /// [`SweepReport::prefix_forks`] (one per scenario) /
     /// [`SweepReport::prefix_steps`] (fingerprint-excluded); with
     /// tracing enabled each fork records a
     /// [`SpanKind::Checkpoint`] instant (`arg` = checkpoint bytes)
@@ -144,54 +147,47 @@ impl TdfSweep {
     ///
     /// **Contract:** valid only when the cluster's trajectory over the
     /// prefix iterations is scenario-invariant — the parameters
-    /// written by [`SweepModel::apply`] must act strictly after the
-    /// fork point, or only in [`SweepModel::metrics`]. Stateful
-    /// modules must implement
+    /// written by [`SweepModel::apply`] (or [`LaneSweepModel::apply`])
+    /// must act strictly after the fork point, or only in `metrics`.
+    /// Stateful modules must implement
     /// [`TdfModule::save_state`](ams_core::TdfModule::save_state) /
     /// [`restore_state`](ams_core::TdfModule::restore_state) (the same
     /// contract [`Cluster::save`] itself documents); the sweep cannot
-    /// verify either. Rejected by [`run_lanes`](TdfSweep::run_lanes)
-    /// (bundles amortize differently).
+    /// verify either. Under the contract a forked sweep fingerprints
+    /// like the same sweep from iteration 0, at every lane width.
     pub fn prefix(mut self, iterations: u64) -> TdfSweep {
         self.prefix_iterations = Some(iterations);
         self
     }
 
-    /// Enables span tracing: every scenario records a
+    /// Enables span tracing: every bundle records a
     /// [`SpanKind::Scenario`] span (timestamped in the scenario-index
-    /// domain, `arg` = scenario index) with the cluster's iteration and
-    /// embedded-solver spans folded in. The merged
+    /// domain, `arg` = first scenario index, packed with the lane width
+    /// above width 1 — see [`scenario_arg`]) with the cluster's
+    /// iteration and embedded-solver spans folded in. The merged
     /// [`ScopeTrace`](ams_scope::ScopeTrace) lands in
     /// [`SweepReport::trace`], one `shard-s` track per worker shard.
-    /// Disabled (the default) costs one branch per scenario.
+    /// Disabled (the default) costs one branch per bundle.
     pub fn trace(mut self, enabled: bool) -> TdfSweep {
-        self.trace = enabled;
-        self
-    }
-
-    /// Installs an [`ExecHook`](ams_exec::ExecHook) factory: one hook
-    /// per worker shard (built on the coordinator in shard order),
-    /// observing the shard's scenarios as windows and receiving
-    /// `on_finish` with the final aggregate. See
-    /// [`HookFactory`](crate::HookFactory).
-    pub fn hooks(mut self, factory: HookFactory) -> TdfSweep {
-        self.hooks = Some(factory);
+        self.opts.trace = enabled;
         self
     }
 
     /// Sets the lint policy gating the topology.
     pub fn lint_policy(mut self, policy: LintPolicy) -> TdfSweep {
-        self.lint = policy;
+        self.opts.lint = policy;
         self
     }
 
     /// Names the sweep for lint reports and diagnostics.
     pub fn context(mut self, context: impl Into<String>) -> TdfSweep {
-        self.context = context.into();
+        self.opts.context = context.into();
         self
     }
 
-    /// Runs every scenario of `spec` on up to `workers` threads.
+    /// Runs every scenario of `spec` on up to `workers` threads, one
+    /// cluster run per scenario — [`run_lanes`](TdfSweep::run_lanes) at
+    /// width 1, with `build`'s [`SweepModel`] seen as a one-lane model.
     ///
     /// `build` is called once per worker shard, **on the coordinator**
     /// and in shard order, and returns that worker's graph plus its
@@ -204,8 +200,11 @@ impl TdfSweep {
     /// # Errors
     ///
     /// * [`SweepError::Lint`] when the topology fails the policy gate.
-    /// * [`SweepError::Core`] when elaboration fails.
-    /// * [`SweepError::Invalid`] for an empty spec or metric list.
+    /// * [`SweepError::Core`] when elaboration (or the shared prefix
+    ///   run) fails.
+    /// * [`SweepError::Invalid`] for an empty spec or metric list, a
+    ///   prefix outside `0 < prefix < iterations`, or a monitor channel
+    ///   that names no signal.
     /// * [`SweepError::Scenario`] for the lowest-indexed failing
     ///   scenario.
     pub fn run<M, B>(
@@ -219,190 +218,21 @@ impl TdfSweep {
         M: SweepModel,
         B: FnMut(usize) -> (TdfGraph, M),
     {
-        if spec.is_empty() {
-            return Err(SweepError::invalid("sweep spec has no scenarios"));
-        }
-        if metrics.is_empty() {
-            return Err(SweepError::invalid("sweep needs at least one metric"));
-        }
-
-        let prefix = self.prefix_iterations;
-        if let Some(p) = prefix {
-            if p == 0 || p >= self.iterations {
-                return Err(SweepError::invalid(format!(
-                    "prefix iterations = {p} must satisfy 0 < prefix < iterations = {}",
-                    self.iterations
-                )));
-            }
-        }
-
-        let scenarios = spec.scenarios();
-        let n_metrics = metrics.len();
-        let mut lint_warnings = 0usize;
-        let iterations = self.iterations;
-        // Forks restore the checkpoint's iteration counter, so each
-        // scenario runs only the tail beyond the fork point.
-        let tail = iterations - prefix.unwrap_or(0);
-        let tracing = self.trace;
-        let mon_spec = self.effective_monitors();
-
-        let shard = run_sharded(
-            scenarios.len(),
-            workers,
-            tracing,
-            self.hooks.as_ref(),
-            |slot, _items| {
-                let (mut graph, model) = build(slot);
-                // One lint pass per topology: every worker builds the
-                // same graph, so the first one is representative.
-                if slot == 0 {
-                    let report = graph.lint();
-                    if !self.lint.denied(&report).is_empty() {
-                        return Err(SweepError::Lint(report));
-                    }
-                    lint_warnings = self.lint.warned(&report).len();
-                    for d in self.lint.warned(&report) {
-                        eprintln!("[{}] warning: {d}", self.context);
-                    }
-                }
-                let mut cluster = graph.elaborate()?;
-                // Monitors attach before the prefix so the shared
-                // prefix iterations feed the automata exactly as a
-                // run-from-zero scenario would.
-                if let Some(spec) = mon_spec {
-                    let bank = MonitorBank::new(spec);
-                    let mut sigs = Vec::with_capacity(bank.channels().len());
-                    for ch in bank.channels() {
-                        let sig = cluster.find_signal(ch).ok_or_else(|| {
-                            SweepError::invalid(format!(
-                                "monitor channel {ch:?} names no signal in the TDF graph"
-                            ))
-                        })?;
-                        sigs.push(sig);
-                    }
-                    cluster.attach_monitors(bank, &sigs);
-                }
-                // The shared prefix runs once per worker, on the
-                // pristine cluster and before tracing switches on, so
-                // its spans never land in a scenario's track.
-                let (ckpt, mon_snap) = match prefix {
-                    Some(p) => {
-                        cluster.run_standalone(p).map_err(SweepError::Core)?;
-                        // The checkpoint deliberately excludes monitor
-                        // state; snapshot the fed bank separately so
-                        // every fork resumes its automata from t0.
-                        (Some(cluster.save()), cluster.monitor_bank().cloned())
-                    }
-                    None => (None, None),
-                };
-                if tracing {
-                    cluster.set_tracing(true);
-                }
-                Ok((cluster, model, ckpt, mon_snap))
-            },
-            |(cluster, model, ckpt, mon_snap): &mut (
-                Cluster,
-                M,
-                Option<ClusterCheckpoint>,
-                Option<MonitorBank>,
-            ),
-             item,
-             tracer: &mut Tracer| {
-                let sc = &scenarios[item];
-                let idx = sc.index() as u64;
-                match ckpt {
-                    Some(cp) => {
-                        cluster
-                            .restore(cp)
-                            .map_err(|e| SweepError::scenario(sc.index(), e))?;
-                        if let Some(snap) = mon_snap {
-                            cluster.set_monitor_bank_state(snap.clone());
-                        }
-                    }
-                    None => cluster.reset(),
-                }
-                model.apply(sc);
-                if tracer.is_enabled() {
-                    tracer.begin_with(SpanKind::Scenario, idx, idx);
-                    if let Some(cp) = ckpt {
-                        tracer.instant(SpanKind::Checkpoint, idx, cp.approx_bytes() as u64);
-                    }
-                }
-                cluster
-                    .run_standalone(tail)
-                    .map_err(|e| SweepError::scenario(sc.index(), e))?;
-                let mut vals = vec![f64::NAN; n_metrics];
-                model.metrics(cluster, &mut vals);
-                let verdicts = cluster
-                    .monitor_bank()
-                    .map(MonitorBank::finish)
-                    .unwrap_or_default();
-                if tracer.is_enabled() {
-                    // Cluster and embedded-solver spans ride on the same
-                    // track, inside the scenario span (their timestamps
-                    // are the scenario's local simulated time).
-                    for (_, events) in cluster.take_traces() {
-                        tracer.extend(events);
-                    }
-                    if let Some(bank) = cluster.monitor_bank() {
-                        // Non-failures stamp the last sample the bank
-                        // saw (the TDF horizon in seconds).
-                        let horizon = bank
-                            .monitors()
-                            .iter()
-                            .map(ams_monitor::Monitor::last_time)
-                            .fold(0.0f64, f64::max);
-                        emit_monitor_instants(tracer, &verdicts, horizon);
-                    }
-                    tracer.end_with(SpanKind::Scenario, idx + 1, idx);
-                }
-                let mut row = vals;
-                push_verdict_slots(&mut row, &verdicts);
-                Ok((row, cluster.stats()))
-            },
-        )?;
-
-        let mut results = Vec::with_capacity(scenarios.len());
-        for (pos, sc) in scenarios.iter().enumerate() {
-            let (metrics_row, verdicts) =
-                split_verdict_slots(shard.metrics[pos].clone(), n_metrics);
-            results.push(ScenarioResult {
-                index: sc.index(),
-                label: sc.label(),
-                metrics: metrics_row,
-                stats: shard.stats[pos],
-                verdicts,
-            });
-        }
-
-        // The space pass is MNA-specific; TDF structure is
-        // scenario-invariant, so nothing is ever pruned here.
-        let report = shard.into_report(
-            metrics,
-            mon_spec.map(MonitorSpec::names).unwrap_or_default(),
-            results,
-            lint_warnings,
-            Vec::new(),
-            self.trace,
-        );
-        Ok(SweepReport {
-            prefix_forks: if prefix.is_some() {
-                scenarios.len() as u64
-            } else {
-                0
-            },
-            prefix_steps: prefix.unwrap_or(0),
-            ..report
+        self.run_lanes(spec, workers, metrics, 1, |slot| {
+            let (graph, model) = build(slot);
+            (graph, OneLane(model))
         })
     }
 
     /// Runs every scenario of `spec` lane-batched: `lanes` consecutive
     /// scenarios form one bundle, and each bundle costs a single
-    /// cluster run (one `reset`, one `run_standalone`). The model — a
-    /// [`LaneSweepModel`] — carries the whole bundle through that run,
-    /// typically via lane-bundled samples inside the modules.
+    /// cluster run (one `reset` or prefix restore, one
+    /// `run_standalone`). The model — a [`LaneSweepModel`] — carries the
+    /// whole bundle through that run, typically via lane-bundled
+    /// samples inside the modules. This is the one TDF executor:
+    /// [`run`](TdfSweep::run) is its width-1 case.
     ///
-    /// Compared to [`run`](TdfSweep::run):
+    /// Above width 1:
     ///
     /// * The report has the same per-scenario shape, but each
     ///   scenario's solver counters are its *bundle's* counters, so
@@ -415,16 +245,17 @@ impl TdfSweep {
     ///   width in their `arg` (see [`scenario_arg`]).
     /// * The final bundle may be shorter than `lanes`; the model sees
     ///   the true bundle size — there is no padding.
+    /// * Monitors are rejected: the bundle's lanes share one signal
+    ///   trace.
     ///
-    /// `lanes == 1` is valid and equivalent to a scalar sweep over a
-    /// model that happens to take one-element slices. Reports stay
+    /// [`prefix`](TdfSweep::prefix) works at every width. Reports stay
     /// bit-identical across worker counts: bundle composition depends
     /// only on the scenario order and `lanes`.
     ///
     /// # Errors
     ///
     /// As [`run`](TdfSweep::run), plus [`SweepError::Invalid`] when
-    /// `lanes` is zero.
+    /// `lanes` is zero, or above 1 with monitors attached.
     pub fn run_lanes<M, B>(
         &self,
         spec: &SweepSpec,
@@ -446,106 +277,145 @@ impl TdfSweep {
         if lanes == 0 {
             return Err(SweepError::invalid("lane width must be at least 1"));
         }
-        if self.prefix_iterations.is_some() {
-            return Err(SweepError::invalid(
-                "prefix sharing is a scalar-path feature: use run()",
-            ));
+        let prefix = self.prefix_iterations;
+        if let Some(p) = prefix {
+            if p == 0 || p >= self.iterations {
+                return Err(SweepError::invalid(format!(
+                    "prefix iterations = {p} must satisfy 0 < prefix < iterations = {}",
+                    self.iterations
+                )));
+            }
         }
-        if self.effective_monitors().is_some() {
+        if lanes > 1 && self.opts.monitors().is_some() {
             return Err(SweepError::invalid(
-                "monitors are a scalar-path feature for TDF sweeps: lane bundles \
-                 multiplex every lane through one signal trace, so no per-scenario \
-                 waveform exists to monitor — use run()",
+                "monitors need one scenario per cluster run: lane bundles multiplex \
+                 every lane through one signal trace, so no per-scenario waveform \
+                 exists to monitor — use run()",
             ));
         }
 
         let scenarios = spec.scenarios();
         let n = scenarios.len();
         let n_metrics = metrics.len();
-        let n_bundles = n.div_ceil(lanes);
         let mut lint_warnings = 0usize;
-        let iterations = self.iterations;
-        let tracing = self.trace;
+        // Forks restore the checkpoint's iteration counter, so each
+        // bundle runs only the tail beyond the fork point.
+        let tail = self.iterations - prefix.unwrap_or(0);
 
         let shard = run_sharded(
-            n_bundles,
+            n.div_ceil(lanes),
             workers,
-            tracing,
-            self.hooks.as_ref(),
+            self.opts.trace,
             |slot, _items| {
                 let (mut graph, model) = build(slot);
+                // One lint pass per topology: every worker builds the
+                // same graph, so the first one is representative.
                 if slot == 0 {
-                    let report = graph.lint();
-                    if !self.lint.denied(&report).is_empty() {
-                        return Err(SweepError::Lint(report));
-                    }
-                    lint_warnings = self.lint.warned(&report).len();
-                    for d in self.lint.warned(&report) {
-                        eprintln!("[{}] warning: {d}", self.context);
-                    }
+                    lint_warnings = self.opts.gate(graph.lint())?;
                 }
                 let mut cluster = graph.elaborate()?;
-                if tracing {
+                // Monitors attach before the prefix so the shared
+                // prefix iterations feed the automata exactly as a
+                // run-from-zero scenario would.
+                if let Some(m) = self
+                    .opts
+                    .resolve_monitors("signal in the TDF graph", |ch| cluster.find_signal(ch))?
+                {
+                    cluster.attach_monitors(m.bank, &m.targets);
+                }
+                // The shared prefix runs once per worker, on the
+                // pristine cluster and before tracing switches on, so
+                // its spans never land in a scenario's track.
+                let fork = match prefix {
+                    Some(p) => {
+                        cluster.run_standalone(p).map_err(SweepError::Core)?;
+                        Some((cluster.save(), cluster.monitor_bank().cloned()))
+                    }
+                    None => None,
+                };
+                if self.opts.trace {
                     cluster.set_tracing(true);
                 }
-                Ok((cluster, model))
+                Ok(Worker {
+                    cluster,
+                    model,
+                    fork,
+                })
             },
-            |(cluster, model): &mut (Cluster, M), item, tracer: &mut Tracer| {
-                let start = item * lanes;
-                let used = lanes.min(n - start);
-                let bundle = &scenarios[start..start + used];
+            |w: &mut Worker<M>, item, tracer: &mut Tracer| {
+                let lo = item * lanes;
+                let bundle = &scenarios[lo..n.min(lo + lanes)];
                 let first = bundle[0].index();
-                cluster.reset();
-                model.apply(bundle);
-                if tracer.is_enabled() {
-                    tracer.begin_with(
-                        SpanKind::Scenario,
-                        first as u64,
-                        scenario_arg(first as u64, lanes),
-                    );
+                let fail = |e| SweepError::scenario(first, e);
+                match &w.fork {
+                    Some((cp, bank)) => {
+                        w.cluster.restore(cp).map_err(fail)?;
+                        if let Some(bank) = bank {
+                            w.cluster.set_monitor_bank_state(bank.clone());
+                        }
+                    }
+                    None => w.cluster.reset(),
                 }
-                cluster
-                    .run_standalone(iterations)
-                    .map_err(|e| SweepError::scenario(first, e))?;
-                let mut rows = vec![vec![f64::NAN; n_metrics]; used];
-                model.metrics(cluster, &mut rows);
+                w.model.apply(bundle);
+                let span_arg = scenario_arg(first as u64, lanes);
                 if tracer.is_enabled() {
-                    for (_, events) in cluster.take_traces() {
+                    tracer.begin_with(SpanKind::Scenario, first as u64, span_arg);
+                    if let Some((cp, _)) = &w.fork {
+                        tracer.instant(
+                            SpanKind::Checkpoint,
+                            first as u64,
+                            cp.approx_bytes() as u64,
+                        );
+                    }
+                }
+                w.cluster.run_standalone(tail).map_err(fail)?;
+                let mut rows = vec![vec![f64::NAN; n_metrics]; bundle.len()];
+                w.model.metrics(&w.cluster, &mut rows);
+                let verdicts = w
+                    .cluster
+                    .monitor_bank()
+                    .map(MonitorBank::finish)
+                    .unwrap_or_default();
+                if tracer.is_enabled() {
+                    // Cluster and embedded-solver spans ride on the same
+                    // track, inside the scenario span (their timestamps
+                    // are the scenario's local simulated time).
+                    for (_, events) in w.cluster.take_traces() {
                         tracer.extend(events);
                     }
-                    tracer.end_with(
-                        SpanKind::Scenario,
-                        bundle[used - 1].index() as u64 + 1,
-                        scenario_arg(first as u64, lanes),
-                    );
+                    if let Some(bank) = w.cluster.monitor_bank() {
+                        // Non-failures stamp the last sample the bank
+                        // saw (the TDF horizon in seconds).
+                        let horizon = bank
+                            .monitors()
+                            .iter()
+                            .map(ams_monitor::Monitor::last_time)
+                            .fold(0.0f64, f64::max);
+                        emit_monitor_instants(tracer, &verdicts, horizon);
+                    }
+                    let end = bundle[bundle.len() - 1].index() as u64 + 1;
+                    tracer.end_with(SpanKind::Scenario, end, span_arg);
                 }
-                Ok((rows.concat(), cluster.stats()))
+                // Monitors only run at width 1: the verdicts ride home
+                // in extra slots of the single row.
+                push_verdict_slots(&mut rows[0], &verdicts);
+                Ok((rows.concat(), w.cluster.stats()))
             },
         )?;
 
-        let mut results = Vec::with_capacity(n);
-        for (i, sc) in scenarios.iter().enumerate() {
-            let (b, l) = (i / lanes, i % lanes);
-            results.push(ScenarioResult {
-                index: sc.index(),
-                label: sc.label(),
-                metrics: shard.metrics[b][l * n_metrics..(l + 1) * n_metrics].to_vec(),
-                stats: shard.stats[b],
-                verdicts: Vec::new(),
-            });
-        }
-
+        // The space pass is MNA-specific; TDF structure is
+        // scenario-invariant, so nothing is ever pruned here.
         let report = shard.into_report(
+            &self.opts,
             metrics,
-            Vec::new(),
-            results,
+            scenarios,
+            lanes,
             lint_warnings,
             Vec::new(),
-            self.trace,
         );
         Ok(SweepReport {
-            lanes,
-            bundles: n_bundles,
+            prefix_forks: if prefix.is_some() { n as u64 } else { 0 },
+            prefix_steps: prefix.unwrap_or(0),
             ..report
         })
     }
@@ -661,38 +531,15 @@ mod tests {
     }
 
     #[test]
-    fn hook_factory_and_trace_cover_every_scenario() {
-        use ams_exec::CountingHook;
+    fn trace_covers_every_scenario() {
         use ams_scope::Phase;
-        use std::sync::{Arc, Mutex};
-
-        let handles: Arc<Mutex<Vec<Arc<Mutex<CountingHook>>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = handles.clone();
-        let factory: crate::HookFactory = Arc::new(move |_slot| {
-            let h = Arc::new(Mutex::new(CountingHook::default()));
-            sink.lock().unwrap().push(h.clone());
-            Box::new(h)
-        });
 
         let gains = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
         let spec = SweepSpec::grid(&[("gain", &gains)], 3).unwrap();
         let report = TdfSweep::new(50)
             .trace(true)
-            .hooks(factory)
             .run(&spec, 2, &["peak"], build)
             .unwrap();
-
-        // One hook per shard: windows sum to the scenario count, one
-        // barrier and exactly one finish each.
-        let handles = handles.lock().unwrap();
-        assert_eq!(handles.len(), 2);
-        let windows: u64 = handles.iter().map(|h| h.lock().unwrap().windows).sum();
-        assert_eq!(windows, gains.len() as u64);
-        for h in handles.iter() {
-            let h = h.lock().unwrap();
-            assert_eq!(h.barriers, 1);
-            assert_eq!(h.finishes, 1);
-        }
 
         // The trace carries one Scenario span per scenario, tagged with
         // its index, on shard tracks, plus the cluster's iteration spans.
@@ -900,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_rejects_bad_lengths_and_lane_runs() {
+    fn prefix_rejects_bad_lengths_and_forks_lane_bundles() {
         let spec = SweepSpec::grid(&[("gain", &[1.0, 2.0])], 0).unwrap();
         for bad in [0, 100, 150] {
             assert!(
@@ -913,12 +760,28 @@ mod tests {
                 "prefix = {bad}"
             );
         }
-        assert!(matches!(
-            TdfSweep::new(100)
+        // Every bundle forks from the worker's checkpoint: bit-identical
+        // to the same lane sweep from iteration 0, short last bundle
+        // (5 = 4 + 1) included.
+        let gains = [0.5, 1.0, 2.0, 4.0, 8.0];
+        let spec = SweepSpec::grid(&[("gain", &gains)], 3).unwrap();
+        let from_zero = TdfSweep::new(100)
+            .run_lanes(&spec, 1, &["peak"], 4, build_lane)
+            .unwrap();
+        for workers in [1, 2, 4] {
+            let forked = TdfSweep::new(100)
                 .prefix(30)
-                .run_lanes(&spec, 1, &["peak"], 4, build_lane),
-            Err(SweepError::Invalid(_))
-        ));
+                .run_lanes(&spec, workers, &["peak"], 4, build_lane)
+                .unwrap();
+            assert_eq!(
+                forked.fingerprint(),
+                from_zero.fingerprint(),
+                "workers={workers}"
+            );
+            assert_eq!(forked.bundles, 2);
+            assert_eq!(forked.prefix_forks, 5);
+            assert_eq!(forked.prefix_steps, 30);
+        }
     }
 
     #[test]
