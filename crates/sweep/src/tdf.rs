@@ -629,6 +629,12 @@ mod tests {
         // Counters are bundle-shared: every scenario reports its
         // bundle's 200 iterations even though only 2 runs happened.
         assert_eq!(lane.totals().iterations, 5 * 200);
+        // Width 1 is `run`'s own path: the same report, no bundles.
+        let width1 = TdfSweep::new(200)
+            .run_lanes(&spec, 2, &["peak"], 1, build_lane)
+            .unwrap();
+        assert_eq!(width1.fingerprint(), scalar.fingerprint());
+        assert_eq!((width1.lanes, width1.bundles), (1, 0));
     }
 
     #[test]
