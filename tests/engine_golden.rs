@@ -1,5 +1,5 @@
-//! Golden pins for the transient engine, the netlist sweep driver and
-//! the TDF sweep executor.
+//! Golden pins for the transient engine, the netlist sweep driver, the
+//! TDF sweep executor and the Figure-1 model.
 //!
 //! Every other determinism test is *relative*: worker counts against
 //! each other, prefix forks against runs from zero, served jobs against
@@ -9,20 +9,25 @@
 //! bits (or of a Chrome trace export), recorded once and expected never
 //! to change.
 //!
-//! The diode and NMOS models call the platform `exp`, so the pins are
-//! only meaningful where they were recorded: x86_64.
+//! The diode and NMOS models call the platform `exp` (Figure 1 calls
+//! `sin`, `tanh` and `powf`), so the pins are only meaningful where they
+//! were recorded: x86_64.
 
 #![cfg(target_arch = "x86_64")]
 
 use std::sync::{Arc, Mutex};
+use systemc_ams::blocks::{
+    CicDecimator, FirFilter, LtiFilter, Product, SigmaDelta2, SineSource, TanhAmp,
+};
 use systemc_ams::core::{
-    Cluster, CoreError, SharedSample, TdfGraph, TdfIn, TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
+    AmsSimulator, Cluster, CoreError, CtModule, NetlistCtSolver, SharedSample, TdfGraph, TdfIn,
+    TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
 };
 use systemc_ams::kernel::SimTime;
 use systemc_ams::monitor::MonitorSpec;
 use systemc_ams::net::{
-    AdaptiveOptions, Circuit, ElementId, IntegrationMethod, NetError, NodeId, ScenarioProbe,
-    SolverBackend, TransientSolver, Waveform,
+    AdaptiveOptions, Circuit, ElementId, InputId, IntegrationMethod, NetError, NodeId,
+    ScenarioProbe, SolverBackend, TransientSolver, Waveform,
 };
 use systemc_ams::scope::chrome;
 use systemc_ams::sweep::{
@@ -633,4 +638,173 @@ fn tdf_traced_chrome_export_is_pinned() {
     let mut h = Fnv::new();
     h.bytes(export.as_bytes());
     assert_eq!(h.0, 0x4b94_7e07_1864_12cd);
+}
+
+// ---------- Figure 1 ---------------------------------------------------
+
+/// The Figure-1 AGC's target power.
+const F1_TARGET_POWER: f64 = 0.02;
+
+/// Sliding mean-square power estimator (the figure's "DSP algorithm").
+struct F1Power {
+    inp: TdfIn,
+    out: TdfOut,
+    acc: f64,
+}
+
+impl TdfModule for F1Power {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.input(self.inp);
+        cfg.output(self.out);
+    }
+
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        let x = io.read1(self.inp);
+        self.acc = 0.995 * self.acc + 0.005 * x * x;
+        io.write1(self.out, self.acc);
+        Ok(())
+    }
+}
+
+/// Driver → protection resistor → 600 Ω line with shunt capacitance.
+fn f1_line() -> (Circuit, InputId, NodeId) {
+    let mut ckt = Circuit::new();
+    let drive = ckt.node("drive");
+    let line = ckt.node("line");
+    let sub = ckt.node("subscriber");
+    let input = ckt.external_input();
+    ckt.voltage_source_wave("Vdrv", drive, Circuit::GROUND, Waveform::External(input))
+        .unwrap();
+    ckt.resistor("Rprot", drive, line, 50.0).unwrap();
+    ckt.capacitor("Cline", line, Circuit::GROUND, 20e-9)
+        .unwrap();
+    ckt.resistor("Rline", line, sub, 130.0).unwrap();
+    ckt.resistor("Rsub", sub, Circuit::GROUND, 600.0).unwrap();
+    ckt.capacitor("Csub", sub, Circuit::GROUND, 10e-9).unwrap();
+    (ckt, input, sub)
+}
+
+/// FNV-1a over the bits of Figure 1's digital output and of the DE
+/// `power` signal (every value the AGC read, then the final one), for a
+/// `tone_hz` tone run for 10 ms. The model is the benchmark's: DE AGC,
+/// line netlist, biquad, Σ∆, CIC, FIR and power estimator.
+fn f1_hash(tone_hz: f64) -> u64 {
+    let mut sim = AmsSimulator::new();
+    let power_de = sim.kernel_mut().signal("power", 0.0f64);
+    let gain_de = sim.kernel_mut().signal("tx_gain", 1.0f64);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let agc_seen = seen.clone();
+    sim.kernel_mut().add_process("agc", move |ctx| {
+        let p = ctx.read(power_de);
+        agc_seen.lock().unwrap().push(p);
+        let g = ctx.read(gain_de);
+        let adj = if p > 1e-12 {
+            (F1_TARGET_POWER / p).powf(0.1).clamp(0.7, 1.3)
+        } else {
+            1.2
+        };
+        ctx.write(gain_de, (g * adj).clamp(0.05, 20.0));
+        ctx.next_trigger_in(SimTime::from_us(500));
+    });
+
+    let fs = SimTime::from_us(1);
+    let mut g = TdfGraph::new("slic");
+    let tone = g.signal("tone");
+    let gain_ctl = g.from_de("gain_ctl", gain_de);
+    let scaled = g.signal("scaled");
+    let driven = g.signal("driven");
+    let line_out = g.signal("line_out");
+    let anti_alias = g.signal("anti_alias");
+    let bitstream = g.signal("bitstream");
+    let decimated = g.signal("decimated");
+    let digital = g.signal("digital");
+    let power = g.signal("power");
+    let probe = g.probe(digital);
+    g.add_module(
+        "tone",
+        SineSource::new(tone.writer(), tone_hz, 0.5, Some(fs)),
+    );
+    g.add_module(
+        "tx_gain",
+        Product::new(tone.reader(), gain_ctl.reader(), scaled.writer()),
+    );
+    g.add_module(
+        "hv_driver",
+        TanhAmp::new(scaled.reader(), driven.writer(), 4.0, 12.0),
+    );
+    let (ckt, line_in, sub) = f1_line();
+    let solver = NetlistCtSolver::new(
+        &ckt,
+        IntegrationMethod::Trapezoidal,
+        vec![line_in],
+        vec![sub],
+    )
+    .unwrap();
+    g.add_module(
+        "line",
+        CtModule::new(
+            "line",
+            Box::new(solver),
+            vec![driven.reader()],
+            vec![line_out.writer()],
+            None,
+        ),
+    );
+    g.add_module(
+        "anti_alias",
+        LtiFilter::biquad_low_pass(
+            line_out.reader(),
+            anti_alias.writer(),
+            20_000.0,
+            0.707,
+            None,
+        )
+        .unwrap(),
+    );
+    g.add_module(
+        "sd_prefi",
+        SigmaDelta2::new(anti_alias.reader(), bitstream.writer()),
+    );
+    g.add_module(
+        "cic",
+        CicDecimator::new(bitstream.reader(), decimated.writer(), 16, 2),
+    );
+    g.add_module(
+        "chan_fir",
+        FirFilter::lowpass_design(decimated.reader(), digital.writer(), 63, 0.16),
+    );
+    g.add_module(
+        "dsp_power",
+        F1Power {
+            inp: digital.reader(),
+            out: power.writer(),
+            acc: 0.0,
+        },
+    );
+    g.to_de("power_out", power, power_de);
+    sim.add_cluster(g).unwrap();
+    sim.run_until(SimTime::from_ms(10)).unwrap();
+
+    let mut h = Fnv::new();
+    let values = probe.values();
+    // `run_until` is horizon-inclusive: one sample per 16 µs, plus t = 10 ms.
+    assert_eq!(values.len(), 626);
+    for v in values {
+        h.u64(v.to_bits());
+    }
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 21);
+    for p in seen.iter() {
+        h.u64(p.to_bits());
+    }
+    h.u64(sim.kernel().peek(power_de).to_bits());
+    h.0
+}
+
+/// Figure 1 at 5 kHz for 10 ms. The embedded line moves at ulp level
+/// when its step arithmetic changes; the Σ∆ quantizer absorbs that, so
+/// the digital output and the regulated power stay bit-identical.
+#[test]
+fn f1_digital_output_and_power_are_pinned() {
+    assert_eq!(f1_hash(5_000.0), 0x76da_4340_4480_f660);
 }
