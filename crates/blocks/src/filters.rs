@@ -159,8 +159,9 @@ impl TdfModule for LtiFilter {
     fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
         let u = io.read1(self.inp);
         let mut y = [0.0];
+        let step = io.timestep_exact();
         self.solver
-            .advance_to(io.time() + io.timestep(), &[u], &mut y)?;
+            .advance_to(io.time_exact() + step, step, &[u], &mut y)?;
         io.write1(self.out, y[0]);
         Ok(())
     }

@@ -9,7 +9,7 @@
 //! from the DE kernel; [`Cluster::ac_analysis`] derives the small-signal
 //! frequency-domain model from the very same module graph.
 
-use crate::module::{AcIo, InPortRt, OutPortRt, SignalBuf, TdfInit, TdfIo, TdfModule, TdfSetup};
+use crate::module::{AcIo, PortRt, SignalBuf, TdfInit, TdfIo, TdfModule, TdfSetup};
 use crate::port::{TdfIn, TdfSignal};
 use crate::shared::{sample_queue, SampleQueue, SampleSink, SampleSource, SharedSample};
 use crate::CoreError;
@@ -18,7 +18,6 @@ use ams_math::{Complex64, DMat, DVec, Lu};
 use ams_monitor::MonitorBank;
 use ams_scope::{SpanKind, TraceEvent, Tracer};
 use ams_sdf::{schedule as sdf_schedule, SdfGraph};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Identifier of a module within one graph/cluster.
@@ -304,6 +303,8 @@ impl TdfGraph {
     ///
     /// * [`CoreError::MultipleWriters`] / [`CoreError::NoWriter`] on
     ///   malformed connectivity.
+    /// * [`CoreError::Invalid`] when a module declares the same input
+    ///   twice.
     /// * [`CoreError::Sdf`] for inconsistent rates or deadlock.
     /// * [`CoreError::NoTimestep`] / [`CoreError::InconsistentTimestep`] /
     ///   [`CoreError::InexactTimestep`] for timestep problems.
@@ -331,13 +332,19 @@ impl TdfGraph {
                 writer[out.signal.0] = Some((midx, out.rate));
             }
         }
-        // Reader validation.
-        for cfg in &setups {
-            for inp in &cfg.inputs {
+        // Reader validation: one port entry per signal.
+        for (midx, cfg) in setups.iter().enumerate() {
+            for (i, inp) in cfg.inputs.iter().enumerate() {
                 if writer[inp.signal.0].is_none() {
                     return Err(CoreError::NoWriter {
                         signal: self.signal_names[inp.signal.0].clone(),
                     });
+                }
+                if cfg.inputs[..i].iter().any(|d| d.signal == inp.signal) {
+                    return Err(CoreError::invalid(format!(
+                        "module '{}' declared input '{}' twice",
+                        self.modules[midx].0, self.signal_names[inp.signal.0]
+                    )));
                 }
             }
         }
@@ -410,55 +417,26 @@ impl TdfGraph {
             }
         }
 
-        // Phase 4: initialization.
-        let mut initial = HashMap::new();
-        for (midx, (name, module)) in self.modules.iter_mut().enumerate() {
-            let mut init = TdfInit {
-                module_timestep: timesteps[midx],
-                initial_values: &mut initial,
-                declared_inputs: &setups[midx].inputs,
-                module_name: name,
-            };
-            module.initialize(&mut init)?;
-        }
-
-        // Phase 5: assemble the runtime.
+        // Phase 4: initialization, which writes delay-slot values into
+        // each module's input-port table.
         let mut modules_rt = Vec::with_capacity(n_mods);
-        for (midx, (name, module)) in self.modules.into_iter().enumerate() {
-            let mut in_ports = HashMap::new();
-            let mut in_sigs = Vec::new();
-            for d in &setups[midx].inputs {
-                in_ports.insert(
-                    d.signal,
-                    InPortRt {
-                        rate: d.rate,
-                        delay: d.delay,
-                        counter: 0,
-                    },
-                );
-                in_sigs.push(d.signal);
-            }
-            let mut out_ports = HashMap::new();
-            let mut out_sigs = Vec::new();
-            for d in &setups[midx].outputs {
-                out_ports.insert(
-                    d.signal,
-                    OutPortRt {
-                        rate: d.rate,
-                        counter: 0,
-                    },
-                );
-                out_sigs.push(d.signal);
-            }
+        for ((name, mut module), (cfg, timestep)) in
+            self.modules.into_iter().zip(setups.iter().zip(timesteps))
+        {
+            let mut in_ports: Vec<PortRt> = cfg.inputs.iter().map(PortRt::new).collect();
+            module.initialize(&mut TdfInit {
+                module_timestep: timestep,
+                inputs: &mut in_ports,
+                module_name: &name,
+            })?;
+            let out_ports = cfg.outputs.iter().map(PortRt::new).collect();
             modules_rt.push(ModuleRt {
                 name,
                 module: Some(module),
-                timestep: timesteps[midx],
-                timestep_secs: timesteps[midx].to_seconds(),
+                timestep,
+                timestep_secs: timestep.to_seconds(),
                 in_ports,
                 out_ports,
-                in_sigs,
-                out_sigs,
                 firing_in_iter: 0,
             });
         }
@@ -471,7 +449,7 @@ impl TdfGraph {
             modules: modules_rt,
             schedule_order,
             bufs: vec![SignalBuf::default(); n_sigs],
-            initial,
+            keep_from: vec![i64::MAX; n_sigs],
             iteration: 0,
             sig_period_secs,
             stats: ClusterStats::default(),
@@ -507,10 +485,9 @@ struct ModuleRt {
     module: Option<Box<dyn TdfModule>>,
     timestep: SimTime,
     timestep_secs: f64,
-    in_ports: HashMap<TdfSignal, InPortRt>,
-    out_ports: HashMap<TdfSignal, OutPortRt>,
-    in_sigs: Vec<TdfSignal>,
-    out_sigs: Vec<TdfSignal>,
+    /// Port tables in declaration order, one entry per signal.
+    in_ports: Vec<PortRt>,
+    out_ports: Vec<PortRt>,
     firing_in_iter: u64,
 }
 
@@ -561,7 +538,9 @@ pub struct Cluster {
     modules: Vec<ModuleRt>,
     schedule_order: Vec<usize>,
     bufs: Vec<SignalBuf>,
-    initial: HashMap<(TdfSignal, u64), f64>,
+    /// Per signal, the oldest sample still needed: scratch space for
+    /// [`Cluster::trim_buffers`], kept so an iteration does not allocate.
+    keep_from: Vec<i64>,
     iteration: u64,
     sig_period_secs: Vec<f64>,
     probes: Vec<ProbeRt>,
@@ -726,19 +705,19 @@ impl Cluster {
                 t0: t0_exact.to_seconds(),
                 t0_exact,
                 timestep: mrt.timestep_secs,
+                timestep_exact: mrt.timestep,
                 in_ports: &mrt.in_ports,
                 out_ports: &mrt.out_ports,
                 bufs: &mut self.bufs,
-                initial: &self.initial,
             };
             module.processing(&mut io)
         };
         let mrt = &mut self.modules[midx];
         mrt.module = Some(module);
-        for ip in mrt.in_ports.values_mut() {
+        for ip in &mut mrt.in_ports {
             ip.counter += ip.rate as i64;
         }
-        for op in mrt.out_ports.values_mut() {
+        for op in &mut mrt.out_ports {
             op.counter += op.rate as i64;
         }
         mrt.firing_in_iter += 1;
@@ -786,11 +765,12 @@ impl Cluster {
     }
 
     fn trim_buffers(&mut self) {
-        let n_sigs = self.bufs.len();
-        let mut keep_from: Vec<i64> = vec![i64::MAX; n_sigs];
+        let keep_from = &mut self.keep_from;
+        keep_from.fill(i64::MAX);
         for m in &self.modules {
-            for (sig, ip) in &m.in_ports {
-                keep_from[sig.0] = keep_from[sig.0].min(ip.counter - ip.delay as i64);
+            for ip in &m.in_ports {
+                let s = ip.signal.0;
+                keep_from[s] = keep_from[s].min(ip.counter - ip.delay as i64);
             }
         }
         for p in &self.probes {
@@ -930,10 +910,10 @@ impl Cluster {
             buf.base = 0;
         }
         for m in &mut self.modules {
-            for ip in m.in_ports.values_mut() {
+            for ip in &mut m.in_ports {
                 ip.counter = 0;
             }
-            for op in m.out_ports.values_mut() {
+            for op in &mut m.out_ports {
                 op.counter = 0;
             }
             m.firing_in_iter = 0;
@@ -972,18 +952,17 @@ impl Cluster {
             iteration: self.iteration,
             stats: self.stats,
             bufs: self.bufs.iter().map(|b| (b.base, b.data.clone())).collect(),
-            // Port counters are captured in declaration order
-            // (`in_sigs`/`out_sigs`), never in `HashMap` iteration
-            // order, so a checkpoint is stable across processes.
+            // Port counters are captured in declaration order, the order
+            // of the port tables.
             in_counters: self
                 .modules
                 .iter()
-                .map(|m| m.in_sigs.iter().map(|s| m.in_ports[s].counter).collect())
+                .map(|m| m.in_ports.iter().map(|p| p.counter).collect())
                 .collect(),
             out_counters: self
                 .modules
                 .iter()
-                .map(|m| m.out_sigs.iter().map(|s| m.out_ports[s].counter).collect())
+                .map(|m| m.out_ports.iter().map(|p| p.counter).collect())
                 .collect(),
             module_state: self
                 .modules
@@ -1049,7 +1028,7 @@ impl Cluster {
             .iter()
             .zip(cp.in_counters.iter().zip(&cp.out_counters))
         {
-            if ins.len() != m.in_sigs.len() || outs.len() != m.out_sigs.len() {
+            if ins.len() != m.in_ports.len() || outs.len() != m.out_ports.len() {
                 return Err(CoreError::invalid(format!(
                     "checkpoint port layout does not match module '{}'",
                     m.name
@@ -1063,11 +1042,11 @@ impl Cluster {
             buf.data.clone_from(data);
         }
         for (midx, m) in self.modules.iter_mut().enumerate() {
-            for (s, &c) in m.in_sigs.iter().zip(&cp.in_counters[midx]) {
-                m.in_ports.get_mut(s).expect("declared port").counter = c;
+            for (p, &c) in m.in_ports.iter_mut().zip(&cp.in_counters[midx]) {
+                p.counter = c;
             }
-            for (s, &c) in m.out_sigs.iter().zip(&cp.out_counters[midx]) {
-                m.out_ports.get_mut(s).expect("declared port").counter = c;
+            for (p, &c) in m.out_ports.iter_mut().zip(&cp.out_counters[midx]) {
+                p.counter = c;
             }
             m.firing_in_iter = 0;
             m.module
@@ -1120,11 +1099,13 @@ impl Cluster {
             let mut rhs = DVec::<Complex64>::zeros(n);
             for m in &mut self.modules {
                 let module = m.module.as_mut().expect("module present");
+                let ins: Vec<TdfSignal> = m.in_ports.iter().map(|p| p.signal).collect();
+                let outs: Vec<TdfSignal> = m.out_ports.iter().map(|p| p.signal).collect();
                 let mut ac = AcIo {
                     omega,
                     module_name: &m.name,
-                    declared_inputs: &m.in_sigs,
-                    declared_outputs: &m.out_sigs,
+                    declared_inputs: &ins,
+                    declared_outputs: &outs,
                     gains: Vec::new(),
                     sources: Vec::new(),
                 };
@@ -1543,6 +1524,41 @@ mod tests {
             g.elaborate(),
             Err(CoreError::MultipleWriters { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_input_declaration_rejected() {
+        /// Declares its one input twice, with different rates.
+        struct Twice {
+            inp: TdfIn,
+        }
+        impl TdfModule for Twice {
+            fn setup(&mut self, cfg: &mut TdfSetup) {
+                cfg.input(self.inp);
+                cfg.input_with(self.inp, 2, 0);
+            }
+            fn processing(&mut self, _io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+                Ok(())
+            }
+        }
+        let mut g = TdfGraph::new("twice");
+        let s = g.signal("x");
+        g.add_module(
+            "src",
+            Counter {
+                out: s.writer(),
+                next: 0.0,
+                ts: SimTime::from_us(1),
+            },
+        );
+        g.add_module("twice", Twice { inp: s.reader() });
+        let Err(CoreError::Invalid { reason }) = g.elaborate() else {
+            panic!("a twice-declared input must be rejected");
+        };
+        assert!(
+            reason.contains("'twice'") && reason.contains("'x'"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::port::{PortDecl, TdfIn, TdfOut, TdfSignal};
 use ams_kernel::SimTime;
 use ams_math::Complex64;
-use std::collections::HashMap;
 
 /// A timed-dataflow module: the paper's "continuous behaviour encapsulated
 /// in static dataflow modules" (phase 1).
@@ -167,9 +166,8 @@ impl TdfSetup {
 #[derive(Debug)]
 pub struct TdfInit<'a> {
     pub(crate) module_timestep: SimTime,
-    /// (signal, delay slot) → initial value, collected for the runtime.
-    pub(crate) initial_values: &'a mut HashMap<(TdfSignal, u64), f64>,
-    pub(crate) declared_inputs: &'a [PortDecl],
+    /// The module's input-port table; delay-slot values land in it.
+    pub(crate) inputs: &'a mut [PortRt],
     pub(crate) module_name: &'a str,
 }
 
@@ -187,10 +185,10 @@ impl TdfInit<'_> {
     /// Panics if the port was not declared with at least `slot + 1`
     /// delay samples.
     pub fn set_initial(&mut self, port: TdfIn, slot: u64, value: f64) {
-        let decl = self
-            .declared_inputs
-            .iter()
-            .find(|d| d.signal == port.signal)
+        let ip = self
+            .inputs
+            .iter_mut()
+            .find(|p| p.signal == port.signal)
             .unwrap_or_else(|| {
                 panic!(
                     "module '{}' set_initial on undeclared input {}",
@@ -198,12 +196,16 @@ impl TdfInit<'_> {
                 )
             });
         assert!(
-            slot < decl.delay,
+            slot < ip.delay,
             "module '{}': initial slot {slot} exceeds declared delay {}",
             self.module_name,
-            decl.delay
+            ip.delay
         );
-        self.initial_values.insert((port.signal, slot), value);
+        let slot = slot as usize;
+        if slot >= ip.initial.len() {
+            ip.initial.resize(slot + 1, 0.0);
+        }
+        ip.initial[slot] = value;
     }
 }
 
@@ -245,21 +247,34 @@ impl SignalBuf {
     }
 }
 
-/// Runtime state of one input port.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InPortRt {
+/// Runtime state of one port: an entry of its module's input or output
+/// port table, kept in declaration order.
+#[derive(Debug, Clone)]
+pub(crate) struct PortRt {
+    pub signal: TdfSignal,
     pub rate: u64,
+    /// Delay samples (always 0 on an output).
     pub delay: u64,
-    /// Tokens consumed so far (absolute).
+    /// Samples consumed (input) or produced (output) so far: the
+    /// absolute stream index of the next one.
     pub counter: i64,
+    /// Values of an input's delay slots set in
+    /// [`TdfModule::initialize`] (slot 0 is consumed first); slots past
+    /// the end read 0.0.
+    pub initial: Vec<f64>,
 }
 
-/// Runtime state of one output port.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OutPortRt {
-    pub rate: u64,
-    /// Samples produced so far (absolute stream index of the next write).
-    pub counter: i64,
+impl PortRt {
+    /// A fresh entry for a declared port.
+    pub fn new(decl: &PortDecl) -> Self {
+        PortRt {
+            signal: decl.signal,
+            rate: decl.rate,
+            delay: decl.delay,
+            counter: 0,
+            initial: Vec::new(),
+        }
+    }
 }
 
 /// Per-firing sample I/O passed to [`TdfModule::processing`].
@@ -275,10 +290,13 @@ pub struct TdfIo<'a> {
     pub(crate) t0_exact: SimTime,
     /// Module firing period in seconds.
     pub(crate) timestep: f64,
-    pub(crate) in_ports: &'a HashMap<TdfSignal, InPortRt>,
-    pub(crate) out_ports: &'a HashMap<TdfSignal, OutPortRt>,
+    /// The same period as an exact kernel time.
+    pub(crate) timestep_exact: SimTime,
+    /// The module's port tables. A block has a few ports, so a linear
+    /// scan over them finds one faster than hashing would.
+    pub(crate) in_ports: &'a [PortRt],
+    pub(crate) out_ports: &'a [PortRt],
     pub(crate) bufs: &'a mut [SignalBuf],
-    pub(crate) initial: &'a HashMap<(TdfSignal, u64), f64>,
 }
 
 impl TdfIo<'_> {
@@ -297,18 +315,27 @@ impl TdfIo<'_> {
         self.timestep
     }
 
+    /// The same period as an exact (femtosecond) kernel time.
+    pub fn timestep_exact(&self) -> SimTime {
+        self.timestep_exact
+    }
+
     /// Reads the `k`-th input sample of this firing from `port`.
     ///
     /// # Panics
     ///
     /// Panics if the port was not declared or `k` exceeds its rate.
     pub fn read(&mut self, port: TdfIn, k: u64) -> f64 {
-        let ip = self.in_ports.get(&port.signal).unwrap_or_else(|| {
-            panic!(
-                "module '{}' read undeclared input {}",
-                self.module_name, port.signal
-            )
-        });
+        let ip = self
+            .in_ports
+            .iter()
+            .find(|p| p.signal == port.signal)
+            .unwrap_or_else(|| {
+                panic!(
+                    "module '{}' read undeclared input {}",
+                    self.module_name, port.signal
+                )
+            });
         assert!(
             k < ip.rate,
             "module '{}': read index {k} exceeds rate {}",
@@ -318,11 +345,8 @@ impl TdfIo<'_> {
         let idx = ip.counter + k as i64 - ip.delay as i64;
         if idx < 0 {
             // Delay slot: slot 0 is consumed first.
-            let slot = (ip.delay as i64 + idx) as u64;
-            self.initial
-                .get(&(port.signal, slot))
-                .copied()
-                .unwrap_or(0.0)
+            let slot = (ip.delay as i64 + idx) as usize;
+            ip.initial.get(slot).copied().unwrap_or(0.0)
         } else {
             self.bufs[port.signal.0].get(idx).unwrap_or_else(|| {
                 panic!(
@@ -344,12 +368,16 @@ impl TdfIo<'_> {
     ///
     /// Panics if the port was not declared or `k` exceeds its rate.
     pub fn write(&mut self, port: TdfOut, k: u64, value: f64) {
-        let op = self.out_ports.get(&port.signal).unwrap_or_else(|| {
-            panic!(
-                "module '{}' wrote undeclared output {}",
-                self.module_name, port.signal
-            )
-        });
+        let op = self
+            .out_ports
+            .iter()
+            .find(|p| p.signal == port.signal)
+            .unwrap_or_else(|| {
+                panic!(
+                    "module '{}' wrote undeclared output {}",
+                    self.module_name, port.signal
+                )
+            });
         assert!(
             k < op.rate,
             "module '{}': write index {k} exceeds rate {}",
@@ -489,27 +517,23 @@ mod tests {
         let sig = TdfSignal(0);
         let mut bufs = vec![SignalBuf::default()];
         bufs[0].set(0, 10.0);
-        let mut in_ports = HashMap::new();
-        in_ports.insert(
-            sig,
-            InPortRt {
+        let in_ports = [PortRt {
+            initial: vec![42.0],
+            ..PortRt::new(&PortDecl {
+                signal: sig,
                 rate: 2,
                 delay: 1,
-                counter: 0,
-            },
-        );
-        let out_ports = HashMap::new();
-        let mut initial = HashMap::new();
-        initial.insert((sig, 0u64), 42.0);
+            })
+        }];
         let mut io = TdfIo {
             module_name: "m",
             t0: 0.0,
             t0_exact: SimTime::ZERO,
             timestep: 1e-6,
+            timestep_exact: SimTime::from_us(1),
             in_ports: &in_ports,
-            out_ports: &out_ports,
+            out_ports: &[],
             bufs: &mut bufs,
-            initial: &initial,
         };
         // k=0 → stream index −1 → delay slot 0 = 42; k=1 → stream 0 = 10.
         assert_eq!(io.read(sig.reader(), 0), 42.0);
@@ -519,19 +543,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "undeclared input")]
     fn undeclared_read_panics() {
-        let in_ports = HashMap::new();
-        let out_ports = HashMap::new();
-        let initial = HashMap::new();
         let mut bufs: Vec<SignalBuf> = vec![];
         let mut io = TdfIo {
             module_name: "m",
             t0: 0.0,
             t0_exact: SimTime::ZERO,
             timestep: 1.0,
-            in_ports: &in_ports,
-            out_ports: &out_ports,
+            timestep_exact: SimTime::from_secs(1),
+            in_ports: &[],
+            out_ports: &[],
             bufs: &mut bufs,
-            initial: &initial,
         };
         let _ = io.read1(TdfSignal(0).reader());
     }

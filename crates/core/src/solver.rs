@@ -31,6 +31,11 @@ use ams_net::{Circuit, InputId, IntegrationMethod, NodeId, TransientSolver};
 /// [`CtSolver::advance_to`] is called with strictly increasing times —
 /// once per TDF sample — holding `inputs` constant over the interval.
 ///
+/// Time crosses this boundary exactly: the end of the interval and its
+/// length arrive as kernel [`SimTime`]s, so every step at one TDF rate
+/// converts to the same `h` bits and a solver that caches factors per
+/// step size keeps them.
+///
 /// Solvers are `Send` so the embedding [`CtModule`] (and thus its
 /// cluster) can run on a worker thread of the parallel execution engine.
 pub trait CtSolver: Send {
@@ -48,14 +53,20 @@ pub trait CtSolver: Send {
     /// Solver-specific failures (e.g. a DC solve that does not converge).
     fn initialize(&mut self, dc_inputs: &[f64]) -> Result<(), CoreError>;
 
-    /// Advances the internal state from the previous time to `t`
-    /// (seconds), with `inputs` held constant, and writes the outputs at
-    /// `t` into `outputs`.
+    /// Advances the internal state over the interval of exact length
+    /// `step` that ends at `t`, with `inputs` held constant, and writes
+    /// the outputs at `t` into `outputs`.
     ///
     /// # Errors
     ///
     /// Solver-specific failures (Newton divergence, singularities, …).
-    fn advance_to(&mut self, t: f64, inputs: &[f64], outputs: &mut [f64]) -> Result<(), CoreError>;
+    fn advance_to(
+        &mut self,
+        t: SimTime,
+        step: SimTime,
+        inputs: &[f64],
+        outputs: &mut [f64],
+    ) -> Result<(), CoreError>;
 
     /// The small-signal transfer matrix `H(jω)` (outputs × inputs), if
     /// the solver supports frequency-domain analysis. Default: `None`
@@ -90,14 +101,15 @@ pub trait CtSolver: Send {
 
 /// [`CtSolver`] over a linear time-invariant state-space model.
 ///
-/// Uses fixed-step discretization re-derived whenever the TDF timestep
-/// changes, so each TDF sample costs one matrix–vector product.
+/// Uses fixed-step discretization re-derived whenever the exact TDF
+/// step changes, so each TDF sample costs one matrix–vector product.
 #[derive(Debug, Clone)]
 pub struct LtiCtSolver {
     ss: StateSpace,
     method: Discretization,
     solver: Option<LtiSolver>,
-    last_t: f64,
+    /// End of the last advance.
+    now: SimTime,
 }
 
 impl LtiCtSolver {
@@ -107,7 +119,7 @@ impl LtiCtSolver {
             ss,
             method,
             solver: None,
-            last_t: 0.0,
+            now: SimTime::ZERO,
         }
     }
 
@@ -140,7 +152,7 @@ impl CtSolver for LtiCtSolver {
         // The step size is unknown until the first advance; discretize
         // lazily but compute the DC state now.
         self.solver = None;
-        self.last_t = 0.0;
+        self.now = SimTime::ZERO;
         // Store DC state by building a provisional solver at a nominal
         // step; the state carries over via set_state on first advance.
         let mut s = LtiSolver::new(self.ss.clone(), 1.0, self.method)
@@ -153,26 +165,32 @@ impl CtSolver for LtiCtSolver {
         Ok(())
     }
 
-    fn advance_to(&mut self, t: f64, inputs: &[f64], outputs: &mut [f64]) -> Result<(), CoreError> {
-        let h = t - self.last_t;
-        if h <= 0.0 {
+    fn advance_to(
+        &mut self,
+        t: SimTime,
+        step: SimTime,
+        inputs: &[f64],
+        outputs: &mut [f64],
+    ) -> Result<(), CoreError> {
+        if t <= self.now {
             return Err(CoreError::invalid(format!(
                 "lti solver asked to advance backwards ({} → {t})",
-                self.last_t
+                self.now
             )));
         }
         let solver = self
             .solver
             .as_mut()
             .ok_or_else(|| CoreError::solver("lti", "advance_to before initialize"))?;
-        if (solver.step_size() - h).abs() > 1e-18 {
+        let h = step.to_seconds();
+        if solver.step_size() != h {
             solver
                 .set_step_size(h)
                 .map_err(|e| CoreError::solver("lti", e))?;
         }
         let y = solver.step(inputs);
         outputs.copy_from_slice(y);
-        self.last_t = t;
+        self.now = t;
         Ok(())
     }
 
@@ -189,7 +207,8 @@ pub struct NetlistCtSolver {
     outputs: Vec<NodeId>,
     circuit: Circuit,
     op_outputs: Vec<NodeId>,
-    last_t: f64,
+    /// End of the last advance.
+    now: SimTime,
 }
 
 impl NetlistCtSolver {
@@ -247,7 +266,7 @@ impl NetlistCtSolver {
             op_outputs: outputs.clone(),
             outputs,
             circuit: circuit.clone(),
-            last_t: 0.0,
+            now: SimTime::ZERO,
         })
     }
 
@@ -274,28 +293,33 @@ impl CtSolver for NetlistCtSolver {
         self.solver
             .initialize_dc()
             .map_err(|e| CoreError::solver("netlist", e))?;
-        self.last_t = 0.0;
+        self.now = SimTime::ZERO;
         Ok(())
     }
 
-    fn advance_to(&mut self, t: f64, inputs: &[f64], outputs: &mut [f64]) -> Result<(), CoreError> {
-        let h = t - self.last_t;
-        if h <= 0.0 {
+    fn advance_to(
+        &mut self,
+        t: SimTime,
+        step: SimTime,
+        inputs: &[f64],
+        outputs: &mut [f64],
+    ) -> Result<(), CoreError> {
+        if t <= self.now {
             return Err(CoreError::invalid(format!(
                 "netlist solver asked to advance backwards ({} → {t})",
-                self.last_t
+                self.now
             )));
         }
         for (slot, &v) in self.inputs.iter().zip(inputs) {
             self.solver.set_input(*slot, v);
         }
         self.solver
-            .step(h)
+            .step(step.to_seconds())
             .map_err(|e| CoreError::solver("netlist", e))?;
         for (o, node) in outputs.iter_mut().zip(&self.outputs) {
             *o = self.solver.voltage(*node);
         }
-        self.last_t = t;
+        self.now = t;
         Ok(())
     }
 
@@ -446,9 +470,14 @@ impl TdfModule for CtModule {
         }
         // Advance to the END of this sample interval so the output at
         // sample k reflects the input held over [t_k, t_k + h).
-        let t_next = io.time() + io.timestep();
+        let step = io.timestep_exact();
         self.solver
-            .advance_to(t_next, &self.in_buf, &mut self.out_buf)
+            .advance_to(
+                io.time_exact() + step,
+                step,
+                &self.in_buf,
+                &mut self.out_buf,
+            )
             .map_err(|e| CoreError::solver(&self.name, e))?;
         for (slot, &p) in self.outputs.iter().enumerate() {
             io.write1(p, self.out_buf[slot]);
@@ -624,11 +653,65 @@ mod tests {
         assert!((last - 2.0).abs() < 0.02, "settled to {last}");
     }
 
+    /// The exact step keeps the line on the factor-once fast path: every
+    /// step at one TDF rate converts to the same `h` bits, so the
+    /// engine's cached factor is reused for the whole run.
+    #[test]
+    fn netlist_solver_factors_once_per_rate() {
+        // The Figure-1 subscriber line, driven at its 1 µs TDF rate.
+        let mut ckt = Circuit::new();
+        let drive = ckt.node("drive");
+        let line = ckt.node("line");
+        let sub = ckt.node("subscriber");
+        let inp = ckt.external_input();
+        ckt.voltage_source_wave(
+            "Vdrv",
+            drive,
+            Circuit::GROUND,
+            ams_net::Waveform::External(inp),
+        )
+        .unwrap();
+        ckt.resistor("Rprot", drive, line, 50.0).unwrap();
+        ckt.capacitor("Cline", line, Circuit::GROUND, 20e-9)
+            .unwrap();
+        ckt.resistor("Rline", line, sub, 130.0).unwrap();
+        ckt.resistor("Rsub", sub, Circuit::GROUND, 600.0).unwrap();
+        ckt.capacitor("Csub", sub, Circuit::GROUND, 10e-9).unwrap();
+        let solver =
+            NetlistCtSolver::new(&ckt, IntegrationMethod::Trapezoidal, vec![inp], vec![sub])
+                .unwrap();
+
+        let mut g = TdfGraph::new("line");
+        let u = g.signal("u");
+        let y = g.signal("y");
+        g.probe(y);
+        g.add_module(
+            "drive",
+            Step {
+                out: u.writer(),
+                level: 1.0,
+                ts: SimTime::from_us(1),
+            },
+        );
+        g.add_module(
+            "line",
+            CtModule::new(
+                "line",
+                Box::new(solver),
+                vec![u.reader()],
+                vec![y.writer()],
+                None,
+            ),
+        );
+        let mut c = g.elaborate().unwrap();
+        c.run_standalone(10_000).unwrap();
+        assert_eq!(c.stats().factorizations, 1);
+    }
+
     /// A hand-written "external" solver proving the O8 plug-in interface:
     /// a simple integrator implemented without any of the bundled crates.
     struct ExternalIntegrator {
         state: f64,
-        last_t: f64,
     }
     impl CtSolver for ExternalIntegrator {
         fn num_inputs(&self) -> usize {
@@ -639,17 +722,16 @@ mod tests {
         }
         fn initialize(&mut self, _dc: &[f64]) -> Result<(), CoreError> {
             self.state = 0.0;
-            self.last_t = 0.0;
             Ok(())
         }
         fn advance_to(
             &mut self,
-            t: f64,
+            _t: SimTime,
+            step: SimTime,
             inputs: &[f64],
             outputs: &mut [f64],
         ) -> Result<(), CoreError> {
-            self.state += inputs[0] * (t - self.last_t);
-            self.last_t = t;
+            self.state += inputs[0] * step.to_seconds();
             outputs[0] = self.state;
             Ok(())
         }
@@ -673,10 +755,7 @@ mod tests {
             "int",
             CtModule::new(
                 "int",
-                Box::new(ExternalIntegrator {
-                    state: 0.0,
-                    last_t: 0.0,
-                }),
+                Box::new(ExternalIntegrator { state: 0.0 }),
                 vec![u.reader()],
                 vec![y.writer()],
                 None,

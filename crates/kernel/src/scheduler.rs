@@ -10,9 +10,8 @@
 //! * **Signals** hold a current value; writes are *pending* until the
 //!   update phase at the end of the current delta cycle. A write that
 //!   changes the value fires the signal's value-changed event.
-//! * **Events** wake statically sensitive processes and one-shot dynamic
-//!   waiters. They can be notified for the next delta cycle or at a future
-//!   time.
+//! * **Events** wake statically sensitive processes. They can be
+//!   notified for the next delta cycle or at a future time.
 //! * **Processes** are method processes (run-to-completion callbacks) with
 //!   static sensitivity and one-shot timeouts (`next_trigger_in`), which
 //!   is sufficient for RTL-style models, clocks, software-ish controllers
@@ -185,7 +184,6 @@ struct EventSlot {
     #[allow(dead_code)]
     name: String,
     static_sensitive: Vec<ProcessId>,
-    dynamic_waiters: Vec<ProcessId>,
 }
 
 type ProcessBody = Box<dyn FnMut(&mut ProcContext<'_>)>;
@@ -257,6 +255,11 @@ pub struct Kernel {
     update_list: Vec<usize>,
     update_marked: Vec<bool>,
     delta_notified: Vec<Event>,
+    /// Update-phase scratch: the drained `update_list` (the two swap
+    /// every delta cycle) and the events the updates fired. Kept so a
+    /// delta cycle does not allocate.
+    updating: Vec<usize>,
+    fired: Vec<Event>,
     timed: BinaryHeap<Reverse<TimedEntry>>,
     seq: u64,
     stats: KernelStats,
@@ -286,6 +289,8 @@ impl Kernel {
             update_list: Vec::new(),
             update_marked: Vec::new(),
             delta_notified: Vec::new(),
+            updating: Vec::new(),
+            fired: Vec::new(),
             timed: BinaryHeap::new(),
             seq: 0,
             stats: KernelStats::default(),
@@ -374,7 +379,6 @@ impl Kernel {
         self.events.push(EventSlot {
             name: name.into(),
             static_sensitive: Vec::new(),
-            dynamic_waiters: Vec::new(),
         });
         id
     }
@@ -481,10 +485,10 @@ impl Kernel {
     }
 
     fn notify_now(&mut self, ev: Event) {
-        // Wake static and dynamic waiters into the runnable queue.
-        let statics: Vec<ProcessId> = self.events[ev.0].static_sensitive.clone();
-        let dynamics: Vec<ProcessId> = std::mem::take(&mut self.events[ev.0].dynamic_waiters);
-        for pid in statics.into_iter().chain(dynamics) {
+        // Wake the sensitive processes into the runnable queue, walking
+        // the list by index (`make_runnable` never edits it).
+        for i in 0..self.events[ev.0].static_sensitive.len() {
+            let pid = self.events[ev.0].static_sensitive[i];
             self.make_runnable(pid);
         }
     }
@@ -544,19 +548,21 @@ impl Kernel {
             self.processes[pid.0].body = Some(body);
         }
         // Update phase.
-        let mut fired: Vec<Event> = Vec::new();
-        let pending: Vec<usize> = self.update_list.drain(..).collect();
-        for idx in pending {
+        std::mem::swap(&mut self.update_list, &mut self.updating);
+        for &idx in &self.updating {
             self.update_marked[idx] = false;
             if self.signals[idx].apply_update(self.time) {
-                fired.push(self.signals[idx].event());
+                self.fired.push(self.signals[idx].event());
             }
         }
-        fired.append(&mut self.delta_notified);
-        let had_updates = !fired.is_empty();
-        for ev in fired {
+        self.updating.clear();
+        self.fired.append(&mut self.delta_notified);
+        let had_updates = !self.fired.is_empty();
+        for i in 0..self.fired.len() {
+            let ev = self.fired[i];
             self.notify_now(ev);
         }
+        self.fired.clear();
         had_runnable || had_updates
     }
 

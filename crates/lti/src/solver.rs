@@ -35,6 +35,8 @@ pub struct LtiSolver {
     ss: StateSpace,
     disc: DiscreteSystem,
     x: Vec<f64>,
+    /// Scratch for the next state, swapped with `x` after each step.
+    x_next: Vec<f64>,
     y: Vec<f64>,
     steps_taken: u64,
 }
@@ -54,6 +56,7 @@ impl LtiSolver {
             ss,
             disc,
             x: vec![0.0; n],
+            x_next: vec![0.0; n],
             y: vec![0.0; p],
             steps_taken: 0,
         })
@@ -158,7 +161,6 @@ impl LtiSolver {
         let n = self.x.len();
         let m = self.ss.inputs();
         assert_eq!(u.len(), m, "input length mismatch");
-        let mut xn = vec![0.0; n];
         for i in 0..n {
             let mut acc = 0.0;
             for j in 0..n {
@@ -167,9 +169,9 @@ impl LtiSolver {
             for j in 0..m {
                 acc += self.disc.g[(i, j)] * u[j];
             }
-            xn[i] = acc;
+            self.x_next[i] = acc;
         }
-        self.x = xn;
+        std::mem::swap(&mut self.x, &mut self.x_next);
         // y = C·x⁺ + D·u
         for i in 0..self.y.len() {
             let mut acc = 0.0;

@@ -337,8 +337,10 @@ fn ct_solver_backward_time_is_typed() {
     use systemc_ams::core::CtSolver;
     solver.initialize(&[0.0]).unwrap();
     let mut out = [0.0];
-    solver.advance_to(1.0, &[1.0], &mut out).unwrap();
-    assert!(solver.advance_to(0.5, &[1.0], &mut out).is_err());
+    let one = SimTime::from_secs(1);
+    solver.advance_to(one, one, &[1.0], &mut out).unwrap();
+    let half = SimTime::from_ms(500);
+    assert!(solver.advance_to(half, half, &[1.0], &mut out).is_err());
 }
 
 #[test]
