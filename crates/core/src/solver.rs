@@ -578,6 +578,23 @@ mod tests {
         assert!((last - expected).abs() < 1e-3, "{last} vs {expected}");
     }
 
+    /// ZOH is exact for a held input at any step, so the response stays
+    /// on `1 − e^(−t/τ)` only if each new exact step re-discretizes.
+    #[test]
+    fn lti_solver_rediscretizes_when_the_step_changes() {
+        let tf = TransferFunction::low_pass1(1000.0).unwrap(); // τ = 1 ms
+        let mut solver = LtiCtSolver::from_transfer_function(&tf, Discretization::Zoh).unwrap();
+        solver.initialize(&[0.0]).unwrap();
+        let mut y = [0.0];
+        let mut t = SimTime::ZERO;
+        for step in [10, 10, 250, 250, 10, 1000].map(SimTime::from_us) {
+            t += step;
+            solver.advance_to(t, step, &[1.0], &mut y).unwrap();
+            let exact = 1.0 - (-t.to_seconds() / 1e-3).exp();
+            assert!((y[0] - exact).abs() < 1e-12, "at {t}: {} vs {exact}", y[0]);
+        }
+    }
+
     #[test]
     fn lti_ac_transfer_through_cluster() {
         let w0 = 2.0 * std::f64::consts::PI * 100.0;
