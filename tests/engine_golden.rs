@@ -30,6 +30,10 @@ use systemc_ams::net::{
     ScenarioProbe, SolverBackend, TransientSolver, Waveform,
 };
 use systemc_ams::scope::chrome;
+use systemc_ams::serve::{
+    BindTarget, CircuitSpec, ElementKindSpec, ElementSpec, JobSpec, MetricSpec, ParamBind,
+    ProbeKind, SweepDecl, WaveSpec,
+};
 use systemc_ams::sweep::{
     LaneSweepModel, NetlistSweep, Scenario, SweepModel, SweepReport, SweepSpec, TdfSweep,
 };
@@ -807,4 +811,96 @@ fn f1_hash(tone_hz: f64) -> u64 {
 #[test]
 fn f1_digital_output_and_power_are_pinned() {
     assert_eq!(f1_hash(5_000.0), 0x76da_4340_4480_f660);
+}
+
+// ---------- served jobs ----------------------------------------------------
+
+/// The E12 and `serve_churn` warm job: a 192-stage RC ladder (385
+/// elements, 194 MNA unknowns), one relative bind on the first
+/// resistor, four Monte-Carlo scenarios over 200 trapezoidal steps.
+fn served_ladder_job() -> JobSpec {
+    const STAGES: usize = 192;
+    let mut elements = vec![ElementSpec {
+        name: "Vin".into(),
+        p: "n0".into(),
+        n: "0".into(),
+        kind: ElementKindSpec::VoltageSource(WaveSpec::Dc(1.0)),
+    }];
+    for k in 0..STAGES {
+        elements.push(ElementSpec {
+            name: format!("R{k}"),
+            p: format!("n{k}"),
+            n: format!("n{}", k + 1),
+            kind: ElementKindSpec::Resistor(100.0),
+        });
+        elements.push(ElementSpec {
+            name: format!("C{k}"),
+            p: format!("n{}", k + 1),
+            n: "0".into(),
+            kind: ElementKindSpec::Capacitor(1e-9),
+        });
+    }
+    JobSpec {
+        circuit: CircuitSpec { elements },
+        binds: vec![ParamBind {
+            param: "dr".into(),
+            element: "R0".into(),
+            target: BindTarget::Resistance,
+            relative: true,
+        }],
+        metrics: vec![MetricSpec {
+            name: "v_out".into(),
+            node: format!("n{STAGES}"),
+            probe: ProbeKind::Last,
+        }],
+        sweep: SweepDecl::MonteCarlo {
+            params: vec![("dr".into(), -0.05, 0.05)],
+            n: 4,
+            seed: 0xE12,
+        },
+        monitors: None,
+        t_end: 2e-6,
+        h: 10e-9,
+        trapezoidal: true,
+        workers: 2,
+    }
+}
+
+/// `JobSpec::direct_run(1)` fingerprints of `demo_rc(n)` and
+/// `demo_rc_monitored(n)` for one, three, four and nine scenarios: a
+/// lone scenario, a short, an exact and a padded lane bundle, whatever
+/// width the service packs them at.
+const SERVED_DEMO_PINS: [(usize, u64, u64); 4] = [
+    (1, 0x1bad_59cb_2c08_3b31, 0x900e_3f2e_84b4_c2c2),
+    (3, 0x6a99_7182_3be7_57aa, 0x56d4_0170_2c33_cb1d),
+    (4, 0x65f4_b39e_1c2a_87bd, 0x8ba8_bd07_a775_bfec),
+    (9, 0xfa51_f60b_8e33_67ad, 0x7ed4_49c6_5364_5147),
+];
+
+#[test]
+fn served_demo_rc_fingerprints_are_pinned() {
+    let got: Vec<(usize, u64, u64)> = SERVED_DEMO_PINS
+        .iter()
+        .map(|&(n, _, _)| {
+            let plain = JobSpec::demo_rc(n, 0x5E7).direct_run(1).unwrap();
+            let monitored = JobSpec::demo_rc_monitored(n, 0x5E7).direct_run(1).unwrap();
+            assert_eq!(plain.scenarios.len(), n);
+            (n, plain.fingerprint(), monitored.fingerprint())
+        })
+        .collect();
+    assert_eq!(got, SERVED_DEMO_PINS, "{got:#x?}");
+}
+
+#[test]
+fn served_backward_euler_and_ladder_fingerprints_are_pinned() {
+    let mut be = JobSpec::demo_rc(12, 0x5E7);
+    be.trapezoidal = false;
+    assert_eq!(
+        be.direct_run(1).unwrap().fingerprint(),
+        0x3325_31af_3ddc_0189
+    );
+    assert_eq!(
+        served_ladder_job().direct_run(1).unwrap().fingerprint(),
+        0xb389_a49f_1acb_ae9c
+    );
 }
