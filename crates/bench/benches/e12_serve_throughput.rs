@@ -20,10 +20,12 @@ const STAGES: usize = 192;
 const SCENARIOS: usize = 4;
 const SEED: u64 = 0xE12;
 
-/// A wide RC ladder: `STAGES` stages ≈ 2·`STAGES` MNA unknowns, enough
+/// A wide RC ladder: `STAGES` stages are 2·`STAGES` + 1 elements and
+/// `STAGES` + 2 MNA unknowns (the nodes plus the source branch), enough
 /// that the sparse symbolic analysis (the thing the cache amortizes)
 /// is a visible slice of a short job. Scenario count is kept small for
-/// the same reason — E10 already covers the many-scenario regime.
+/// the same reason — E10 already covers the many-scenario regime — and
+/// fills exactly one of the service's 4-lane bundles.
 fn ladder_job() -> JobSpec {
     let mut elements = vec![ElementSpec {
         name: "Vin".into(),

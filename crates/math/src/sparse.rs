@@ -47,7 +47,7 @@
 //! ```
 
 use crate::error::check_len;
-use crate::{DMat, DVec, MathError, Scalar};
+use crate::{DMat, DVec, Lanes, MathError, Scalar};
 
 /// Relative pivot threshold below which a matrix is declared singular
 /// (matches the dense [`Lu`](crate::Lu) tolerance).
@@ -705,6 +705,8 @@ impl<T: Scalar> SparseLu<T> {
     /// Re-types the *symbolic* analysis over a different scalar: the
     /// column ordering, pivot sequence, fill pattern, and CSC maps are
     /// cloned verbatim while every value array is reset to `U::ZERO`.
+    /// [`SparseLu::into_symbolic`] is the same re-typing without the
+    /// clone.
     ///
     /// The result is not yet a factorization — it must be completed by
     /// [`SparseLu::refactor`] (which overwrites every value slot) with a
@@ -714,24 +716,31 @@ impl<T: Scalar> SparseLu<T> {
     /// refactorizations alike, because the pivot sequence is
     /// pattern-determined and patterns do not depend on the scalar.
     pub fn cast_symbolic<U: Scalar>(&self) -> SparseLu<U> {
+        self.clone().into_symbolic()
+    }
+
+    /// [`SparseLu::cast_symbolic`] by value: the index arrays move into
+    /// the result instead of being copied, and only the value arrays are
+    /// allocated anew (zeroed, at `U`'s width).
+    pub fn into_symbolic<U: Scalar>(self) -> SparseLu<U> {
         SparseLu {
+            l_vals: vec![U::ZERO; self.l_rows.len()],
+            u_vals: vec![U::ZERO; self.u_rows.len()],
+            u_diag: vec![U::ZERO; self.n],
+            work: vec![U::ZERO; self.n],
             n: self.n,
-            colperm: self.colperm.clone(),
-            rowperm: self.rowperm.clone(),
-            l_colptr: self.l_colptr.clone(),
-            l_rows: self.l_rows.clone(),
-            l_vals: vec![U::ZERO; self.l_vals.len()],
-            u_colptr: self.u_colptr.clone(),
-            u_rows: self.u_rows.clone(),
-            u_vals: vec![U::ZERO; self.u_vals.len()],
-            u_diag: vec![U::ZERO; self.u_diag.len()],
-            csc_colptr: self.csc_colptr.clone(),
-            csc_rows: self.csc_rows.clone(),
-            csc_map: self.csc_map.clone(),
-            pat_row_ptr: self.pat_row_ptr.clone(),
-            pat_col_idx: self.pat_col_idx.clone(),
+            colperm: self.colperm,
+            rowperm: self.rowperm,
+            l_colptr: self.l_colptr,
+            l_rows: self.l_rows,
+            u_colptr: self.u_colptr,
+            u_rows: self.u_rows,
+            csc_colptr: self.csc_colptr,
+            csc_rows: self.csc_rows,
+            csc_map: self.csc_map,
+            pat_row_ptr: self.pat_row_ptr,
+            pat_col_idx: self.pat_col_idx,
             a_nnz: self.a_nnz,
-            work: vec![U::ZERO; self.work.len()],
         }
     }
 
@@ -934,6 +943,38 @@ impl<T: Scalar> SparseLu<T> {
 /// See [`SparseLu::factor`] and [`SparseLu::solve`].
 pub fn solve_sparse<T: Scalar>(a: &CsrMat<T>, b: &DVec<T>) -> crate::Result<DVec<T>> {
     SparseLu::factor(a)?.solve(b)
+}
+
+impl<T: Lanes> SparseLu<T> {
+    /// Full factorization of a lane bundle whose symbolic analysis is
+    /// lane 0's: the ordering, pivot sequence and fill pattern come from
+    /// a one-lane [`SparseLu::factor`] of lane 0's values, widened with
+    /// [`SparseLu::into_symbolic`] and refactored on the whole bundle.
+    ///
+    /// Every lane then replays exactly the elimination a scalar run
+    /// over lane 0's matrix would pick — a lane sweep whose first
+    /// scenario sits in lane 0 repeats the width-1 sweep's pivots and
+    /// operations. Picking pivots by the largest magnitude over *all*
+    /// lanes (a plain [`SparseLu::factor`] of the bundle) can choose
+    /// others. When lane 0 alone cannot be factored, or its pivots are
+    /// unacceptable for the bundle, this falls back to exactly that
+    /// bundle-wide factorization. One lane is a plain
+    /// [`SparseLu::factor`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::factor`] of the bundle.
+    pub fn factor_from_lane0(a: &CsrMat<T>) -> crate::Result<SparseLu<T>> {
+        if T::LANES > 1 {
+            if let Ok(lane0) = SparseLu::factor(&a.map_values(|v| v.lane(0))) {
+                let mut lu = lane0.into_symbolic();
+                if lu.refactor(a).is_ok() {
+                    return Ok(lu);
+                }
+            }
+        }
+        SparseLu::factor(a)
+    }
 }
 
 #[cfg(test)]

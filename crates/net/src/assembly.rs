@@ -162,7 +162,13 @@ pub(crate) struct MnaSystem<T: Scalar> {
     /// Values of the last factored matrix, for bitwise reuse detection.
     snapshot: Vec<T>,
     stats: SolveStats,
+    /// The sparse backend's fresh symbolic analysis (see
+    /// [`MnaSystem::with_analysis`]).
+    analyze: Analysis<T>,
 }
+
+/// A full sparse factorization: symbolic analysis plus numeric values.
+pub(crate) type Analysis<T> = fn(&CsrMat<T>) -> ams_math::Result<SparseLu<T>>;
 
 impl<T: Scalar> MnaSystem<T> {
     /// Creates the system state for `n` unknowns. When `sparse`, the
@@ -203,7 +209,17 @@ impl<T: Scalar> MnaSystem<T> {
             backend,
             snapshot: Vec::new(),
             stats: SolveStats::default(),
+            analyze: SparseLu::factor,
         }
+    }
+
+    /// Replaces [`SparseLu::factor`] as the sparse backend's fresh
+    /// symbolic analysis — the lane engine passes
+    /// [`SparseLu::factor_from_lane0`]. It still counts as one
+    /// [`SolveStats::symbolic_analyses`].
+    pub fn with_analysis(mut self, analyze: Analysis<T>) -> Self {
+        self.analyze = analyze;
+        self
     }
 
     /// Whether this system uses the sparse backend.
@@ -291,7 +307,7 @@ impl<T: Scalar> MnaSystem<T> {
                 if refactored {
                     self.stats.numeric_refactors += 1;
                 } else {
-                    let f = SparseLu::factor(csr)?;
+                    let f = (self.analyze)(csr)?;
                     self.stats.symbolic_analyses += 1;
                     self.stats.nnz = self.stats.nnz.max(csr.nnz() as u64);
                     self.stats.fill_in = self.stats.fill_in.max(f.fill_in() as u64);

@@ -1001,9 +1001,12 @@ impl<T: Lanes> Transient<T> {
                     // Keep the counters of a system we are replacing.
                     self.stats.solve.merge(&old.stats());
                 }
+                // The lane 0 analysis makes every lane pivot like a
+                // scalar run over lane 0's circuit.
                 let mut fresh = MnaSystem::new(n, use_sparse, |st| {
                     self.assemble(st, &self.iterate, t_new, be)
-                });
+                })
+                .with_analysis(SparseLu::factor_from_lane0);
                 if let Some(hint) = self.symbolic_hint.take() {
                     // Adopted from a topology-identical sibling: the
                     // first factor becomes a numeric refactor.

@@ -239,6 +239,11 @@ struct Shared {
     cv: Condvar,
     slots: SlotPool,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// Test pacing: a running job takes this lock after publishing each
+    /// scenario, so a test that holds it keeps the job `Running` at a
+    /// scenario boundary for as long as it needs.
+    #[cfg(test)]
+    pace: Mutex<()>,
 }
 
 /// A handle on a running service instance. Cheap to clone; all clones
@@ -282,6 +287,8 @@ impl ServeHandle {
             cv: Condvar::new(),
             slots: SlotPool::new(config.workers),
             dispatcher: Mutex::new(None),
+            #[cfg(test)]
+            pace: Mutex::new(()),
         });
         let dispatcher = {
             let shared = shared.clone();
@@ -994,6 +1001,8 @@ fn execute(
                 }
                 drop(core);
                 shared.cv.notify_all();
+                #[cfg(test)]
+                drop(shared.pace.lock());
             },
         )
     };
@@ -1161,9 +1170,9 @@ mod tests {
         handle.join();
     }
 
-    /// `demo_rc` with a 10× finer step: each scenario runs long enough
-    /// that a suspend issued after the first progress event lands at a
-    /// scenario boundary with plenty of work left.
+    /// `demo_rc` with a 10× finer step. The tests that suspend or queue
+    /// behind it hold it at a scenario boundary through `Shared::pace`,
+    /// so its run time decides no outcome.
     fn slow_job(n: usize, seed: u64) -> JobSpec {
         let mut job = JobSpec::demo_rc(n, seed);
         job.h = 5e-9;
@@ -1180,12 +1189,17 @@ mod tests {
         panic!("timed out waiting for {what}");
     }
 
+    /// Submits `job`, holds it after its first scenario until the
+    /// suspend request is in, and waits for it to park: the suspend
+    /// always lands with scenarios left, however fast the job runs.
     fn suspended_mid_run(handle: &ServeHandle, tenant: &str, job: JobSpec) -> String {
+        let pace = handle.shared.pace.lock().unwrap();
         let token = handle.submit(tenant, job).unwrap();
         wait_for("first scenario", || {
             handle.status(tenant, &token).unwrap().completed >= 1
         });
         handle.suspend(tenant, &token).unwrap();
+        drop(pace);
         wait_for("suspension", || {
             let s = handle.status(tenant, &token).unwrap();
             assert!(
@@ -1276,7 +1290,9 @@ mod tests {
     #[test]
     fn queued_jobs_suspend_in_place_and_cancel_discards_the_checkpoint() {
         // Tenant budget of 8 in-flight scenarios: while the 8-scenario
-        // job A runs, job B deterministically sits queued.
+        // job A runs, job B deterministically sits queued. A is held at
+        // its first scenario boundary until B's checks are done, so it
+        // cannot finish (and free the budget) early.
         let handle = ServeHandle::start(ServeConfig {
             workers: 2,
             tenants: vec![TenantConfig {
@@ -1286,6 +1302,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let tenant = handle.tenant_token("t").unwrap();
+        let pace = handle.shared.pace.lock().unwrap();
         let a = handle.submit(&tenant, slow_job(8, 1)).unwrap();
         wait_for("job a running", || {
             handle.status(&tenant, &a).unwrap().state == JobState::Running
@@ -1311,6 +1328,7 @@ mod tests {
             handle.wait(&tenant, &b),
             Err(ServeError::Cancelled)
         ));
+        drop(pace);
         assert!(handle.wait(&tenant, &a).is_ok());
         handle.shutdown();
         handle.join();

@@ -1163,6 +1163,13 @@ impl JobSpec {
     }
 }
 
+/// The lane width a served job with two or more scenarios runs at. A
+/// one-scenario job runs at width 1, where padding lanes would only add
+/// work. Served circuits are linear and run at a fixed step, so every
+/// width fingerprints like width 1 (see [`NetlistSweep::run_lanes`]):
+/// the width is policy, not part of a job's identity.
+const SERVE_LANES: usize = 4;
+
 impl PreparedJob {
     /// The elaborated template and maps (for caching).
     pub fn built(&self) -> &BuiltCircuit {
@@ -1171,6 +1178,8 @@ impl PreparedJob {
 
     /// Runs the job's sweep with the service-layer options, compiling
     /// the declarative binds and probes into the `ams-sweep` closures.
+    /// Scenarios run lane-bundled, four at a time, once there are two
+    /// or more of them; cancellation lands at bundle boundaries.
     ///
     /// # Errors
     ///
@@ -1194,10 +1203,12 @@ impl PreparedJob {
         // circuit size: the topology cache's symbolic-LU reuse (and its
         // `serve.lu.*` accounting) only exists on the sparse path, and
         // warm/cold parity requires every run to pick the same backend.
+        let lanes = if spec.len() >= 2 { SERVE_LANES } else { 1 };
         let mut sweep = NetlistSweep::new(self.built.circuit.clone(), self.method)
             .fixed_step(self.t_end, self.h)
             .context("serve")
             .backend(ams_net::SolverBackend::Sparse)
+            .lanes(lanes)
             .pre_linted(opts.pre_linted);
         if let Some(hint) = opts.symbolic_hint {
             sweep = sweep.symbolic_hint(hint);
@@ -1215,7 +1226,7 @@ impl PreparedJob {
             sweep = sweep.monitors(monitors.clone());
         }
         let metric_names: Vec<&str> = self.probes.iter().map(|(n, _, _)| n.as_str()).collect();
-        let report = sweep.run(
+        let report = sweep.run_lanes(
             spec,
             workers.max(1),
             &metric_names,

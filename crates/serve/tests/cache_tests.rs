@@ -174,3 +174,45 @@ fn negative_lint_verdicts_are_cached() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn a_cold_lane_job_seeds_warm_jobs_of_every_width() {
+    // The cache entry of `demo_rc`'s topology with its factor: the
+    // elaborated circuit plus one scalar symbolic analysis.
+    const ENTRY_BYTES: f64 = 3158.0;
+    let (handle, tenant) = service_with(64 << 20, 2);
+
+    // Cold: one full 4-lane bundle. Its analysis is lane 0's scalar
+    // one, so the entry weighs what a one-lane job's entry weighs.
+    let cold = JobSpec::demo_rc(4, 0x5EED);
+    assert_eq!(
+        run(&handle, &tenant, &cold),
+        cold.direct_run(1).unwrap().fingerprint()
+    );
+    let m = handle.metrics();
+    assert_eq!(m.counter("serve.cache.misses"), 1);
+    assert_eq!(m.counter("serve.lu.symbolic_analyses"), 1);
+    assert_eq!(m.gauge("serve.cache.bytes"), Some(ENTRY_BYTES));
+
+    // Warm: a lone scenario (width 1), a short bundle, an exact one and
+    // two full bundles plus a padded one, all adopting that factor.
+    for n in [1, 3, 4, 9] {
+        let job = JobSpec::demo_rc(n, 0xA0 + n as u64);
+        assert_eq!(
+            run(&handle, &tenant, &job),
+            job.direct_run(1).unwrap().fingerprint(),
+            "warm {n}-scenario job differs from its direct run"
+        );
+        let m = handle.metrics();
+        assert_eq!(
+            m.counter("serve.lu.symbolic_analyses"),
+            1,
+            "warm {n}-scenario job analyzed"
+        );
+        assert_eq!(m.gauge("serve.cache.bytes"), Some(ENTRY_BYTES));
+    }
+    assert_eq!(handle.metrics().counter("serve.cache.hits"), 4);
+
+    handle.shutdown();
+    handle.join();
+}

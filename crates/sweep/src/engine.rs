@@ -57,6 +57,23 @@ pub(crate) fn emit_monitor_instants(tracer: &mut Tracer, verdicts: &[Verdict], t
     }
 }
 
+/// The counters lane `lane` of a bundle reports. Steps, rejected steps,
+/// probe samples and Newton iterations are every lane's own (one step
+/// advances every lane), so each lane carries them. Factorizations and
+/// the linear solver's counts were paid once for the whole bundle, so
+/// only lane 0 carries them and [`SweepReport::totals`] counts them
+/// once per bundle; the pattern gauges stay on every lane.
+pub(crate) fn lane_stats(bundle: &ClusterStats, lane: usize) -> ClusterStats {
+    let mut s = *bundle;
+    if lane > 0 {
+        s.factorizations = 0;
+        s.solve.symbolic_analyses = 0;
+        s.solve.numeric_refactors = 0;
+        s.solve.jacobian_reused = 0;
+    }
+    s
+}
+
 /// Outcome of one sharded batch over items `0..n_items`.
 #[derive(Debug)]
 pub(crate) struct ShardRun {
@@ -80,7 +97,7 @@ impl ShardRun {
     /// The report tail every sweep driver shares. Item `b` is lane
     /// bundle `b`: its row holds one slice per scenario of the bundle
     /// (metrics, then the monitors' verdict slots), and its counters
-    /// stand for every scenario in it. The tail unpacks those into one
+    /// are shared out by [`lane_stats`]. The tail unpacks those into one
     /// [`ScenarioResult`] per scenario, folds them into the batch
     /// [`ExecStats`] (`windows` = scenarios, `barriers` = shards), and
     /// merges the trace — the `coordinator` track first (when it
@@ -109,7 +126,7 @@ impl ShardRun {
                     index: sc.index(),
                     label: sc.label(),
                     metrics: row[..n_metrics].to_vec(),
-                    stats: self.stats[b],
+                    stats: lane_stats(&self.stats[b], l),
                     verdicts: decode_verdict_slots(&row[n_metrics..]),
                 }
             })

@@ -20,7 +20,9 @@
 //! [`NetlistSweep::prefix`] fork is a bundle that starts from the prefix
 //! checkpoint instead of t = 0.
 
-use crate::engine::{decode_verdict_slots, emit_monitor_instants, push_verdict_slots, run_sharded};
+use crate::engine::{
+    decode_verdict_slots, emit_monitor_instants, lane_stats, push_verdict_slots, run_sharded,
+};
 use crate::options::{ResolvedMonitors, SweepOptions};
 use crate::report::SweepReport;
 use crate::spec::{Scenario, SweepSpec};
@@ -62,16 +64,18 @@ pub enum RunMode {
 /// [`ScenarioResult`](crate::ScenarioResult) will carry, and the
 /// verdicts the same slice (empty with no monitors attached), so a
 /// consumer can persist resumable, fingerprint-grade partial results
-/// (lane runs report the bundle's counters for every scenario in the
-/// bundle, exactly as the report does).
+/// (a lane bundle's factorization and solve counts arrive with its
+/// first scenario only, exactly as the report carries them).
 pub type ProgressFn =
     std::sync::Arc<dyn Fn(usize, &[f64], &ClusterStats, &[Verdict]) + Send + Sync>;
 
 /// A slot that receives the symbolic factor scenario 0 exports, letting
 /// callers keep it warm across runs of the same topology (`ams-serve`'s
-/// topology cache). Filled once scenario 0 completes; left untouched
-/// when the run was itself seeded by [`NetlistSweep::symbolic_hint`]
-/// (nothing new was analyzed) or the backend is dense.
+/// topology cache). Filled once scenario 0's bundle completes, at every
+/// lane width: the lane engine analyzes lane 0 alone, so the factor is
+/// scenario 0's scalar analysis either way. Left untouched when the
+/// run was itself seeded by [`NetlistSweep::symbolic_hint`] (nothing
+/// new was analyzed) or the backend is dense.
 pub type FactorSink = std::sync::Arc<std::sync::Mutex<Option<SymbolicFactor>>>;
 
 /// What one bundle produces: the `K` rows (padding lanes included), the
@@ -444,30 +448,36 @@ impl NetlistSweep {
     /// `observe` receives a [`ScenarioProbe`] — a view of its
     /// scenario's lane — so one closure body serves every width.
     ///
-    /// Semantics that differ from the scalar path, all inherited from
-    /// the engine's lane semantics:
+    /// Every bundle's sparse pivots are a scalar run's: bundle 0
+    /// analyzes lane 0 (scenario 0) at width 1 and every other bundle
+    /// adopts that analysis, so a **linear fixed-step** sweep at any
+    /// width replays the width-1 sweep's operations and fingerprints
+    /// identically to it. Semantics that differ from the scalar path,
+    /// all inherited from the engine's lane semantics:
     ///
-    /// * Metric values may deviate from a scalar run by up to ~1e-9
-    ///   relative: bundled Newton iterates until every live lane
-    ///   converges and adaptive runs share the min-over-lanes step, so
-    ///   easy corners get extra (convergent) iterations. Lane-mode
-    ///   reports are still **bit-identical across worker counts** —
-    ///   bundle composition is index-determined and one symbolic
-    ///   analysis seeds all shards.
+    /// * With Newton or adaptive stepping, metric values may deviate
+    ///   from a scalar run by up to ~1e-9 relative: bundled Newton
+    ///   iterates until every live lane converges and adaptive runs
+    ///   share the min-over-lanes step, so easy corners get extra
+    ///   (convergent) iterations. Lane-mode reports are still
+    ///   **bit-identical across worker counts** — bundle composition
+    ///   is index-determined and one symbolic analysis seeds all
+    ///   shards.
     /// * A diverging scenario surfaces as NaN metrics for its lane
     ///   instead of failing the whole run; the run errors only when a
     ///   bundle loses *all* its lanes (attributed to the bundle's first
     ///   scenario).
-    /// * Per-scenario solver counters are the *bundle's* counters (one
-    ///   step advances every lane), so [`SweepReport::totals`]
-    ///   over-counts by up to the lane width vs. a scalar run.
+    /// * Per-scenario step, probe and Newton counters are the
+    ///   *bundle's* (one step advances every lane), on every scenario
+    ///   of it. Factorizations and the solve counts were paid once per
+    ///   bundle and sit on its first scenario only, so
+    ///   [`SweepReport::totals`] counts them once per bundle.
     /// * The last bundle is padded by replicating the final scenario;
     ///   padded lanes are dropped before the report is assembled.
-    /// * A [`FactorSink`] only receives scalar analyses (the
-    ///   [`prefix`](NetlistSweep::prefix) run's, or scenario 0's at
-    ///   width 1); a scalar
-    ///   [`symbolic_hint`](NetlistSweep::symbolic_hint) is honored at
-    ///   every width by widening it to the lane scalar.
+    /// * A [`FactorSink`] receives the scalar analysis at every width
+    ///   (the [`prefix`](NetlistSweep::prefix) run's, or lane 0's); a
+    ///   scalar [`symbolic_hint`](NetlistSweep::symbolic_hint) is
+    ///   honored at every width by widening it to the lane scalar.
     ///
     /// [`prefix`](NetlistSweep::prefix) works at every width: the
     /// prefix runs once at width 1 and every bundle forks from its
@@ -577,9 +587,14 @@ impl NetlistSweep {
         let mon_ref = mon.as_ref();
         let progress = |b: usize, rows: &[Vec<f64>], stats: &ClusterStats| {
             if let Some(p) = &self.progress {
-                for (sc, row) in scenarios[b * k..].iter().zip(rows) {
+                for (l, (sc, row)) in scenarios[b * k..].iter().zip(rows).enumerate() {
                     let verdicts = decode_verdict_slots(&row[n_metrics..]);
-                    p(sc.index(), &row[..n_metrics], stats, &verdicts);
+                    p(
+                        sc.index(),
+                        &row[..n_metrics],
+                        &lane_stats(stats, l),
+                        &verdicts,
+                    );
                 }
             }
         };
@@ -613,11 +628,9 @@ impl NetlistSweep {
             )?;
             progress(0, &rows, &stats);
             if let Some(f) = exported {
-                // Only a one-lane analysis is a scalar factor a cache
-                // may hand to scalar runs later.
-                if k == 1 {
-                    sink_factor = Some(f.cast());
-                }
+                // The lane engine analyzes lane 0 at width 1, so the
+                // bundle's analysis is scenario 0's scalar one.
+                sink_factor = Some(f.cast());
                 donor = Some(f);
             }
             Some((rows.concat(), stats))
@@ -1110,6 +1123,60 @@ mod tests {
                 ((x - y) / x).abs() <= 1e-9,
                 "scenario {i}: scalar {x} lane {y}"
             );
+        }
+    }
+
+    #[test]
+    fn lane_totals_count_each_bundle_once() {
+        let Rc { ckt, r, out } = rc();
+        // 10 scenarios at width 4: bundles of 4 + 4 + 2 (padded to 4).
+        let spec = SweepSpec::monte_carlo(&[("r", 0.5e3, 5e3)], 10, 7).unwrap();
+        let apply = |c: &mut Circuit, sc: &Scenario| c.set_resistance(r, sc.value("r"));
+        let (t_end, h) = (1e-6, 2e-9);
+        let report = NetlistSweep::new(ckt.clone(), IntegrationMethod::Trapezoidal)
+            .backend(SolverBackend::Sparse)
+            .fixed_step(t_end, h)
+            .lanes(4)
+            .run_lanes(&spec, 2, &["v"], apply, |p, m| m[0] = p.voltage(out))
+            .unwrap();
+        assert_eq!(report.bundles, 3);
+        let totals = report.totals();
+        assert_eq!(totals.solve.symbolic_analyses, 1);
+
+        // Each bundle's own factorizations, from an engine over its
+        // circuits alone (analyzing instead of adopting is still one
+        // factorization).
+        let own: u64 = spec
+            .scenarios()
+            .chunks(4)
+            .map(|bundle| {
+                let circuits = (0..4)
+                    .map(|l| {
+                        let mut c = ckt.clone();
+                        apply(&mut c, &bundle[l.min(bundle.len() - 1)]).unwrap();
+                        c
+                    })
+                    .collect();
+                let mut tr =
+                    Transient::<F64xK<4>>::from_circuits(circuits, IntegrationMethod::Trapezoidal)
+                        .unwrap();
+                tr.backend = SolverBackend::Sparse;
+                tr.run(t_end, h, |_| {}).unwrap();
+                tr.stats().factorizations
+            })
+            .sum();
+        assert!(own >= 3);
+        assert_eq!(totals.factorizations, own);
+
+        // Steps stay on every row (the fingerprint hashes them); the
+        // bundle's factor work sits on its first lane only.
+        let steps = report.scenarios[0].stats.iterations;
+        for (i, s) in report.scenarios.iter().enumerate() {
+            assert_eq!(s.stats.iterations, steps, "scenario {i}");
+            if i % 4 != 0 {
+                assert_eq!(s.stats.factorizations, 0, "scenario {i}");
+                assert_eq!(s.stats.solve.numeric_refactors, 0, "scenario {i}");
+            }
         }
     }
 

@@ -235,10 +235,12 @@ impl TdfSweep {
     /// Above width 1:
     ///
     /// * The report has the same per-scenario shape, but each
-    ///   scenario's solver counters are its *bundle's* counters, so
-    ///   [`SweepReport::totals`] over-counts the actual work by up to
-    ///   the lane width (the actual work is roughly `1/lanes` of a
-    ///   scalar sweep's).
+    ///   scenario's iteration, firing, probe and Newton counters are
+    ///   its *bundle's*, so their [`SweepReport::totals`] over-count
+    ///   the actual work by up to the lane width (the actual work is
+    ///   roughly `1/lanes` of a scalar sweep's). Factorizations and the
+    ///   solve counts sit on the bundle's first scenario only, as in
+    ///   [`NetlistSweep::run_lanes`](crate::NetlistSweep::run_lanes).
     /// * A scenario failure is attributed to the bundle's first
     ///   scenario index.
     /// * [`SpanKind::Scenario`] spans cover a bundle and carry the lane
