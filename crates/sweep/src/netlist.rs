@@ -448,12 +448,13 @@ impl NetlistSweep {
     /// `observe` receives a [`ScenarioProbe`] — a view of its
     /// scenario's lane — so one closure body serves every width.
     ///
-    /// Every bundle's sparse pivots are a scalar run's: bundle 0
-    /// analyzes lane 0 (scenario 0) at width 1 and every other bundle
-    /// adopts that analysis, so a **linear fixed-step** sweep at any
-    /// width replays the width-1 sweep's operations and fingerprints
-    /// identically to it. Semantics that differ from the scalar path,
-    /// all inherited from the engine's lane semantics:
+    /// Every bundle's sparse pivots are a scalar run's: unless a hint
+    /// or the prefix run donates the analysis, bundle 0 analyzes lane 0
+    /// (scenario 0) at width 1, and every other bundle adopts it. So a
+    /// **linear fixed-step** sweep at any width replays the width-1
+    /// sweep's operations and fingerprints identically to it.
+    /// Semantics that differ from the scalar path, all inherited from
+    /// the engine's lane semantics:
     ///
     /// * With Newton or adaptive stepping, metric values may deviate
     ///   from a scalar run by up to ~1e-9 relative: bundled Newton
