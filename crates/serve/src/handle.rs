@@ -35,7 +35,7 @@ pub enum JobState {
     Queued,
     /// Executing on the worker pool.
     Running,
-    /// Parked at a scenario boundary by [`ServeHandle::suspend`]: the
+    /// Parked at a bundle boundary by [`ServeHandle::suspend`]: the
     /// completed scenarios are checkpointed in the topology cache and
     /// [`ServeHandle::resume`] re-queues the remainder. Not terminal —
     /// `wait` keeps blocking until the job is resumed or cancelled.
@@ -549,7 +549,7 @@ impl ServeHandle {
     }
 
     /// Cancels a job. A queued job is withdrawn immediately; a running
-    /// job observes its token at the next scenario boundary, stops,
+    /// job observes its token at the next bundle boundary, stops,
     /// and frees its worker slots; a suspended job is cancelled in
     /// place and its checkpoint discarded. Cancelling a terminal job
     /// is a no-op. A cancel overrides a pending suspend: if both race
@@ -589,7 +589,7 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Suspends a job at the next scenario boundary. A queued job is
+    /// Suspends a job at the next bundle boundary. A queued job is
     /// parked immediately (no checkpoint — nothing ran); a running job
     /// observes its cancel token at the boundary, and its completed
     /// scenarios are persisted as a [`JobCheckpoint`] in the topology

@@ -21,7 +21,8 @@
 //!   status / poll / wait / cancel / suspend / resume / metrics /
 //!   shutdown, a dispatcher thread leasing worker slots from an
 //!   [`ams_exec::SlotPool`], and per-job threads running `ams-sweep`
-//!   batches with cooperative cancellation at scenario boundaries.
+//!   batches (4-lane bundles once a job has two scenarios) with
+//!   cooperative cancellation at bundle boundaries.
 //!   Suspension checkpoints a job's completed scenarios into the
 //!   topology cache (same byte budget); the resumed job re-runs only
 //!   the remainder and its report fingerprints identically to an

@@ -724,7 +724,7 @@ pub struct RunOpts {
     pub pre_linted: bool,
     /// Warm symbolic factor to adopt for every scenario.
     pub symbolic_hint: Option<ams_net::SymbolicFactor>,
-    /// Cooperative cancellation, checked at scenario boundaries.
+    /// Cooperative cancellation, checked at bundle boundaries.
     pub cancel: Option<CancelToken>,
     /// Streaming per-scenario delivery.
     pub progress: Option<ProgressFn>,

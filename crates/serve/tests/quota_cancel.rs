@@ -1,5 +1,5 @@
 //! Admission control: per-tenant quotas, cooperative cancellation at
-//! scenario boundaries, and non-blocking backpressure.
+//! bundle boundaries, and non-blocking backpressure.
 
 use ams_serve::{JobSpec, ServeConfig, ServeError, ServeHandle, TenantConfig};
 use std::time::{Duration, Instant};
@@ -153,8 +153,9 @@ fn cancel_stops_within_a_scenario_boundary_and_frees_slots() {
     }));
     handle.cancel(&tenant, &victim).expect("cancel running job");
 
-    // Cooperative cancellation lands at the next scenario boundary —
-    // well before the full 512-scenario sweep could have finished.
+    // Cooperative cancellation lands at the next bundle boundary (at
+    // most 4 scenarios on) — well before the full 512-scenario sweep
+    // could have finished.
     let err = handle.wait(&tenant, &victim).expect_err("job cancelled");
     assert!(matches!(err, ServeError::Cancelled), "got {err}");
     let status = handle.status(&tenant, &victim).expect("status");

@@ -106,9 +106,10 @@ use std::sync::Arc;
 /// A cooperative cancellation flag shared between a sweep run and its
 /// controller (another thread, a service scheduler, a signal handler).
 ///
-/// Sweeps check the token **at scenario boundaries**: a cancelled run
-/// finishes the scenarios currently in flight (at most one per worker),
-/// skips everything else and returns [`SweepError::Cancelled`]. The
+/// Sweeps check the token **at scenario boundaries** (bundle boundaries
+/// in a lane run): a cancelled run finishes the scenarios currently in
+/// flight (at most one bundle per worker), skips everything else and
+/// returns [`SweepError::Cancelled`]. The
 /// token is one atomic flag — clone it freely, set it from anywhere.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);

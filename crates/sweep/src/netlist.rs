@@ -245,8 +245,9 @@ impl NetlistSweep {
         self
     }
 
-    /// Attaches a cancellation token, checked at scenario boundaries on
-    /// the coordinator and on every worker. See [`CancelToken`].
+    /// Attaches a cancellation token, checked at scenario (lane-bundle)
+    /// boundaries on the coordinator and on every worker. See
+    /// [`CancelToken`].
     pub fn cancel_token(mut self, token: CancelToken) -> NetlistSweep {
         self.cancel = Some(token);
         self
