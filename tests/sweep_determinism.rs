@@ -8,7 +8,9 @@
 //! shared symbolic factor always comes from scenario 0 on the
 //! coordinator, so no run order or thread interleaving can leak into
 //! the results. This is the sweep-level mirror of
-//! `parallel_determinism.rs`.
+//! `parallel_determinism.rs`. A linear fixed-step sweep is also
+//! bit-identical across lane widths: every bundle pivots like the
+//! scalar run over scenario 0 (the `lane` properties below).
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
