@@ -1319,6 +1319,78 @@ mod tests {
         }
     }
 
+    /// A dense 2×2 bundle `[[a, b], [c, d]]` whose lane `l` holds
+    /// `vals[l] = [a, b, c, d]` (CSR order).
+    fn dense2_bundle(vals: [[f64; 4]; 4]) -> CsrMat<crate::lanes::F64x4> {
+        use crate::lanes::F64x4;
+        let mut t = Triplets::new(2, 2);
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            t.push(r, c, 1.0);
+        }
+        let mut a = t.build().map_values(|_| F64x4::ZERO);
+        for (p, v) in a.values_mut().iter_mut().enumerate() {
+            *v = F64x4::from_fn(|l| vals[l][p]);
+        }
+        a
+    }
+
+    #[test]
+    fn factor_from_lane0_pivots_like_lane_0_alone() {
+        use crate::lanes::F64x4;
+        // Lane 0 keeps its diagonal pivot; lane 1's first column is
+        // dominated by the off-diagonal, so pivoting by the largest
+        // magnitude over all lanes takes row 1 first.
+        let a = dense2_bundle([
+            [1.0, 1.0, 0.5, 1.0],
+            [0.01, 1.0, 100.0, 1.0],
+            [2.0, 1.0, 0.5, 3.0],
+            [1.0, -1.0, 0.5, 1.0],
+        ]);
+        let lane0 = SparseLu::factor(&a.map_values(|v| v.lane(0))).unwrap();
+        assert_ne!(SparseLu::factor(&a).unwrap().rowperm, lane0.rowperm);
+
+        let lu = SparseLu::factor_from_lane0(&a).unwrap();
+        assert_eq!(lu.colperm, lane0.colperm);
+        assert_eq!(lu.rowperm, lane0.rowperm);
+        // Every lane replays lane 0's elimination: bit for bit what a
+        // scalar refactor on lane 0's analysis computes.
+        let b: DVec<_> = [1.0, -2.0].iter().map(|&v| F64x4::splat(v)).collect();
+        let x = lu.solve(&b).unwrap();
+        for l in 0..4 {
+            let x_l = lane0
+                .refactored(&a.map_values(|v| v.lane(l)))
+                .unwrap()
+                .solve(&[1.0, -2.0].into_iter().collect())
+                .unwrap();
+            for i in 0..2 {
+                assert_eq!(x[i].lane(l).to_bits(), x_l[i].to_bits(), "lane {l} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn factor_from_lane0_falls_back_to_the_bundle_pivots() {
+        use crate::lanes::F64x4;
+        let fine = [1.0, 1.0, 0.5, 1.0];
+        // Lane 0 alone is singular (every entry zero).
+        let singular = dense2_bundle([[0.0; 4], fine, fine, fine]);
+        assert!(SparseLu::factor(&singular.map_values(|v| v.lane(0))).is_err());
+        // Lane 0 factors alone, but lane 1's first column is 1e14
+        // larger, so lane 0's pivot fails the bundle's guard.
+        let rejected = dense2_bundle([fine, [0.0, 1.0, 1e14, 1.0], fine, fine]);
+        let lane0 = SparseLu::factor(&rejected.map_values(|v| v.lane(0))).unwrap();
+        let mut widened = lane0.cast_symbolic::<F64x4>();
+        assert!(widened.refactor(&rejected).is_err());
+        assert_ne!(SparseLu::factor(&rejected).unwrap().rowperm, lane0.rowperm);
+
+        for a in [singular, rejected] {
+            let bundle = SparseLu::factor(&a).unwrap();
+            let lu = SparseLu::factor_from_lane0(&a).unwrap();
+            assert_eq!(lu.colperm, bundle.colperm);
+            assert_eq!(lu.rowperm, bundle.rowperm);
+        }
+    }
+
     #[test]
     fn approx_bytes_scales_with_lane_width() {
         use crate::lanes::{F64x16, F64x8};
