@@ -73,9 +73,12 @@ pub type ProgressFn =
 /// callers keep it warm across runs of the same topology (`ams-serve`'s
 /// topology cache). Filled once scenario 0's bundle completes, at every
 /// lane width: the lane engine analyzes lane 0 alone, so the factor is
-/// scenario 0's scalar analysis either way. Left untouched when the
-/// run was itself seeded by [`NetlistSweep::symbolic_hint`] (nothing
-/// new was analyzed) or the backend is dense.
+/// scenario 0's scalar analysis either way — unless lane 0 could not
+/// serve its bundle and the bundle-wide fallback of
+/// [`SparseLu::factor_from_lane0`](ams_math::SparseLu::factor_from_lane0)
+/// ran, whose analysis is then what the sink receives. Left untouched
+/// when the run was itself seeded by [`NetlistSweep::symbolic_hint`]
+/// (nothing new was analyzed) or the backend is dense.
 pub type FactorSink = std::sync::Arc<std::sync::Mutex<Option<SymbolicFactor>>>;
 
 /// What one bundle produces: the `K` rows (padding lanes included), the
@@ -449,11 +452,16 @@ impl NetlistSweep {
     /// `observe` receives a [`ScenarioProbe`] — a view of its
     /// scenario's lane — so one closure body serves every width.
     ///
-    /// Every bundle's sparse pivots are a scalar run's: unless a hint
-    /// or the prefix run donates the analysis, bundle 0 analyzes lane 0
+    /// With symbolic sharing on (the default; see
+    /// [`share_symbolic`](NetlistSweep::share_symbolic)), every
+    /// bundle's sparse pivots are a scalar run's: unless a hint or the
+    /// prefix run donates the analysis, bundle 0 analyzes lane 0
     /// (scenario 0) at width 1, and every other bundle adopts it. So a
     /// **linear fixed-step** sweep at any width replays the width-1
-    /// sweep's operations and fingerprints identically to it.
+    /// sweep's operations and fingerprints identically to it. With
+    /// sharing off, each bundle analyzes its own lane 0 and its other
+    /// lanes replay those pivots, where width 1 analyzes every
+    /// scenario on its own, so the widths can differ.
     /// Semantics that differ from the scalar path, all inherited from
     /// the engine's lane semantics:
     ///
