@@ -1164,10 +1164,13 @@ impl JobSpec {
 }
 
 /// The lane width a served job with two or more scenarios runs at. A
-/// one-scenario job runs at width 1, where padding lanes would only add
-/// work. Served circuits are linear and run at a fixed step, so every
-/// width fingerprints like width 1 (see [`NetlistSweep::run_lanes`]):
-/// the width is policy, not part of a job's identity.
+/// one-scenario job runs at width 1: there a bundle's three padding
+/// lanes made warm jobs 1.25–1.52× slower, while jobs of 2–8
+/// scenarios ran faster bundled or tied, at 1, 2 and 4 leased shards
+/// (EXPERIMENTS.md § E12). Served circuits are linear and run at a
+/// fixed step, so every width fingerprints like width 1 (see
+/// [`NetlistSweep::run_lanes`]): the width is policy, not part of a
+/// job's identity.
 const SERVE_LANES: usize = 4;
 
 impl PreparedJob {
