@@ -19,8 +19,7 @@
 //!   [`run_sdf_parallel`] for plain SDF workloads;
 //! * [`stats`] — the instrumentation layer: [`ExecStats`] aggregates
 //!   cluster firings, embedded-solver Newton/factorization counts, FIFO
-//!   high-water marks and per-phase wall time; [`ExecHook`] observes the
-//!   run window by window;
+//!   high-water marks and per-phase wall time;
 //! * [`slots`] — a [`SlotPool`] counting semaphore over the worker
 //!   budget, letting admission schedulers (e.g. `ams-serve`) lease
 //!   cores to concurrent jobs without oversubscription;
@@ -81,4 +80,4 @@ pub use pool::{run_sdf_parallel, WorkerPool};
 pub use sim::{ParallelSim, DEFAULT_PIPE_CAPACITY};
 pub use slots::{SlotLease, SlotPool};
 pub use spsc::{ring, RingConsumer, RingMonitor, RingProducer};
-pub use stats::{CountingHook, ExecHook, ExecStats};
+pub use stats::ExecStats;

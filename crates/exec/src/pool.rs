@@ -322,11 +322,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::CountingHook;
     use crate::ParallelSim;
     use ams_core::{CoreError, TdfGraph, TdfIo, TdfModule, TdfOut, TdfSetup};
     use ams_sdf::SdfGraph;
-    use std::sync::{Arc, Mutex};
 
     /// A one-module free-running graph (no DE bindings).
     fn src_graph(name: &str) -> TdfGraph {
@@ -350,28 +348,19 @@ mod tests {
     }
 
     #[test]
-    fn finish_hook_fires_exactly_once_per_run() {
-        let hook = Arc::new(Mutex::new(CountingHook::default()));
+    fn stats_count_one_barrier_per_window_in_every_run() {
         let mut sim = ParallelSim::new(2);
-        sim.set_hook(hook.clone());
         sim.add_graph(src_graph("a"));
         sim.run_until(SimTime::from_us(3)).unwrap();
-        // Repeated stats queries must not re-fire on_finish.
-        let _ = sim.stats();
-        let _ = sim.stats();
-        let _ = sim.stats();
-        {
-            let h = hook.lock().unwrap();
-            assert_eq!(h.finishes, 1);
-            assert!(h.windows >= 1);
-            assert_eq!(h.windows, h.barriers);
-        }
-        // A reset re-arms the finish notification for the next run.
+        let first = sim.stats();
+        assert!(first.windows >= 1);
+        assert_eq!(first.windows, first.barriers);
+        // A reset starts the counts over for the next run.
         sim.reset().unwrap();
         sim.run_until(SimTime::from_us(3)).unwrap();
-        let _ = sim.stats();
-        let _ = sim.stats();
-        assert_eq!(hook.lock().unwrap().finishes, 2);
+        let second = sim.stats();
+        assert_eq!(second.windows, first.windows);
+        assert_eq!(second.windows, second.barriers);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::partition::{partition, Partition};
 use crate::pool::WorkerPool;
 use crate::spsc::{ring, RingMonitor};
-use crate::stats::{ExecHook, ExecStats};
+use crate::stats::ExecStats;
 use ams_core::{CoreError, DeReadBinding, DeWriteBinding, TdfGraph, TdfSignal};
 use ams_kernel::{Kernel, SimTime};
 use ams_lint::{LintPolicy, LintReport};
@@ -74,16 +74,12 @@ pub struct ParallelSim {
     staged: Vec<TdfGraph>,
     pipes: Vec<(usize, usize)>,
     monitors: Vec<RingMonitor>,
-    hook: Option<Box<dyn ExecHook>>,
     running: Option<Running>,
     stats: ExecStats,
     lint_policy: LintPolicy,
     lint_reports: Vec<LintReport>,
     tracing: bool,
     tracer: Tracer,
-    /// Guards exactly-once [`ExecHook::on_finish`] delivery per run
-    /// (cleared by [`ParallelSim::reset`]).
-    finished: bool,
 }
 
 impl ParallelSim {
@@ -96,14 +92,12 @@ impl ParallelSim {
             staged: Vec::new(),
             pipes: Vec::new(),
             monitors: Vec::new(),
-            hook: None,
             running: None,
             stats: ExecStats::default(),
             lint_policy: LintPolicy::default(),
             lint_reports: Vec::new(),
             tracing: false,
             tracer: Tracer::off(),
-            finished: false,
         }
     }
 
@@ -180,11 +174,6 @@ impl ParallelSim {
     /// Mutable kernel access for building the DE side.
     pub fn kernel_mut(&mut self) -> &mut Kernel {
         &mut self.kernel
-    }
-
-    /// Installs an observation hook (replacing any previous one).
-    pub fn set_hook(&mut self, hook: impl ExecHook + 'static) {
-        self.hook = Some(Box::new(hook));
     }
 
     /// Stages a TDF graph for execution and returns its index. Graphs
@@ -422,9 +411,6 @@ impl ParallelSim {
             for (sig, cell) in &run.de_reads {
                 cell.set(self.kernel.peek(*sig));
             }
-            if let Some(h) = &mut self.hook {
-                h.on_window(t_act, t_next);
-            }
             let traced = self.tracer.is_enabled();
             if traced {
                 self.tracer.begin(SpanKind::DeWindow, t_act.as_fs());
@@ -437,9 +423,6 @@ impl ParallelSim {
             self.stats.barriers += 1;
             if traced {
                 self.tracer.end(SpanKind::BarrierWait, t_next.as_fs());
-            }
-            if let Some(h) = &mut self.hook {
-                h.on_barrier(t_next);
             }
             for b in &mut run.bound {
                 while b.next_activation < t_next {
@@ -504,7 +487,6 @@ impl ParallelSim {
         self.kernel = Kernel::new();
         self.kernel.set_tracing(self.tracing);
         let _ = self.tracer.take_events();
-        self.finished = false;
         self.stats = ExecStats {
             // Lint counts belong to elaboration, which survives a reset.
             lint_errors: self.stats.lint_errors,
@@ -521,10 +503,7 @@ impl ParallelSim {
 
     /// A snapshot of the aggregated execution statistics: window and
     /// barrier counts, per-cluster counters (with embedded-solver totals
-    /// folded in), SPSC high-water marks and per-phase wall time. Fires
-    /// [`ExecHook::on_finish`] exactly once per run — repeated calls
-    /// return fresh snapshots without re-firing the hook (a
-    /// [`reset`](ParallelSim::reset) re-arms it).
+    /// folded in), SPSC high-water marks and per-phase wall time.
     pub fn stats(&mut self) -> ExecStats {
         let mut stats = self.stats.clone();
         if let Some(run) = &mut self.running {
@@ -541,12 +520,6 @@ impl ParallelSim {
             .map(|m| m.high_water())
             .max()
             .unwrap_or(0);
-        if !self.finished {
-            self.finished = true;
-            if let Some(h) = &mut self.hook {
-                h.on_finish(&stats);
-            }
-        }
         stats
     }
 }

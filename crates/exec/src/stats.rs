@@ -1,4 +1,4 @@
-//! Execution statistics and instrumentation hooks.
+//! Execution statistics.
 //!
 //! Profiling a mixed-signal simulation means knowing where the time
 //! goes: dataflow firings, Newton iterations and matrix factorizations
@@ -8,11 +8,9 @@
 //! counters ([`ClusterStats`],
 //! [`SdfExecStats`](ams_sdf::SdfExecStats),
 //! `ams_net::TransientStats` folded in through
-//! `TdfModule::solver_stats`); [`ExecHook`] lets callers observe every
-//! synchronization window as it happens.
+//! `TdfModule::solver_stats`).
 
 use ams_core::ClusterStats;
-use ams_kernel::SimTime;
 use std::time::Duration;
 
 /// Aggregated execution statistics of one parallel run.
@@ -77,65 +75,6 @@ impl ExecStats {
     }
 }
 
-/// Observation hook for a parallel run. All methods default to no-ops;
-/// implement the ones you care about. The hook runs on the coordinator
-/// thread, never inside workers, so it needs no internal locking beyond
-/// `Send`.
-pub trait ExecHook: Send {
-    /// A synchronization window `[start, end)` is about to be dispatched
-    /// to the workers.
-    fn on_window(&mut self, _start: SimTime, _end: SimTime) {}
-
-    /// All workers reached the barrier for the window ending at `end`.
-    fn on_barrier(&mut self, _end: SimTime) {}
-
-    /// The run finished; `stats` is the final aggregate.
-    fn on_finish(&mut self, _stats: &ExecStats) {}
-}
-
-/// A trivial hook that counts windows, barriers and finishes — handy in
-/// tests and as a template.
-#[derive(Debug, Default)]
-pub struct CountingHook {
-    /// Windows observed via [`ExecHook::on_window`].
-    pub windows: u64,
-    /// Barriers observed via [`ExecHook::on_barrier`].
-    pub barriers: u64,
-    /// Finishes observed via [`ExecHook::on_finish`] — exactly one per
-    /// run when driven by `ParallelSim::stats`.
-    pub finishes: u64,
-}
-
-impl ExecHook for CountingHook {
-    fn on_window(&mut self, _start: SimTime, _end: SimTime) {
-        self.windows += 1;
-    }
-
-    fn on_barrier(&mut self, _end: SimTime) {
-        self.barriers += 1;
-    }
-
-    fn on_finish(&mut self, _stats: &ExecStats) {
-        self.finishes += 1;
-    }
-}
-
-/// A shared handle to a hook, so a test (or dashboard) can keep reading
-/// the counters while the engine owns the registered copy.
-impl<H: ExecHook> ExecHook for std::sync::Arc<std::sync::Mutex<H>> {
-    fn on_window(&mut self, start: SimTime, end: SimTime) {
-        self.lock().expect("hook poisoned").on_window(start, end);
-    }
-
-    fn on_barrier(&mut self, end: SimTime) {
-        self.lock().expect("hook poisoned").on_barrier(end);
-    }
-
-    fn on_finish(&mut self, stats: &ExecStats) {
-        self.lock().expect("hook poisoned").on_finish(stats);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,15 +108,5 @@ mod tests {
         assert_eq!(t.iterations, 5);
         assert_eq!(t.firings, 15);
         assert_eq!(t.newton_iterations, 7);
-    }
-
-    #[test]
-    fn counting_hook_counts() {
-        let mut h = CountingHook::default();
-        h.on_window(SimTime::ZERO, SimTime::from_ns(1));
-        h.on_barrier(SimTime::from_ns(1));
-        h.on_window(SimTime::from_ns(1), SimTime::from_ns(2));
-        assert_eq!(h.windows, 2);
-        assert_eq!(h.barriers, 1);
     }
 }

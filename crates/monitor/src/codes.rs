@@ -54,8 +54,9 @@ pub fn registry() -> &'static [(&'static str, &'static str, &'static str)] {
     ]
 }
 
-/// The numeric suffix of `code` (`"MON004"` → 4), used by the compact
-/// f64 verdict encoding. `None` for strings outside the registry.
+/// The numeric suffix of `code` (`"MON004"` → 4), which verdict
+/// fingerprints and trace instants carry. `None` for strings outside
+/// the registry.
 pub fn code_number(code: &str) -> Option<u16> {
     registry()
         .iter()

@@ -52,5 +52,5 @@ pub mod monitor;
 pub mod property;
 
 pub use bank::MonitorBank;
-pub use monitor::{Monitor, Verdict, VERDICT_SLOTS};
+pub use monitor::{Monitor, Verdict};
 pub use property::{MonitorSpec, Property, PropertySpec};

@@ -10,10 +10,6 @@
 use crate::codes;
 use crate::property::Property;
 
-/// Number of `f64` slots of the compact verdict encoding
-/// ([`Verdict::encode`]): status, witness time, witness value.
-pub const VERDICT_SLOTS: usize = 3;
-
 /// The outcome of one property over one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Verdict {
@@ -58,45 +54,21 @@ impl Verdict {
         }
     }
 
-    /// Packs the verdict into [`VERDICT_SLOTS`] `f64`s so verdicts can
-    /// ride along metric rows through sharded sweep executors: status
-    /// slot `0.0` = pass, `-1.0` = vacuous, `n > 0` = failed with code
-    /// `MON00n`; slots 1/2 carry the witness `(t, value)` for failures
-    /// and NaN otherwise.
-    pub fn encode(&self) -> [f64; VERDICT_SLOTS] {
-        match *self {
+    /// Folds the verdict's exact bit pattern into an FNV-style hash
+    /// step, for fingerprint-stable aggregation across worker counts:
+    /// three words, the status (`0.0` = pass, `-1.0` = vacuous, `n` for
+    /// a failure with code `MON00n`), then the witness `t` and `value`
+    /// (NaN unless failed), each as its `f64` bit pattern.
+    pub fn fold_bits(&self, mut fold: impl FnMut(u64)) {
+        let words = match *self {
             Verdict::Pass => [0.0, f64::NAN, f64::NAN],
             Verdict::Vacuous => [-1.0, f64::NAN, f64::NAN],
             Verdict::Fail { code, t, value } => {
-                let n = codes::code_number(code).unwrap_or(9);
-                [f64::from(n), t, value]
+                [f64::from(codes::code_number(code).unwrap_or(9)), t, value]
             }
-        }
-    }
-
-    /// Inverse of [`Verdict::encode`]. Unknown status slots decode as
-    /// [`Verdict::Vacuous`] (negative) or a `MON009` failure (unmapped
-    /// positive) rather than panicking.
-    pub fn decode(slots: &[f64; VERDICT_SLOTS]) -> Verdict {
-        if slots[0] == 0.0 {
-            Verdict::Pass
-        } else if slots[0] < 0.0 {
-            Verdict::Vacuous
-        } else {
-            let code = codes::code_for_number(slots[0] as u16).unwrap_or(codes::MON009);
-            Verdict::Fail {
-                code,
-                t: slots[1],
-                value: slots[2],
-            }
-        }
-    }
-
-    /// Folds the verdict's exact bit pattern into an FNV-style hash
-    /// step, for fingerprint-stable aggregation across worker counts.
-    pub fn fold_bits(&self, mut fold: impl FnMut(u64)) {
-        for slot in self.encode() {
-            fold(slot.to_bits());
+        };
+        for w in words {
+            fold(w.to_bits());
         }
     }
 }
@@ -570,30 +542,22 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips_bit_exactly() {
-        let verdicts = [
-            Verdict::Pass,
-            Verdict::Vacuous,
-            Verdict::Fail {
-                code: codes::MON007,
-                t: 1.25e-3,
-                value: 0.375,
-            },
-            Verdict::Fail {
-                code: codes::MON009,
-                t: 2.0,
-                value: f64::NAN,
-            },
-        ];
-        for v in verdicts {
-            let slots = v.encode();
-            let back = Verdict::decode(&slots);
-            // NaN != NaN, so compare through the encoding bits.
-            let a: Vec<u64> = slots.iter().map(|s| s.to_bits()).collect();
-            let b: Vec<u64> = back.encode().iter().map(|s| s.to_bits()).collect();
-            assert_eq!(a, b, "{v:?}");
-            assert_eq!(v.is_fail(), back.is_fail());
-        }
+    fn fold_bits_hashes_status_then_witness() {
+        let words = |v: Verdict| {
+            let mut w = Vec::new();
+            v.fold_bits(|b| w.push(b));
+            w
+        };
+        let nan = f64::NAN.to_bits();
+        assert_eq!(words(Verdict::Pass), [0.0f64.to_bits(), nan, nan]);
+        assert_eq!(words(Verdict::Vacuous), [(-1.0f64).to_bits(), nan, nan]);
+        let fail = Verdict::Fail {
+            code: codes::MON007,
+            t: 1.25e-3,
+            value: 0.375,
+        };
+        let want = [7.0, 1.25e-3, 0.375].map(f64::to_bits);
+        assert_eq!(words(fail), want);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! * **Exporters**: Chrome `trace_event` JSON ([`chrome::export`],
 //!   loadable in Perfetto / `chrome://tracing`, one track per tracer,
 //!   timestamps in *simulated* time so exports are byte-identical
-//!   across runs), a human-readable [`ScopeReport`], and a JSON
-//!   summary ([`ScopeReport::to_json`]).
+//!   across runs) and a human-readable [`ScopeReport`].
 //!
 //! # Determinism
 //!

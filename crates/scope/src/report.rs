@@ -9,7 +9,7 @@
 //! aggregates (`ExecStats` and friends) merge in through an extra
 //! [`MetricsRegistry`].
 
-use crate::{Histogram, Metric, MetricsRegistry, Phase, ScopeTrace, SpanKind};
+use crate::{Histogram, MetricsRegistry, Phase, ScopeTrace, SpanKind};
 use std::fmt::Write;
 
 /// Per-[`SpanKind`] aggregate of one trace.
@@ -143,75 +143,6 @@ impl ScopeReport {
         }
         out
     }
-
-    /// The machine-readable JSON summary.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"tracks\":{},\"events\":{},\"spans\":{{",
-            self.tracks, self.events
-        );
-        let mut first = true;
-        for kind in SpanKind::ALL {
-            let k = self.kind(kind);
-            if k.spans == 0 && k.instants == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}\":{{\"spans\":{},\"instants\":{},\"sim_fs\":{},\"wall_ns\":{}}}",
-                kind.name(),
-                k.spans,
-                k.instants,
-                k.sim_fs,
-                k.wall_ns
-            );
-        }
-        out.push_str("},\"metrics\":{");
-        let mut first = true;
-        for (name, metric) in self.metrics.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{name}\":");
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = write!(out, "{{\"type\":\"counter\",\"value\":{c}}}");
-                }
-                Metric::Gauge(v) => {
-                    let _ = write!(out, "{{\"type\":\"gauge\",\"value\":{}}}", json_num(*v));
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"histogram\",\"count\":{},\"min\":{},\"max\":{},\
-                         \"mean\":{},\"p50\":{},\"p95\":{}}}",
-                        h.count(),
-                        json_num(h.min()),
-                        json_num(h.max()),
-                        json_num(h.mean()),
-                        json_num(h.percentile(50.0)),
-                        json_num(h.percentile(95.0))
-                    );
-                }
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// JSON has no NaN/Inf: non-finite values serialize as `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".into()
-    }
 }
 
 /// `3.25e-5` → `"32.500 µs"`, for the human-readable report.
@@ -277,16 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_mention_every_active_kind() {
+    fn render_mentions_every_active_kind() {
         let r = ScopeReport::from_parts(&trace(), &MetricsRegistry::new());
         let text = r.render();
         assert!(text.contains("de.window: 1 span(s)"), "{text}");
         assert!(text.contains("step.accept"), "{text}");
         assert!(text.contains("step.h_accepted"), "{text}");
-        let json = r.to_json();
-        assert!(json.contains("\"de.window\":{\"spans\":1"), "{json}");
-        assert!(json.contains("\"newton.iterations_per_solve\""), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]

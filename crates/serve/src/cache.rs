@@ -24,13 +24,7 @@
 use crate::model::BuiltCircuit;
 use ams_net::SymbolicFactor;
 use ams_scope::MetricsRegistry;
-use ams_sweep::{ClusterStats, Verdict};
 use std::collections::HashMap;
-
-/// One checkpointed scenario: `(index, metric row, solver counters,
-/// monitor verdicts)` — exactly the ScenarioResult-grade data the
-/// progress callback streams and a resumed run merges back.
-pub type PartialScenario = (usize, Vec<f64>, ClusterStats, Vec<Verdict>);
 
 /// One cached topology.
 #[derive(Debug, Clone)]
@@ -65,50 +59,6 @@ impl CacheEntry {
     }
 }
 
-/// Partial results of a suspended job: the scenarios that completed
-/// before the suspend landed, as [`PartialScenario`] tuples — exactly
-/// the ScenarioResult-grade data (monitor verdicts included) the
-/// resumed run needs to merge into a report that fingerprints
-/// identically to an uninterrupted one.
-///
-/// Checkpoints live in the [`TopologyCache`] under the same LRU byte
-/// budget as the warm topologies, so suspended jobs cannot grow the
-/// daemon without bound. Eviction is safe by determinism: a lost
-/// checkpoint only means the resumed job re-runs the completed
-/// scenarios, producing bit-identical rows.
-#[derive(Debug, Clone)]
-pub struct JobCheckpoint {
-    /// Completed scenarios, verdicts included.
-    pub done: Vec<PartialScenario>,
-    bytes: usize,
-    stamp: u64,
-}
-
-impl JobCheckpoint {
-    /// A checkpoint over the given completed scenarios.
-    pub fn new(done: Vec<PartialScenario>) -> JobCheckpoint {
-        let bytes = 48
-            + done
-                .iter()
-                .map(|(_, row, _, verdicts)| {
-                    row.len() * 8
-                        + verdicts.len() * std::mem::size_of::<Verdict>()
-                        + std::mem::size_of::<PartialScenario>()
-                })
-                .sum::<usize>();
-        JobCheckpoint {
-            done,
-            bytes,
-            stamp: 0,
-        }
-    }
-
-    /// The checkpoint's charged size in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
 /// Rough resident size of an elaborated template: elements, node
 /// names, and the two name→id maps. An estimate — the eviction policy
 /// needs proportionality, not exactness.
@@ -133,19 +83,12 @@ pub struct TopologyCache {
     /// a cache hit) are untouched, and deliberately outside the byte
     /// budget — a verdict is a short string, never a resident circuit.
     space: HashMap<(u64, u64), Option<String>>,
-    /// Suspended-job checkpoints keyed by job token. Charged to the
-    /// same byte budget as the topology entries and evicted by the
-    /// same LRU clock — an idle suspended job's partial results lose
-    /// to actively reused topologies, by design.
-    checkpoints: HashMap<String, JobCheckpoint>,
     budget: usize,
     clock: u64,
     bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
-    ckpt_bytes: usize,
-    ckpt_evictions: u64,
     lint_runs: u64,
     space_hits: u64,
     space_runs: u64,
@@ -157,15 +100,12 @@ impl TopologyCache {
         TopologyCache {
             entries: HashMap::new(),
             space: HashMap::new(),
-            checkpoints: HashMap::new(),
             budget,
             clock: 0,
             bytes: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-            ckpt_bytes: 0,
-            ckpt_evictions: 0,
             lint_runs: 0,
             space_hits: 0,
             space_runs: 0,
@@ -239,7 +179,7 @@ impl TopologyCache {
             self.bytes -= old.bytes;
         }
         self.bytes += self.entries[&fp].bytes;
-        self.evict_to_budget(Some(fp), None);
+        self.evict_to_budget(fp);
     }
 
     /// Attaches a warm symbolic factor to an existing entry (no-op for
@@ -255,87 +195,27 @@ impl TopologyCache {
         e.factor = Some(factor);
         e.bytes += extra;
         self.bytes += extra;
-        self.evict_to_budget(Some(fp), None);
+        self.evict_to_budget(fp);
     }
 
-    /// Persists a suspended job's checkpoint under the byte budget,
-    /// replacing any previous checkpoint for the same job. May evict
-    /// LRU topologies or other checkpoints; never evicts itself.
-    pub fn checkpoint_insert(&mut self, job: &str, mut cp: JobCheckpoint) {
-        self.clock += 1;
-        cp.stamp = self.clock;
-        let bytes = cp.bytes;
-        if let Some(old) = self.checkpoints.insert(job.to_string(), cp) {
-            self.bytes -= old.bytes;
-            self.ckpt_bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        self.ckpt_bytes += bytes;
-        self.evict_to_budget(None, Some(job));
-    }
-
-    /// Removes and returns a suspended job's checkpoint. `None` means
-    /// the budget evicted it — the resumed job re-runs everything,
-    /// which by determinism yields the same report.
-    pub fn checkpoint_take(&mut self, job: &str) -> Option<JobCheckpoint> {
-        let cp = self.checkpoints.remove(job)?;
-        self.bytes -= cp.bytes;
-        self.ckpt_bytes -= cp.bytes;
-        Some(cp)
-    }
-
-    /// Drops a checkpoint without restoring it (the suspended job was
-    /// cancelled). A no-op for an unknown or already-evicted job.
-    pub fn checkpoint_discard(&mut self, job: &str) {
-        if let Some(cp) = self.checkpoints.remove(job) {
-            self.bytes -= cp.bytes;
-            self.ckpt_bytes -= cp.bytes;
-        }
-    }
-
-    /// Number of resident job checkpoints.
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Evicts by global LRU stamp across topologies and checkpoints
-    /// until the budget holds. The just-touched topology (`keep_entry`)
-    /// and checkpoint (`keep_ckpt`) are exempt, so an oversized item is
+    /// Evicts least-recently-used entries until the budget holds. The
+    /// just-touched entry `keep` is exempt, so an oversized entry is
     /// still admitted alone.
-    fn evict_to_budget(&mut self, keep_entry: Option<u64>, keep_ckpt: Option<&str>) {
+    fn evict_to_budget(&mut self, keep: u64) {
         while self.bytes > self.budget {
-            let entry_victim = self
+            let Some(fp) = self
                 .entries
                 .iter()
-                .filter(|(fp, _)| Some(**fp) != keep_entry)
+                .filter(|(fp, _)| **fp != keep)
                 .min_by_key(|(_, e)| e.stamp)
-                .map(|(fp, e)| (*fp, e.stamp));
-            let ckpt_victim = self
-                .checkpoints
-                .iter()
-                .filter(|(job, _)| Some(job.as_str()) != keep_ckpt)
-                .min_by_key(|(_, c)| c.stamp)
-                .map(|(job, c)| (job.clone(), c.stamp));
-            match (entry_victim, ckpt_victim) {
-                (Some((fp, es)), Some((_, cs))) if es <= cs => self.evict_entry(fp),
-                (_, Some((job, _))) => self.evict_checkpoint(&job),
-                (Some((fp, _)), None) => self.evict_entry(fp),
-                (None, None) => break,
-            }
+                .map(|(fp, _)| *fp)
+            else {
+                break;
+            };
+            let e = self.entries.remove(&fp).expect("victim exists");
+            self.bytes -= e.bytes;
+            self.evictions += 1;
         }
-    }
-
-    fn evict_entry(&mut self, fp: u64) {
-        let e = self.entries.remove(&fp).expect("victim exists");
-        self.bytes -= e.bytes;
-        self.evictions += 1;
-    }
-
-    fn evict_checkpoint(&mut self, job: &str) {
-        let c = self.checkpoints.remove(job).expect("victim exists");
-        self.bytes -= c.bytes;
-        self.ckpt_bytes -= c.bytes;
-        self.ckpt_evictions += 1;
     }
 
     /// Exports the cache counters into `metrics` under `serve.*` names
@@ -346,7 +226,6 @@ impl TopologyCache {
             ("serve.cache.hits", self.hits),
             ("serve.cache.misses", self.misses),
             ("serve.cache.evictions", self.evictions),
-            ("serve.checkpoint.evictions", self.ckpt_evictions),
             ("serve.lint.runs", self.lint_runs),
             ("serve.space.hits", self.space_hits),
             ("serve.space.runs", self.space_runs),
@@ -356,8 +235,6 @@ impl TopologyCache {
         }
         metrics.gauge_set("serve.cache.bytes", self.bytes as f64);
         metrics.gauge_set("serve.cache.entries", self.entries.len() as f64);
-        metrics.gauge_set("serve.checkpoint.bytes", self.ckpt_bytes as f64);
-        metrics.gauge_set("serve.checkpoint.resident", self.checkpoints.len() as f64);
     }
 }
 
@@ -485,69 +362,5 @@ mod tests {
         c.insert(9, entry());
         assert_eq!(c.len(), 1);
         assert!(c.lookup(9).is_some());
-    }
-
-    fn checkpoint(rows: usize) -> JobCheckpoint {
-        JobCheckpoint::new(
-            (0..rows)
-                .map(|i| (i, vec![1.0, 2.0], ClusterStats::default(), Vec::new()))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn job_checkpoints_share_the_byte_budget_with_topologies() {
-        let cp_bytes = checkpoint(4).bytes();
-        assert!(cp_bytes > 0);
-        let one = entry().bytes();
-        // Room for one topology plus one checkpoint, nothing more.
-        let mut c = TopologyCache::new(one + cp_bytes + cp_bytes / 2);
-        c.insert(1, entry());
-        c.checkpoint_insert("job-a", checkpoint(4));
-        assert_eq!(c.resident_bytes(), one + cp_bytes);
-        assert_eq!(c.checkpoint_count(), 1);
-
-        // A second checkpoint evicts the LRU item — the topology, which
-        // is older than job-a's checkpoint.
-        c.checkpoint_insert("job-b", checkpoint(4));
-        assert_eq!(c.len(), 0, "LRU topology evicted for the checkpoint");
-        assert_eq!(c.checkpoint_count(), 2);
-
-        // Taking a checkpoint releases its bytes; a second take misses
-        // (it models the evicted-checkpoint path on resume).
-        let cp = c.checkpoint_take("job-a").expect("resident checkpoint");
-        assert_eq!(cp.done.len(), 4);
-        assert!(c.checkpoint_take("job-a").is_none());
-        assert_eq!(c.resident_bytes(), cp_bytes);
-
-        // Discard drops without returning, and is a no-op when absent.
-        c.checkpoint_discard("job-b");
-        c.checkpoint_discard("job-b");
-        assert_eq!(c.checkpoint_count(), 0);
-        assert_eq!(c.resident_bytes(), 0);
-
-        let mut m = MetricsRegistry::new();
-        c.export_metrics(&mut m);
-        assert_eq!(m.counter("serve.checkpoint.evictions"), 0);
-        assert_eq!(m.counter("serve.cache.evictions"), 1);
-        assert_eq!(m.gauge("serve.checkpoint.bytes"), Some(0.0));
-    }
-
-    #[test]
-    fn checkpoint_eviction_prefers_the_oldest_stamp() {
-        let cp_bytes = checkpoint(2).bytes();
-        let mut c = TopologyCache::new(2 * cp_bytes + cp_bytes / 2);
-        c.checkpoint_insert("old", checkpoint(2));
-        c.checkpoint_insert("mid", checkpoint(2));
-        // The third checkpoint overflows the budget: "old" goes first,
-        // and the inserted one is never its own victim.
-        c.checkpoint_insert("new", checkpoint(2));
-        assert!(c.checkpoint_take("old").is_none(), "oldest evicted");
-        assert!(c.checkpoint_take("mid").is_some());
-        assert!(c.checkpoint_take("new").is_some());
-        let mut m = MetricsRegistry::new();
-        c.export_metrics(&mut m);
-        assert_eq!(m.counter("serve.checkpoint.evictions"), 1);
-        assert_eq!(m.counter("serve.cache.evictions"), 0);
     }
 }

@@ -23,10 +23,9 @@
 //!   [`ams_exec::SlotPool`], and per-job threads running `ams-sweep`
 //!   batches (4-lane bundles once a job has two scenarios) with
 //!   cooperative cancellation at bundle boundaries.
-//!   Suspension checkpoints a job's completed scenarios into the
-//!   topology cache (same byte budget); the resumed job re-runs only
-//!   the remainder and its report fingerprints identically to an
-//!   uninterrupted run;
+//!   A suspended job keeps its completed scenarios in its record; the
+//!   resumed job re-runs only the remainder and its report
+//!   fingerprints identically to an uninterrupted run;
 //! * [`protocol`] — the newline-delimited JSON request/response mapping
 //!   used over TCP (and directly testable without a socket);
 //! * [`daemon`] — the accept loop over `std::net::TcpListener`, with
@@ -72,7 +71,7 @@ pub mod protocol;
 pub mod sched;
 pub mod signal;
 
-pub use cache::{JobCheckpoint, TopologyCache};
+pub use cache::TopologyCache;
 pub use daemon::serve;
 pub use handle::{JobState, JobStatus, ScenarioEvent, ServeHandle};
 pub use model::{

@@ -300,6 +300,21 @@ impl CircuitSpec {
         h.finish()
     }
 
+    /// The template value of element `name`, `None` unless it is a
+    /// resistor, capacitor or inductor of the spec.
+    fn nominal(&self, name: &str) -> Option<f64> {
+        self.elements.iter().find_map(|e| match &e.kind {
+            ElementKindSpec::Resistor(v)
+            | ElementKindSpec::Capacitor(v)
+            | ElementKindSpec::Inductor(v)
+                if e.name == name =>
+            {
+                Some(*v)
+            }
+            _ => None,
+        })
+    }
+
     /// Elaborates the spec into a [`Circuit`] plus name→id maps.
     ///
     /// # Errors
@@ -786,6 +801,34 @@ impl JobSpec {
         }
     }
 
+    /// [`JobSpec::monitor_spec`] with every channel checked against the
+    /// circuit's nodes.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobSpec::monitor_spec`], plus [`ServeError::Invalid`] for a
+    /// channel that names no circuit node.
+    pub(crate) fn checked_monitor_spec(&self) -> Result<Option<MonitorSpec>, ServeError> {
+        let spec = self.monitor_spec()?;
+        // Node names exist by being mentioned as element terminals —
+        // exactly the nodes `CircuitSpec::build` creates — so a
+        // dangling channel is detectable without elaborating.
+        let known = |ch: &str| {
+            ch == "0" || ch == "gnd" || self.circuit.elements.iter().any(|e| e.p == ch || e.n == ch)
+        };
+        if let Some(p) = spec
+            .iter()
+            .flat_map(|ms| &ms.props)
+            .find(|p| !known(&p.channel))
+        {
+            return Err(ServeError::invalid(format!(
+                "monitor channel {:?} names no circuit node",
+                p.channel
+            )));
+        }
+        Ok(spec)
+    }
+
     /// The job's sweep-space specification: the parameter *box* the
     /// sweep declaration spans (grid axes collapse to `[min, max]`
     /// hulls, Monte-Carlo ranges are taken verbatim) plus the binds in
@@ -812,19 +855,6 @@ impl JobSpec {
                 .map(|(name, lo, hi)| ParamRange::new(name.clone(), *lo, *hi))
                 .collect(),
         };
-        let nominal = |name: &str| -> Option<f64> {
-            self.circuit.elements.iter().find_map(|e| {
-                if e.name != name {
-                    return None;
-                }
-                match &e.kind {
-                    ElementKindSpec::Resistor(v)
-                    | ElementKindSpec::Capacitor(v)
-                    | ElementKindSpec::Inductor(v) => Some(*v),
-                    _ => None,
-                }
-            })
-        };
         let binds = self
             .binds
             .iter()
@@ -837,7 +867,7 @@ impl JobSpec {
                     BindTarget::Inductance => SpaceTarget::Inductance,
                 },
                 relative: b.relative,
-                nominal: nominal(&b.element).unwrap_or(0.0),
+                nominal: self.circuit.nominal(&b.element).unwrap_or(0.0),
             })
             .collect();
         SpaceSpec::new(ranges, binds).requested_h(self.h)
@@ -868,25 +898,12 @@ impl JobSpec {
                 "t_end and h must be positive finite seconds",
             ));
         }
-        let nominal = |name: &str| -> Option<f64> {
-            self.circuit.elements.iter().find_map(|e| {
-                if e.name != name {
-                    return None;
-                }
-                match &e.kind {
-                    ElementKindSpec::Resistor(v)
-                    | ElementKindSpec::Capacitor(v)
-                    | ElementKindSpec::Inductor(v) => Some(*v),
-                    _ => None,
-                }
-            })
-        };
         let mut binds = Vec::with_capacity(self.binds.len());
         for b in &self.binds {
             let id = *built.elements.get(&b.element).ok_or_else(|| {
                 ServeError::invalid(format!("bind references unknown element {:?}", b.element))
             })?;
-            let nom = nominal(&b.element).ok_or_else(|| {
+            let nom = self.circuit.nominal(&b.element).ok_or_else(|| {
                 ServeError::invalid(format!(
                     "bind target {:?} has no sweepable value",
                     b.element
@@ -904,16 +921,7 @@ impl JobSpec {
             })?;
             probes.push((m.name.clone(), node, m.probe));
         }
-        let monitors = self.monitor_spec()?;
-        if let Some(spec) = &monitors {
-            for ch in spec.props.iter().map(|p| p.channel.as_str()) {
-                if ch != "0" && ch != "gnd" && !built.nodes.contains_key(ch) {
-                    return Err(ServeError::invalid(format!(
-                        "monitor channel {ch:?} names no circuit node"
-                    )));
-                }
-            }
-        }
+        let monitors = self.checked_monitor_spec()?;
         Ok(PreparedJob {
             built,
             binds,

@@ -1,14 +1,15 @@
 //! The deterministic sharded runner shared by netlist and TDF sweeps,
-//! with the verdict transport and the report tail both drivers use.
+//! with the bundle-to-results step and the report tail both drivers
+//! use.
 //!
 //! Scenarios are split over workers by [`ams_exec::partition`]'s
 //! longest-processing-time heuristic with uniform costs — a pure
 //! function of `(scenario count, worker count)`, so the shard layout is
 //! reproducible. The coordinator spawns one thread per shard but the
 //! last, runs the last shard itself, then joins the others; every shard
-//! hands back its `(item, row, counters)` list with its join result.
+//! hands back its items' [`ScenarioResult`]s with its join result.
 //! There is nothing to poll while shards compute, and a one-shard batch
-//! spawns no thread at all. Rows are placed by item index, so the
+//! spawns no thread at all. Results are placed by item index, so the
 //! assembled report is identical no matter which thread ran which
 //! scenario.
 
@@ -18,26 +19,9 @@ use crate::spec::Scenario;
 use crate::SweepError;
 use ams_core::ClusterStats;
 use ams_exec::{partition, ExecStats};
-use ams_monitor::{codes as mon_codes, MonitorSpec, Verdict, VERDICT_SLOTS};
+use ams_monitor::{codes as mon_codes, MonitorSpec, Verdict};
 use ams_scope::{ScopeTrace, SpanKind, TraceEvent, Tracer};
 use std::time::{Duration, Instant};
-
-/// Appends each verdict's [`Verdict::encode`] slots to a metric row —
-/// the transport that carries verdicts through the sharded engine
-/// without widening its `(row, stats)` item shape.
-pub(crate) fn push_verdict_slots(row: &mut Vec<f64>, verdicts: &[Verdict]) {
-    for v in verdicts {
-        row.extend_from_slice(&v.encode());
-    }
-}
-
-/// Decodes a slice of transported verdict slots (a multiple of
-/// [`VERDICT_SLOTS`] wide, possibly empty).
-pub(crate) fn decode_verdict_slots(tail: &[f64]) -> Vec<Verdict> {
-    tail.chunks_exact(VERDICT_SLOTS)
-        .map(|c| Verdict::decode(c.try_into().expect("verdict slot width")))
-        .collect()
-}
 
 /// Emits one [`SpanKind::Monitor`] instant per property verdict,
 /// timestamped with the witness point's simulated time (the horizon
@@ -63,7 +47,7 @@ pub(crate) fn emit_monitor_instants(tracer: &mut Tracer, verdicts: &[Verdict], t
 /// the linear solver's counts were paid once for the whole bundle, so
 /// only lane 0 carries them and [`SweepReport::totals`] counts them
 /// once per bundle; the pattern gauges stay on every lane.
-pub(crate) fn lane_stats(bundle: &ClusterStats, lane: usize) -> ClusterStats {
+fn lane_stats(bundle: &ClusterStats, lane: usize) -> ClusterStats {
     let mut s = *bundle;
     if lane > 0 {
         s.factorizations = 0;
@@ -74,13 +58,39 @@ pub(crate) fn lane_stats(bundle: &ClusterStats, lane: usize) -> ClusterStats {
     s
 }
 
+/// A lane bundle's [`ScenarioResult`]s: scenario `l` of `scenarios`
+/// takes metric row `l`, verdict list `l` (empty without monitors) and
+/// the bundle's counters as lane `l` reports them ([`lane_stats`]).
+/// Rows and verdict lists beyond `scenarios` (padding lanes) are
+/// dropped.
+pub(crate) fn bundle_results(
+    scenarios: &[Scenario],
+    rows: Vec<Vec<f64>>,
+    mut verdicts: Vec<Vec<Verdict>>,
+    stats: &ClusterStats,
+) -> Vec<ScenarioResult> {
+    verdicts.resize_with(scenarios.len(), Vec::new);
+    scenarios
+        .iter()
+        .zip(rows)
+        .zip(verdicts)
+        .enumerate()
+        .map(|(l, ((sc, metrics), verdicts))| ScenarioResult {
+            index: sc.index(),
+            label: sc.label(),
+            metrics,
+            stats: lane_stats(stats, l),
+            verdicts,
+        })
+        .collect()
+}
+
 /// Outcome of one sharded batch over items `0..n_items`.
 #[derive(Debug)]
 pub(crate) struct ShardRun {
-    /// Metric rows, one per item, in item order.
-    pub metrics: Vec<Vec<f64>>,
-    /// Solver counters, one per item.
-    pub stats: Vec<ClusterStats>,
+    /// Each item's scenario results (one per scenario of its lane
+    /// bundle), in item order.
+    pub bundles: Vec<Vec<ScenarioResult>>,
     /// Worker shards actually used.
     pub shards: usize,
     /// Wall time from dispatch until the coordinator's own shard
@@ -94,13 +104,10 @@ pub(crate) struct ShardRun {
 }
 
 impl ShardRun {
-    /// The report tail every sweep driver shares. Item `b` is lane
-    /// bundle `b`: its row holds one slice per scenario of the bundle
-    /// (metrics, then the monitors' verdict slots), and its counters
-    /// are shared out by [`lane_stats`]. The tail unpacks those into one
-    /// [`ScenarioResult`] per scenario, folds them into the batch
-    /// [`ExecStats`] (`windows` = scenarios, `barriers` = shards), and
-    /// merges the trace — the `coordinator` track first (when it
+    /// The report tail every sweep driver shares: concatenates the
+    /// bundles' [`ScenarioResult`]s in item order, folds them into the
+    /// batch [`ExecStats`] (`windows` = scenarios, `barriers` = shards),
+    /// and merges the trace — the `coordinator` track first (when it
     /// recorded anything), then one `shard-N` track per shard. Nothing
     /// is pruned and no prefix is shared; drivers override those
     /// fields.
@@ -108,29 +115,12 @@ impl ShardRun {
         self,
         opts: &SweepOptions,
         metrics: &[&str],
-        scenarios: &[Scenario],
         lanes: usize,
         lint_warnings: usize,
         coordinator: Vec<TraceEvent>,
     ) -> SweepReport {
-        let monitor_names = opts.monitors().map(MonitorSpec::names).unwrap_or_default();
-        let n_metrics = metrics.len();
-        let row_w = n_metrics + monitor_names.len() * VERDICT_SLOTS;
-        let results: Vec<ScenarioResult> = scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, sc)| {
-                let (b, l) = (i / lanes, i % lanes);
-                let row = &self.metrics[b][l * row_w..(l + 1) * row_w];
-                ScenarioResult {
-                    index: sc.index(),
-                    label: sc.label(),
-                    metrics: row[..n_metrics].to_vec(),
-                    stats: lane_stats(&self.stats[b], l),
-                    verdicts: decode_verdict_slots(&row[n_metrics..]),
-                }
-            })
-            .collect();
+        let bundles = if lanes > 1 { self.bundles.len() } else { 0 };
+        let results: Vec<ScenarioResult> = self.bundles.into_iter().flatten().collect();
         let mut exec = ExecStats {
             windows: results.len() as u64,
             barriers: self.shards as u64,
@@ -156,12 +146,12 @@ impl ShardRun {
         });
         SweepReport {
             metric_names: metrics.iter().map(|m| (*m).to_string()).collect(),
-            monitor_names,
+            monitor_names: opts.monitors().map(MonitorSpec::names).unwrap_or_default(),
             scenarios: results,
             exec,
             trace,
             lanes,
-            bundles: if lanes > 1 { self.metrics.len() } else { 0 },
+            bundles,
             space_pruned: Vec::new(),
             prefix_forks: 0,
             prefix_steps: 0,
@@ -169,10 +159,10 @@ impl ShardRun {
     }
 }
 
-/// What one shard hands back: its `(item, row, counters)` list or the
-/// error that stopped it, and its trace buffer.
+/// What one shard hands back: its `(item, results)` list or the error
+/// that stopped it, and its trace buffer.
 type ShardOut = (
-    Result<Vec<(usize, Vec<f64>, ClusterStats)>, SweepError>,
+    Result<Vec<(usize, Vec<ScenarioResult>)>, SweepError>,
     Vec<TraceEvent>,
 );
 
@@ -184,7 +174,7 @@ type ShardOut = (
 /// setup (cluster elaboration, solver construction) deterministically.
 /// `run_one` then executes each of the shard's items (ascending) with
 /// the shard's own [`Tracer`] (enabled iff `tracing`) and returns the
-/// item's metric row and counters; whatever the closure records lands
+/// item's scenario results; whatever the closure records lands
 /// in [`ShardRun::traces`] under the shard's slot. Every shard but the
 /// last runs on a scoped thread; the last runs on the calling thread,
 /// so a one-shard batch spawns nothing.
@@ -203,12 +193,11 @@ pub(crate) fn run_sharded<S, B, R>(
 where
     S: Send,
     B: FnMut(usize, &[usize]) -> Result<S, SweepError>,
-    R: Fn(&mut S, usize, &mut Tracer) -> Result<(Vec<f64>, ClusterStats), SweepError> + Sync,
+    R: Fn(&mut S, usize, &mut Tracer) -> Result<Vec<ScenarioResult>, SweepError> + Sync,
 {
     if n_items == 0 {
         return Ok(ShardRun {
-            metrics: Vec::new(),
-            stats: Vec::new(),
+            bundles: Vec::new(),
             shards: 0,
             compute_wall: Duration::ZERO,
             sync_wall: Duration::ZERO,
@@ -232,18 +221,18 @@ where
 
     let run_shard = |items: &[usize], mut state: S| -> ShardOut {
         let mut tracer = if tracing { Tracer::on() } else { Tracer::off() };
-        let mut rows = Vec::with_capacity(items.len());
+        let mut done = Vec::with_capacity(items.len());
         let mut result = Ok(());
         for &item in items {
             match run_one(&mut state, item, &mut tracer) {
-                Ok((row, st)) => rows.push((item, row, st)),
+                Ok(results) => done.push((item, results)),
                 Err(e) => {
                     result = Err(e);
                     break;
                 }
             }
         }
-        (result.map(|()| rows), tracer.take_events())
+        (result.map(|()| done), tracer.take_events())
     };
 
     let t0 = Instant::now();
@@ -275,17 +264,15 @@ where
         outs
     });
 
-    let mut metrics = vec![Vec::new(); n_items];
-    let mut stats = vec![ClusterStats::default(); n_items];
+    let mut bundles = vec![Vec::new(); n_items];
     let mut traces = Vec::with_capacity(shards);
     let mut first_err: Option<(usize, SweepError)> = None;
     for (result, events) in outs {
         traces.push(events);
         match result {
-            Ok(rows) => {
-                for (item, row, st) in rows {
-                    metrics[item] = row;
-                    stats[item] = st;
+            Ok(done) => {
+                for (item, results) in done {
+                    bundles[item] = results;
                 }
             }
             Err(e) => {
@@ -306,8 +293,7 @@ where
     }
 
     Ok(ShardRun {
-        metrics,
-        stats,
+        bundles,
         shards,
         compute_wall,
         sync_wall,
@@ -319,6 +305,20 @@ where
 mod tests {
     use super::*;
 
+    /// Item `item` as a one-scenario bundle with the given metrics.
+    fn result(item: usize, metrics: Vec<f64>) -> Vec<ScenarioResult> {
+        vec![ScenarioResult {
+            index: item,
+            label: format!("#{item}"),
+            metrics,
+            stats: ClusterStats {
+                iterations: item as u64,
+                ..Default::default()
+            },
+            verdicts: Vec::new(),
+        }]
+    }
+
     fn double_and_count(workers: usize) -> ShardRun {
         run_sharded(
             10,
@@ -327,13 +327,7 @@ mod tests {
             |_slot, _items| Ok(0u64),
             |state: &mut u64, item, _tracer: &mut Tracer| {
                 *state += 1;
-                Ok((
-                    vec![item as f64 * 2.0, item as f64 + 0.5],
-                    ClusterStats {
-                        iterations: item as u64,
-                        ..Default::default()
-                    },
-                ))
+                Ok(result(item, vec![item as f64 * 2.0, item as f64 + 0.5]))
             },
         )
         .unwrap()
@@ -343,12 +337,11 @@ mod tests {
     fn rows_are_keyed_by_item_not_by_schedule() {
         for workers in [1, 3, 8] {
             let run = double_and_count(workers);
-            for (i, row) in run.metrics.iter().enumerate() {
-                assert_eq!(row[0], i as f64 * 2.0, "workers={workers}");
-                assert_eq!(row[1], i as f64 + 0.5);
-            }
-            for (i, st) in run.stats.iter().enumerate() {
-                assert_eq!(st.iterations, i as u64);
+            for (i, bundle) in run.bundles.iter().enumerate() {
+                let r = &bundle[0];
+                assert_eq!(r.index, i, "workers={workers}");
+                assert_eq!(r.metrics, [i as f64 * 2.0, i as f64 + 0.5]);
+                assert_eq!(r.stats.iterations, i as u64);
             }
             assert!(run.shards <= workers.max(1));
         }
@@ -367,7 +360,7 @@ mod tests {
                 if std::thread::current().id() == caller {
                     seen.lock().unwrap().push(item);
                 }
-                Ok((vec![item as f64], ClusterStats::default()))
+                Ok(result(item, vec![item as f64]))
             },
         )
         .unwrap();
@@ -400,7 +393,7 @@ mod tests {
                     |_, _| Ok(()),
                     |_: &mut (), item, _tracer: &mut Tracer| {
                         assert_ne!(item, bad, "deliberate shard panic");
-                        Ok((vec![0.0], ClusterStats::default()))
+                        Ok(result(item, vec![0.0]))
                     },
                 )
             });
@@ -419,7 +412,7 @@ mod tests {
                 if item >= 3 {
                     Err(SweepError::scenario(item, "boom"))
                 } else {
-                    Ok((vec![0.0], ClusterStats::default()))
+                    Ok(result(item, vec![0.0]))
                 }
             },
         )
@@ -443,7 +436,7 @@ mod tests {
                     Ok(())
                 }
             },
-            |_: &mut (), _, _tracer: &mut Tracer| Ok((vec![0.0], ClusterStats::default())),
+            |_: &mut (), item, _tracer: &mut Tracer| Ok(result(item, vec![0.0])),
         )
         .unwrap_err();
         assert!(matches!(err, SweepError::Invalid(_)));
@@ -456,10 +449,10 @@ mod tests {
             4,
             false,
             |_, _| Ok(()),
-            |_: &mut (), _, _tracer: &mut Tracer| Ok((vec![0.0; 3], ClusterStats::default())),
+            |_: &mut (), item, _tracer: &mut Tracer| Ok(result(item, vec![0.0; 3])),
         )
         .unwrap();
-        assert!(run.metrics.is_empty());
+        assert!(run.bundles.is_empty());
         assert_eq!(run.shards, 0);
     }
 
@@ -476,7 +469,7 @@ mod tests {
                 let idx = item as u64;
                 tracer.begin_with(SpanKind::Scenario, idx, idx);
                 tracer.end_with(SpanKind::Scenario, idx + 1, idx);
-                Ok((vec![item as f64], ClusterStats::default()))
+                Ok(result(item, vec![item as f64]))
             },
         )
         .unwrap();

@@ -79,8 +79,8 @@ pub mod spec;
 pub mod tdf;
 
 pub use netlist::{FactorSink, NetlistSweep, ProgressFn, RunMode};
-// Re-exported because it appears in the public surface twice over:
-// [`ScenarioResult::stats`] and the [`ProgressFn`] callback signature.
+// Re-exported because [`ScenarioResult::stats`], and with it every
+// [`ProgressFn`] call, carries it.
 pub use ams_core::ClusterStats;
 // Re-exported because monitor specs and verdicts appear in the sweep
 // builder and report surfaces.

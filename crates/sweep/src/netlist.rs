@@ -20,11 +20,9 @@
 //! [`NetlistSweep::prefix`] fork is a bundle that starts from the prefix
 //! checkpoint instead of t = 0.
 
-use crate::engine::{
-    decode_verdict_slots, emit_monitor_instants, lane_stats, push_verdict_slots, run_sharded,
-};
+use crate::engine::{bundle_results, emit_monitor_instants, run_sharded};
 use crate::options::{ResolvedMonitors, SweepOptions};
-use crate::report::SweepReport;
+use crate::report::{ScenarioResult, SweepReport};
 use crate::spec::{Scenario, SweepSpec};
 use crate::{CancelToken, SweepError};
 use ams_core::ClusterStats;
@@ -56,18 +54,15 @@ pub enum RunMode {
     },
 }
 
-/// A per-scenario completion callback: `(scenario index, metric row,
-/// solver counters, monitor verdicts)`. Runs on whichever thread
+/// A per-scenario completion callback: receives the very
+/// [`ScenarioResult`] the report will carry for the scenario — label,
+/// metrics, counters and verdicts — so a consumer can persist
+/// resumable, fingerprint-grade partial results (a lane bundle's
+/// factorization and solve counts arrive with its first scenario only,
+/// exactly as the report carries them). Runs on whichever thread
 /// finished the scenario, so implementations must be `Send + Sync`;
-/// keyed by index, the stream is order-independent. The counters are
-/// the same [`ClusterStats`] the scenario's
-/// [`ScenarioResult`](crate::ScenarioResult) will carry, and the
-/// verdicts the same slice (empty with no monitors attached), so a
-/// consumer can persist resumable, fingerprint-grade partial results
-/// (a lane bundle's factorization and solve counts arrive with its
-/// first scenario only, exactly as the report carries them).
-pub type ProgressFn =
-    std::sync::Arc<dyn Fn(usize, &[f64], &ClusterStats, &[Verdict]) + Send + Sync>;
+/// keyed by index, the stream is order-independent.
+pub type ProgressFn = std::sync::Arc<dyn Fn(&ScenarioResult) + Send + Sync>;
 
 /// A slot that receives the symbolic factor scenario 0 exports, letting
 /// callers keep it warm across runs of the same topology (`ams-serve`'s
@@ -81,10 +76,10 @@ pub type ProgressFn =
 /// (nothing new was analyzed) or the backend is dense.
 pub type FactorSink = std::sync::Arc<std::sync::Mutex<Option<SymbolicFactor>>>;
 
-/// What one bundle produces: the `K` rows (padding lanes included), the
-/// bundle's counters, and — when asked to export — its symbolic factor
-/// for sibling bundles.
-type Bundle<T> = (Vec<Vec<f64>>, ClusterStats, Option<SymbolicFactor<T>>);
+/// What one bundle produces: its scenarios' results (padding lanes
+/// dropped) and — when asked to export — its symbolic factor for
+/// sibling bundles.
+type Bundle<T> = (Vec<ScenarioResult>, Option<SymbolicFactor<T>>);
 
 /// A batched transient sweep over one circuit topology.
 #[derive(Clone)]
@@ -257,8 +252,8 @@ impl NetlistSweep {
     }
 
     /// Installs a per-scenario completion callback for streaming result
-    /// delivery: invoked with `(index, metric row)` as soon as each
-    /// scenario finishes, before the batch completes. See [`ProgressFn`].
+    /// delivery: invoked with each scenario's result as soon as its
+    /// bundle finishes, before the batch completes. See [`ProgressFn`].
     pub fn on_scenario(mut self, progress: ProgressFn) -> NetlistSweep {
         self.progress = Some(progress);
         self
@@ -595,17 +590,9 @@ impl NetlistSweep {
             None => self.resolve_monitors()?,
         };
         let mon_ref = mon.as_ref();
-        let progress = |b: usize, rows: &[Vec<f64>], stats: &ClusterStats| {
+        let progress = |results: &[ScenarioResult]| {
             if let Some(p) = &self.progress {
-                for (l, (sc, row)) in scenarios[b * k..].iter().zip(rows).enumerate() {
-                    let verdicts = decode_verdict_slots(&row[n_metrics..]);
-                    p(
-                        sc.index(),
-                        &row[..n_metrics],
-                        &lane_stats(stats, l),
-                        &verdicts,
-                    );
-                }
+                results.iter().for_each(|r| p(r));
             }
         };
 
@@ -624,7 +611,7 @@ impl NetlistSweep {
         // computes the shared symbolic analysis, so every worker count
         // sees the same pivot sequence.
         let first = if prefix.is_none() {
-            let (rows, stats, exported) = self.run_bundle::<T, A, O>(
+            let (results, exported) = self.run_bundle::<T, A, O>(
                 scenarios,
                 0,
                 None,
@@ -636,14 +623,14 @@ impl NetlistSweep {
                 apply,
                 observe,
             )?;
-            progress(0, &rows, &stats);
+            progress(&results);
             if let Some(f) = exported {
                 // The lane engine analyzes lane 0 at width 1, so the
                 // bundle's analysis is scenario 0's scalar one.
                 sink_factor = Some(f.cast());
                 donor = Some(f);
             }
-            Some((rows.concat(), stats))
+            Some(results)
         } else {
             None
         };
@@ -661,10 +648,9 @@ impl NetlistSweep {
                 if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     return Err(SweepError::Cancelled);
                 }
-                let b = item + inline;
-                let (rows, stats, _) = self.run_bundle::<T, A, O>(
+                let (results, _) = self.run_bundle::<T, A, O>(
                     scenarios,
-                    b,
+                    item + inline,
                     prefix.as_ref(),
                     donor.as_ref(),
                     false,
@@ -674,21 +660,17 @@ impl NetlistSweep {
                     apply,
                     observe,
                 )?;
-                progress(b, &rows, &stats);
-                // Verdicts ride home in extra row slots; the report
-                // assembly strips and decodes them.
-                Ok((rows.concat(), stats))
+                progress(&results);
+                Ok(results)
             },
         )?;
 
-        if let Some((row, stats)) = first {
-            shard.metrics.insert(0, row);
-            shard.stats.insert(0, stats);
+        if let Some(results) = first {
+            shard.bundles.insert(0, results);
         }
         let report = shard.into_report(
             &self.opts,
             metrics,
-            scenarios,
             k,
             lint_warnings,
             coord_tracer.take_events(),
@@ -783,10 +765,9 @@ impl NetlistSweep {
 
     /// The one scenario executor: runs bundle `b` (scenarios `b·K ..`,
     /// padded to `K = T::LANES` by replicating the last) from t = 0 or,
-    /// with `start`, as a fork of the shared prefix. Returns all `K`
-    /// rows (metrics then verdict slots; padding included — the caller
-    /// drops it), the bundle's counters, and (when `export`) its
-    /// symbolic factor for sibling bundles.
+    /// with `start`, as a fork of the shared prefix. Returns the
+    /// results of the bundle's own scenarios (padding dropped) and
+    /// (when `export`) its symbolic factor for sibling bundles.
     ///
     /// A fork restores the prefix checkpoint into every lane and
     /// continues the prefix's metric rows, probe count and step
@@ -867,9 +848,6 @@ impl NetlistSweep {
         run.map_err(fail)?;
         let verdicts: Vec<Vec<Verdict>> =
             tr.monitor_banks().iter().map(MonitorBank::finish).collect();
-        for (row, v) in rows.iter_mut().zip(&verdicts) {
-            push_verdict_slots(row, v);
-        }
         if traced {
             // Solver spans ride on the same track, inside the scenario
             // span (solver timestamps are the scenario's local simulated
@@ -887,7 +865,8 @@ impl NetlistSweep {
 
         let stats = cluster_stats(tr.stats(), probes);
         let exported = if export { tr.symbolic_factor() } else { None };
-        Ok((rows, stats, exported))
+        let own = &scenarios[lo..lo + used];
+        Ok((bundle_results(own, rows, verdicts, &stats), exported))
     }
 
     /// The simulation horizon of the configured [`RunMode`].
@@ -1558,6 +1537,76 @@ mod tests {
                 assert_eq!(forked.prefix_forks, 10);
                 assert_eq!(forked.prefix_steps, 64);
                 assert_eq!(forked.bundles, 10usize.div_ceil(k));
+            }
+        }
+    }
+
+    #[test]
+    fn progress_stream_equals_the_report() {
+        use std::sync::{Arc, Mutex};
+        let h = (2.0f64).powi(-20);
+        let t0 = 64.0 * h;
+        let (ckt, v, out) = pulse_rc(t0, h);
+        // 10 scenarios: width 4 pads the last bundle (4 + 4 + 2).
+        let values = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0];
+        let spec = SweepSpec::grid(&[("v2", &values)], 5).unwrap();
+        let apply =
+            |c: &mut Circuit, sc: &Scenario| c.set_source_waveform(v, pulse(sc.value("v2"), t0, h));
+        let observe = |tr: &dyn ScenarioProbe, m: &mut [f64]| {
+            let x = tr.voltage(out);
+            m[0] = x;
+            m[1] = m[1].max(x);
+        };
+        // The overshoot bound fails the high pulses only, so verdicts
+        // differ from scenario to scenario.
+        let monitors = MonitorSpec::parse("over:overshoot(max=2.0)@out;fin:finite()@out").unwrap();
+        let base = NetlistSweep::new(ckt, IntegrationMethod::Trapezoidal)
+            .backend(SolverBackend::Sparse)
+            .fixed_step(256.0 * h, h)
+            .monitors(monitors);
+        let verdict_bits = |r: &ScenarioResult| {
+            let mut bits = Vec::new();
+            for v in &r.verdicts {
+                v.fold_bits(|b| bits.push(b));
+            }
+            bits
+        };
+        for (k, sweep) in [(1, base.clone().prefix(t0).lanes(1)), (4, base.lanes(4))] {
+            for workers in [1, 3] {
+                let ctx = format!("lanes={k} workers={workers}");
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let sink = seen.clone();
+                let report = sweep
+                    .clone()
+                    .on_scenario(Arc::new(move |r: &ScenarioResult| {
+                        sink.lock().unwrap().push(r.clone());
+                    }))
+                    .run_lanes(&spec, workers, &["v_end", "v_max"], apply, observe)
+                    .unwrap();
+                let mut stream = seen.lock().unwrap().clone();
+                stream.sort_by_key(|r| r.index);
+                let indices: Vec<usize> = stream.iter().map(|r| r.index).collect();
+                assert_eq!(indices, (0..10).collect::<Vec<_>>(), "{ctx}");
+                assert_eq!(report.scenarios.len(), 10, "{ctx}");
+                let fails = report.monitor_summary()[0].fail;
+                assert!(fails > 0 && fails < 10, "{ctx}: {fails} overshoot fails");
+                for (i, (s, r)) in stream.iter().zip(&report.scenarios).enumerate() {
+                    assert_eq!(s.index, r.index, "{ctx}");
+                    assert_eq!(s.label, r.label, "{ctx} scenario {i}");
+                    let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&s.metrics), bits(&r.metrics), "{ctx} scenario {i}");
+                    assert_eq!(verdict_bits(s), verdict_bits(r), "{ctx} scenario {i}");
+                    assert_eq!(s.verdicts.len(), 2, "{ctx} scenario {i}");
+                    assert_eq!(s.stats, r.stats, "{ctx} scenario {i}");
+                    // A bundle's factor and solve counts sit on its
+                    // first scenario only.
+                    let first = i % k == 0;
+                    assert_eq!(s.stats.factorizations > 0, first, "{ctx} scenario {i}");
+                    if !first {
+                        assert_eq!(s.stats.solve.numeric_refactors, 0, "{ctx}");
+                        assert_eq!(s.stats.solve.symbolic_analyses, 0, "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -17,7 +17,7 @@
 //! model chooses — typically [`SharedSample`](ams_core::SharedSample)
 //! cells captured by both the modules and the [`SweepModel`].
 
-use crate::engine::{emit_monitor_instants, push_verdict_slots, run_sharded};
+use crate::engine::{bundle_results, emit_monitor_instants, run_sharded};
 use crate::options::SweepOptions;
 use crate::report::SweepReport;
 use crate::spec::{Scenario, SweepSpec};
@@ -398,23 +398,20 @@ impl TdfSweep {
                     let end = bundle[bundle.len() - 1].index() as u64 + 1;
                     tracer.end_with(SpanKind::Scenario, end, span_arg);
                 }
-                // Monitors only run at width 1: the verdicts ride home
-                // in extra slots of the single row.
-                push_verdict_slots(&mut rows[0], &verdicts);
-                Ok((rows.concat(), w.cluster.stats()))
+                // Monitors only run at width 1: the bank's verdicts are
+                // the bundle's single scenario's.
+                Ok(bundle_results(
+                    bundle,
+                    rows,
+                    vec![verdicts],
+                    &w.cluster.stats(),
+                ))
             },
         )?;
 
         // The space pass is MNA-specific; TDF structure is
         // scenario-invariant, so nothing is ever pruned here.
-        let report = shard.into_report(
-            &self.opts,
-            metrics,
-            scenarios,
-            lanes,
-            lint_warnings,
-            Vec::new(),
-        );
+        let report = shard.into_report(&self.opts, metrics, lanes, lint_warnings, Vec::new());
         Ok(SweepReport {
             prefix_forks: if prefix.is_some() { n as u64 } else { 0 },
             prefix_steps: prefix.unwrap_or(0),

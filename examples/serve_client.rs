@@ -12,13 +12,14 @@
 //!    that the warm run performed **zero** symbolic analyses and
 //!    **zero** lint passes (from the daemon's `serve.*` metrics).
 //!
-//! With `--suspend-resume` it exercises the checkpoint layer over the
+//! With `--suspend-resume` it exercises suspend and resume over the
 //! wire: submit a deliberately slow job, suspend it mid-run (the
-//! daemon checkpoints the completed scenarios into the topology
-//! cache), resume it, and assert the stitched-together report's
-//! fingerprint is bit-identical to an uninterrupted in-process run —
-//! with the `serve.checkpoint.*` metrics confirming a checkpoint was
-//! actually stored and restored.
+//! daemon keeps the completed scenarios in the job's record), resume
+//! it (only the unfinished scenarios run again), and assert the
+//! stitched-together report's fingerprint is bit-identical to an
+//! uninterrupted in-process run — with the `serve.checkpoint.*`
+//! metrics confirming finished scenarios were actually kept and
+//! restored.
 //!
 //! ```text
 //! cargo run --release --example serve_client -- --addr HOST:PORT

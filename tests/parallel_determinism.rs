@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use systemc_ams::blocks::{FirFilter, SineSource};
 use systemc_ams::core::{AmsSimulator, CoreError, TdfGraph, TdfIo, TdfModule, TdfProbe, TdfSetup};
-use systemc_ams::exec::{CountingHook, ParallelSim};
+use systemc_ams::exec::ParallelSim;
 use systemc_ams::kernel::{Kernel, Signal, SimTime};
 
 /// A self-timed oscillator with internal state, so scheduling mistakes
@@ -246,7 +246,6 @@ fn reset_reruns_identically() {
         sim.add_graph(g);
         probes.push(p);
     }
-    sim.set_hook(CountingHook::default());
     sim.run_until(SimTime::from_us(100)).expect("first run");
     let first: Vec<Vec<(f64, f64)>> = probes.iter().map(|p| p.samples()).collect();
     assert!(first.iter().all(|s| !s.is_empty()));
