@@ -1,5 +1,6 @@
-//! Golden pins for the transient engine, the netlist sweep driver, the
-//! TDF sweep executor and the Figure-1 model.
+//! Golden pins for the transient engine, the DC, AC, noise and
+//! stamp-pattern analyses, the netlist sweep driver, the TDF sweep
+//! executor and the Figure-1 model.
 //!
 //! Every other determinism test is *relative*: worker counts against
 //! each other, prefix forks against runs from zero, served jobs against
@@ -26,8 +27,8 @@ use systemc_ams::core::{
 use systemc_ams::kernel::SimTime;
 use systemc_ams::monitor::MonitorSpec;
 use systemc_ams::net::{
-    AdaptiveOptions, Circuit, ElementId, InputId, IntegrationMethod, NetError, NodeId,
-    ScenarioProbe, SolverBackend, TransientSolver, Waveform,
+    AdaptiveOptions, Circuit, ElementId, InputId, IntegrationMethod, LaneTransientSolver, NetError,
+    NodeId, ScenarioProbe, SolverBackend, TransientSolver, Waveform,
 };
 use systemc_ams::scope::chrome;
 use systemc_ams::serve::{
@@ -275,9 +276,51 @@ fn lane_adaptive_fingerprint_is_pinned() {
     assert_eq!(report.fingerprint(), 0xf109_e222_363b_8242);
 }
 
+/// Knobs of [`every_kind_with`]; [`EveryKind::BASE`] is [`every_kind`].
+#[derive(Clone, Copy)]
+struct EveryKind {
+    /// Scale of every resistance.
+    r: f64,
+    /// Scale of every controlled-source gain.
+    gain: f64,
+    /// Include the diode and the NMOS.
+    nonlinear: bool,
+    /// `Vin` is a 1 V DC source of unit AC magnitude instead of a sine,
+    /// which biases the diode and turns the NMOS on.
+    ac: bool,
+    /// Append a source driven by external input 0, with an RC load.
+    external: bool,
+}
+
+impl EveryKind {
+    const BASE: EveryKind = EveryKind {
+        r: 1.0,
+        gain: 1.0,
+        nonlinear: true,
+        ac: false,
+        external: false,
+    };
+}
+
+/// An [`every_kind_with`] circuit and the handles the pins drive.
+struct EveryKindCkt {
+    ckt: Circuit,
+    sw: ElementId,
+    nodes: Vec<NodeId>,
+    /// Every element, in insertion order.
+    elems: Vec<ElementId>,
+    /// The external input, when [`EveryKind::external`] is set.
+    input: Option<InputId>,
+}
+
 /// One circuit with every element kind: sources, passives, the four
 /// controlled sources, a diode, an NMOS and a switch.
 fn every_kind() -> (Circuit, ElementId, Vec<NodeId>) {
+    let ek = every_kind_with(EveryKind::BASE);
+    (ek.ckt, ek.sw, ek.nodes)
+}
+
+fn every_kind_with(k: EveryKind) -> EveryKindCkt {
     let mut ckt = Circuit::new();
     let gnd = Circuit::GROUND;
     let inp = ckt.node("in");
@@ -288,38 +331,77 @@ fn every_kind() -> (Circuit, ElementId, Vec<NodeId>) {
     let e = ckt.node("e");
     let f = ckt.node("f");
     let g = ckt.node("g");
-    let k = ckt.node("k");
+    let kk = ckt.node("k");
     let vdd = ckt.node("vdd");
     let drain = ckt.node("drain");
     let s = ckt.node("s");
-    let vin = ckt
-        .voltage_source_wave("Vin", inp, gnd, sine(1.0, 20e3))
-        .unwrap();
-    ckt.resistor("Ra", inp, a, 1e3).unwrap();
-    ckt.capacitor("Ca", a, gnd, 10e-9).unwrap();
+    let r = |ohms: f64| ohms * k.r;
+    let mut elems = Vec::new();
+    let vin = if k.ac {
+        ckt.voltage_source_ac("Vin", inp, gnd, 1.0, 1.0).unwrap()
+    } else {
+        ckt.voltage_source_wave("Vin", inp, gnd, sine(1.0, 20e3))
+            .unwrap()
+    };
+    elems.push(vin);
+    elems.push(ckt.resistor("Ra", inp, a, r(1e3)).unwrap());
+    elems.push(ckt.capacitor("Ca", a, gnd, 10e-9).unwrap());
     let l = ckt.inductor("L", a, b, 1e-3).unwrap();
-    ckt.resistor("Rb", b, gnd, 500.0).unwrap();
-    ckt.current_source_wave("I", gnd, c, sine(1e-3, 5e3))
-        .unwrap();
-    ckt.resistor("Rc", c, gnd, 2e3).unwrap();
-    ckt.vcvs("E", d, gnd, a, gnd, 2.0).unwrap();
-    ckt.resistor("Rd", d, gnd, 1e4).unwrap();
-    ckt.vccs("G", gnd, e, a, gnd, 1e-3).unwrap();
-    ckt.resistor("Re", e, gnd, 1e3).unwrap();
-    ckt.cccs("F", gnd, f, vin, 0.5).unwrap();
-    ckt.resistor("Rf", f, gnd, 1e3).unwrap();
-    ckt.ccvs("H", g, gnd, l, 100.0).unwrap();
-    ckt.resistor("Rg", g, gnd, 1e3).unwrap();
-    ckt.diode("D", d, k, 1e-14, 1.0).unwrap();
-    ckt.resistor("Rk", k, gnd, 1e3).unwrap();
-    ckt.capacitor("Ck", k, gnd, 1e-9).unwrap();
-    ckt.voltage_source("Vdd", vdd, gnd, 3.0).unwrap();
-    ckt.resistor("Rdrain", vdd, drain, 1e3).unwrap();
-    ckt.nmos("M", drain, d, gnd, 1e-3, 0.5, 0.01).unwrap();
-    ckt.resistor("Rs", a, s, 100.0).unwrap();
+    elems.push(l);
+    elems.push(ckt.resistor("Rb", b, gnd, r(500.0)).unwrap());
+    elems.push(
+        ckt.current_source_wave("I", gnd, c, sine(1e-3, 5e3))
+            .unwrap(),
+    );
+    elems.push(ckt.resistor("Rc", c, gnd, r(2e3)).unwrap());
+    elems.push(ckt.vcvs("E", d, gnd, a, gnd, 2.0 * k.gain).unwrap());
+    elems.push(ckt.resistor("Rd", d, gnd, r(1e4)).unwrap());
+    elems.push(ckt.vccs("G", gnd, e, a, gnd, 1e-3 * k.gain).unwrap());
+    elems.push(ckt.resistor("Re", e, gnd, r(1e3)).unwrap());
+    elems.push(ckt.cccs("F", gnd, f, vin, 0.5 * k.gain).unwrap());
+    elems.push(ckt.resistor("Rf", f, gnd, r(1e3)).unwrap());
+    elems.push(ckt.ccvs("H", g, gnd, l, 100.0 * k.gain).unwrap());
+    elems.push(ckt.resistor("Rg", g, gnd, r(1e3)).unwrap());
+    if k.nonlinear {
+        elems.push(ckt.diode("D", d, kk, 1e-14, 1.0).unwrap());
+    }
+    elems.push(ckt.resistor("Rk", kk, gnd, r(1e3)).unwrap());
+    elems.push(ckt.capacitor("Ck", kk, gnd, 1e-9).unwrap());
+    elems.push(ckt.voltage_source("Vdd", vdd, gnd, 3.0).unwrap());
+    elems.push(ckt.resistor("Rdrain", vdd, drain, r(1e3)).unwrap());
+    if k.nonlinear {
+        elems.push(ckt.nmos("M", drain, d, gnd, 1e-3, 0.5, 0.01).unwrap());
+    }
+    elems.push(ckt.resistor("Rs", a, s, r(100.0)).unwrap());
     let sw = ckt.switch("S", s, gnd, 10.0, 1e9, false).unwrap();
+    elems.push(sw);
+    let mut input = None;
+    if k.external {
+        let x = ckt.node("x");
+        let y = ckt.node("y");
+        let id = ckt.external_input();
+        input = Some(id);
+        elems.push(
+            ckt.voltage_source_wave("Vx", x, gnd, Waveform::External(id))
+                .unwrap(),
+        );
+        elems.push(ckt.resistor("Rx", x, y, r(1e3)).unwrap());
+        elems.push(ckt.capacitor("Cy", y, gnd, 1e-9).unwrap());
+    }
     let nodes = ckt.nodes().collect();
-    (ckt, sw, nodes)
+    EveryKindCkt {
+        ckt,
+        sw,
+        nodes,
+        elems,
+        input,
+    }
+}
+
+/// Hashes a current readout: its bits, or a marker for an element
+/// without a computable current.
+fn current_bits(h: &mut Fnv, i: Result<f64, NetError>) {
+    h.u64(i.map_or(u64::MAX, f64::to_bits));
 }
 
 fn every_kind_hash(method: IntegrationMethod) -> u64 {
@@ -351,6 +433,224 @@ fn direct_run_over_every_element_kind_is_pinned() {
         every_kind_hash(IntegrationMethod::BackwardEuler),
         0x32c6_8459_86dd_e1df
     );
+}
+
+/// The DC operating point of an [`every_kind_with`] circuit on
+/// `backend`: the Newton iteration count, and a hash of every unknown
+/// and element current.
+fn every_kind_dc_hash(k: EveryKind, backend: SolverBackend) -> (usize, u64) {
+    let ek = every_kind_with(k);
+    let ext = vec![0.0; ek.ckt.external_input_count()];
+    // Every element's initial state: the one switch starts open.
+    let switches = vec![false; ek.ckt.element_count()];
+    let op = ek
+        .ckt
+        .dc_operating_point_with_backend(&ext, &switches, backend)
+        .unwrap();
+    let mut h = Fnv::new();
+    for &x in op.unknowns() {
+        h.u64(x.to_bits());
+    }
+    for &e in &ek.elems {
+        current_bits(&mut h, op.current(e));
+    }
+    (op.iterations, h.0)
+}
+
+#[test]
+fn every_kind_dc_operating_point_is_pinned() {
+    let (ckt, _, _) = every_kind();
+    let auto = ckt.dc_operating_point().unwrap();
+    let dense = every_kind_dc_hash(EveryKind::BASE, SolverBackend::Dense);
+    assert_eq!(dense, (2, 0x6bf3_aec5_5758_d17c));
+    assert_eq!(auto.iterations, dense.0);
+    assert_eq!(
+        every_kind_dc_hash(EveryKind::BASE, SolverBackend::Sparse),
+        (2, 0x6bf3_aec5_5758_d17c)
+    );
+    // The AC pins' bias point: the diode conducts and the NMOS is on.
+    let biased = EveryKind {
+        ac: true,
+        ..EveryKind::BASE
+    };
+    assert_eq!(
+        every_kind_dc_hash(biased, SolverBackend::Dense),
+        (8, 0x0bb9_7f15_0bfb_434a)
+    );
+    assert_eq!(
+        every_kind_dc_hash(biased, SolverBackend::Sparse),
+        (8, 0x73c3_719b_f7c8_ea8b)
+    );
+}
+
+#[test]
+fn every_kind_dc_stamp_pattern_is_pinned() {
+    let (ckt, _, _) = every_kind();
+    let p = ckt.dc_stamp_pattern();
+    let mut h = Fnv::new();
+    h.u64(p.n_unknowns() as u64);
+    for &(i, j) in p.coords() {
+        h.u64(i as u64);
+        h.u64(j as u64);
+    }
+    assert_eq!((p.coords().len(), h.0), (45, 0x3bf4_63f0_3759_c7f9));
+}
+
+/// AC and noise analysis points of the pins.
+const AC_FREQS: [f64; 3] = [1e2, 1e4, 1e6];
+
+/// AC sweep and noise analysis (output `k`) of [`every_kind`] with a
+/// unit AC stimulus on `Vin`, on `backend`.
+fn every_kind_ac_noise_hash(backend: SolverBackend) -> (u64, u64) {
+    let ek = every_kind_with(EveryKind {
+        ac: true,
+        ..EveryKind::BASE
+    });
+    let op = ek.ckt.dc_operating_point().unwrap();
+    let mut ac = Fnv::new();
+    for sol in ek.ckt.ac_sweep_with(&op, &AC_FREQS, backend).unwrap() {
+        ac.u64(sol.omega.to_bits());
+        for &n in &ek.nodes {
+            let v = sol.voltage(n);
+            ac.u64(v.re.to_bits());
+            ac.u64(v.im.to_bits());
+        }
+        for &e in &ek.elems {
+            match sol.branch_current(e) {
+                Ok(i) => {
+                    ac.u64(i.re.to_bits());
+                    ac.u64(i.im.to_bits());
+                }
+                Err(_) => ac.u64(u64::MAX),
+            }
+        }
+    }
+    let out = ek.ckt.find_node("k").unwrap();
+    let noise = ek
+        .ckt
+        .noise_analysis_with(&op, out, &AC_FREQS, backend)
+        .unwrap();
+    let mut nh = Fnv::new();
+    for p in &noise.points {
+        nh.u64(p.freq_hz.to_bits());
+        nh.u64(p.total_psd.to_bits());
+        for c in &p.contributions {
+            nh.bytes(c.element.as_bytes());
+            nh.u64(c.output_psd.to_bits());
+        }
+    }
+    (ac.0, nh.0)
+}
+
+#[test]
+fn every_kind_ac_and_noise_are_pinned() {
+    assert_eq!(
+        every_kind_ac_noise_hash(SolverBackend::Dense),
+        (0xf89a_2646_44b6_98e8, 0xa7db_9e38_ae7a_9543)
+    );
+    assert_eq!(
+        every_kind_ac_noise_hash(SolverBackend::Sparse),
+        (0x8af4_e669_751f_158b, 0x134d_466b_32a3_b9a0)
+    );
+}
+
+/// [`every_kind`] without its diode and NMOS, plus an externally
+/// driven source: the linear fast path (factor once per matrix, replay
+/// the right-hand side every step) over every linear kind. Hashes every
+/// step's time, node voltages and element currents, then the counters.
+fn linear_every_kind_hash(method: IntegrationMethod, backend: SolverBackend) -> u64 {
+    let ek = every_kind_with(EveryKind {
+        nonlinear: false,
+        external: true,
+        ..EveryKind::BASE
+    });
+    let input = ek.input.unwrap();
+    let mut tr = TransientSolver::new(&ek.ckt, method).unwrap();
+    tr.backend = backend;
+    tr.initialize_dc().unwrap();
+    let mut h = Fnv::new();
+    for step in 0..400 {
+        if step == 200 {
+            tr.set_switch(ek.sw, true).unwrap();
+        }
+        tr.set_input(input, (step as f64 * 0.05).sin());
+        tr.step(0.25e-6).unwrap();
+        h.u64(tr.time().to_bits());
+        for &n in &ek.nodes {
+            h.u64(tr.voltage(n).to_bits());
+        }
+        for &e in &ek.elems {
+            current_bits(&mut h, tr.current(e));
+        }
+    }
+    let stats = tr.stats();
+    assert_eq!(stats.newton_iterations, stats.steps);
+    assert!(stats.factorizations <= 3, "{stats:?}");
+    h.u64(stats.factorizations);
+    h.0
+}
+
+#[test]
+fn linear_fast_path_over_every_linear_kind_is_pinned() {
+    use IntegrationMethod::{BackwardEuler, Trapezoidal};
+    assert_eq!(
+        linear_every_kind_hash(Trapezoidal, SolverBackend::Dense),
+        0x8e1a_3b88_b068_f20a
+    );
+    assert_eq!(
+        linear_every_kind_hash(BackwardEuler, SolverBackend::Dense),
+        0x1ecb_8914_b9ad_a0f3
+    );
+    assert_eq!(
+        linear_every_kind_hash(Trapezoidal, SolverBackend::Sparse),
+        0xd580_1679_757e_6f1d
+    );
+    assert_eq!(
+        linear_every_kind_hash(BackwardEuler, SolverBackend::Sparse),
+        0x531f_5213_4b2f_0f8c
+    );
+}
+
+/// Resistance and gain scales of the four lane circuits.
+const LANE_KNOBS: [(f64, f64); 4] = [(1.0, 1.0), (1.25, 0.8), (0.8, 1.5), (2.0, 0.5)];
+
+#[test]
+fn every_kind_at_four_lanes_is_pinned() {
+    let lanes: Vec<EveryKindCkt> = LANE_KNOBS
+        .iter()
+        .map(|&(r, gain)| {
+            every_kind_with(EveryKind {
+                r,
+                gain,
+                ..EveryKind::BASE
+            })
+        })
+        .collect();
+    let circuits: Vec<Circuit> = lanes.iter().map(|ek| ek.ckt.clone()).collect();
+    let ek = &lanes[0];
+    let mut tr = LaneTransientSolver::<4>::new(&circuits, IntegrationMethod::Trapezoidal).unwrap();
+    tr.initialize_dc().unwrap();
+    let mut h = Fnv::new();
+    for step in 0..400 {
+        if step == 200 {
+            tr.set_switch(ek.sw, true).unwrap();
+        }
+        tr.step(0.25e-6).unwrap();
+        h.u64(tr.time().to_bits());
+        for l in 0..4 {
+            for &n in &ek.nodes {
+                h.u64(tr.voltage_lane(n, l).to_bits());
+            }
+            for &e in &ek.elems {
+                current_bits(&mut h, tr.current_lane(e, l));
+            }
+        }
+    }
+    assert_eq!(tr.active_lanes(), [true; 4]);
+    let stats = tr.stats();
+    h.u64(stats.factorizations);
+    h.u64(stats.newton_iterations);
+    assert_eq!(h.0, 0x03e0_d48d_695d_9560);
 }
 
 // ---------- TDF sweep ----------------------------------------------------
