@@ -566,7 +566,11 @@ fn layout(ckt: &Circuit) -> Option<MnaLayout> {
 
 /// Assembles the interval BE companion matrix `G + C/h` (plus source
 /// and inductor branch rows) over a box; `h = None` assembles the DC
-/// matrix with the solver's gmin leakage, exactly as `ams-net` does.
+/// matrix (capacitors open, inductors shorts). Every resistor and, in a
+/// step, every `C/h` also gets a `GMIN` leak, which `ams-net` does not
+/// add: the solver leaks `GMIN` only through capacitors at DC and across
+/// junctions. So the matrices this pass proves nonsingular differ from
+/// the ones the solver factors by that leak.
 fn interval_matrix(
     ckt: &Circuit,
     lay: &MnaLayout,

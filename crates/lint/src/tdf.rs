@@ -8,8 +8,7 @@
 //! runs the graph-level subset directly on an `ams-sdf` graph.
 
 use crate::diag::{codes, Diagnostic, LintReport};
-use ams_math::{common_denominator, gcd, Rational};
-use ams_sdf::SdfGraph;
+use ams_sdf::{SdfError, SdfGraph};
 
 /// One port use: module `module` reads or writes signal `signal` at
 /// `rate` tokens per firing, with `delay` initial samples (reads only).
@@ -115,7 +114,7 @@ impl TdfModel {
     /// consistent enough to have one.
     pub fn period_fs(&self) -> Option<u64> {
         let edges = self.edges()?;
-        let q = solve_balance(self.modules.len(), &edges).ok()?;
+        let q = repetitions(self.modules.len(), &edges).ok()?;
         self.timesteps
             .iter()
             .zip(&q)
@@ -407,10 +406,13 @@ fn check_balance(
     r: &mut LintReport,
     describe: impl Fn(&Edge) -> (String, Vec<String>),
 ) -> Option<Vec<u64>> {
-    match solve_balance(n, edges) {
+    match repetitions(n, edges) {
         Ok(q) => Some(q),
-        Err(bad) => {
-            let e = &edges[bad];
+        Err(err) => {
+            let SdfError::InconsistentRates { edge } = err else {
+                unreachable!("lint edges carry non-zero rates: {err}")
+            };
+            let e = &edges[edge];
             let (name, items) = describe(e);
             r.push(
                 Diagnostic::error(
@@ -429,67 +431,13 @@ fn check_balance(
     }
 }
 
-/// Balance-equation solver (same algorithm as
-/// `ams_sdf::SdfGraph::repetition_vector`): returns the minimal
-/// repetition vector, or the index of the first conflicting edge.
-fn solve_balance(n: usize, edges: &[Edge]) -> Result<Vec<u64>, usize> {
-    let mut q: Vec<Option<Rational>> = vec![None; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        adj[e.src].push(i);
-        adj[e.dst].push(i);
-    }
-    let comp = components(n, edges);
-    for start in 0..n {
-        if q[start].is_some() {
-            continue;
-        }
-        q[start] = Some(Rational::ONE);
-        let mut stack = vec![start];
-        while let Some(a) = stack.pop() {
-            let qa = q[a].expect("actor on stack has an assigned rate");
-            for &ei in &adj[a] {
-                let e = &edges[ei];
-                let (other, q_other) = if e.src == a {
-                    (
-                        e.dst,
-                        qa * Rational::new(e.produce, e.consume).expect("rates are nonzero"),
-                    )
-                } else {
-                    (
-                        e.src,
-                        qa * Rational::new(e.consume, e.produce).expect("rates are nonzero"),
-                    )
-                };
-                match q[other] {
-                    None => {
-                        q[other] = Some(q_other);
-                        stack.push(other);
-                    }
-                    Some(existing) if existing != q_other => return Err(ei),
-                    Some(_) => {}
-                }
-            }
-        }
-        // Normalize this component to minimal integers.
-        let members: Vec<usize> = (0..n).filter(|&i| comp[i] == comp[start]).collect();
-        let rats: Vec<Rational> = members
-            .iter()
-            .map(|&i| q[i].expect("component members are assigned"))
-            .collect();
-        let denom = common_denominator(&rats);
-        let scaled: Vec<u64> = rats
-            .iter()
-            .map(|r| r.numer() * (denom / r.denom()))
-            .collect();
-        let g = scaled.iter().fold(0, |acc, &v| gcd(acc, v)).max(1);
-        for (&i, &v) in members.iter().zip(scaled.iter()) {
-            q[i] = Some(Rational::from_int(v / g));
-        }
-    }
-    Ok(q.into_iter()
-        .map(|r| r.expect("all actors assigned").numer())
-        .collect())
+/// The repetition vector of `edges`, from `ams-sdf`'s balance solver
+/// (the one the runtime scheduler uses).
+fn repetitions(n: usize, edges: &[Edge]) -> Result<Vec<u64>, SdfError> {
+    ams_sdf::solve_balance(
+        n,
+        edges.iter().map(|e| (e.src, e.produce, e.dst, e.consume)),
+    )
 }
 
 /// Undirected connected components over the edge list; returns a dense

@@ -3,17 +3,20 @@
 //! "SystemC-AMS will also have to support at least small-signal linear
 //! frequency-domain analysis, as the frequency-domain characteristics of a
 //! system is also important" (paper §3, O3). The netlist is linearized at
-//! the DC operating point (diodes → their small-signal conductance), the
-//! complex MNA system is assembled per frequency, and AC-designated
+//! the DC operating point (diodes → their small-signal conductance,
+//! switches in the states the point was solved at), the complex MNA
+//! system is assembled per frequency by the one complex walk
+//! ([`assemble_ac`], shared with noise analysis), and AC-designated
 //! sources provide the stimulus — no extra language elements, exactly as
 //! the paper requires: the frequency-domain model derives from the same
 //! time-domain description.
 
 use crate::assembly::{MnaSystem, SolverBackend, Stamp};
-use crate::dcop::{DcSolution, GMIN};
+use crate::dcop::{diode_iv, DcSolution, GMIN};
+use crate::devices::nmos_linearize;
 use crate::mna::{
-    stamp_branch_kcl, stamp_branch_voltage, stamp_conductance, stamp_current, stamp_mos_ac,
-    stamp_vccs, MnaLayout,
+    node_value, stamp_branch_kcl, stamp_branch_voltage, stamp_conductance, stamp_current,
+    stamp_mos_ac, stamp_vccs, MnaLayout,
 };
 use crate::{Circuit, ElementId, ElementKind, NetError, NodeId};
 use ams_math::{Complex64, DVec};
@@ -35,10 +38,7 @@ impl AcSolution {
     /// Panics for nodes outside the circuit.
     pub fn voltage(&self, node: NodeId) -> Complex64 {
         assert!(node.index() < self.layout.n_nodes, "node out of range");
-        match self.layout.node_var(node) {
-            None => Complex64::ZERO,
-            Some(i) => self.x[i],
-        }
+        node_value(&self.layout, &self.x, node)
     }
 
     /// The complex branch current of a voltage-defined element.
@@ -46,7 +46,7 @@ impl AcSolution {
     /// # Errors
     ///
     /// Returns [`NetError::UnknownElement`] if the element carries no
-    /// branch unknown.
+    /// branch unknown or is not an element of the analyzed circuit.
     pub fn branch_current(&self, elem: ElementId) -> Result<Complex64, NetError> {
         self.layout
             .branch_var(elem)
@@ -58,8 +58,12 @@ impl AcSolution {
     }
 }
 
-/// Assembles the complex MNA matrix at angular frequency `omega`,
-/// linearized at the operating point `op`.
+/// The one complex walk: assembles the MNA system at angular frequency
+/// `omega`, linearized at the operating point `op` (its device
+/// linearizations and switch states), with the stimulus of every source
+/// that carries an AC magnitude on the right-hand side. AC and noise
+/// analysis both assemble through it; noise solves against its own
+/// right-hand side.
 ///
 /// The stamp sequence is topology-determined (independent of `omega`),
 /// so the sparse pattern recorded at one frequency serves the entire
@@ -68,7 +72,6 @@ pub(crate) fn assemble_ac(
     ckt: &Circuit,
     layout: &MnaLayout,
     op: &DcSolution,
-    switches: &[bool],
     omega: f64,
     st: &mut dyn Stamp<Complex64>,
 ) {
@@ -88,15 +91,19 @@ pub(crate) fn assemble_ac(
                 stamp_branch_voltage(layout, st, b, e.p, e.n, Complex64::ONE);
                 st.mat(b, b, -(jw * *henries));
             }
-            ElementKind::VoltageSource { .. } => {
+            ElementKind::VoltageSource { ac_mag, .. } => {
                 let b = layout.branch_var(eid).expect("vsource branch");
                 stamp_branch_kcl(layout, st, e.p, e.n, b);
                 stamp_branch_voltage(layout, st, b, e.p, e.n, Complex64::ONE);
-                // RHS handled by the caller (stimulus).
+                if *ac_mag != 0.0 {
+                    st.rhs(b, Complex64::from_real(*ac_mag));
+                }
             }
-            ElementKind::CurrentSource { .. } => {
-                // Independent current sources are open in AC unless they
-                // carry an AC magnitude (stimulus handled by caller).
+            ElementKind::CurrentSource { ac_mag, .. } => {
+                // Open in AC; an AC magnitude is a stimulus.
+                if *ac_mag != 0.0 {
+                    stamp_current(layout, st, e.p, e.n, Complex64::from_real(*ac_mag));
+                }
             }
             ElementKind::Vcvs { cp, cn, gain } => {
                 let b = layout.branch_var(eid).expect("vcvs branch");
@@ -123,18 +130,23 @@ pub(crate) fn assemble_ac(
                 stamp_branch_voltage(layout, st, b, e.p, e.n, Complex64::ONE);
                 st.mat(b, cb, Complex64::from_real(-*r));
             }
-            ElementKind::Diode { .. } => {
-                let g = op.diode_ops[idx].map(|d| d.g).unwrap_or(0.0);
+            ElementKind::Diode { is_sat, n } => {
+                let (_, g) = diode_iv(op.voltage(e.p) - op.voltage(e.n), *is_sat, *n);
                 stamp_conductance(layout, st, e.p, e.n, Complex64::from_real(g + GMIN));
             }
-            ElementKind::Nmos { gate, .. } => {
-                if let Some(mos) = op.nmos_ops[idx] {
-                    stamp_mos_ac(layout, st, e.p, *gate, e.n, &mos);
-                }
+            ElementKind::Nmos {
+                gate,
+                kp,
+                vt,
+                lambda,
+            } => {
+                let (vg, vd, vs) = (op.voltage(*gate), op.voltage(e.p), op.voltage(e.n));
+                let mos = nmos_linearize(vg, vd, vs, *kp, *vt, *lambda);
+                stamp_mos_ac(layout, st, e.p, *gate, e.n, &mos);
                 stamp_conductance(layout, st, e.p, e.n, Complex64::from_real(GMIN));
             }
             ElementKind::Switch { r_on, r_off, .. } => {
-                let r = if switches.get(idx).copied().unwrap_or(false) {
+                let r = if op.switches.get(idx).copied().unwrap_or(false) {
                     *r_on
                 } else {
                     *r_off
@@ -145,26 +157,11 @@ pub(crate) fn assemble_ac(
     }
 }
 
-/// Builds the AC stimulus right-hand side from sources' `ac_mag`.
-pub(crate) fn assemble_ac_rhs(ckt: &Circuit, layout: &MnaLayout, st: &mut dyn Stamp<Complex64>) {
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        match &e.kind {
-            ElementKind::VoltageSource { ac_mag, .. } if *ac_mag != 0.0 => {
-                let b = layout.branch_var(ElementId(idx)).expect("vsource branch");
-                st.rhs(b, Complex64::from_real(*ac_mag));
-            }
-            ElementKind::CurrentSource { ac_mag, .. } if *ac_mag != 0.0 => {
-                stamp_current(layout, st, e.p, e.n, Complex64::from_real(*ac_mag));
-            }
-            _ => {}
-        }
-    }
-}
-
 impl Circuit {
     /// Runs an AC sweep over the given frequencies (Hz), linearizing at
-    /// the provided operating point. The stimulus comes from sources with
-    /// a non-zero `ac_mag` (see [`Circuit::voltage_source_ac`]).
+    /// the provided operating point, switches included. The stimulus
+    /// comes from sources with a non-zero `ac_mag` (see
+    /// [`Circuit::voltage_source_ac`]).
     ///
     /// # Errors
     ///
@@ -189,18 +186,14 @@ impl Circuit {
         backend: SolverBackend,
     ) -> Result<Vec<AcSolution>, NetError> {
         let layout = MnaLayout::build(self);
-        let switches = self.initial_switch_states();
         let n = layout.n_unknowns;
         let mut out = Vec::with_capacity(freqs_hz.len());
         let mut sys = MnaSystem::<Complex64>::new(n, backend.use_sparse(n), |st| {
-            assemble_ac(self, &layout, op, &switches, 1.0, st)
+            assemble_ac(self, &layout, op, 1.0, st)
         });
         for &f in freqs_hz {
             let omega = 2.0 * std::f64::consts::PI * f;
-            sys.assemble(|st| {
-                assemble_ac(self, &layout, op, &switches, omega, st);
-                assemble_ac_rhs(self, &layout, st);
-            });
+            sys.assemble(|st| assemble_ac(self, &layout, op, omega, st));
             sys.factor(true)?;
             let x = sys.solve_rhs()?.clone();
             out.push(AcSolution {
@@ -323,6 +316,50 @@ mod tests {
         let op = ckt2.dc_operating_point().unwrap();
         let h = ckt2.ac_transfer(&op, a2, &[100.0]).unwrap();
         assert_eq!(h[0].abs(), 0.0);
+    }
+
+    /// A 10 V source with a unit AC magnitude, a 1 Ω / 1 GΩ switch
+    /// (initially on) and a 1 kΩ load.
+    fn switched_load() -> (Circuit, NodeId) {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        ckt.voltage_source_ac("V1", a, Circuit::GROUND, 10.0, 1.0)
+            .unwrap();
+        ckt.switch("S1", a, out, 1.0, 1e9, true).unwrap();
+        ckt.resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
+        (ckt, out)
+    }
+
+    #[test]
+    fn ac_linearizes_at_the_solved_switch_states() {
+        let (ckt, out) = switched_load();
+        let on = ckt.dc_operating_point().unwrap();
+        let h_on = ckt.ac_transfer(&on, out, &[1e3]).unwrap()[0];
+        assert!((h_on.abs() - 1e3 / 1001.0).abs() < 1e-12, "{h_on:?}");
+        let off = ckt
+            .dc_operating_point_with(&[], &[false, false, false])
+            .unwrap();
+        let h_off = ckt.ac_transfer(&off, out, &[1e3]).unwrap()[0];
+        assert!((h_off.abs() - 1e3 / (1e9 + 1e3)).abs() < 1e-18, "{h_off:?}");
+    }
+
+    #[test]
+    fn branch_current_of_a_foreign_element_is_an_error() {
+        let mut big = Circuit::new();
+        let a = big.node("a");
+        for k in 0..5 {
+            big.resistor(format!("R{k}"), a, Circuit::GROUND, 1e3)
+                .unwrap();
+        }
+        let foreign = big.voltage_source("V", a, Circuit::GROUND, 1.0).unwrap();
+        let (ckt, _) = switched_load();
+        let op = ckt.dc_operating_point().unwrap();
+        let sol = &ckt.ac_sweep(&op, &[1e3]).unwrap()[0];
+        assert!(matches!(
+            sol.branch_current(foreign),
+            Err(NetError::UnknownElement { index: 5, .. })
+        ));
     }
 
     #[test]

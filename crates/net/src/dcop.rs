@@ -6,14 +6,12 @@
 //! mixed-signal system", §3). Capacitors are open, inductors are shorts;
 //! nonlinear elements are solved by Newton iteration with SPICE-style
 //! junction limiting, falling back to gmin stepping and source stepping
-//! when plain Newton fails.
+//! when plain Newton fails. Each iteration assembles through the real
+//! walk every transient step also runs ([`RealWalk`]), with the DC
+//! storage models and sources of [`dc_walk`].
 
-use crate::assembly::{MnaSystem, SolverBackend, Stamp};
-use crate::devices::{nmos_linearize, NmosOp};
-use crate::mna::{
-    stamp_branch_kcl, stamp_branch_voltage, stamp_conductance, stamp_current, stamp_mos,
-    stamp_vccs, MnaLayout,
-};
+use crate::assembly::{MnaSystem, SolverBackend};
+use crate::mna::{element_current, node_value, MnaLayout, RealWalk, Sources, Storage};
 use crate::{Circuit, ElementId, ElementKind, NetError, NodeId};
 use ams_math::{DVec, SolveStats};
 
@@ -21,15 +19,6 @@ use ams_math::{DVec, SolveStats};
 pub(crate) const VT: f64 = 0.02585;
 /// Minimum conductance added across nonlinear junctions.
 pub(crate) const GMIN: f64 = 1e-12;
-
-/// Per-diode linearization state used across analyses.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DiodeOp {
-    /// Small-signal conductance at the operating point.
-    pub g: f64,
-    /// Junction current at the operating point.
-    pub i: f64,
-}
 
 /// Evaluates the (exponent-limited) Shockley model: returns `(i, g)`.
 pub(crate) fn diode_iv(v: f64, is_sat: f64, n: f64) -> (f64, f64) {
@@ -73,8 +62,9 @@ pub struct DcSolution {
     pub(crate) circuit: Circuit,
     pub(crate) layout: MnaLayout,
     pub(crate) x: DVec<f64>,
-    pub(crate) diode_ops: Vec<Option<DiodeOp>>,
-    pub(crate) nmos_ops: Vec<Option<NmosOp>>,
+    /// The switch state of every element the point was solved at
+    /// (`false` for non-switches); currents, AC and noise read these.
+    pub(crate) switches: Vec<bool>,
     /// Newton iterations used by the successful attempt.
     pub iterations: usize,
     /// Linear-solver counters accumulated over every attempt (including
@@ -94,61 +84,27 @@ impl DcSolution {
             "node {} out of range",
             node.index()
         );
-        match self.layout.node_var(node) {
-            None => 0.0,
-            Some(i) => self.x[i],
-        }
+        node_value(&self.layout, &self.x, node)
     }
 
     /// The branch current of a voltage-defined element (voltage source,
     /// inductor, VCVS, CCVS), or the computed current for resistors,
-    /// capacitors (always 0 at DC), diodes and switches.
+    /// capacitors (always 0 at DC), diodes, NMOS transistors and
+    /// switches (at the state the point was solved at).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::UnknownElement`] for handles outside the
     /// circuit or for current sources (use the source value directly).
     pub fn current(&self, elem: ElementId) -> Result<f64, NetError> {
-        let e = self
-            .circuit
-            .elements()
-            .get(elem.index())
-            .ok_or(NetError::UnknownElement {
-                index: elem.index(),
-                what: "current",
-            })?;
-        if let Some(b) = self.layout.branch_var(elem) {
-            return Ok(self.x[b]);
-        }
-        let v = self.voltage(e.p) - self.voltage(e.n);
-        match &e.kind {
-            ElementKind::Resistor { ohms } => Ok(v / ohms),
-            ElementKind::Capacitor { .. } => Ok(0.0),
-            ElementKind::Switch {
-                r_on,
-                r_off,
-                initially_on,
-            } => {
-                let r = if *initially_on { *r_on } else { *r_off };
-                Ok(v / r)
-            }
-            ElementKind::Diode { is_sat, n } => Ok(diode_iv(v, *is_sat, *n).0 + GMIN * v),
-            ElementKind::Nmos {
-                gate,
-                kp,
-                vt,
-                lambda,
-            } => {
-                let vg = self.voltage(*gate);
-                let vd = self.voltage(e.p);
-                let vs = self.voltage(e.n);
-                Ok(nmos_linearize(vg, vd, vs, *kp, *vt, *lambda).id + GMIN * v)
-            }
-            _ => Err(NetError::UnknownElement {
-                index: elem.index(),
-                what: "computable branch current",
-            }),
-        }
+        element_current(
+            &self.circuit,
+            &self.layout,
+            |i| self.x[i],
+            &self.switches,
+            |_| 0.0,
+            elem,
+        )
     }
 
     /// Raw access to the MNA solution vector.
@@ -157,23 +113,13 @@ impl DcSolution {
     }
 }
 
-/// Options for the DC solve (mostly for tests and the transient solver).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DcOptions {
-    pub max_iter: usize,
-    pub v_tol: f64,
-    pub rel_tol: f64,
-}
-
-impl Default for DcOptions {
-    fn default() -> Self {
-        DcOptions {
-            max_iter: 200,
-            v_tol: 1e-9,
-            rel_tol: 1e-6,
-        }
-    }
-}
+/// Newton iteration cap of a DC attempt and of a transient step.
+pub(crate) const NEWTON_MAX_ITER: usize = 200;
+/// Newton convergence: every unknown moves by at most
+/// `NEWTON_V_TOL + NEWTON_REL_TOL × |value|`.
+pub(crate) const NEWTON_V_TOL: f64 = 1e-9;
+/// See [`NEWTON_V_TOL`].
+pub(crate) const NEWTON_REL_TOL: f64 = 1e-6;
 
 impl Circuit {
     /// Solves the DC operating point with all external inputs at 0 and
@@ -226,8 +172,9 @@ impl Circuit {
             solve,
         } = self.dc_solve(&layout, ext, switches, backend)?;
         Ok(DcSolution {
-            diode_ops: compute_diode_ops(self, &layout, &x),
-            nmos_ops: compute_nmos_ops(self, &layout, &x),
+            switches: (0..self.element_count())
+                .map(|i| switches.get(i).copied().unwrap_or(false))
+                .collect(),
             circuit: self.clone(),
             layout,
             x,
@@ -238,8 +185,8 @@ impl Circuit {
 
     /// The DC operating point's unknowns alone, over this circuit's
     /// `layout`: the solve behind every `dc_operating_point*`, without
-    /// the circuit copy and device operating points a [`DcSolution`]
-    /// carries (the transient engine's DC start needs neither).
+    /// the circuit copy a [`DcSolution`] carries (the transient engine's
+    /// DC start does not need it).
     pub(crate) fn dc_solve(
         &self,
         layout: &MnaLayout,
@@ -247,39 +194,24 @@ impl Circuit {
         switches: &[bool],
         backend: SolverBackend,
     ) -> Result<DcPoint, NetError> {
-        let opts = DcOptions::default();
         let n = layout.n_unknowns;
         // One system for all attempts: the stamp sequence (hence the
         // pattern) does not depend on the iterate, gmin or source scale.
         let zero = DVec::zeros(n);
-        let mut sys = MnaSystem::new(n, backend.use_sparse(n), |st| {
-            assemble_dc(self, layout, &zero, ext, switches, 1.0, GMIN, st)
-        });
+        let walk = |scale, gmin| dc_walk(self, layout, &zero, ext, switches, scale, gmin);
+        let mut sys = MnaSystem::new(n, backend.use_sparse(n), |st| walk(1.0, GMIN).stamp(st));
+        let mut newton = |scale, gmin, guess| dc_newton(&mut sys, walk(scale, gmin), guess);
 
         // Attempt 1: plain Newton from zero.
-        if let Ok(sol) = dc_newton(
-            self, layout, &mut sys, ext, switches, 1.0, GMIN, None, &opts,
-        ) {
+        if let Ok(sol) = newton(1.0, GMIN, None) {
             return Ok(sol);
         }
         // Attempt 2: gmin stepping.
-        let mut guess: Option<DVec<f64>> = None;
+        let mut guess = None;
         let mut ok = true;
         for exp in (-12..=-2).rev().map(|e| 10f64.powi(e)) {
-            match dc_newton(
-                self,
-                layout,
-                &mut sys,
-                ext,
-                switches,
-                1.0,
-                exp,
-                guess.take(),
-                &opts,
-            ) {
-                Ok(sol) => {
-                    guess = Some(sol.x);
-                }
+            match newton(1.0, exp, guess.take()) {
+                Ok(sol) => guess = Some(sol.x),
                 Err(_) => {
                     ok = false;
                     break;
@@ -288,43 +220,17 @@ impl Circuit {
         }
         if ok {
             if let Some(g) = guess {
-                if let Ok(sol) = dc_newton(
-                    self,
-                    layout,
-                    &mut sys,
-                    ext,
-                    switches,
-                    1.0,
-                    GMIN,
-                    Some(g),
-                    &opts,
-                ) {
+                if let Ok(sol) = newton(1.0, GMIN, Some(g)) {
                     return Ok(sol);
                 }
             }
         }
         // Attempt 3: source stepping.
-        let mut guess: Option<DVec<f64>> = None;
+        let mut guess = None;
         for k in 1..=20 {
-            let scale = k as f64 / 20.0;
-            match dc_newton(
-                self,
-                layout,
-                &mut sys,
-                ext,
-                switches,
-                scale,
-                GMIN,
-                guess.take(),
-                &opts,
-            ) {
-                Ok(sol) => guess = Some(sol.x),
-                Err(e) => return Err(e),
-            }
+            guess = Some(newton(k as f64 / 20.0, GMIN, guess.take())?.x);
         }
-        dc_newton(
-            self, layout, &mut sys, ext, switches, 1.0, GMIN, guess, &opts,
-        )
+        newton(1.0, GMIN, guess)
     }
 
     /// Initial switch states, indexed by element position.
@@ -349,19 +255,15 @@ pub(crate) struct DcPoint {
     pub solve: SolveStats,
 }
 
-/// One Newton solve at fixed gmin / source scaling.
-#[allow(clippy::too_many_arguments)]
+/// One Newton solve of `walk`'s DC system (its gmin and source scale
+/// fixed) from `guess`; the walk's iterate is replaced by each Newton
+/// iterate in turn.
 pub(crate) fn dc_newton(
-    ckt: &Circuit,
-    layout: &MnaLayout,
     sys: &mut MnaSystem<f64>,
-    ext: &[f64],
-    switches: &[bool],
-    source_scale: f64,
-    gmin: f64,
+    walk: RealWalk<'_, f64>,
     guess: Option<DVec<f64>>,
-    opts: &DcOptions,
 ) -> Result<DcPoint, NetError> {
+    let (ckt, layout) = (&walk.circuits[0], walk.layout);
     let n = layout.n_unknowns;
     let mut x = guess.unwrap_or_else(|| DVec::zeros(n));
     if x.len() != n {
@@ -372,9 +274,9 @@ pub(crate) fn dc_newton(
     let mut x_lim = DVec::zeros(n);
     let nonlinear = ckt.elements().iter().any(|e| e.is_nonlinear());
 
-    let max_iter = if nonlinear { opts.max_iter } else { 2 };
+    let max_iter = if nonlinear { NEWTON_MAX_ITER } else { 2 };
     for iter in 1..=max_iter {
-        sys.assemble(|st| assemble_dc(ckt, layout, &x, ext, switches, source_scale, gmin, st));
+        sys.assemble(|st| RealWalk { x: &x, ..walk }.stamp(st));
         sys.factor(true)?;
         let x_new = sys.solve_rhs()?;
 
@@ -386,8 +288,8 @@ pub(crate) fn dc_newton(
             if let ElementKind::Diode { is_sat, n: nf } = e.kind {
                 let vt = nf * VT;
                 let vcrit = vt * (vt / (std::f64::consts::SQRT_2 * is_sat)).ln();
-                let vold = branch_voltage(layout, &x, e.p, e.n);
-                let vnew = branch_voltage(layout, x_new, e.p, e.n);
+                let vold = node_value(layout, &x, e.p) - node_value(layout, &x, e.n);
+                let vnew = node_value(layout, x_new, e.p) - node_value(layout, x_new, e.n);
                 let vlim = pnjlim(vnew, vold, vt, vcrit);
                 if (vlim - vnew).abs() > 0.0 {
                     // Push the limited voltage back onto the node pair,
@@ -406,7 +308,7 @@ pub(crate) fn dc_newton(
         let mut converged = true;
         for i in 0..n {
             let delta = (x_lim[i] - x[i]).abs();
-            if delta > opts.v_tol + opts.rel_tol * x_lim[i].abs().max(x[i].abs()) {
+            if delta > NEWTON_V_TOL + NEWTON_REL_TOL * x_lim[i].abs().max(x[i].abs()) {
                 converged = false;
                 break;
             }
@@ -426,158 +328,30 @@ pub(crate) fn dc_newton(
     }
     Err(NetError::NoConvergence {
         analysis: "dc operating point",
-        iterations: opts.max_iter,
+        iterations: NEWTON_MAX_ITER,
     })
 }
 
-fn branch_voltage(layout: &MnaLayout, x: &DVec<f64>, p: NodeId, n: NodeId) -> f64 {
-    let vp = layout.node_var(p).map_or(0.0, |i| x[i]);
-    let vn = layout.node_var(n).map_or(0.0, |i| x[i]);
-    vp - vn
-}
-
-pub(crate) fn compute_nmos_ops(
-    ckt: &Circuit,
-    layout: &MnaLayout,
-    x: &DVec<f64>,
-) -> Vec<Option<NmosOp>> {
-    ckt.elements()
-        .iter()
-        .map(|e| match e.kind {
-            ElementKind::Nmos {
-                gate,
-                kp,
-                vt,
-                lambda,
-            } => {
-                let vg = layout.node_var(gate).map_or(0.0, |i| x[i]);
-                let vd = layout.node_var(e.p).map_or(0.0, |i| x[i]);
-                let vs = layout.node_var(e.n).map_or(0.0, |i| x[i]);
-                Some(nmos_linearize(vg, vd, vs, kp, vt, lambda))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-pub(crate) fn compute_diode_ops(
-    ckt: &Circuit,
-    layout: &MnaLayout,
-    x: &DVec<f64>,
-) -> Vec<Option<DiodeOp>> {
-    ckt.elements()
-        .iter()
-        .map(|e| match e.kind {
-            ElementKind::Diode { is_sat, n } => {
-                let v = branch_voltage(layout, x, e.p, e.n);
-                let (i, g) = diode_iv(v, is_sat, n);
-                Some(DiodeOp { g, i })
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-/// Assembles the DC-linearized MNA system at the given iterate.
-///
-/// The stamp-call sequence is data-independent (it depends only on the
-/// circuit topology), which is what makes the recorded sparsity pattern
-/// and stamp pointers of the sparse backend valid for every iterate,
-/// gmin and source scale.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_dc(
-    ckt: &Circuit,
-    layout: &MnaLayout,
-    x: &DVec<f64>,
-    ext: &[f64],
-    switches: &[bool],
-    source_scale: f64,
+/// The real walk of the DC-linearized system at iterate `x`: capacitors
+/// leak `GMIN`, inductors are shorts, sources sit at
+/// `scale × dc_value(ext)` and junctions leak `gmin`.
+pub(crate) fn dc_walk<'a>(
+    ckt: &'a Circuit,
+    layout: &'a MnaLayout,
+    x: &'a DVec<f64>,
+    ext: &'a [f64],
+    switches: &'a [bool],
+    scale: f64,
     gmin: f64,
-    st: &mut dyn Stamp<f64>,
-) {
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        let eid = ElementId(idx);
-        match &e.kind {
-            ElementKind::Resistor { ohms } => {
-                stamp_conductance(layout, st, e.p, e.n, 1.0 / ohms);
-            }
-            ElementKind::Capacitor { .. } => {
-                // Open at DC; tiny gmin keeps otherwise-floating nodes solvable.
-                stamp_conductance(layout, st, e.p, e.n, GMIN);
-            }
-            ElementKind::Inductor { .. } => {
-                // Short at DC: branch with V(p) − V(n) = 0.
-                let b = layout.branch_var(eid).expect("inductor has a branch");
-                stamp_branch_kcl(layout, st, e.p, e.n, b);
-                stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-            }
-            ElementKind::VoltageSource { wave, .. } => {
-                let b = layout.branch_var(eid).expect("vsource has a branch");
-                stamp_branch_kcl(layout, st, e.p, e.n, b);
-                stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                st.rhs(b, source_scale * wave.dc_value(ext));
-            }
-            ElementKind::CurrentSource { wave, .. } => {
-                stamp_current(layout, st, e.p, e.n, source_scale * wave.dc_value(ext));
-            }
-            ElementKind::Vcvs { cp, cn, gain } => {
-                let b = layout.branch_var(eid).expect("vcvs has a branch");
-                stamp_branch_kcl(layout, st, e.p, e.n, b);
-                stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                stamp_branch_voltage(layout, st, b, *cp, *cn, -*gain);
-            }
-            ElementKind::Vccs { cp, cn, gm } => {
-                stamp_vccs(layout, st, e.p, e.n, *cp, *cn, *gm);
-            }
-            ElementKind::Cccs { ctrl, gain } => {
-                let cb = layout
-                    .branch_var(*ctrl)
-                    .expect("controlling element validated at construction");
-                if let Some(ip) = layout.node_var(e.p) {
-                    st.mat(ip, cb, *gain);
-                }
-                if let Some(in_) = layout.node_var(e.n) {
-                    st.mat(in_, cb, -*gain);
-                }
-            }
-            ElementKind::Ccvs { ctrl, r } => {
-                let b = layout.branch_var(eid).expect("ccvs has a branch");
-                let cb = layout
-                    .branch_var(*ctrl)
-                    .expect("controlling element validated at construction");
-                stamp_branch_kcl(layout, st, e.p, e.n, b);
-                stamp_branch_voltage(layout, st, b, e.p, e.n, 1.0);
-                st.mat(b, cb, -*r);
-            }
-            ElementKind::Diode { is_sat, n } => {
-                let v = branch_voltage(layout, x, e.p, e.n);
-                let (i, g) = diode_iv(v, *is_sat, *n);
-                // Companion: i ≈ g·v + (i₀ − g·v₀).
-                stamp_conductance(layout, st, e.p, e.n, g + gmin);
-                stamp_current(layout, st, e.p, e.n, i - g * v);
-            }
-            ElementKind::Nmos {
-                gate,
-                kp,
-                vt,
-                lambda,
-            } => {
-                let vg = layout.node_var(*gate).map_or(0.0, |i| x[i]);
-                let vd = layout.node_var(e.p).map_or(0.0, |i| x[i]);
-                let vs = layout.node_var(e.n).map_or(0.0, |i| x[i]);
-                let op = nmos_linearize(vg, vd, vs, *kp, *vt, *lambda);
-                stamp_mos(layout, st, e.p, *gate, e.n, &op, vg, vd, vs);
-                stamp_conductance(layout, st, e.p, e.n, gmin);
-            }
-            ElementKind::Switch { r_on, r_off, .. } => {
-                let r = if switches.get(idx).copied().unwrap_or(false) {
-                    *r_on
-                } else {
-                    *r_off
-                };
-                stamp_conductance(layout, st, e.p, e.n, 1.0 / r);
-            }
-        }
+) -> RealWalk<'a, f64> {
+    RealWalk {
+        circuits: std::slice::from_ref(ckt),
+        layout,
+        x,
+        switches,
+        storage: Storage::Dc,
+        sources: Sources::Dc { scale, ext },
+        gmin,
     }
 }
 
@@ -765,14 +539,18 @@ mod tests {
         let a = ckt.node("a");
         let out = ckt.node("out");
         ckt.voltage_source("V1", a, Circuit::GROUND, 10.0).unwrap();
-        ckt.switch("S1", a, out, 1.0, 1e9, true).unwrap();
+        let s1 = ckt.switch("S1", a, out, 1.0, 1e9, true).unwrap();
         ckt.resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
         let op_on = ckt.dc_operating_point().unwrap();
         assert!((op_on.voltage(out) - 10.0 * 1e3 / 1001.0).abs() < 1e-6);
+        assert!((op_on.current(s1).unwrap() - 10.0 / 1001.0).abs() < 1e-12);
 
         let switches = vec![false];
         let op_off = ckt.dc_operating_point_with(&[], &switches).unwrap();
         assert!(op_off.voltage(out) < 1e-4);
+        // The switch is priced at the state the point was solved at.
+        let i_off = op_off.current(s1).unwrap();
+        assert!((i_off - 10.0 / (1e9 + 1e3)).abs() < 1e-18, "{i_off}");
     }
 
     #[test]

@@ -1,16 +1,30 @@
-//! Modified Nodal Analysis: unknown layout and stamp primitives.
+//! Modified Nodal Analysis: the unknown layout, the stamp primitives
+//! and the one real-valued element walk.
 //!
 //! "This system of equations can be, for example, generated from a network
 //! using the Modified Nodal Analysis method" (paper §3, O7). The MNA
 //! unknown vector is `[node voltages (ground eliminated) | branch
 //! currents]`, where voltage-defined elements (voltage sources, inductors,
-//! VCVS, CCVS) each contribute one branch-current unknown. All three
-//! solvers (DC, transient, AC) share this layout and these stamps; only
-//! the element models differ per analysis.
+//! VCVS, CCVS) each contribute one branch-current unknown. Every analysis
+//! shares this layout and these stamps, and matches each element kind in
+//! one of two walks:
+//!
+//! * [`RealWalk`] assembles the DC operating point and every transient
+//!   step, at `f64` or at a lane bundle. The analysis supplies only what
+//!   differs: the energy-storage models ([`Storage`]), the source values
+//!   ([`Sources`]), the junction gmin, and whether the matrix is stamped
+//!   at all (the linear fast path replays the right-hand side only).
+//! * [`assemble_ac`](crate::ac::assemble_ac) assembles the complex
+//!   small-signal system of AC and noise analysis, stimulus included.
+//!
+//! [`element_current`] reads an element's current back out of a real
+//! solution, for the DC point and every lane of a transient.
 
 use crate::assembly::Stamp;
-use crate::{Circuit, ElementId, NodeId};
-use ams_math::Scalar;
+use crate::dcop::{diode_iv, GMIN};
+use crate::devices::{nmos_linearize, NmosOp};
+use crate::{Circuit, ElementId, ElementKind, NetError, NodeId};
+use ams_math::{DVec, Lanes, Scalar};
 
 /// The unknown layout shared by every analysis of one circuit.
 #[derive(Debug, Clone)]
@@ -54,9 +68,10 @@ impl MnaLayout {
         }
     }
 
-    /// Index of an element's branch-current unknown.
+    /// Index of an element's branch-current unknown; `None` when the
+    /// element has none or is not an element of this layout's circuit.
     pub fn branch_var(&self, elem: ElementId) -> Option<usize> {
-        self.branch_of[elem.index()]
+        self.branch_of.get(elem.index()).copied().flatten()
     }
 }
 
@@ -218,6 +233,347 @@ pub(crate) fn stamp_mos_ac(
                 }
             }
         }
+    }
+}
+
+/// The history of one capacitor or inductor: its voltage and current at
+/// the last accepted step.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EnergyState<T> {
+    pub v: T,
+    pub i: T,
+}
+
+/// How capacitors and inductors enter a [`RealWalk`].
+#[derive(Clone, Copy)]
+pub(crate) enum Storage<'a, T: Scalar> {
+    /// The DC point: a capacitor is open but for a `GMIN` leak, an
+    /// inductor a short (`V(p) − V(n) = 0`, no diagonal entry).
+    Dc,
+    /// One integration step: the companion conductance per element
+    /// (`2C/h` or `C/h`, `2L/h` or `L/h`) and the history it acts on.
+    Step {
+        companion: &'a [T],
+        history: &'a [EnergyState<T>],
+        /// Backward Euler (else trapezoidal).
+        be: bool,
+    },
+}
+
+/// What the independent sources are worth in a [`RealWalk`].
+#[derive(Clone, Copy)]
+pub(crate) enum Sources<'a> {
+    /// The DC point: `scale × dc_value(ext)` (source stepping ramps
+    /// `scale` up to 1).
+    Dc { scale: f64, ext: &'a [f64] },
+    /// A step ending at `t`: each lane's waveform with that lane's
+    /// external inputs, `ext[l]`.
+    At { t: f64, ext: &'a [Vec<f64>] },
+}
+
+/// Bundles field `$field` of the `$kind` element at `$idx` across the
+/// lane circuits `$circuits`. Lane 0 takes `$v0`, the value the caller
+/// already destructured from the template element, so the one-lane
+/// instance never re-matches.
+macro_rules! lane_param {
+    ($circuits:expr, $idx:expr, $v0:expr, $kind:ident, $field:ident) => {
+        T::from_fn(|l| {
+            if l == 0 {
+                $v0
+            } else {
+                match &$circuits[l].elements()[$idx].kind {
+                    $crate::ElementKind::$kind { $field, .. } => *$field,
+                    _ => unreachable!("lane circuits share one topology"),
+                }
+            }
+        })
+    };
+}
+pub(crate) use lane_param;
+
+/// The one real-valued assembly: every element of `circuits[0]`
+/// stamped once, in element order, with each lane's parameters.
+///
+/// [`RealWalk::stamp`] stamps the whole system; [`RealWalk::stamp_rhs`]
+/// replays the right-hand side only, over factors already cached (the
+/// linear fast path, so never over a diode or MOSFET), and computes no
+/// matrix entry. The stamp-call sequence depends only on the topology —
+/// not on the iterate, the time, the step, the switch states, the
+/// sources or the lane — so the sparse pattern and stamp pointers
+/// recorded from one walk serve every later one, at DC and in every
+/// step, and so does an adopted symbolic factor.
+#[derive(Clone, Copy)]
+pub(crate) struct RealWalk<'a, T: Scalar> {
+    /// One circuit per lane, topology-identical.
+    pub circuits: &'a [Circuit],
+    pub layout: &'a MnaLayout,
+    /// The point diodes and MOSFETs are linearized at.
+    pub x: &'a DVec<T>,
+    /// Switch states by element index; a missing entry is open.
+    pub switches: &'a [bool],
+    pub storage: Storage<'a, T>,
+    pub sources: Sources<'a>,
+    /// Conductance across each junction: stepped at DC, `GMIN` in a
+    /// step.
+    pub gmin: f64,
+}
+
+impl<T: Lanes> RealWalk<'_, T> {
+    /// Independent source `idx`'s value in every lane; lane 0 reads
+    /// `wave0`, the template element's waveform.
+    #[inline]
+    fn source(&self, idx: usize, wave0: &crate::Waveform) -> T {
+        let wave = |l: usize| {
+            if l == 0 {
+                wave0
+            } else {
+                match &self.circuits[l].elements()[idx].kind {
+                    ElementKind::VoltageSource { wave, .. }
+                    | ElementKind::CurrentSource { wave, .. } => wave,
+                    _ => unreachable!("lane circuits share one topology"),
+                }
+            }
+        };
+        match self.sources {
+            Sources::Dc { scale, ext } => T::from_fn(|l| scale * wave(l).dc_value(ext)),
+            Sources::At { t, ext } => T::from_fn(|l| wave(l).value_at(t, &ext[l])),
+        }
+    }
+
+    /// Stamps every element's matrix and right-hand-side entries.
+    pub fn stamp(&self, st: &mut dyn Stamp<T>) {
+        self.walk::<true>(st);
+    }
+
+    /// Stamps the right-hand side only.
+    pub fn stamp_rhs(&self, st: &mut dyn Stamp<T>) {
+        self.walk::<false>(st);
+    }
+
+    fn walk<const MATRIX: bool>(&self, st: &mut dyn Stamp<T>) {
+        let RealWalk {
+            circuits,
+            layout,
+            x,
+            ..
+        } = *self;
+        for (idx, e) in circuits[0].elements().iter().enumerate() {
+            let eid = ElementId(idx);
+            match &e.kind {
+                // A right-hand-side replay skips what stamps only the
+                // matrix, and runs on linear circuits only.
+                ElementKind::Resistor { .. }
+                | ElementKind::Vcvs { .. }
+                | ElementKind::Vccs { .. }
+                | ElementKind::Cccs { .. }
+                | ElementKind::Ccvs { .. }
+                | ElementKind::Switch { .. }
+                | ElementKind::Diode { .. }
+                | ElementKind::Nmos { .. }
+                    if !MATRIX =>
+                {
+                    debug_assert!(
+                        !e.is_nonlinear(),
+                        "a right-hand-side replay of a nonlinear circuit"
+                    );
+                }
+                ElementKind::Resistor { ohms } => {
+                    let r = lane_param!(circuits, idx, *ohms, Resistor, ohms);
+                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
+                }
+                ElementKind::Capacitor { .. } => match self.storage {
+                    Storage::Dc => {
+                        if MATRIX {
+                            stamp_conductance(layout, st, e.p, e.n, T::from_f64(GMIN));
+                        }
+                    }
+                    Storage::Step {
+                        companion,
+                        history,
+                        be,
+                    } => {
+                        let geq = companion[idx];
+                        let es = history[idx];
+                        let ieq = if be { geq * es.v } else { geq * es.v + es.i };
+                        if MATRIX {
+                            stamp_conductance(layout, st, e.p, e.n, geq);
+                        }
+                        // Norton source injecting Ieq into p.
+                        stamp_current(layout, st, e.n, e.p, ieq);
+                    }
+                },
+                ElementKind::Inductor { .. } => {
+                    let b = layout.branch_var(eid).expect("inductor branch");
+                    if MATRIX {
+                        stamp_branch_kcl(layout, st, e.p, e.n, b);
+                        stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    }
+                    if let Storage::Step {
+                        companion,
+                        history,
+                        be,
+                    } = self.storage
+                    {
+                        let es = history[idx];
+                        let req = companion[idx];
+                        if MATRIX {
+                            st.mat(b, b, -req);
+                        }
+                        if be {
+                            st.rhs(b, -req * es.i);
+                        } else {
+                            st.rhs(b, -req * es.i - es.v);
+                        }
+                    }
+                }
+                ElementKind::VoltageSource { wave, .. } => {
+                    let b = layout.branch_var(eid).expect("vsource branch");
+                    if MATRIX {
+                        stamp_branch_kcl(layout, st, e.p, e.n, b);
+                        stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    }
+                    st.rhs(b, self.source(idx, wave));
+                }
+                ElementKind::CurrentSource { wave, .. } => {
+                    stamp_current(layout, st, e.p, e.n, self.source(idx, wave));
+                }
+                ElementKind::Vcvs { cp, cn, gain } => {
+                    let gain = lane_param!(circuits, idx, *gain, Vcvs, gain);
+                    let b = layout.branch_var(eid).expect("vcvs branch");
+                    stamp_branch_kcl(layout, st, e.p, e.n, b);
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    stamp_branch_voltage(layout, st, b, *cp, *cn, -gain);
+                }
+                ElementKind::Vccs { cp, cn, gm } => {
+                    let gm = lane_param!(circuits, idx, *gm, Vccs, gm);
+                    stamp_vccs(layout, st, e.p, e.n, *cp, *cn, gm);
+                }
+                ElementKind::Cccs { ctrl, gain } => {
+                    let gain = lane_param!(circuits, idx, *gain, Cccs, gain);
+                    let cb = layout.branch_var(*ctrl).expect("validated control");
+                    if let Some(ip) = layout.node_var(e.p) {
+                        st.mat(ip, cb, gain);
+                    }
+                    if let Some(in_) = layout.node_var(e.n) {
+                        st.mat(in_, cb, -gain);
+                    }
+                }
+                ElementKind::Ccvs { ctrl, r } => {
+                    let r = lane_param!(circuits, idx, *r, Ccvs, r);
+                    let b = layout.branch_var(eid).expect("ccvs branch");
+                    let cb = layout.branch_var(*ctrl).expect("validated control");
+                    stamp_branch_kcl(layout, st, e.p, e.n, b);
+                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
+                    st.mat(b, cb, -r);
+                }
+                ElementKind::Diode { .. } => {
+                    let v = node_value(layout, x, e.p) - node_value(layout, x, e.n);
+                    // The exponential is inherently scalar: linearize
+                    // each lane at its own bias.
+                    let (mut i, mut g) = (T::ZERO, T::ZERO);
+                    for (l, ckt) in circuits.iter().enumerate() {
+                        if let ElementKind::Diode { is_sat, n } = ckt.elements()[idx].kind {
+                            let (il, gl) = diode_iv(v.lane(l), is_sat, n);
+                            i.set_lane(l, il);
+                            g.set_lane(l, gl);
+                        }
+                    }
+                    // Companion: i ≈ g·v + (i₀ − g·v₀).
+                    stamp_conductance(layout, st, e.p, e.n, g + T::from_f64(self.gmin));
+                    stamp_current(layout, st, e.p, e.n, i - g * v);
+                }
+                ElementKind::Nmos { gate, .. } => {
+                    let vg = node_value(layout, x, *gate);
+                    let vd = node_value(layout, x, e.p);
+                    let vs = node_value(layout, x, e.n);
+                    let mut op = NmosOp::<T>::default();
+                    for (l, ckt) in circuits.iter().enumerate() {
+                        if let ElementKind::Nmos { kp, vt, lambda, .. } = ckt.elements()[idx].kind {
+                            let o =
+                                nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);
+                            op.id.set_lane(l, o.id);
+                            op.a_g.set_lane(l, o.a_g);
+                            op.a_d.set_lane(l, o.a_d);
+                            op.a_s.set_lane(l, o.a_s);
+                        }
+                    }
+                    stamp_mos(layout, st, e.p, *gate, e.n, &op, vg, vd, vs);
+                    stamp_conductance(layout, st, e.p, e.n, T::from_f64(self.gmin));
+                }
+                ElementKind::Switch { r_on, r_off, .. } => {
+                    let r = if self.switches.get(idx).copied().unwrap_or(false) {
+                        lane_param!(circuits, idx, *r_on, Switch, r_on)
+                    } else {
+                        lane_param!(circuits, idx, *r_off, Switch, r_off)
+                    };
+                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
+                }
+            }
+        }
+    }
+}
+
+/// Value of `node` in solution `x` (zero for ground).
+#[inline]
+pub(crate) fn node_value<T: Scalar>(layout: &MnaLayout, x: &DVec<T>, node: NodeId) -> T {
+    layout.node_var(node).map_or(T::ZERO, |i| x[i])
+}
+
+/// The current through element `elem` in one lane of a real solution:
+/// the branch unknown of a voltage-defined element, `v/R` of a resistor
+/// or of a switch in its state `switches[elem]`, `cap_current(elem)` of
+/// a capacitor, or a diode's or NMOS's current with its `GMIN` leak.
+/// `circuit` is the lane's circuit and `x(i)` the lane's unknown `i`.
+///
+/// # Errors
+///
+/// [`NetError::UnknownElement`] for a handle outside the circuit or a
+/// kind without a computable current (current sources).
+pub(crate) fn element_current(
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    x: impl Fn(usize) -> f64,
+    switches: &[bool],
+    cap_current: impl FnOnce(usize) -> f64,
+    elem: ElementId,
+) -> Result<f64, NetError> {
+    let e = circuit
+        .elements()
+        .get(elem.index())
+        .ok_or(NetError::UnknownElement {
+            index: elem.index(),
+            what: "current",
+        })?;
+    if let Some(b) = layout.branch_var(elem) {
+        return Ok(x(b));
+    }
+    let volt = |node: NodeId| layout.node_var(node).map_or(0.0, &x);
+    let v = volt(e.p) - volt(e.n);
+    match &e.kind {
+        ElementKind::Resistor { ohms } => Ok(v / ohms),
+        ElementKind::Capacitor { .. } => Ok(cap_current(elem.index())),
+        ElementKind::Switch { r_on, r_off, .. } => {
+            let r = if switches[elem.index()] {
+                *r_on
+            } else {
+                *r_off
+            };
+            Ok(v / r)
+        }
+        ElementKind::Diode { is_sat, n } => Ok(diode_iv(v, *is_sat, *n).0 + GMIN * v),
+        ElementKind::Nmos {
+            gate,
+            kp,
+            vt,
+            lambda,
+        } => {
+            let op = nmos_linearize(volt(*gate), volt(e.p), volt(e.n), *kp, *vt, *lambda);
+            Ok(op.id + GMIN * v)
+        }
+        _ => Err(NetError::UnknownElement {
+            index: elem.index(),
+            what: "computable branch current",
+        }),
     }
 }
 

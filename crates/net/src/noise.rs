@@ -10,7 +10,8 @@
 
 use crate::ac::assemble_ac;
 use crate::assembly::{MnaSystem, SolverBackend};
-use crate::dcop::DcSolution;
+use crate::dcop::{diode_iv, DcSolution};
+use crate::devices::nmos_linearize;
 use crate::mna::MnaLayout;
 use crate::{Circuit, ElementKind, NetError, NodeId};
 use ams_math::{Complex64, DVec};
@@ -115,7 +116,6 @@ impl Circuit {
                 index: output.index(),
             });
         }
-        let switches = self.initial_switch_states();
         let n = layout.n_unknowns;
 
         // Collect noise generators: (element index, p, n, PSD in A²/Hz).
@@ -126,16 +126,26 @@ impl Circuit {
                     generators.push((idx, e.p, e.n, 4.0 * BOLTZMANN * NOISE_TEMP / ohms));
                 }
                 ElementKind::Switch { r_on, r_off, .. } => {
-                    let r = if switches[idx] { *r_on } else { *r_off };
+                    let r = if op.switches.get(idx).copied().unwrap_or(false) {
+                        *r_on
+                    } else {
+                        *r_off
+                    };
                     generators.push((idx, e.p, e.n, 4.0 * BOLTZMANN * NOISE_TEMP / r));
                 }
-                ElementKind::Diode { .. } => {
-                    let id = op.diode_ops[idx].map(|d| d.i.abs()).unwrap_or(0.0);
-                    generators.push((idx, e.p, e.n, 2.0 * ELEMENTARY_CHARGE * id));
+                ElementKind::Diode { is_sat, n } => {
+                    let (i, _) = diode_iv(op.voltage(e.p) - op.voltage(e.n), *is_sat, *n);
+                    generators.push((idx, e.p, e.n, 2.0 * ELEMENTARY_CHARGE * i.abs()));
                 }
-                ElementKind::Nmos { .. } => {
+                ElementKind::Nmos {
+                    gate,
+                    kp,
+                    vt,
+                    lambda,
+                } => {
                     // Channel thermal noise: 8kT·gm/3 in saturation.
-                    let gm = op.nmos_ops[idx].map(|m| m.a_g.abs()).unwrap_or(0.0);
+                    let (vg, vd, vs) = (op.voltage(*gate), op.voltage(e.p), op.voltage(e.n));
+                    let gm = nmos_linearize(vg, vd, vs, *kp, *vt, *lambda).a_g.abs();
                     generators.push((idx, e.p, e.n, 8.0 / 3.0 * BOLTZMANN * NOISE_TEMP * gm));
                 }
                 _ => {}
@@ -144,13 +154,13 @@ impl Circuit {
 
         let mut points = Vec::with_capacity(freqs_hz.len());
         let mut sys = MnaSystem::<Complex64>::new(n, backend.use_sparse(n), |st| {
-            assemble_ac(self, &layout, op, &switches, 1.0, st)
+            assemble_ac(self, &layout, op, 1.0, st)
         });
         let mut e_out = DVec::<Complex64>::zeros(n);
         e_out[out_var] = Complex64::ONE;
         for &f in freqs_hz {
             let omega = 2.0 * std::f64::consts::PI * f;
-            sys.assemble(|st| assemble_ac(self, &layout, op, &switches, omega, st));
+            sys.assemble(|st| assemble_ac(self, &layout, op, omega, st));
             sys.factor(true)?;
             // Adjoint: solve Aᵀ·y = e_out; the transfer impedance from a
             // unit current injected from p→n to V(out) is y(n) − y(p).
@@ -276,6 +286,30 @@ mod tests {
             "{} vs {expected}",
             shot.output_psd
         );
+    }
+
+    #[test]
+    fn noise_sees_the_solved_switch_states() {
+        // 1 V source, 1 Ω / 1 GΩ switch (initially on), 1 kΩ load: the
+        // output sees the switch's thermal noise in parallel with the
+        // load's, so 4kT·(R_switch ∥ R_load) at either state.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        ckt.voltage_source("V1", a, Circuit::GROUND, 1.0).unwrap();
+        ckt.switch("S1", a, out, 1.0, 1e9, true).unwrap();
+        ckt.resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
+        let psd =
+            |op: &DcSolution| ckt.noise_analysis(op, out, &[1e3]).unwrap().points[0].total_psd;
+        let expected = |r: f64| 4.0 * BOLTZMANN * NOISE_TEMP * (r * 1e3 / (r + 1e3));
+        let on = ckt.dc_operating_point().unwrap();
+        let off = ckt
+            .dc_operating_point_with(&[], &[false, false, false])
+            .unwrap();
+        for (op, r) in [(&on, 1.0), (&off, 1e9)] {
+            let (got, want) = (psd(op), expected(r));
+            assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
+        }
     }
 
     #[test]

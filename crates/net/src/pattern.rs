@@ -1,16 +1,15 @@
 //! Public structural view of the MNA system: the stamp pattern.
 //!
 //! Static analyses (notably `ams-lint`'s structural-rank check) need the
-//! *shape* of the MNA matrix without solving anything. Because every
-//! assembly routine in this crate has a data-independent stamp-call
-//! sequence, running the DC assembly once against a
-//! [`PatternStamp`](crate::assembly) with a zero iterate yields the exact
-//! coordinate multiset of every later assembly — the structural pattern
-//! of the Jacobian, valid for all operating points, gmin values and
-//! source scales.
+//! *shape* of the MNA matrix without solving anything. Because the real
+//! walk has a data-independent stamp-call sequence, running its DC form
+//! once against a [`PatternStamp`](crate::assembly) with a zero iterate
+//! yields the exact coordinate multiset of every later DC assembly — the
+//! structural pattern of the Jacobian, valid for all operating points,
+//! gmin values and source scales.
 
 use crate::assembly::PatternStamp;
-use crate::dcop::{assemble_dc, GMIN};
+use crate::dcop::{dc_walk, GMIN};
 use crate::mna::MnaLayout;
 use crate::Circuit;
 use ams_math::DVec;
@@ -61,18 +60,9 @@ impl Circuit {
         let ext = vec![0.0; self.external_input_count()];
         let switches = self.initial_switch_states();
         let mut coords = Vec::new();
-        assemble_dc(
-            self,
-            &layout,
-            &x,
-            &ext,
-            &switches,
-            1.0,
-            GMIN,
-            &mut PatternStamp {
-                coords: &mut coords,
-            },
-        );
+        dc_walk(self, &layout, &x, &ext, &switches, 1.0, GMIN).stamp(&mut PatternStamp {
+            coords: &mut coords,
+        });
         let mut names = Vec::with_capacity(layout.n_unknowns);
         for node in 1..layout.n_nodes {
             names.push(format!("V({})", self.node_names[node]));

@@ -13,16 +13,20 @@
 //! * **Stiff/nonlinear networks** (phase 2/3): Newton iteration per step
 //!   and local-truncation-error-controlled variable steps
 //!   ([`Transient::run_adaptive`]) — experiment E3.
+//!
+//! Both paths assemble through the real walk of the `mna` module, the
+//! one the DC operating point runs too: a step supplies the companion
+//! conductances and history, each lane's source values at the step's end
+//! and the `GMIN` junction leak, and the linear path replays the walk's
+//! right-hand side only.
 
-use crate::assembly::{MnaSystem, SolverBackend, Stamp};
+use crate::assembly::{MnaSystem, SolverBackend};
 use crate::checkpoint::Checkpoint;
-use crate::dcop::{diode_iv, DcOptions, GMIN};
-use crate::devices::{nmos_linearize, NmosOp};
+use crate::dcop::{GMIN, NEWTON_MAX_ITER, NEWTON_REL_TOL, NEWTON_V_TOL};
 use crate::mna::{
-    stamp_branch_kcl, stamp_branch_voltage, stamp_conductance, stamp_current, stamp_mos,
-    stamp_vccs, MnaLayout,
+    element_current, lane_param, node_value, EnergyState, MnaLayout, RealWalk, Sources, Storage,
 };
-use crate::{Circuit, ElementId, ElementKind, InputId, NetError, NodeId, Waveform};
+use crate::{Circuit, ElementId, ElementKind, InputId, NetError, NodeId};
 use ams_math::{DVec, F64xK, Lanes, Scalar, SolveStats, SparseLu};
 use ams_monitor::MonitorBank;
 use ams_scope::{SpanKind, TraceEvent, Tracer};
@@ -86,12 +90,6 @@ impl Default for AdaptiveOptions {
             initial_step: 1e-9,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct EnergyState<T> {
-    v: T,
-    i: T,
 }
 
 #[derive(Debug, Clone)]
@@ -281,8 +279,8 @@ pub struct Transient<T: Lanes> {
     state: Vec<EnergyState<T>>,
     /// Per-element companion conductance of the current `(h, rule)`:
     /// `2C/h` or `C/h` per capacitor, `2L/h` or `L/h` per inductor
-    /// (zero elsewhere). Assembly, the RHS rebuild and the commit all
-    /// read it; it is recomputed only when `companion_key` changes.
+    /// (zero elsewhere). The walk (full or right-hand side only) and the
+    /// commit read it; it is recomputed only when `companion_key` changes.
     companion: Vec<T>,
     /// `(h bits, backward Euler)` that `companion` was computed for.
     companion_key: Option<(u64, bool)>,
@@ -330,25 +328,6 @@ pub type TransientSolver = Transient<f64>;
 /// The lane-bundled engine: `K` parameter corners of one topology per
 /// instruction stream.
 pub type LaneTransientSolver<const K: usize> = Transient<F64xK<K>>;
-
-/// Bundles field `$field` of the `$kind` element at `$idx` across the
-/// lane circuits. Lane 0 takes `$v0`, the value the caller already
-/// destructured from the template element, so the one-lane instance
-/// never re-matches.
-macro_rules! lane_param {
-    ($self:ident, $idx:expr, $v0:expr, $kind:ident, $field:ident) => {
-        T::from_fn(|l| {
-            if l == 0 {
-                $v0
-            } else {
-                match $self.kind(l, $idx) {
-                    ElementKind::$kind { $field, .. } => *$field,
-                    _ => unreachable!("lane circuits share one topology"),
-                }
-            }
-        })
-    };
-}
 
 impl<T: Lanes> Transient<T> {
     /// Creates an engine over `circuits`, one per lane.
@@ -612,45 +591,14 @@ impl<T: Lanes> Transient<T> {
     ///
     /// Returns [`NetError::UnknownElement`] for unsupported kinds.
     pub fn current_lane(&self, elem: ElementId, l: usize) -> Result<f64, NetError> {
-        let e = self.circuits[l]
-            .elements()
-            .get(elem.index())
-            .ok_or(NetError::UnknownElement {
-                index: elem.index(),
-                what: "current",
-            })?;
-        if let Some(b) = self.layout.branch_var(elem) {
-            return Ok(self.x[b].lane(l));
-        }
-        let v = self.voltage_lane(e.p, l) - self.voltage_lane(e.n, l);
-        match &e.kind {
-            ElementKind::Resistor { ohms } => Ok(v / ohms),
-            ElementKind::Capacitor { .. } => Ok(self.state[elem.index()].i.lane(l)),
-            ElementKind::Switch { r_on, r_off, .. } => {
-                let r = if self.switches[elem.index()] {
-                    *r_on
-                } else {
-                    *r_off
-                };
-                Ok(v / r)
-            }
-            ElementKind::Diode { is_sat, n } => Ok(diode_iv(v, *is_sat, *n).0 + GMIN * v),
-            ElementKind::Nmos {
-                gate,
-                kp,
-                vt,
-                lambda,
-            } => {
-                let vg = self.voltage_lane(*gate, l);
-                let vd = self.voltage_lane(e.p, l);
-                let vs = self.voltage_lane(e.n, l);
-                Ok(nmos_linearize(vg, vd, vs, *kp, *vt, *lambda).id + GMIN * v)
-            }
-            _ => Err(NetError::UnknownElement {
-                index: elem.index(),
-                what: "computable branch current",
-            }),
-        }
+        element_current(
+            &self.circuits[l],
+            &self.layout,
+            |i| self.x[i].lane(l),
+            &self.switches,
+            |idx| self.state[idx].i.lane(l),
+            elem,
+        )
     }
 
     /// Initializes every lane from its own DC operating point (the
@@ -807,10 +755,9 @@ impl<T: Lanes> Transient<T> {
             self.iterate
                 .as_mut_slice()
                 .copy_from_slice(self.x.as_slice());
-            let opts = DcOptions::default();
             let mut done = 0u64;
             let mut iters = 0;
-            for _ in 0..opts.max_iter {
+            for _ in 0..NEWTON_MAX_ITER {
                 iters += 1;
                 self.assemble_and_factor(t_new, be, self.reuse_factorization)?;
                 let mut sys = self.sys.take().expect("system just assembled");
@@ -842,7 +789,7 @@ impl<T: Lanes> Transient<T> {
                             break;
                         }
                         let d = (a - b).abs();
-                        if d > opts.v_tol + opts.rel_tol * a.abs().max(b.abs()) {
+                        if d > NEWTON_V_TOL + NEWTON_REL_TOL * a.abs().max(b.abs()) {
                             lane_done = false;
                         }
                     }
@@ -910,7 +857,7 @@ impl<T: Lanes> Transient<T> {
             // (Re)build only the RHS and reuse the cached factors; the
             // solution trades places with `x`.
             let mut sys = self.sys.take().expect("system just ensured");
-            sys.assemble_rhs(|st| self.assemble_rhs_only(st, t_new, be));
+            sys.assemble_rhs(|st| self.walk(&self.x, t_new, be).stamp_rhs(st));
             if self.tracer.is_enabled() {
                 self.tracer.begin(SpanKind::MnaSolve, fs(t_new));
             }
@@ -954,7 +901,7 @@ impl<T: Lanes> Transient<T> {
         for (idx, e) in self.circuits[0].elements().iter().enumerate() {
             let g = match &e.kind {
                 ElementKind::Capacitor { farads, .. } => {
-                    let c = lane_param!(self, idx, *farads, Capacitor, farads);
+                    let c = lane_param!(self.circuits, idx, *farads, Capacitor, farads);
                     if be {
                         c / hh
                     } else {
@@ -962,7 +909,7 @@ impl<T: Lanes> Transient<T> {
                     }
                 }
                 ElementKind::Inductor { henries, .. } => {
-                    let ind = lane_param!(self, idx, *henries, Inductor, henries);
+                    let ind = lane_param!(self.circuits, idx, *henries, Inductor, henries);
                     if be {
                         ind / hh
                     } else {
@@ -1004,7 +951,7 @@ impl<T: Lanes> Transient<T> {
                 // The lane 0 analysis makes every lane pivot like a
                 // scalar run over lane 0's circuit.
                 let mut fresh = MnaSystem::new(n, use_sparse, |st| {
-                    self.assemble(st, &self.iterate, t_new, be)
+                    self.walk(&self.iterate, t_new, be).stamp(st)
                 })
                 .with_analysis(SparseLu::factor_from_lane0);
                 if let Some(hint) = self.symbolic_hint.take() {
@@ -1015,7 +962,7 @@ impl<T: Lanes> Transient<T> {
                 Box::new(fresh)
             }
         };
-        sys.assemble(|st| self.assemble(st, &self.iterate, t_new, be));
+        sys.assemble(|st| self.walk(&self.iterate, t_new, be).stamp(st));
         if traced {
             self.tracer.end(SpanKind::MnaAssemble, fs(t_new));
             self.tracer.begin(SpanKind::MnaFactor, fs(t_new));
@@ -1063,177 +1010,24 @@ impl<T: Lanes> Transient<T> {
         }
     }
 
-    /// Evaluates an independent source's waveform per lane at `t`; lane
-    /// 0 uses `wave0`, the template element's.
-    #[inline]
-    fn lane_wave(&self, idx: usize, wave0: &Waveform, t: f64) -> T {
-        T::from_fn(|l| {
-            let wave = if l == 0 {
-                wave0
-            } else {
-                match self.kind(l, idx) {
-                    ElementKind::VoltageSource { wave, .. }
-                    | ElementKind::CurrentSource { wave, .. } => wave,
-                    _ => unreachable!("lane circuits share one topology"),
-                }
-            };
-            wave.value_at(t, &self.ext[l])
-        })
-    }
-
-    /// Assembles the full linearized system at candidate solution `x`.
-    ///
-    /// The stamp-call sequence depends only on the circuit topology (not
-    /// on `x`, the time, the step, the switch states or the lane), which
-    /// keeps the recorded sparse pattern, the stamp pointers and any
-    /// adopted symbolic factor valid across steps and lane widths.
-    fn assemble(&self, st: &mut dyn Stamp<T>, x: &DVec<T>, t_new: f64, be: bool) {
-        let layout = &self.layout;
-        let gmin = T::from_f64(GMIN);
-        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
-            let eid = ElementId(idx);
-            match &e.kind {
-                ElementKind::Resistor { ohms } => {
-                    let r = lane_param!(self, idx, *ohms, Resistor, ohms);
-                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
-                }
-                ElementKind::Capacitor { .. } => {
-                    let geq = self.companion[idx];
-                    let es = self.state[idx];
-                    let ieq = if be { geq * es.v } else { geq * es.v + es.i };
-                    stamp_conductance(layout, st, e.p, e.n, geq);
-                    // Norton source injecting Ieq into p.
-                    stamp_current(layout, st, e.n, e.p, ieq);
-                }
-                ElementKind::Inductor { .. } => {
-                    let b = layout.branch_var(eid).expect("inductor branch");
-                    let es = self.state[idx];
-                    stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
-                    let req = self.companion[idx];
-                    st.mat(b, b, -req);
-                    if be {
-                        st.rhs(b, -req * es.i);
-                    } else {
-                        st.rhs(b, -req * es.i - es.v);
-                    }
-                }
-                ElementKind::VoltageSource { wave, .. } => {
-                    let b = layout.branch_var(eid).expect("vsource branch");
-                    stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
-                    st.rhs(b, self.lane_wave(idx, wave, t_new));
-                }
-                ElementKind::CurrentSource { wave, .. } => {
-                    let i = self.lane_wave(idx, wave, t_new);
-                    stamp_current(layout, st, e.p, e.n, i);
-                }
-                ElementKind::Vcvs { cp, cn, gain } => {
-                    let gain = lane_param!(self, idx, *gain, Vcvs, gain);
-                    let b = layout.branch_var(eid).expect("vcvs branch");
-                    stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
-                    stamp_branch_voltage(layout, st, b, *cp, *cn, -gain);
-                }
-                ElementKind::Vccs { cp, cn, gm } => {
-                    let gm = lane_param!(self, idx, *gm, Vccs, gm);
-                    stamp_vccs(layout, st, e.p, e.n, *cp, *cn, gm);
-                }
-                ElementKind::Cccs { ctrl, gain } => {
-                    let gain = lane_param!(self, idx, *gain, Cccs, gain);
-                    let cb = layout.branch_var(*ctrl).expect("validated control");
-                    if let Some(ip) = layout.node_var(e.p) {
-                        st.mat(ip, cb, gain);
-                    }
-                    if let Some(in_) = layout.node_var(e.n) {
-                        st.mat(in_, cb, -gain);
-                    }
-                }
-                ElementKind::Ccvs { ctrl, r } => {
-                    let r = lane_param!(self, idx, *r, Ccvs, r);
-                    let b = layout.branch_var(eid).expect("ccvs branch");
-                    let cb = layout.branch_var(*ctrl).expect("validated control");
-                    stamp_branch_kcl(layout, st, e.p, e.n, b);
-                    stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
-                    st.mat(b, cb, -r);
-                }
-                ElementKind::Diode { .. } => {
-                    let v = node_value(layout, x, e.p) - node_value(layout, x, e.n);
-                    // The exponential is inherently scalar: linearize
-                    // each lane at its own bias.
-                    let (mut i, mut g) = (T::ZERO, T::ZERO);
-                    for l in 0..T::LANES {
-                        if let ElementKind::Diode { is_sat, n } = *self.kind(l, idx) {
-                            let (il, gl) = diode_iv(v.lane(l), is_sat, n);
-                            i.set_lane(l, il);
-                            g.set_lane(l, gl);
-                        }
-                    }
-                    stamp_conductance(layout, st, e.p, e.n, g + gmin);
-                    stamp_current(layout, st, e.p, e.n, i - g * v);
-                }
-                ElementKind::Nmos { gate, .. } => {
-                    let vg = node_value(layout, x, *gate);
-                    let vd = node_value(layout, x, e.p);
-                    let vs = node_value(layout, x, e.n);
-                    let mut op = NmosOp::<T>::default();
-                    for l in 0..T::LANES {
-                        if let ElementKind::Nmos { kp, vt, lambda, .. } = *self.kind(l, idx) {
-                            let o =
-                                nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);
-                            op.id.set_lane(l, o.id);
-                            op.a_g.set_lane(l, o.a_g);
-                            op.a_d.set_lane(l, o.a_d);
-                            op.a_s.set_lane(l, o.a_s);
-                        }
-                    }
-                    stamp_mos(layout, st, e.p, *gate, e.n, &op, vg, vd, vs);
-                    stamp_conductance(layout, st, e.p, e.n, gmin);
-                }
-                ElementKind::Switch { r_on, r_off, .. } => {
-                    let r = if self.switches[idx] {
-                        lane_param!(self, idx, *r_on, Switch, r_on)
-                    } else {
-                        lane_param!(self, idx, *r_off, Switch, r_off)
-                    };
-                    stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
-                }
-            }
-        }
-    }
-
-    /// Rebuilds only the RHS (linear fast path).
-    fn assemble_rhs_only(&self, st: &mut dyn Stamp<T>, t_new: f64, be: bool) {
-        let layout = &self.layout;
-        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
-            let eid = ElementId(idx);
-            match &e.kind {
-                ElementKind::Capacitor { .. } => {
-                    let geq = self.companion[idx];
-                    let es = self.state[idx];
-                    let ieq = if be { geq * es.v } else { geq * es.v + es.i };
-                    stamp_current(layout, st, e.n, e.p, ieq);
-                }
-                ElementKind::Inductor { .. } => {
-                    let b = layout.branch_var(eid).expect("inductor branch");
-                    let es = self.state[idx];
-                    let req = self.companion[idx];
-                    if be {
-                        st.rhs(b, -req * es.i);
-                    } else {
-                        st.rhs(b, -req * es.i - es.v);
-                    }
-                }
-                ElementKind::VoltageSource { wave, .. } => {
-                    let b = layout.branch_var(eid).expect("vsource branch");
-                    st.rhs(b, self.lane_wave(idx, wave, t_new));
-                }
-                ElementKind::CurrentSource { wave, .. } => {
-                    let i = self.lane_wave(idx, wave, t_new);
-                    stamp_current(layout, st, e.p, e.n, i);
-                }
-                _ => {}
-            }
+    /// The real walk of a step ending at `t_new` under rule `be`,
+    /// linearized at `x`.
+    fn walk<'a>(&'a self, x: &'a DVec<T>, t_new: f64, be: bool) -> RealWalk<'a, T> {
+        RealWalk {
+            circuits: &self.circuits,
+            layout: &self.layout,
+            x,
+            switches: &self.switches,
+            storage: Storage::Step {
+                companion: &self.companion,
+                history: &self.state,
+                be,
+            },
+            sources: Sources::At {
+                t: t_new,
+                ext: &self.ext,
+            },
+            gmin: GMIN,
         }
     }
 
@@ -1478,12 +1272,6 @@ impl<T: Lanes> Transient<T> {
         self.live = Self::ALL_LIVE;
         Ok(())
     }
-}
-
-/// Value of `node` in solution `x` (zero for ground).
-#[inline]
-fn node_value<T: Scalar>(layout: &MnaLayout, x: &DVec<T>, node: NodeId) -> T {
-    layout.node_var(node).map_or(T::ZERO, |i| x[i])
 }
 
 impl TransientSolver {

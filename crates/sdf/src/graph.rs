@@ -169,103 +169,106 @@ impl SdfGraph {
     ///
     /// Returns [`SdfError::InconsistentRates`] if no solution exists.
     pub fn repetition_vector(&self) -> Result<Vec<u64>, SdfError> {
-        let n = self.actors.len();
-        let mut q: Vec<Option<Rational>> = vec![None; n];
-
-        // Adjacency over undirected rate constraints.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.src.0].push(i);
-            adj[e.dst.0].push(i);
-        }
-
-        for start in 0..n {
-            if q[start].is_some() {
-                continue;
-            }
-            q[start] = Some(Rational::ONE);
-            let mut stack = vec![start];
-            while let Some(a) = stack.pop() {
-                let qa = q[a].expect("actor on stack has an assigned rate");
-                for &ei in &adj[a] {
-                    let e = &self.edges[ei];
-                    let (other, q_other) = if e.src.0 == a {
-                        // q[dst] = q[src]·produce/consume
-                        (
-                            e.dst.0,
-                            qa * Rational::new(e.produce, e.consume)
-                                .expect("consume is non-zero by construction"),
-                        )
-                    } else {
-                        (
-                            e.src.0,
-                            qa * Rational::new(e.consume, e.produce)
-                                .expect("produce is non-zero by construction"),
-                        )
-                    };
-                    match q[other] {
-                        None => {
-                            q[other] = Some(q_other);
-                            stack.push(other);
-                        }
-                        Some(existing) => {
-                            if existing != q_other {
-                                return Err(SdfError::InconsistentRates { edge: ei });
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Normalize this component to minimal integers.
-            let component: Vec<usize> = (0..n)
-                .filter(|&i| q[i].is_some() && self.same_component(start, i, &adj))
-                .collect();
-            let rats: Vec<Rational> = component
+        solve_balance(
+            self.actors.len(),
+            self.edges
                 .iter()
-                .map(|&i| q[i].expect("component members are assigned"))
-                .collect();
-            let denom = common_denominator(&rats);
-            let scaled: Vec<u64> = rats
-                .iter()
-                .map(|r| r.numer() * (denom / r.denom()))
-                .collect();
-            let g = scaled.iter().fold(0, |acc, &v| gcd(acc, v)).max(1);
-            for (&i, &v) in component.iter().zip(scaled.iter()) {
-                q[i] = Some(Rational::from_int(v / g));
-            }
-        }
+                .map(|e| (e.src.0, e.produce, e.dst.0, e.consume)),
+        )
+    }
+}
 
-        Ok(q.into_iter()
-            .map(|r| r.expect("all actors assigned").numer())
-            .collect())
+/// Solves the balance equations of `n` actors joined by plain
+/// `(src, produce, dst, consume)` edges — the solver behind
+/// [`SdfGraph::repetition_vector`], for callers that hold an edge list
+/// rather than a graph (`ams-lint`). Returns the minimal repetition
+/// vector: `q[src]·produce == q[dst]·consume` on every edge, each
+/// connected component normalized to the smallest positive integers.
+///
+/// # Errors
+///
+/// * [`SdfError::ZeroRate`] for the first edge with a zero rate.
+/// * [`SdfError::InconsistentRates`] naming the first edge whose rates
+///   conflict with those already established by the search.
+///
+/// # Panics
+///
+/// Panics if an edge names an actor index `≥ n`.
+pub fn solve_balance(
+    n: usize,
+    edges: impl IntoIterator<Item = (usize, u64, usize, u64)>,
+) -> Result<Vec<u64>, SdfError> {
+    let edges: Vec<_> = edges.into_iter().collect();
+    if let Some(edge) = edges.iter().position(|&(_, p, _, c)| p == 0 || c == 0) {
+        return Err(SdfError::ZeroRate { edge });
+    }
+    let mut q: Vec<Option<Rational>> = vec![None; n];
+
+    // Adjacency over undirected rate constraints.
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, &(src, _, dst, _)) in edges.iter().enumerate() {
+        adj[src].push(i);
+        adj[dst].push(i);
     }
 
-    /// Returns `true` if actors `a` and `b` are in the same undirected
-    /// component (helper for per-component normalization).
-    fn same_component(&self, a: usize, b: usize, adj: &[Vec<usize>]) -> bool {
-        if a == b {
-            return true;
+    for start in 0..n {
+        if q[start].is_some() {
+            continue;
         }
-        let mut seen = vec![false; self.actors.len()];
-        let mut stack = vec![a];
-        seen[a] = true;
-        while let Some(x) = stack.pop() {
-            for &ei in &adj[x] {
-                let e = &self.edges[ei];
-                for y in [e.src.0, e.dst.0] {
-                    if !seen[y] {
-                        if y == b {
-                            return true;
-                        }
-                        seen[y] = true;
-                        stack.push(y);
+        // The search from `start` assigns exactly its component.
+        q[start] = Some(Rational::ONE);
+        let mut component = vec![start];
+        let mut stack = vec![start];
+        while let Some(a) = stack.pop() {
+            let qa = q[a].expect("actor on stack has an assigned rate");
+            for &ei in &adj[a] {
+                let (src, produce, dst, consume) = edges[ei];
+                let (other, q_other) = if src == a {
+                    // q[dst] = q[src]·produce/consume
+                    (
+                        dst,
+                        qa * Rational::new(produce, consume).expect("rates are non-zero"),
+                    )
+                } else {
+                    (
+                        src,
+                        qa * Rational::new(consume, produce).expect("rates are non-zero"),
+                    )
+                };
+                match q[other] {
+                    None => {
+                        q[other] = Some(q_other);
+                        component.push(other);
+                        stack.push(other);
                     }
+                    Some(existing) if existing != q_other => {
+                        return Err(SdfError::InconsistentRates { edge: ei });
+                    }
+                    Some(_) => {}
                 }
             }
         }
-        false
+
+        // Normalize this component to minimal integers.
+        component.sort_unstable();
+        let rats: Vec<Rational> = component
+            .iter()
+            .map(|&i| q[i].expect("component members are assigned"))
+            .collect();
+        let denom = common_denominator(&rats);
+        let scaled: Vec<u64> = rats
+            .iter()
+            .map(|r| r.numer() * (denom / r.denom()))
+            .collect();
+        let g = scaled.iter().fold(0, |acc, &v| gcd(acc, v)).max(1);
+        for (&i, &v) in component.iter().zip(scaled.iter()) {
+            q[i] = Some(Rational::from_int(v / g));
+        }
     }
+
+    Ok(q.into_iter()
+        .map(|r| r.expect("all actors assigned").numer())
+        .collect())
 }
 
 impl fmt::Display for SdfGraph {
@@ -331,6 +334,26 @@ mod tests {
             g.repetition_vector(),
             Err(SdfError::InconsistentRates { edge: 1 })
         ));
+    }
+
+    #[test]
+    fn solve_balance_takes_plain_edges() {
+        // classic_three_actor_example as an edge list.
+        assert_eq!(
+            solve_balance(3, [(0, 1, 1, 2), (1, 3, 2, 1)]).unwrap(),
+            vec![2, 1, 3]
+        );
+        // inconsistent_cycle_detected names the same edge.
+        assert_eq!(
+            solve_balance(2, [(0, 1, 1, 1), (1, 2, 0, 1)]),
+            Err(SdfError::InconsistentRates { edge: 1 })
+        );
+        assert_eq!(
+            solve_balance(2, [(0, 1, 1, 1), (1, 0, 0, 1)]),
+            Err(SdfError::ZeroRate { edge: 1 })
+        );
+        // An actor on no edge fires once.
+        assert_eq!(solve_balance(3, [(0, 2, 1, 4)]).unwrap(), vec![2, 1, 1]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`SdfGraph`] — topology with production/consumption rates and
 //!   initial tokens (delays);
 //! * [`SdfGraph::repetition_vector`] — the balance equations solved with
-//!   exact rational arithmetic, with consistency checking;
+//!   exact rational arithmetic, with consistency checking (the solver
+//!   itself, [`solve_balance`], also takes a plain edge list);
 //! * [`schedule`] — periodic admissible sequential schedule construction
 //!   with deadlock detection and FIFO bound analysis;
 //! * [`SdfExecutor`] — a typed token-moving execution engine.
@@ -47,5 +48,5 @@ mod schedule;
 
 pub use error::SdfError;
 pub use exec::{ActorIo, SdfActor, SdfCheckpoint, SdfExecStats, SdfExecutor};
-pub use graph::{ActorId, EdgeId, EdgeInfo, SdfGraph};
+pub use graph::{solve_balance, ActorId, EdgeId, EdgeInfo, SdfGraph};
 pub use schedule::{schedule, Schedule};
