@@ -146,11 +146,7 @@ pub(crate) fn assemble_ac(
                 stamp_conductance(layout, st, e.p, e.n, Complex64::from_real(GMIN));
             }
             ElementKind::Switch { r_on, r_off, .. } => {
-                let r = if op.switches.get(idx).copied().unwrap_or(false) {
-                    *r_on
-                } else {
-                    *r_off
-                };
+                let r = if op.switches[idx] { *r_on } else { *r_off };
                 stamp_conductance(layout, st, e.p, e.n, Complex64::from_real(1.0 / r));
             }
         }
@@ -316,6 +312,24 @@ mod tests {
         let op = ckt2.dc_operating_point().unwrap();
         let h = ckt2.ac_transfer(&op, a2, &[100.0]).unwrap();
         assert_eq!(h[0].abs(), 0.0);
+    }
+
+    #[test]
+    fn current_source_ac_magnitude_is_a_stimulus() {
+        // 1 mA of AC current from ground into a 2 kΩ load: 2 V.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let input = ckt.external_input();
+        ckt.current_source_wave("I1", Circuit::GROUND, a, crate::Waveform::External(input))
+            .unwrap();
+        ckt.resistor("R1", a, Circuit::GROUND, 2e3).unwrap();
+        assert_eq!(ckt.set_external_ac_magnitude(input, 1e-3), 1);
+        let op = ckt.dc_operating_point().unwrap();
+        let h = ckt.ac_transfer(&op, a, &[100.0]).unwrap();
+        assert!(
+            (h[0].re - 2.0).abs() < 1e-12 && h[0].im.abs() < 1e-12,
+            "{h:?}"
+        );
     }
 
     /// A 10 V source with a unit AC magnitude, a 1 Ω / 1 GΩ switch

@@ -76,6 +76,7 @@ impl MnaLayout {
 }
 
 /// Stamps a conductance `g` between nodes `p` and `n`.
+#[inline]
 pub(crate) fn stamp_conductance<T: Scalar>(
     layout: &MnaLayout,
     st: &mut dyn Stamp<T>,
@@ -99,6 +100,7 @@ pub(crate) fn stamp_conductance<T: Scalar>(
 
 /// Stamps a current `i` flowing from `p` through the source to `n`
 /// (i.e. extracted from node `p`, injected into node `n`).
+#[inline]
 pub(crate) fn stamp_current<T: Scalar>(
     layout: &MnaLayout,
     st: &mut dyn Stamp<T>,
@@ -116,6 +118,7 @@ pub(crate) fn stamp_current<T: Scalar>(
 
 /// Stamps the KCL coupling of a branch current `ib` (unknown column
 /// `branch`): current `ib` leaves node `p` and enters node `n`.
+#[inline]
 pub(crate) fn stamp_branch_kcl<T: Scalar>(
     layout: &MnaLayout,
     st: &mut dyn Stamp<T>,
@@ -133,6 +136,7 @@ pub(crate) fn stamp_branch_kcl<T: Scalar>(
 
 /// Stamps the branch voltage row: coefficient `+c` on `V(p)` and `−c` on
 /// `V(n)` in equation `row`.
+#[inline]
 pub(crate) fn stamp_branch_voltage<T: Scalar>(
     layout: &MnaLayout,
     st: &mut dyn Stamp<T>,
@@ -321,7 +325,7 @@ pub(crate) struct RealWalk<'a, T: Scalar> {
 impl<T: Lanes> RealWalk<'_, T> {
     /// Independent source `idx`'s value in every lane; lane 0 reads
     /// `wave0`, the template element's waveform.
-    #[inline]
+    #[inline(always)]
     fn source(&self, idx: usize, wave0: &crate::Waveform) -> T {
         let wave = |l: usize| {
             if l == 0 {
@@ -350,18 +354,14 @@ impl<T: Lanes> RealWalk<'_, T> {
         self.walk::<false>(st);
     }
 
+    #[inline]
     fn walk<const MATRIX: bool>(&self, st: &mut dyn Stamp<T>) {
-        let RealWalk {
-            circuits,
-            layout,
-            x,
-            ..
-        } = *self;
+        let (circuits, layout, x) = (self.circuits, self.layout, self.x);
         for (idx, e) in circuits[0].elements().iter().enumerate() {
             let eid = ElementId(idx);
             match &e.kind {
                 // A right-hand-side replay skips what stamps only the
-                // matrix, and runs on linear circuits only.
+                // matrix (it never runs on a nonlinear circuit).
                 ElementKind::Resistor { .. }
                 | ElementKind::Vcvs { .. }
                 | ElementKind::Vccs { .. }
@@ -370,13 +370,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                 | ElementKind::Switch { .. }
                 | ElementKind::Diode { .. }
                 | ElementKind::Nmos { .. }
-                    if !MATRIX =>
-                {
-                    debug_assert!(
-                        !e.is_nonlinear(),
-                        "a right-hand-side replay of a nonlinear circuit"
-                    );
-                }
+                    if !MATRIX => {}
                 ElementKind::Resistor { ohms } => {
                     let r = lane_param!(circuits, idx, *ohms, Resistor, ohms);
                     stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
@@ -471,7 +465,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                     // The exponential is inherently scalar: linearize
                     // each lane at its own bias.
                     let (mut i, mut g) = (T::ZERO, T::ZERO);
-                    for (l, ckt) in circuits.iter().enumerate() {
+                    for (l, ckt) in circuits[..T::LANES].iter().enumerate() {
                         if let ElementKind::Diode { is_sat, n } = ckt.elements()[idx].kind {
                             let (il, gl) = diode_iv(v.lane(l), is_sat, n);
                             i.set_lane(l, il);
@@ -487,7 +481,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                     let vd = node_value(layout, x, e.p);
                     let vs = node_value(layout, x, e.n);
                     let mut op = NmosOp::<T>::default();
-                    for (l, ckt) in circuits.iter().enumerate() {
+                    for (l, ckt) in circuits[..T::LANES].iter().enumerate() {
                         if let ElementKind::Nmos { kp, vt, lambda, .. } = ckt.elements()[idx].kind {
                             let o =
                                 nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);

@@ -126,11 +126,7 @@ impl Circuit {
                     generators.push((idx, e.p, e.n, 4.0 * BOLTZMANN * NOISE_TEMP / ohms));
                 }
                 ElementKind::Switch { r_on, r_off, .. } => {
-                    let r = if op.switches.get(idx).copied().unwrap_or(false) {
-                        *r_on
-                    } else {
-                        *r_off
-                    };
+                    let r = if op.switches[idx] { *r_on } else { *r_off };
                     generators.push((idx, e.p, e.n, 4.0 * BOLTZMANN * NOISE_TEMP / r));
                 }
                 ElementKind::Diode { is_sat, n } => {
