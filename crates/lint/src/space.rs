@@ -1183,6 +1183,122 @@ mod tests {
         }
     }
 
+    /// V source + per stage a series R and L, then C to ground: three
+    /// unknowns per stage (two nodes and the inductor's branch current).
+    fn rlc_ladder(stages: usize) -> Circuit {
+        let mut ckt = Circuit::new();
+        let mut prev = ckt.node("n0");
+        ckt.voltage_source("Vin", prev, Circuit::GROUND, 1.0)
+            .unwrap();
+        for k in 0..stages {
+            let mid = ckt.node(format!("m{k}"));
+            let next = ckt.node(format!("n{}", k + 1));
+            ckt.resistor(format!("R{k}"), prev, mid, 1e3).unwrap();
+            ckt.inductor(format!("L{k}"), mid, next, 1e-6).unwrap();
+            ckt.capacitor(format!("C{k}"), next, Circuit::GROUND, 1e-9)
+                .unwrap();
+            prev = next;
+        }
+        ckt
+    }
+
+    /// One relative ±5 % bind on `R0`, as the service's ladder jobs
+    /// declare their space.
+    fn spec_r0(h: Option<f64>) -> SpaceSpec {
+        let spec = SpaceSpec::new(
+            vec![ParamRange::new("dr", -0.05, 0.05)],
+            vec![SpaceBind {
+                param: "dr".into(),
+                element: "R0".into(),
+                target: SpaceTarget::Resistance,
+                relative: true,
+                nominal: 1e3,
+            }],
+        );
+        match h {
+            Some(h) => spec.requested_h(h),
+            None => spec,
+        }
+    }
+
+    #[test]
+    fn long_rc_ladder_proves_nonsingular_at_dc_and_at_a_step() {
+        let ckt = rc_ladder(200);
+        for h in [None, Some(10e-9)] {
+            let rep = lint_space("t", &ckt, &spec_r0(h));
+            assert_eq!(
+                rep.verdict(codes::SPC002),
+                Some(&Verdict::ProvedSafe),
+                "h = {h:?}: {}",
+                rep.render()
+            );
+        }
+    }
+
+    #[test]
+    fn series_inductor_ladder_proves_nonsingular_at_dc_and_at_a_step() {
+        let ckt = rlc_ladder(50);
+        for h in [None, Some(10e-9)] {
+            let rep = lint_space("t", &ckt, &spec_r0(h));
+            assert_eq!(
+                rep.verdict(codes::SPC002),
+                Some(&Verdict::ProvedSafe),
+                "h = {h:?}: {}",
+                rep.render()
+            );
+        }
+    }
+
+    /// A source driving 1 kΩ ∥ 1 nF through `R1`, with `R1` bound
+    /// absolutely to `[lo, hi]` ohms.
+    fn near_short(lo: f64, hi: f64) -> (Circuit, SpaceSpec) {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.voltage_source("V1", a, Circuit::GROUND, 1.0).unwrap();
+        ckt.resistor("R1", a, b, 1.0).unwrap();
+        ckt.resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
+        ckt.capacitor("C1", b, Circuit::GROUND, 1e-9).unwrap();
+        let spec = SpaceSpec::new(
+            vec![ParamRange::new("r1", lo, hi)],
+            vec![SpaceBind {
+                param: "r1".into(),
+                element: "R1".into(),
+                target: SpaceTarget::Resistance,
+                relative: false,
+                nominal: 0.0,
+            }],
+        )
+        .requested_h(10e-9);
+        (ckt, spec)
+    }
+
+    #[test]
+    fn a_numerically_singular_box_is_refuted_with_a_concrete_witness() {
+        let (ckt, spec) = near_short(1e-16, 2e-16);
+        let rep = lint_space("t", &ckt, &spec);
+        let Some(Verdict::ProvedViolated(w)) = rep.verdict(codes::SPC002) else {
+            panic!("expected an SPC002 witness: {}", rep.render());
+        };
+        assert!(rep.report.has_code(codes::SPC002), "{}", rep.render());
+        assert_eq!(
+            classify_point(&ckt, &spec, w.names(), &w.midpoint()),
+            Some(codes::SPC002),
+            "the witness midpoint must be a concrete singular point"
+        );
+    }
+
+    #[test]
+    fn an_ill_conditioned_but_regular_box_stays_unknown() {
+        let (ckt, spec) = near_short(1e-12, 2e-12);
+        let rep = lint_space("t", &ckt, &spec);
+        assert!(
+            matches!(rep.verdict(codes::SPC002), Some(Verdict::Unknown(_))),
+            "{}",
+            rep.render()
+        );
+    }
+
     #[test]
     fn fingerprint_is_value_sensitive() {
         let a = spec_rel((-0.1, 0.1), (-0.1, 0.1), 2);
