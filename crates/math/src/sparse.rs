@@ -312,9 +312,19 @@ impl<T: Scalar> CsrMat<T> {
     ///
     /// Panics if `i` is out of range.
     pub fn row(&self, i: usize) -> (&[usize], &[T]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.col_idx[lo..hi], &self.vals[lo..hi])
+        let range = self.row_range(i);
+        (&self.col_idx[range.clone()], &self.vals[range])
+    }
+
+    /// The positions in [`CsrMat::values`] of row `i`'s stored entries,
+    /// so a caller can keep values of another type slot for slot with
+    /// the pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.row_ptr[i]..self.row_ptr[i + 1]
     }
 
     /// `true` when this matrix has the same dimensions and sparsity
@@ -903,11 +913,35 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`MathError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve_transpose(&self, b: &DVec<T>) -> crate::Result<DVec<T>> {
+        let mut v = DVec::zeros(self.n);
+        let mut y = DVec::zeros(self.n);
+        self.solve_transpose_into(b, &mut v, &mut y)?;
+        Ok(y)
+    }
+
+    /// Solves `Aᵀ·y = b` into `y`, with `v` as the step-ordered scratch,
+    /// without allocating: [`SparseLu::solve_transpose`] over reused
+    /// buffers, with the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] unless `b`, `v` and `y`
+    /// all have length `dim()`.
+    pub fn solve_transpose_into(
+        &self,
+        b: &DVec<T>,
+        v: &mut DVec<T>,
+        y: &mut DVec<T>,
+    ) -> crate::Result<()> {
         let n = self.n;
         check_len("rhs", n, b.len())?;
+        check_len("scratch", n, v.len())?;
+        check_len("solution", n, y.len())?;
         // c = Qᵀ·b, then Uᵀ·v = c: lower-triangular forward sweep where
         // row k of Uᵀ is the stored column k of U.
-        let mut v: Vec<T> = self.colperm.iter().map(|&j| b[j]).collect();
+        for (vk, &j) in v.iter_mut().zip(&self.colperm) {
+            *vk = b[j];
+        }
         for k in 0..n {
             let mut acc = v[k];
             for idx in self.u_colptr[k]..self.u_colptr[k + 1] {
@@ -926,11 +960,10 @@ impl<T: Scalar> SparseLu<T> {
             v[k] = acc;
         }
         // y = Pᵀ·w.
-        let mut out = DVec::zeros(n);
         for (k, &r) in self.rowperm.iter().enumerate() {
-            out[r] = v[k];
+            y[r] = v[k];
         }
-        Ok(out)
+        Ok(())
     }
 }
 

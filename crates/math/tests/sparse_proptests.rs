@@ -76,7 +76,8 @@ fn lane_bits(x: &DVec<F64x4>) -> Vec<[u64; 4]> {
 }
 
 /// Solves into buffers that start as NaN and are then reused for a
-/// second right-hand side; both results must be `solve`'s, bit for bit.
+/// second right-hand side; both results must be `solve`'s, bit for bit,
+/// and the transpose solves `solve_transpose`'s.
 fn solve_into_matches_solve<T: Scalar>(
     lu: &SparseLu<T>,
     rhs: [&DVec<T>; 2],
@@ -86,9 +87,12 @@ fn solve_into_matches_solve<T: Scalar>(
     let n = lu.dim();
     let mut z = DVec::from(vec![nan; n]);
     let mut x = DVec::from(vec![nan; n]);
+    let mut zt = DVec::from(vec![nan; n]);
+    let mut xt = DVec::from(vec![nan; n]);
     rhs.iter().all(|b| {
         lu.solve_into(b, &mut z, &mut x).unwrap();
-        same(&x, &lu.solve(b).unwrap())
+        lu.solve_transpose_into(b, &mut zt, &mut xt).unwrap();
+        same(&x, &lu.solve(b).unwrap()) && same(&xt, &lu.solve_transpose(b).unwrap())
     })
 }
 
