@@ -22,11 +22,26 @@
 //!
 //! The abstract domain is plain closed-interval arithmetic
 //! ([`ams_math::Interval`]); refinement is bisection on the widest
-//! dimension down to a configurable budget of box evaluations. The
-//! nonsingularity proof for `SPC002` is the midpoint-preconditioned
+//! dimension down to a configurable budget of box evaluations.
+//!
+//! The nonsingularity proof for `SPC002` is the midpoint-preconditioned
 //! enclosure test (Rump-style): with `R = A(mid)⁻¹`, if the row-sum
 //! norm `‖I − R·A(box)‖∞ < 1` holds in interval arithmetic then every
-//! concrete matrix in the box family is nonsingular.
+//! concrete matrix in the box family is nonsingular (the criterion holds
+//! for any `R`). It is evaluated sparsely, as the MNA runtime solves:
+//! once per [`lint_space`] call, one walk of the interval stamps records
+//! the CSR pattern and a stamp pointer per write; per box, the walk
+//! refills `A(box)` and `A(mid)` in place, [`ams_math::SparseLu`]
+//! factors `A(mid)`, and row `i` of `R·A(box)` is one transpose solve
+//! `A(mid)ᵀ·r = eᵢ` times the sparse `A(box)`. A box costs
+//! O(n·(nnz(LU) + nnz(A))) time and O(nnz) memory; no n×n matrix is
+//! built for a box the test proves.
+//!
+//! The witness rule: a box is refuted only when the concrete check
+//! [`classify_point`] applies — the dense LU of the point matrix —
+//! rejects the box midpoint, and that check runs only when the sparse
+//! factorization of the midpoint fails. A box neither proved nor
+//! refuted bisects.
 //!
 //! Codes issued here are `SPC001`–`SPC006` in the stable registry
 //! ([`crate::codes::registry`]). Consumers: `NetlistSweep` prunes
@@ -35,7 +50,7 @@
 
 use crate::diag::{codes, Diagnostic, LintReport};
 use crate::mna::lint_circuit;
-use ams_math::{DMat, Interval, Lu};
+use ams_math::{CsrMat, DMat, DVec, Interval, Lu, SparseLu, Triplets};
 use ams_net::{Circuit, ElementKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -363,15 +378,6 @@ impl ResolvedBind {
             p
         }
     }
-
-    /// The element value at a concrete parameter point.
-    fn value_at(&self, p: f64) -> f64 {
-        if self.relative {
-            self.nominal * (1.0 + p)
-        } else {
-            p
-        }
-    }
 }
 
 /// Resolves binds, emitting `SPC004` for unknown elements/parameters or
@@ -462,7 +468,7 @@ enum BoxEval {
 /// evaluations. Returns the first violated sub-box as witness, safe if
 /// every leaf proved safe, unknown (with the unresolved frontier)
 /// otherwise.
-fn refine(root: ParamBox, budget: usize, eval: impl Fn(&ParamBox) -> BoxEval) -> Verdict {
+fn refine(root: ParamBox, budget: usize, mut eval: impl FnMut(&ParamBox) -> BoxEval) -> Verdict {
     let mut queue: VecDeque<ParamBox> = VecDeque::new();
     queue.push_back(root);
     let mut unresolved: Vec<ParamBox> = Vec::new();
@@ -497,13 +503,18 @@ fn refine(root: ParamBox, budget: usize, eval: impl Fn(&ParamBox) -> BoxEval) ->
 // Interval MNA assembly
 // ---------------------------------------------------------------------
 
-/// Element value intervals over a box: `values[elem]` is `Some(iv)` for
-/// bound R/C/L elements, `None` for unbound ones (use the template's
-/// concrete value).
-fn element_intervals(ckt: &Circuit, binds: &[ResolvedBind], b: &ParamBox) -> Vec<Option<Interval>> {
+/// Element values over per-axis parameter intervals: `values[elem]` is
+/// `Some(iv)` for bound R/C/L elements, `None` for unbound ones (use the
+/// template's concrete value). Point intervals give the concrete values
+/// at a point.
+fn element_intervals(
+    ckt: &Circuit,
+    binds: &[ResolvedBind],
+    params: &[Interval],
+) -> Vec<Option<Interval>> {
     let mut v: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
     for rb in binds {
-        v[rb.elem] = Some(rb.value(b.intervals[rb.param]));
+        v[rb.elem] = Some(rb.value(params[rb.param]));
     }
     v
 }
@@ -564,128 +575,217 @@ fn layout(ckt: &Circuit) -> Option<MnaLayout> {
     })
 }
 
-/// Assembles the interval BE companion matrix `G + C/h` (plus source
-/// and inductor branch rows) over a box; `h = None` assembles the DC
-/// matrix (capacitors open, inductors shorts). Every resistor and, in a
-/// step, every `C/h` also gets a `GMIN` leak, which `ams-net` does not
-/// add: the solver leaks `GMIN` only through capacitors at DC and across
+/// Walks the interval BE companion stamps `G + C/h` (plus source and
+/// inductor branch rows) element by element, handing each matrix write
+/// `(row, col, value)` to `stamp`; `h = None` walks the DC matrix
+/// (capacitors open, inductors shorts). `values[elem]` overrides the
+/// template value of a bound element. Every resistor and, in a step,
+/// every `C/h` also gets a `GMIN` leak, which `ams-net` does not add: the
+/// solver leaks `GMIN` only through capacitors at DC and across
 /// junctions. So the matrices this pass proves nonsingular differ from
 /// the ones the solver factors by that leak.
-fn interval_matrix(
+///
+/// The write sequence depends on the topology and `h` only, never on
+/// the values, so [`IntervalMna`] records it once and replays it.
+fn walk_stamps(
     ckt: &Circuit,
     lay: &MnaLayout,
     values: &[Option<Interval>],
     h: Option<f64>,
-) -> Option<Vec<Vec<Interval>>> {
-    let n = lay.n;
-    let z = Interval::point(0.0);
-    let mut a = vec![vec![z; n]; n];
-    let add = |a: &mut Vec<Vec<Interval>>, i: Option<usize>, j: Option<usize>, v: Interval| {
+    mut stamp: impl FnMut(usize, usize, Interval),
+) {
+    let mut add = |i: Option<usize>, j: Option<usize>, v: Interval| {
         if let (Some(i), Some(j)) = (i, j) {
-            a[i][j] = a[i][j] + v;
+            stamp(i, j, v);
         }
     };
     for (idx, e) in ckt.elements().iter().enumerate() {
         let p = lay.node_row[e.p.index()];
         let nn = lay.node_row[e.n.index()];
-        let iv = |concrete: Option<f64>| -> Option<Interval> {
-            values[idx].or_else(|| concrete.map(Interval::point))
-        };
+        let value = |template: f64| values[idx].unwrap_or(Interval::point(template));
         match &e.kind {
             ElementKind::Resistor { ohms } => {
-                let g = iv(Some(*ohms))?.recip() + GMIN;
-                add(&mut a, p, p, g);
-                add(&mut a, nn, nn, g);
-                add(&mut a, p, nn, -g);
-                add(&mut a, nn, p, -g);
+                let g = value(*ohms).recip() + GMIN;
+                add(p, p, g);
+                add(nn, nn, g);
+                add(p, nn, -g);
+                add(nn, p, -g);
             }
             ElementKind::Capacitor { farads, .. } => {
-                let c = iv(Some(*farads))?;
                 let g = match h {
-                    Some(h) => c * (1.0 / h) + GMIN,
+                    Some(h) => value(*farads) * (1.0 / h) + GMIN,
                     None => Interval::point(GMIN),
                 };
-                add(&mut a, p, p, g);
-                add(&mut a, nn, nn, g);
-                add(&mut a, p, nn, -g);
-                add(&mut a, nn, p, -g);
+                add(p, p, g);
+                add(nn, nn, g);
+                add(p, nn, -g);
+                add(nn, p, -g);
             }
             ElementKind::Inductor { henries, .. } => {
                 let br = lay.branch_row[idx];
                 let one = Interval::point(1.0);
-                add(&mut a, p, br, one);
-                add(&mut a, nn, br, -one);
-                add(&mut a, br, p, one);
-                add(&mut a, br, nn, -one);
+                add(p, br, one);
+                add(nn, br, -one);
+                add(br, p, one);
+                add(br, nn, -one);
                 // BE companion: v = (L/h)(i - i_prev); DC: v = 0 with
                 // the branch current free — diagonal stays 0.
                 if let Some(h) = h {
-                    let l = iv(Some(*henries))?;
-                    add(&mut a, br, br, -(l * (1.0 / h)));
+                    add(br, br, -(value(*henries) * (1.0 / h)));
                 }
             }
             ElementKind::VoltageSource { .. } => {
                 let br = lay.branch_row[idx];
                 let one = Interval::point(1.0);
-                add(&mut a, p, br, one);
-                add(&mut a, nn, br, -one);
-                add(&mut a, br, p, one);
-                add(&mut a, br, nn, -one);
+                add(p, br, one);
+                add(nn, br, -one);
+                add(br, p, one);
+                add(br, nn, -one);
             }
-            ElementKind::CurrentSource { .. } => {}
-            _ => return None,
+            // Current sources stamp no matrix entry, and `layout`
+            // rejects every kind the walk does not model.
+            _ => {}
         }
     }
-    Some(a)
 }
 
-/// The concrete matrix at a parameter point: same stamps, point values.
-fn concrete_matrix(
+/// The concrete singularity check: whether the dense LU rejects the
+/// point matrix of `values` (point intervals). It is `classify_point`'s
+/// `SPC002` test, and an `SPC002` witness box is one whose midpoint it
+/// rejects.
+fn singular_at(
     ckt: &Circuit,
     lay: &MnaLayout,
-    binds: &[ResolvedBind],
-    point: &[f64],
+    values: &[Option<Interval>],
     h: Option<f64>,
-) -> Option<DMat<f64>> {
-    let mut values: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
-    for rb in binds {
-        values[rb.elem] = Some(Interval::point(rb.value_at(point[rb.param])));
-    }
-    let a = interval_matrix(ckt, lay, &values, h)?;
-    let n = lay.n;
-    Some(DMat::from_fn(n, n, |i, j| a[i][j].midpoint()))
+) -> bool {
+    let mut a: DMat<f64> = DMat::zeros(lay.n, lay.n);
+    walk_stamps(ckt, lay, values, h, |i, j, v| a[(i, j)] += v.midpoint());
+    Lu::factor(&a).is_err()
 }
 
-/// Midpoint-preconditioned nonsingularity proof: every matrix in the
-/// interval family is nonsingular if `‖I − A(mid)⁻¹·A(box)‖∞ < 1`.
-fn proves_nonsingular(a: &[Vec<Interval>], mid_lu: &Lu<f64>) -> bool {
-    let n = a.len();
-    // R = mid⁻¹ by solving against identity columns.
-    let r = match mid_lu.solve_mat(&DMat::identity(n)) {
-        Ok(r) => r,
-        Err(_) => return false,
-    };
-    // Row-sum norm of I − R·A(box), evaluated in interval arithmetic.
-    let mut worst: f64 = 0.0;
-    for i in 0..n {
-        let mut row_sum = 0.0f64;
-        for j in 0..n {
-            let mut cij = Interval::point(0.0);
-            for (k, ak) in a.iter().enumerate() {
-                let rik = *r.get(i, k).expect("inverse is n×n");
+/// The interval MNA matrix of one topology at one step, recorded once
+/// per [`lint_space`] call: the CSR pattern of every stamped position and
+/// a stamp pointer per write of [`walk_stamps`], as `ams-net`'s
+/// `MnaSystem` replays its stamps. Each box refills `A(box)` and
+/// `A(mid)` in place.
+struct IntervalMna<'a> {
+    ckt: &'a Circuit,
+    lay: &'a MnaLayout,
+    h: Option<f64>,
+    /// The pattern, holding the midpoint matrix `A(mid)`.
+    mid: CsrMat<f64>,
+    /// `A(box)`, slot for slot with `mid`'s values.
+    boxed: Vec<Interval>,
+    /// `slots[k]`: the slot the walk's `k`-th write adds into.
+    slots: Vec<usize>,
+}
+
+impl<'a> IntervalMna<'a> {
+    fn new(ckt: &'a Circuit, lay: &'a MnaLayout, h: Option<f64>) -> IntervalMna<'a> {
+        let mut coords = Vec::new();
+        let template = vec![None; ckt.elements().len()];
+        walk_stamps(ckt, lay, &template, h, |i, j, _| coords.push((i, j)));
+        let mut t = Triplets::new(lay.n, lay.n);
+        for &(i, j) in &coords {
+            t.push(i, j, 0.0);
+        }
+        let mid = t.build();
+        let slots = coords
+            .iter()
+            .map(|&(i, j)| mid.position(i, j).expect("recorded coordinate in pattern"))
+            .collect();
+        IntervalMna {
+            ckt,
+            lay,
+            h,
+            boxed: vec![Interval::point(0.0); mid.nnz()],
+            mid,
+            slots,
+        }
+    }
+
+    /// Fills `A(box)` and `A(mid)` for box `b` and returns the element
+    /// values at its midpoint.
+    fn fill(&mut self, binds: &[ResolvedBind], b: &ParamBox) -> Vec<Option<Interval>> {
+        let (ckt, lay, h) = (self.ckt, self.lay, self.h);
+        let (boxed, slots) = (&mut self.boxed, &self.slots);
+        boxed.fill(Interval::point(0.0));
+        let box_values = element_intervals(ckt, binds, &b.intervals);
+        let mut k = 0;
+        walk_stamps(ckt, lay, &box_values, h, |_, _, v| {
+            boxed[slots[k]] = boxed[slots[k]] + v;
+            k += 1;
+        });
+        let points: Vec<Interval> = b.midpoint().into_iter().map(Interval::point).collect();
+        let mid_values = element_intervals(ckt, binds, &points);
+        let mid = self.mid.values_mut();
+        mid.fill(0.0);
+        let mut k = 0;
+        walk_stamps(ckt, lay, &mid_values, h, |_, _, v| {
+            mid[slots[k]] += v.midpoint();
+            k += 1;
+        });
+        mid_values
+    }
+
+    /// `‖I − R·A(box)‖∞` with `R = A(mid)⁻¹`, in interval arithmetic,
+    /// one row of `R` at a time: row `i` of `R` is the transpose solve
+    /// `A(mid)ᵀ·r = eᵢ`, and row `i` of `R·A(box)` sums `r_k·A(box)[k, j]`
+    /// over the stored entries of each row `k`, `k` ascending, as the
+    /// dense product does. O(n·(nnz(LU) + nnz(A))) time and O(n) scratch.
+    /// Infinite when a row sum is not finite.
+    fn row_sum_norm(&self, lu: &SparseLu<f64>) -> f64 {
+        let n = self.lay.n;
+        let zero = Interval::point(0.0);
+        let mut e = DVec::zeros(n);
+        let mut scratch = DVec::zeros(n);
+        let mut r = DVec::zeros(n);
+        let mut row = vec![zero; n];
+        let mut worst: f64 = 0.0;
+        for i in 0..n {
+            e[i] = 1.0;
+            if lu.solve_transpose_into(&e, &mut scratch, &mut r).is_err() {
+                return f64::INFINITY;
+            }
+            e[i] = 0.0;
+            for (k, &rik) in r.iter().enumerate() {
                 if rik != 0.0 {
-                    cij = cij + ak[j] * rik;
+                    let (cols, _) = self.mid.row(k);
+                    for (&j, &akj) in cols.iter().zip(&self.boxed[self.mid.row_range(k)]) {
+                        row[j] = row[j] + akj * rik;
+                    }
                 }
             }
-            let eij = if i == j { cij + (-1.0) } else { cij };
-            row_sum += eij.abs().hi;
-            if !row_sum.is_finite() {
-                return false;
+            let mut row_sum = 0.0f64;
+            for (j, cij) in row.iter_mut().enumerate() {
+                let eij = if i == j { *cij + (-1.0) } else { *cij };
+                row_sum += eij.abs().hi;
+                *cij = zero;
             }
+            if !row_sum.is_finite() {
+                return f64::INFINITY;
+            }
+            worst = worst.max(row_sum);
         }
-        worst = worst.max(row_sum);
+        worst
     }
-    worst < 1.0
+
+    /// Evaluates SPC002 over one box. The box is safe when `A(mid)`
+    /// factors sparsely and the midpoint-preconditioned row-sum norm is
+    /// below 1, which certifies every matrix in the box regular for any
+    /// `R`. When the sparse factorization fails, the box is a witness
+    /// only if the concrete check [`singular_at`] rejects its midpoint
+    /// too; anything else is undecided and bisects.
+    fn classify(&mut self, binds: &[ResolvedBind], b: &ParamBox) -> BoxEval {
+        let mid_values = self.fill(binds, b);
+        match SparseLu::factor(&self.mid) {
+            Ok(lu) if self.row_sum_norm(&lu) < 1.0 => BoxEval::Safe,
+            Ok(_) => BoxEval::Undecided,
+            Err(_) if singular_at(self.ckt, self.lay, &mid_values, self.h) => BoxEval::Violated,
+            Err(_) => BoxEval::Undecided,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -817,31 +917,13 @@ pub fn lint_space(context: impl Into<String>, ckt: &Circuit, spec: &SpaceSpec) -
     // crossing already makes some corner singular — but that corner is
     // SPC001's finding, not a new one).
     let lay = layout(ckt);
-    let spc002 = match (&lay, &spc001, structural_errors.is_empty()) {
-        (Some(lay), Verdict::ProvedSafe, true) => refine(full.clone(), spec.budget, |b| {
-            let values = element_intervals(ckt, &binds, b);
-            let Some(a) = interval_matrix(ckt, lay, &values, spec.requested_h) else {
-                return BoxEval::Undecided;
-            };
-            let Some(mid) = concrete_matrix(ckt, lay, &binds, &b.midpoint(), spec.requested_h)
-            else {
-                return BoxEval::Undecided;
-            };
-            match Lu::factor(&mid) {
-                // Midpoint is a concrete singular corner: witness found.
-                Err(_) => BoxEval::Violated,
-                Ok(lu) => {
-                    if proves_nonsingular(&a, &lu) {
-                        BoxEval::Safe
-                    } else {
-                        BoxEval::Undecided
-                    }
-                }
-            }
-        }),
+    let spc002 = match &lay {
+        Some(lay) if matches!(spc001, Verdict::ProvedSafe) && structural_errors.is_empty() => {
+            let mut mna = IntervalMna::new(ckt, lay, spec.requested_h);
+            refine(full.clone(), spec.budget, |b| mna.classify(&binds, b))
+        }
         // Out-of-domain values or unmodelled element kinds: undecided
         // over the whole box rather than a false proof either way.
-        (None, _, _) => Verdict::Unknown(vec![full.clone()]),
         _ => Verdict::Unknown(vec![full.clone()]),
     };
     if let Verdict::ProvedViolated(w) = &spc002 {
@@ -901,7 +983,7 @@ fn gershgorin_safe_h(
     binds: &[ResolvedBind],
     b: &ParamBox,
 ) -> Option<f64> {
-    let values = element_intervals(ckt, binds, b);
+    let values = element_intervals(ckt, binds, &b.intervals);
     let n_nodes = lay.node_row.len();
     // Per-node capacitance (lo) and conductance row magnitude (hi).
     let mut cap_lo = vec![0.0f64; n_nodes];
@@ -979,16 +1061,12 @@ pub fn classify_point(
     // Singularity at the concrete point, with the same companion stamps
     // the interval pass uses.
     if let Some(lay) = layout(ckt) {
-        let mut ivs: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
+        let mut values: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
         for &(e, _, v) in &resolved {
-            ivs[e] = Some(Interval::point(v));
+            values[e] = Some(Interval::point(v));
         }
-        if let Some(a) = interval_matrix(ckt, &lay, &ivs, spec.requested_h) {
-            let n = lay.n;
-            let mid = DMat::from_fn(n, n, |i, j| a[i][j].midpoint());
-            if Lu::factor(&mid).is_err() {
-                return Some(codes::SPC002);
-            }
+        if singular_at(ckt, &lay, &values, spec.requested_h) {
+            return Some(codes::SPC002);
         }
     }
     None
@@ -1026,6 +1104,174 @@ pub fn parse_ranges(s: &str) -> Result<Vec<ParamRange>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense evaluation the sparse one replaced, kept as an oracle:
+    /// `R = A(mid)⁻¹` from a dense LU against identity columns, then the
+    /// row-sum norm of `I − R·A(box)` over n×n interval rows. Infinite
+    /// when `A(mid)` does not factor or a row sum is not finite.
+    fn dense_row_sum_norm(mna: &IntervalMna<'_>) -> f64 {
+        let n = mna.lay.n;
+        let mut a = vec![vec![Interval::point(0.0); n]; n];
+        for (i, ai) in a.iter_mut().enumerate() {
+            let (cols, _) = mna.mid.row(i);
+            for (&j, &v) in cols.iter().zip(&mna.boxed[mna.mid.row_range(i)]) {
+                ai[j] = v;
+            }
+        }
+        let Ok(lu) = Lu::factor(&mna.mid.to_dense()) else {
+            return f64::INFINITY;
+        };
+        let r = lu.solve_mat(&DMat::identity(n)).expect("factored");
+        let mut worst: f64 = 0.0;
+        for i in 0..n {
+            let mut row_sum = 0.0f64;
+            for j in 0..n {
+                let mut cij = Interval::point(0.0);
+                for (k, ak) in a.iter().enumerate() {
+                    let rik = r[(i, k)];
+                    if rik != 0.0 {
+                        cij = cij + ak[j] * rik;
+                    }
+                }
+                let eij = if i == j { cij + (-1.0) } else { cij };
+                row_sum += eij.abs().hi;
+            }
+            if !row_sum.is_finite() {
+                return f64::INFINITY;
+            }
+            worst = worst.max(row_sum);
+        }
+        worst
+    }
+
+    /// The sparse evaluation's norm over one box, infinite when the
+    /// sparse factorization of `A(mid)` fails.
+    fn sparse_row_sum_norm(mna: &IntervalMna<'_>) -> f64 {
+        SparseLu::factor(&mna.mid).map_or(f64::INFINITY, |lu| mna.row_sum_norm(&lu))
+    }
+
+    /// A random linear netlist of at most 12 unknowns: `nodes` nodes,
+    /// each tied by a resistor to ground or to an earlier node (so every
+    /// node has a resistive path to ground), plus `extra` elements of
+    /// every modelled kind. A voltage source or inductor that would
+    /// close a loop of sources and inductors (singular at DC) is left
+    /// out. Values: R 10 Ω–10 kΩ, C 0.1–10 nF, L 10 nH–1 µH.
+    fn random_netlist(
+        nodes: usize,
+        tree: &[(usize, f64)],
+        extra: &[(usize, usize, usize, f64)],
+    ) -> Circuit {
+        let mut ckt = Circuit::new();
+        let ids: Vec<_> = std::iter::once(Circuit::GROUND)
+            .chain((1..=nodes).map(|k| ckt.node(format!("n{k}"))))
+            .collect();
+        for k in 1..=nodes {
+            let (to, u) = tree[k - 1];
+            ckt.resistor(
+                format!("T{k}"),
+                ids[k],
+                ids[to % k],
+                10f64.powf(2.0 + 2.0 * u),
+            )
+            .unwrap();
+        }
+        let mut group: Vec<usize> = (0..=nodes).collect();
+        fn root(group: &mut [usize], mut x: usize) -> usize {
+            while group[x] != x {
+                x = group[x];
+            }
+            x
+        }
+        for (idx, &(kind, p, q, u)) in extra.iter().enumerate() {
+            let p = p % (nodes + 1);
+            let mut q = q % (nodes + 1);
+            if p == q {
+                q = (p + 1) % (nodes + 1);
+            }
+            let name = format!("X{idx}");
+            match kind {
+                0 => drop(ckt.resistor(name, ids[p], ids[q], 10f64.powf(2.0 + 2.0 * u))),
+                1 => drop(ckt.capacitor(name, ids[p], ids[q], 10f64.powf(-9.0 + u))),
+                2 => drop(ckt.current_source(name, ids[p], ids[q], 1e-3)),
+                _ => {
+                    let (rp, rq) = (root(&mut group, p), root(&mut group, q));
+                    if rp == rq {
+                        continue;
+                    }
+                    group[rp] = rq;
+                    if kind == 3 {
+                        drop(ckt.voltage_source(name, ids[p], ids[q], 1.0));
+                    } else {
+                        drop(ckt.inductor(name, ids[p], ids[q], 10f64.powf(-7.0 + u)));
+                    }
+                }
+            }
+        }
+        ckt
+    }
+
+    proptest! {
+        /// The sparse evaluation agrees with the dense oracle on random
+        /// linear netlists and boxes. The two compute `R` by different
+        /// eliminations, so their norms differ by rounding residue of
+        /// order κ(A)·ε. The norms are compared against 1e-9 relative to
+        /// the larger norm or to 1 (the threshold), whichever is larger:
+        /// a point box has a norm that is only that residue. The
+        /// verdicts must agree wherever the norm is not within 1e-9 of 1.
+        #[test]
+        fn sparse_norm_agrees_with_the_dense_oracle(
+            nodes in 1usize..6,
+            tree in proptest::collection::vec((0usize..6, -1.0f64..1.0), 5),
+            extra in proptest::collection::vec((0usize..5, 0usize..6, 0usize..6, -1.0f64..1.0), 0..8),
+            binds in proptest::collection::vec((0usize..64, 0.0f64..0.6, 0.0f64..0.6), 1..4),
+            log_h in -9.0f64..-7.0,
+        ) {
+            let ckt = random_netlist(nodes, &tree, &extra);
+            let lay = layout(&ckt).expect("only modelled kinds");
+            prop_assert!(lay.n <= 12);
+            let bindable: Vec<usize> = ckt
+                .elements()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| template_value(&e.kind).is_some())
+                .map(|(i, _)| i)
+                .collect();
+            let mut ranges = Vec::new();
+            let mut resolved = Vec::new();
+            for (k, &(pick, lo, hi)) in binds.iter().enumerate() {
+                let elem = bindable[pick % bindable.len()];
+                let kind = &ckt.elements()[elem].kind;
+                resolved.push(ResolvedBind {
+                    elem,
+                    target: match kind {
+                        ElementKind::Resistor { .. } => SpaceTarget::Resistance,
+                        ElementKind::Capacitor { .. } => SpaceTarget::Capacitance,
+                        _ => SpaceTarget::Inductance,
+                    },
+                    param: k,
+                    relative: true,
+                    nominal: template_value(kind).unwrap(),
+                });
+                ranges.push(ParamRange::new(format!("p{k}"), -lo, hi));
+            }
+            let full = SpaceSpec::new(ranges, Vec::new()).param_box();
+            for h in [None, Some(10f64.powf(log_h))] {
+                let mut mna = IntervalMna::new(&ckt, &lay, h);
+                mna.fill(&resolved, &full);
+                let sparse = sparse_row_sum_norm(&mna);
+                let dense = dense_row_sum_norm(&mna);
+                prop_assert!(sparse.is_finite() && dense.is_finite(), "{sparse} vs {dense}");
+                prop_assert!(
+                    (sparse - dense).abs() <= 1e-9 * sparse.max(dense).max(1.0),
+                    "h = {h:?}: sparse {sparse:e}, dense {dense:e}"
+                );
+                if (dense - 1.0).abs() > 1e-9 {
+                    prop_assert_eq!(sparse < 1.0, dense < 1.0);
+                }
+            }
+        }
+    }
 
     /// V source + R ladder + C to ground: the canonical sweep template.
     fn rc_ladder(stages: usize) -> Circuit {
