@@ -20,11 +20,21 @@
 //!   [`MetricsRegistry`] under `serve.*`
 //!   names — the acceptance proof that a warm job did no cold work
 //!   reads these.
+//! * **Bounded verdicts.** Space-admission verdicts sit outside the
+//!   byte budget but are capped in number (1 024 pairs): past the
+//!   cap the least recently used `(topology, space)` pair is evicted, so
+//!   a client submitting endless distinct spaces cannot grow the daemon
+//!   without bound.
 
 use crate::model::BuiltCircuit;
 use ams_net::SymbolicFactor;
 use ams_scope::MetricsRegistry;
 use std::collections::HashMap;
+
+/// Most space-admission verdicts the cache keeps, far above the handful
+/// of `(topology, space)` pairs a working set holds; past it the least
+/// recently used pair is evicted (`serve.space.evictions`).
+const SPACE_VERDICTS: usize = 1024;
 
 /// One cached topology.
 #[derive(Debug, Clone)]
@@ -78,11 +88,12 @@ pub struct TopologyCache {
     entries: HashMap<u64, CacheEntry>,
     /// Space-admission verdicts keyed by `(topology fingerprint,
     /// SpaceSpec fingerprint)`: `Some(message)` is a cached rejection,
-    /// `None` a cached pass. Kept apart from [`CacheEntry`] so the
-    /// warm-path invariants (zero lint runs, zero symbolic analyses on
-    /// a cache hit) are untouched, and deliberately outside the byte
-    /// budget — a verdict is a short string, never a resident circuit.
-    space: HashMap<(u64, u64), Option<String>>,
+    /// `None` a cached pass, each with its LRU stamp. Kept apart from
+    /// [`CacheEntry`] so the warm-path invariants (zero lint runs, zero
+    /// symbolic analyses on a cache hit) are untouched, and outside the
+    /// byte budget — a verdict is a short string, never a resident
+    /// circuit — but capped at [`SPACE_VERDICTS`] pairs.
+    space: HashMap<(u64, u64), (Option<String>, u64)>,
     budget: usize,
     clock: u64,
     bytes: usize,
@@ -92,6 +103,7 @@ pub struct TopologyCache {
     lint_runs: u64,
     space_hits: u64,
     space_runs: u64,
+    space_evictions: u64,
 }
 
 impl TopologyCache {
@@ -109,6 +121,7 @@ impl TopologyCache {
             lint_runs: 0,
             space_hits: 0,
             space_runs: 0,
+            space_evictions: 0,
         }
     }
 
@@ -150,22 +163,37 @@ impl TopologyCache {
     }
 
     /// Looks up a cached space-admission verdict for a `(topology,
-    /// space spec)` fingerprint pair. `Some(None)` is a cached pass,
-    /// `Some(Some(msg))` a cached rejection, `None` means the pass has
-    /// never run for this pair.
+    /// space spec)` fingerprint pair, refreshing its LRU stamp.
+    /// `Some(None)` is a cached pass, `Some(Some(msg))` a cached
+    /// rejection, `None` means the pass has not run for this pair or its
+    /// verdict was evicted.
     pub fn space_lookup(&mut self, key: (u64, u64)) -> Option<&Option<String>> {
-        let v = self.space.get(&key);
-        if v.is_some() {
-            self.space_hits += 1;
-        }
-        v
+        self.clock += 1;
+        let (verdict, stamp) = self.space.get_mut(&key)?;
+        *stamp = self.clock;
+        self.space_hits += 1;
+        Some(verdict)
     }
 
     /// Publishes a space-admission verdict, counting the pass that
-    /// produced it.
+    /// produced it. Past 1 024 pairs the least recently
+    /// used one is evicted.
     pub fn space_insert(&mut self, key: (u64, u64), verdict: Option<String>) {
+        self.clock += 1;
         self.space_runs += 1;
-        self.space.insert(key, verdict);
+        self.space.insert(key, (verdict, self.clock));
+        while self.space.len() > SPACE_VERDICTS {
+            let Some(victim) = self
+                .space
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            self.space.remove(&victim);
+            self.space_evictions += 1;
+        }
     }
 
     /// Inserts (or replaces) an entry, then evicts least-recently-used
@@ -229,6 +257,7 @@ impl TopologyCache {
             ("serve.lint.runs", self.lint_runs),
             ("serve.space.hits", self.space_hits),
             ("serve.space.runs", self.space_runs),
+            ("serve.space.evictions", self.space_evictions),
         ] {
             let cur = metrics.counter(name);
             metrics.counter_add(name, v.saturating_sub(cur));
@@ -354,6 +383,33 @@ mod tests {
         // The ordinary lint/cache counters stay untouched.
         assert_eq!(m.counter("serve.lint.runs"), 0);
         assert_eq!(m.counter("serve.cache.hits"), 0);
+    }
+
+    #[test]
+    fn space_verdicts_are_capped_with_lru_eviction() {
+        let mut c = TopologyCache::new(1);
+        for k in 0..SPACE_VERDICTS as u64 {
+            c.space_insert((k, 0), None);
+        }
+        // Touch the oldest pair, so the second oldest is the LRU one.
+        assert_eq!(c.space_lookup((0, 0)), Some(&None));
+        c.space_insert((u64::MAX, 0), Some("space lint rejected: SPC002".into()));
+        assert!(c.space_lookup((1, 0)).is_none(), "LRU pair evicted");
+        assert_eq!(c.space_lookup((0, 0)), Some(&None));
+        assert_eq!(
+            c.space_lookup((u64::MAX, 0)),
+            Some(&Some("space lint rejected: SPC002".to_string()))
+        );
+        // Each further insert evicts exactly one pair, oldest first.
+        c.space_insert((u64::MAX - 1, 0), None);
+        assert!(c.space_lookup((2, 0)).is_none());
+        assert_eq!(c.space_lookup((3, 0)), Some(&None));
+        let mut m = MetricsRegistry::new();
+        c.export_metrics(&mut m);
+        assert_eq!(m.counter("serve.space.evictions"), 2);
+        assert_eq!(m.counter("serve.space.runs"), SPACE_VERDICTS as u64 + 2);
+        // Verdict eviction leaves the topology counters alone.
+        assert_eq!(m.counter("serve.cache.evictions"), 0);
     }
 
     #[test]
