@@ -137,11 +137,14 @@ impl Circuit {
     }
 
     /// Solves the DC operating point with explicit external-input values
-    /// and switch states.
+    /// (one per external input) and switch states (one per element,
+    /// `false` for non-switches).
     ///
     /// # Errors
     ///
-    /// See [`Circuit::dc_operating_point`].
+    /// * [`NetError::InvalidValue`] when `ext` or `switches` does not
+    ///   hold exactly one entry per external input or element.
+    /// * Otherwise see [`Circuit::dc_operating_point`].
     pub fn dc_operating_point_with(
         &self,
         ext: &[f64],
@@ -158,13 +161,29 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// See [`Circuit::dc_operating_point`].
+    /// See [`Circuit::dc_operating_point_with`].
     pub fn dc_operating_point_with_backend(
         &self,
         ext: &[f64],
         switches: &[bool],
         backend: SolverBackend,
     ) -> Result<DcSolution, NetError> {
+        for (what, per, want, got) in [
+            (
+                "ext",
+                "external input",
+                self.external_input_count(),
+                ext.len(),
+            ),
+            ("switches", "element", self.element_count(), switches.len()),
+        ] {
+            if got != want {
+                return Err(NetError::InvalidValue {
+                    element: what.to_string(),
+                    reason: format!("expected one entry per {per} ({want}), got {got}"),
+                });
+            }
+        }
         let layout = MnaLayout::build(self);
         let DcPoint {
             x,
@@ -172,9 +191,7 @@ impl Circuit {
             solve,
         } = self.dc_solve(&layout, ext, switches, backend)?;
         Ok(DcSolution {
-            switches: (0..self.element_count())
-                .map(|i| switches.get(i).copied().unwrap_or(false))
-                .collect(),
+            switches: switches.to_vec(),
             circuit: self.clone(),
             layout,
             x,
@@ -545,12 +562,36 @@ mod tests {
         assert!((op_on.voltage(out) - 10.0 * 1e3 / 1001.0).abs() < 1e-6);
         assert!((op_on.current(s1).unwrap() - 10.0 / 1001.0).abs() < 1e-12);
 
-        let switches = vec![false];
+        let switches = vec![false, false, false];
         let op_off = ckt.dc_operating_point_with(&[], &switches).unwrap();
         assert!(op_off.voltage(out) < 1e-4);
         // The switch is priced at the state the point was solved at.
         let i_off = op_off.current(s1).unwrap();
         assert!((i_off - 10.0 / (1e9 + 1e3)).abs() < 1e-18, "{i_off}");
+    }
+
+    #[test]
+    fn slices_of_the_wrong_length_are_invalid() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let inp = ckt.external_input();
+        ckt.voltage_source_wave("V1", a, Circuit::GROUND, crate::Waveform::External(inp))
+            .unwrap();
+        ckt.switch("S1", a, Circuit::GROUND, 1.0, 1e9, false)
+            .unwrap();
+        for (ext, switches) in [
+            (&[][..], &[false, false][..]),
+            (&[1.0, 2.0][..], &[false, false][..]),
+            (&[1.0][..], &[false][..]),
+            (&[1.0][..], &[false, false, false][..]),
+        ] {
+            let err = ckt.dc_operating_point_with(ext, switches).unwrap_err();
+            assert!(
+                matches!(err, NetError::InvalidValue { .. }),
+                "{ext:?}, {switches:?}: {err}"
+            );
+        }
+        assert!(ckt.dc_operating_point_with(&[1.0], &[false, false]).is_ok());
     }
 
     #[test]
