@@ -15,6 +15,15 @@
 //! * `space/classify_point` — the concrete per-scenario classifier the
 //!   sweep gate uses to prune exactly the doomed scenarios.
 //!
+//! And on the ladders `ams-serve` proves at submit (E12's job and
+//! perfbench's `serve_churn`): 100 Ω / 1 nF sections behind a source,
+//! one relative ±5 % bind on `R0`, `h` = 10 ns:
+//!
+//! * `space/serve_ladder_192` — the 192-stage warm ladder (194
+//!   unknowns);
+//! * `space/serve_ladder_128`, `space/serve_ladder_175` — the ends of
+//!   `serve_churn`'s cold ladder sizes.
+//!
 //! EXPERIMENTS.md quotes the proof-vs-sweep ratio from this bench and
 //! the E10 sweep numbers.
 
@@ -69,6 +78,33 @@ fn spec(dr: (f64, f64), dc: (f64, f64)) -> SpaceSpec {
     .requested_h(1e-6)
 }
 
+/// The service's ladder job as its space pass sees it.
+fn serve_ladder(stages: usize) -> (Circuit, SpaceSpec) {
+    let mut ckt = Circuit::new();
+    let mut prev = ckt.node("n0");
+    ckt.voltage_source("Vin", prev, Circuit::GROUND, 1.0)
+        .unwrap();
+    for k in 0..stages {
+        let next = ckt.node(format!("n{}", k + 1));
+        ckt.resistor(format!("R{k}"), prev, next, 100.0).unwrap();
+        ckt.capacitor(format!("C{k}"), next, Circuit::GROUND, 1e-9)
+            .unwrap();
+        prev = next;
+    }
+    let spec = SpaceSpec::new(
+        vec![ParamRange::new("dr", -0.05, 0.05)],
+        vec![SpaceBind {
+            param: "dr".into(),
+            element: "R0".into(),
+            target: SpaceTarget::Resistance,
+            relative: true,
+            nominal: 100.0,
+        }],
+    )
+    .requested_h(10e-9);
+    (ckt, spec)
+}
+
 fn bench_space_lint(c: &mut Criterion) {
     let ckt = ladder();
     let safe = spec((-0.12, 0.12), (-0.12, 0.12));
@@ -84,6 +120,12 @@ fn bench_space_lint(c: &mut Criterion) {
     c.bench_function("space/classify_point", |b| {
         b.iter(|| classify_point(&ckt, &doomed, &names, &[-1.2, 0.0]))
     });
+    for stages in [128, 175, 192] {
+        let (ckt, spec) = serve_ladder(stages);
+        c.bench_function(format!("space/serve_ladder_{stages}"), |b| {
+            b.iter(|| lint_space("e14", &ckt, &spec))
+        });
+    }
 }
 
 criterion_group!(benches, bench_space_lint);
