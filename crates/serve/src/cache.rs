@@ -21,9 +21,9 @@
 //!   names — the acceptance proof that a warm job did no cold work
 //!   reads these.
 //! * **Bounded verdicts.** Space-admission verdicts sit outside the
-//!   byte budget but are capped in number (1 024 pairs): past the
-//!   cap the least recently used `(topology, space)` pair is evicted, so
-//!   a client submitting endless distinct spaces cannot grow the daemon
+//!   byte budget but are capped in number (1 024 pairs): past the cap
+//!   the least recently used `(topology, space)` pair is evicted, so a
+//!   client submitting endless distinct spaces cannot grow the daemon
 //!   without bound.
 
 use crate::model::BuiltCircuit;
@@ -176,8 +176,8 @@ impl TopologyCache {
     }
 
     /// Publishes a space-admission verdict, counting the pass that
-    /// produced it. Past 1 024 pairs the least recently
-    /// used one is evicted.
+    /// produced it. Past 1 024 pairs the least recently used one is
+    /// evicted.
     pub fn space_insert(&mut self, key: (u64, u64), verdict: Option<String>) {
         self.clock += 1;
         self.space_runs += 1;
