@@ -15,8 +15,7 @@
 //!   the transport for converter streams that cross an execution
 //!   boundary;
 //! * [`pool`] — persistent worker threads owning their partitions, with
-//!   a barrier at every DE synchronization point, plus
-//!   [`run_sdf_parallel`] for plain SDF workloads;
+//!   a barrier at every DE synchronization point;
 //! * [`stats`] — the instrumentation layer: [`ExecStats`] aggregates
 //!   cluster firings, embedded-solver Newton/factorization counts, FIFO
 //!   high-water marks and per-phase wall time;
@@ -76,7 +75,7 @@ pub mod spsc;
 pub mod stats;
 
 pub use partition::{partition, Partition};
-pub use pool::{run_sdf_parallel, WorkerPool};
+pub use pool::WorkerPool;
 pub use sim::{ParallelSim, DEFAULT_PIPE_CAPACITY};
 pub use slots::{SlotLease, SlotPool};
 pub use spsc::{ring, RingConsumer, RingMonitor, RingProducer};

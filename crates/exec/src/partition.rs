@@ -1,13 +1,12 @@
-//! Static partitioning of cluster/actor graphs onto workers.
+//! Static partitioning of TDF clusters onto workers.
 //!
 //! Two inputs describe the elaborated model: a per-node execution cost
-//! (for TDF clusters the firings per schedule iteration, i.e. the
-//! balance-equation repetition vector; for SDF partitions the schedule
-//! length) and an undirected edge list of couplings that force two nodes
-//! onto the same worker (shared DE signals, SPSC pipes). The partitioner
-//! finds the connected components with a union–find pass and then packs
-//! whole components onto workers with the longest-processing-time (LPT)
-//! heuristic.
+//! (the cluster's firings per schedule iteration, i.e. the sum of its
+//! balance-equation repetition vector) and an undirected edge list of
+//! couplings that force two nodes onto the same worker (shared DE
+//! signals, SPSC pipes). The partitioner finds the connected components
+//! with a union–find pass and then packs whole components onto workers
+//! with the longest-processing-time (LPT) heuristic.
 //!
 //! Everything is deterministic: components are keyed by their smallest
 //! node id, ties break toward smaller ids and lower worker indices, so

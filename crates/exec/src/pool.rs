@@ -10,7 +10,6 @@
 use ams_core::{Cluster, ClusterStats, CoreError};
 use ams_kernel::SimTime;
 use ams_scope::TraceEvent;
-use ams_sdf::{SdfError, SdfExecutor};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -259,72 +258,11 @@ fn worker_main(
     }
 }
 
-/// Runs independent SDF executors for `iterations` schedule iterations
-/// each, spread over `workers` threads with the same deterministic
-/// LPT partitioning as the cluster engine (cost =
-/// [`SdfExecutor::iteration_cost`]). The executors come back in their
-/// original order, counters advanced, ready for [`SdfExecutor::stats`]
-/// queries or further runs.
-///
-/// # Errors
-///
-/// The first executor failure encountered.
-pub fn run_sdf_parallel<T>(
-    mut executors: Vec<SdfExecutor<T>>,
-    iterations: u64,
-    workers: usize,
-) -> Result<Vec<SdfExecutor<T>>, SdfError>
-where
-    T: Clone + Default + Send + 'static,
-{
-    let costs: Vec<u64> = executors.iter().map(|e| e.iteration_cost()).collect();
-    let part = crate::partition::partition(&costs, &[], workers);
-
-    // Move each executor into its worker's slot list, remembering where
-    // it came from.
-    let mut slots: Vec<Vec<(usize, SdfExecutor<T>)>> =
-        (0..part.loads.len()).map(|_| Vec::new()).collect();
-    for (idx, exec) in executors.drain(..).enumerate().rev() {
-        slots[part.assignment[idx]].push((idx, exec));
-    }
-
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|mut group| {
-                scope.spawn(move || {
-                    for (_, e) in &mut group {
-                        e.run_iterations(iterations)?;
-                    }
-                    Ok::<_, SdfError>(group)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sdf worker panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    let mut out: Vec<Option<SdfExecutor<T>>> = (0..costs.len()).map(|_| None).collect();
-    for r in results {
-        for (idx, e) in r? {
-            out[idx] = Some(e);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|e| e.expect("every executor returned"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ParallelSim;
     use ams_core::{CoreError, TdfGraph, TdfIo, TdfModule, TdfOut, TdfSetup};
-    use ams_sdf::SdfGraph;
 
     /// A one-module free-running graph (no DE bindings).
     fn src_graph(name: &str) -> TdfGraph {
@@ -400,38 +338,5 @@ mod tests {
 
         // Buffers drain on take: a second take is empty.
         assert!(sim.take_trace().is_empty());
-    }
-
-    #[test]
-    fn sdf_partitions_run_in_parallel() {
-        // Four independent two-actor pipelines, each counting firings
-        // into a shared tally.
-        use std::sync::{Arc, Mutex};
-        let tallies: Vec<Arc<Mutex<i64>>> = (0..4).map(|_| Arc::new(Mutex::new(0))).collect();
-        let mut execs = Vec::new();
-        for tally in &tallies {
-            let mut g = SdfGraph::new();
-            let a = g.add_actor("src");
-            let b = g.add_actor("sink");
-            g.connect(a, 1, b, 1, 0).unwrap();
-            let sched = ams_sdf::schedule(&g).unwrap();
-            let mut ex = SdfExecutor::<i64>::new(&g, sched).unwrap();
-            ex.set_actor(a, |io: &mut ams_sdf::ActorIo<'_, i64>| {
-                io.push(0, 1);
-            });
-            let t = tally.clone();
-            ex.set_actor(b, move |io: &mut ams_sdf::ActorIo<'_, i64>| {
-                *t.lock().unwrap() += io.input_one(0);
-            });
-            execs.push(ex);
-        }
-        let execs = run_sdf_parallel(execs, 100, 4).unwrap();
-        for tally in &tallies {
-            assert_eq!(*tally.lock().unwrap(), 100);
-        }
-        for e in &execs {
-            assert_eq!(e.stats().iterations, 100);
-            assert_eq!(e.stats().firings, 200);
-        }
     }
 }

@@ -4,11 +4,9 @@
 //! goes: dataflow firings, Newton iterations and matrix factorizations
 //! inside embedded solvers, FIFO pressure on converter streams, and the
 //! synchronization overhead of meeting the DE kernel at every cluster
-//! period. [`ExecStats`] aggregates all of it from the per-component
-//! counters ([`ClusterStats`],
-//! [`SdfExecStats`](ams_sdf::SdfExecStats),
-//! `ams_net::TransientStats` folded in through
-//! `TdfModule::solver_stats`).
+//! period. [`ExecStats`] aggregates all of it from the per-cluster
+//! counters ([`ClusterStats`], with `ams_net::TransientStats` folded in
+//! through `TdfModule::solver_stats`).
 
 use ams_core::ClusterStats;
 use std::time::Duration;

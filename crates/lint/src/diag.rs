@@ -67,8 +67,6 @@ pub mod codes {
     pub const TDF009: &str = "TDF009";
     /// A stale or out-of-range handle (runtime code).
     pub const TDF010: &str = "TDF010";
-    /// A module violated its declared rate at runtime (runtime code).
-    pub const TDF011: &str = "TDF011";
     /// The cluster period is not an integer multiple of a module's
     /// firing count, so its timestep would be inexact.
     pub const TDF012: &str = "TDF012";
@@ -158,7 +156,6 @@ pub mod codes {
             ),
             (TDF009, Error, "port declares a zero token rate"),
             (TDF010, Error, "stale or out-of-range handle"),
-            (TDF011, Error, "declared rate violated at runtime"),
             (
                 TDF012,
                 Error,

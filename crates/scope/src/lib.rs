@@ -11,11 +11,11 @@
 //!
 //! * **Spans and events** ([`Tracer`], [`TraceEvent`], [`SpanKind`]):
 //!   scoped spans for DE windows, delta cycles, cluster activations,
-//!   SDF iterations, MNA assemble/factor/solve, Newton iterations and
-//!   adaptive-step accept/reject, each carrying *simulated* time (in
-//!   femtoseconds) and wall time. Every tracer is single-owner, so the
-//!   per-worker buffers are lock-free by construction; a buffer that
-//!   must cross threads travels with its owner.
+//!   MNA assemble/factor/solve, Newton iterations and adaptive-step
+//!   accept/reject, each carrying *simulated* time (in femtoseconds)
+//!   and wall time. Every tracer is single-owner, so the per-worker
+//!   buffers are lock-free by construction; a buffer that must cross
+//!   threads travels with its owner.
 //! * **Metrics** ([`MetricsRegistry`], [`Histogram`]): named counters,
 //!   gauges and HDR-style log-bucket histograms (pure Rust, no deps)
 //!   for step sizes, Newton iteration counts, refactorizations, ring

@@ -28,55 +28,51 @@ pub enum SpanKind {
     /// One schedule iteration of a TDF cluster (span; `arg` =
     /// iteration index).
     ClusterIteration = 2,
-    /// One schedule iteration of an SDF executor (span; `arg` =
-    /// firings so far).
-    SdfIteration = 3,
     /// MNA matrix assembly (span).
-    MnaAssemble = 4,
+    MnaAssemble = 3,
     /// MNA factorization — dense LU or sparse numeric/symbolic (span).
-    MnaFactor = 5,
+    MnaFactor = 4,
     /// MNA forward/backward substitution (span).
-    MnaSolve = 6,
+    MnaSolve = 5,
     /// One converged Newton solve (instant; `arg` = iterations spent).
-    NewtonIteration = 7,
+    NewtonIteration = 6,
     /// An accepted adaptive step (instant; `arg` = step size `h` as
     /// `f64` bits).
-    StepAccept = 8,
+    StepAccept = 7,
     /// A rejected adaptive step (instant; `arg` = step size `h` as
     /// `f64` bits).
-    StepReject = 9,
+    StepReject = 8,
     /// One sweep scenario (span; `arg` = scenario index).
-    Scenario = 10,
+    Scenario = 9,
     /// Waiting on the worker barrier at the end of a DE window (span).
-    BarrierWait = 11,
+    BarrierWait = 10,
     /// User-defined (instant or span; `arg` free).
-    Custom = 12,
+    Custom = 11,
     /// One wire request handled by the `ams-serve` daemon (span; `arg`
     /// = request ordinal on the connection).
-    ServeRequest = 13,
+    ServeRequest = 12,
     /// One `ams-serve` job from admission to completion (span; `arg` =
     /// job sequence number).
-    ServeJob = 14,
+    ServeJob = 13,
     /// One sweep-space abstract-interpretation pass (span; `arg` =
     /// number of scenarios in the batch it fronts).
-    SpaceLint = 15,
+    SpaceLint = 14,
     /// Solver-state checkpoint activity: a shared-prefix run, a state
     /// capture or a restore (span for prefix runs, instant for
     /// capture/restore; `arg` = forks served or checkpoint bytes).
-    Checkpoint = 16,
+    Checkpoint = 15,
     /// One monitor verdict rendered after a scenario (instant; `arg` =
     /// property index `<< 8 | ` violation-code number, `0` for a pass,
     /// timestamped with the witness point's simulated time).
-    Monitor = 17,
+    Monitor = 16,
 }
 
 impl SpanKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [SpanKind; 18] = [
+    pub const ALL: [SpanKind; 17] = [
         SpanKind::DeWindow,
         SpanKind::DeltaCycle,
         SpanKind::ClusterIteration,
-        SpanKind::SdfIteration,
         SpanKind::MnaAssemble,
         SpanKind::MnaFactor,
         SpanKind::MnaSolve,
@@ -99,7 +95,6 @@ impl SpanKind {
             SpanKind::DeWindow => "de.window",
             SpanKind::DeltaCycle => "de.delta",
             SpanKind::ClusterIteration => "tdf.iteration",
-            SpanKind::SdfIteration => "sdf.iteration",
             SpanKind::MnaAssemble => "mna.assemble",
             SpanKind::MnaFactor => "mna.factor",
             SpanKind::MnaSolve => "mna.solve",

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors from SDF graph analysis and execution.
+/// Errors from SDF graph construction and analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SdfError {
@@ -15,7 +15,7 @@ pub enum SdfError {
     /// though the iteration is incomplete (insufficient initial tokens on
     /// some cycle).
     Deadlock {
-        /// Actors (by index) with unfinished firings when execution stalled.
+        /// Actors (by index) with unfinished firings when scheduling stalled.
         stuck_actors: Vec<usize>,
     },
     /// A rate of zero was specified; every port must move at least one
@@ -31,14 +31,6 @@ pub enum SdfError {
         /// Raw index of the invalid handle.
         index: usize,
     },
-    /// An actor fired without producing/consuming the declared number of
-    /// tokens (executor integrity check).
-    RateViolation {
-        /// Actor that misbehaved.
-        actor: usize,
-        /// Description of the violation.
-        detail: String,
-    },
 }
 
 impl SdfError {
@@ -53,7 +45,6 @@ impl SdfError {
             SdfError::Deadlock { .. } => "TDF002",
             SdfError::ZeroRate { .. } => "TDF009",
             SdfError::UnknownHandle { .. } => "TDF010",
-            SdfError::RateViolation { .. } => "TDF011",
         }
     }
 }
@@ -70,9 +61,6 @@ impl fmt::Display for SdfError {
             SdfError::ZeroRate { edge } => write!(f, "zero token rate on edge {edge}"),
             SdfError::UnknownHandle { kind, index } => {
                 write!(f, "unknown {kind} handle with index {index}")
-            }
-            SdfError::RateViolation { actor, detail } => {
-                write!(f, "rate violation by actor {actor}: {detail}")
             }
         }
     }

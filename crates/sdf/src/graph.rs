@@ -139,11 +139,6 @@ impl SdfGraph {
         self.actors.len()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Name of an actor.
     pub fn actor_name(&self, id: ActorId) -> &str {
         &self.actors[id.0].name

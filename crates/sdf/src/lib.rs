@@ -1,5 +1,4 @@
-//! Synchronous dataflow (SDF): rate analysis, static scheduling and
-//! execution.
+//! Synchronous dataflow (SDF): rate analysis and static scheduling.
 //!
 //! "The dataflow (DF) MoC views a system as a directed graph where the
 //! vertices represent computations and the edges represent totally ordered
@@ -13,12 +12,11 @@
 //!   exact rational arithmetic, with consistency checking (the solver
 //!   itself, [`solve_balance`], also takes a plain edge list);
 //! * [`schedule`] — periodic admissible sequential schedule construction
-//!   with deadlock detection and FIFO bound analysis;
-//! * [`SdfExecutor`] — a typed token-moving execution engine.
+//!   with deadlock detection and FIFO bound analysis.
 //!
-//! The AMS core crate reuses the analysis half to schedule timed-dataflow
-//! clusters; the executor runs untimed DSP chains (digital filters, DSP
-//! blocks in the paper's Figure 1 example).
+//! The crate runs nothing itself. `ams-core` schedules every timed-dataflow
+//! cluster with it and fires the modules in that order, and `ams-lint`
+//! predicts the same rate and deadlock failures before elaboration.
 //!
 //! # Example
 //!
@@ -42,11 +40,9 @@
 #![warn(missing_docs)]
 
 mod error;
-mod exec;
 mod graph;
 mod schedule;
 
 pub use error::SdfError;
-pub use exec::{ActorIo, SdfActor, SdfCheckpoint, SdfExecStats, SdfExecutor};
 pub use graph::{solve_balance, ActorId, EdgeId, EdgeInfo, SdfGraph};
 pub use schedule::{schedule, Schedule};
