@@ -1,10 +1,12 @@
-//! Std-only JSON serialization for sweep specs and reports.
+//! Std-only JSON serialization for sweep reports.
 //!
 //! The build environment has no `serde`, so this module carries a
 //! minimal JSON value type ([`Json`]) with a recursive-descent parser
-//! and a deterministic compact writer, plus the mappings for
-//! [`SweepSpec`] and [`SweepReport`]. It is the substrate of the
-//! `ams-serve` wire protocol and of examples that dump reports to disk.
+//! and a deterministic compact writer, plus the mapping for
+//! [`SweepReport`] and a metrics registry's snapshot. It is the
+//! substrate of the `ams-serve` wire protocol (which encodes its own
+//! job and sweep declarations with [`Json`]) and of examples that dump
+//! reports to disk.
 //!
 //! # Encoding conventions
 //!
@@ -19,7 +21,6 @@
 //!   byte-deterministic for a given value.
 
 use crate::report::{ScenarioResult, SweepReport};
-use crate::spec::SweepSpec;
 use crate::SweepError;
 use ams_core::ClusterStats;
 use ams_exec::ExecStats;
@@ -389,36 +390,8 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// SweepSpec ↔ JSON
+// SweepReport ↔ JSON
 // ---------------------------------------------------------------------------
-
-/// Serializes a spec: parameter names, base seed and every scenario's
-/// `(index, seed, values)` — explicit rather than re-derivable, so
-/// filtered specs ([`SweepSpec::retain`]) round-trip too.
-pub fn spec_to_json(spec: &SweepSpec) -> Json {
-    let scenarios = spec
-        .scenarios()
-        .iter()
-        .map(|sc| {
-            Json::Obj(vec![
-                ("index".into(), Json::from_u64(sc.index() as u64)),
-                ("seed".into(), Json::from_u64(sc.seed())),
-                (
-                    "values".into(),
-                    Json::Arr(sc.values().iter().map(|&v| Json::from_f64(v)).collect()),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "names".into(),
-            Json::Arr(spec.names().iter().map(|n| Json::Str(n.clone())).collect()),
-        ),
-        ("base_seed".into(), Json::from_u64(spec.base_seed())),
-        ("scenarios".into(), Json::Arr(scenarios)),
-    ])
-}
 
 fn field<'j>(value: &'j Json, key: &str) -> Result<&'j Json, SweepError> {
     value
@@ -459,42 +432,6 @@ fn parse_f64s(value: &Json, what: &str) -> Result<Vec<f64>, SweepError> {
         .map(|v| parse_f64(v, what))
         .collect()
 }
-
-/// Reconstructs a spec serialized by [`spec_to_json`].
-///
-/// # Errors
-///
-/// [`SweepError::Invalid`] for missing fields, shape mismatches or an
-/// empty scenario list.
-pub fn spec_from_json(value: &Json) -> Result<SweepSpec, SweepError> {
-    let names = parse_strings(field(value, "names")?, "names")?;
-    let base_seed = parse_u64(field(value, "base_seed")?, "base_seed")?;
-    let mut parts = Vec::new();
-    for sc in field(value, "scenarios")?
-        .as_arr()
-        .ok_or_else(|| SweepError::invalid("scenarios is not an array"))?
-    {
-        let index = parse_u64(field(sc, "index")?, "scenario index")? as usize;
-        let seed = parse_u64(field(sc, "seed")?, "scenario seed")?;
-        let values = parse_f64s(field(sc, "values")?, "scenario values")?;
-        if values.len() != names.len() {
-            return Err(SweepError::invalid(format!(
-                "scenario #{index} has {} values for {} parameters",
-                values.len(),
-                names.len()
-            )));
-        }
-        parts.push((index, seed, values));
-    }
-    if parts.is_empty() {
-        return Err(SweepError::invalid("spec has no scenarios"));
-    }
-    Ok(SweepSpec::from_parts(names, base_seed, parts))
-}
-
-// ---------------------------------------------------------------------------
-// SweepReport ↔ JSON
-// ---------------------------------------------------------------------------
 
 fn cluster_stats_to_json(s: &ClusterStats) -> Json {
     Json::Obj(vec![
@@ -889,34 +826,6 @@ mod tests {
             parse("\"18446744073709551615\"").unwrap().as_u64(),
             Some(u64::MAX)
         );
-    }
-
-    #[test]
-    fn spec_round_trips_including_retained_subsets() {
-        let mut spec =
-            SweepSpec::monte_carlo(&[("r", 0.5, 2.0), ("c", 1e-9, 2e-9)], 16, 0xDEAD_BEEF).unwrap();
-        spec.retain(|sc| sc.index() % 3 != 1);
-        let json = spec_to_json(&spec);
-        let back = spec_from_json(&json).unwrap();
-        assert_eq!(back.names(), spec.names());
-        assert_eq!(back.base_seed(), spec.base_seed());
-        assert_eq!(back.scenarios(), spec.scenarios());
-        // Rendering is deterministic.
-        assert_eq!(json.render(), spec_to_json(&back).render());
-    }
-
-    #[test]
-    fn spec_rejects_malformed_documents() {
-        let spec = SweepSpec::grid(&[("r", &[1.0, 2.0])], 7).unwrap();
-        let mut json = spec_to_json(&spec);
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(k, _)| k != "base_seed");
-        }
-        assert!(matches!(spec_from_json(&json), Err(SweepError::Invalid(_))));
-        assert!(spec_from_json(
-            &parse("{\"names\":[],\"base_seed\":\"0\",\"scenarios\":[]}").unwrap()
-        )
-        .is_err());
     }
 
     #[test]

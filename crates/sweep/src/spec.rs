@@ -193,32 +193,6 @@ impl SweepSpec {
         Ok(SweepSpec::from_rows(names, rows, base_seed))
     }
 
-    /// Rebuilds a spec from explicit `(index, seed, values)` parts — the
-    /// deserialization path of [`crate::json`], which must reproduce
-    /// retained subsets whose seeds are no longer derivable from a
-    /// contiguous index range.
-    pub(crate) fn from_parts(
-        names: Vec<String>,
-        base_seed: u64,
-        parts: Vec<(usize, u64, Vec<f64>)>,
-    ) -> SweepSpec {
-        let names = Arc::new(names);
-        let scenarios = parts
-            .into_iter()
-            .map(|(index, seed, values)| Scenario {
-                index,
-                seed,
-                values,
-                names: names.clone(),
-            })
-            .collect();
-        SweepSpec {
-            names,
-            scenarios,
-            base_seed,
-        }
-    }
-
     fn from_rows(names: Vec<String>, rows: Vec<Vec<f64>>, base_seed: u64) -> SweepSpec {
         let names = Arc::new(names);
         let scenarios = rows
