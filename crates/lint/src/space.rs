@@ -55,9 +55,9 @@ use ams_net::{Circuit, ElementKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The solver's minimum leakage conductance, mirrored from
-/// `ams-net::dcop::GMIN` so the abstract matrix encloses what the
-/// runtime actually factors.
+/// The solver's capacitor leak at DC, mirrored from
+/// `ams-net::dcop::GMIN` so the abstract DC matrix is the one the
+/// runtime factors.
 const GMIN: f64 = 1e-12;
 
 /// One named parameter with its range over the whole sweep.
@@ -578,12 +578,14 @@ fn layout(ckt: &Circuit) -> Option<MnaLayout> {
 /// Walks the interval BE companion stamps `G + C/h` (plus source and
 /// inductor branch rows) element by element, handing each matrix write
 /// `(row, col, value)` to `stamp`; `h = None` walks the DC matrix
-/// (capacitors open, inductors shorts). `values[elem]` overrides the
-/// template value of a bound element. Every resistor and, in a step,
-/// every `C/h` also gets a `GMIN` leak, which `ams-net` does not add: the
-/// solver leaks `GMIN` only through capacitors at DC and across
-/// junctions. So the matrices this pass proves nonsingular differ from
-/// the ones the solver factors by that leak.
+/// (capacitors open but for a `GMIN` leak, inductors shorts).
+/// `values[elem]` overrides the template value of a bound element.
+///
+/// For the kinds it models, these are exactly the matrices `ams-net`
+/// factors: its DC operating point and a backward-Euler step of `h`,
+/// with the same unknown order and no leak but the capacitor's at DC.
+/// A trapezoidal step factors `2C/h` and `2L/h`, which is this walk's
+/// matrix at `h/2`.
 ///
 /// The write sequence depends on the topology and `h` only, never on
 /// the values, so [`IntervalMna`] records it once and replays it.
@@ -605,7 +607,7 @@ fn walk_stamps(
         let value = |template: f64| values[idx].unwrap_or(Interval::point(template));
         match &e.kind {
             ElementKind::Resistor { ohms } => {
-                let g = value(*ohms).recip() + GMIN;
+                let g = value(*ohms).recip();
                 add(p, p, g);
                 add(nn, nn, g);
                 add(p, nn, -g);
@@ -613,7 +615,7 @@ fn walk_stamps(
             }
             ElementKind::Capacitor { farads, .. } => {
                 let g = match h {
-                    Some(h) => value(*farads) * (1.0 / h) + GMIN,
+                    Some(h) => value(*farads) * (1.0 / h),
                     None => Interval::point(GMIN),
                 };
                 add(p, p, g);
