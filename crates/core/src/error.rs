@@ -48,13 +48,6 @@ pub enum CoreError {
         /// Underlying message.
         message: String,
     },
-    /// A module accessed a port it never declared in `setup`.
-    UndeclaredPort {
-        /// The module at fault.
-        module: String,
-        /// The signal it touched.
-        signal: String,
-    },
     /// Invalid argument (zero rate, empty frequency list, …).
     Invalid {
         /// Description of the violated precondition.
@@ -99,9 +92,6 @@ impl fmt::Display for CoreError {
             CoreError::Kernel(e) => write!(f, "kernel error: {e}"),
             CoreError::Solver { module, message } => {
                 write!(f, "solver failure in module '{module}': {message}")
-            }
-            CoreError::UndeclaredPort { module, signal } => {
-                write!(f, "module '{module}' accessed undeclared port on signal '{signal}'")
             }
             CoreError::Invalid { reason } => write!(f, "invalid argument: {reason}"),
             CoreError::Lint(report) => {

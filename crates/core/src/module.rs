@@ -557,6 +557,50 @@ mod tests {
         let _ = io.read1(TdfSignal(0).reader());
     }
 
+    /// A one-port `TdfIo` over signal 0, the port declared at rate 2 as
+    /// an input or as an output.
+    fn rate2_io<'a>(ports: &'a [PortRt], bufs: &'a mut [SignalBuf], input: bool) -> TdfIo<'a> {
+        TdfIo {
+            module_name: "m",
+            t0: 0.0,
+            t0_exact: SimTime::ZERO,
+            timestep: 1.0,
+            timestep_exact: SimTime::from_secs(1),
+            in_ports: if input { ports } else { &[] },
+            out_ports: if input { &[] } else { ports },
+            bufs,
+        }
+    }
+
+    fn rate2_port() -> [PortRt; 1] {
+        [PortRt::new(&PortDecl {
+            signal: TdfSignal(0),
+            rate: 2,
+            delay: 0,
+        })]
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds rate")]
+    fn read_at_rate_panics() {
+        let ports = rate2_port();
+        let mut bufs = vec![SignalBuf::default()];
+        // The sample exists, so only the rate check can refuse the read.
+        bufs[0].set(2, 0.0);
+        let mut io = rate2_io(&ports, &mut bufs, true);
+        let _ = io.read(TdfSignal(0).reader(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds rate")]
+    fn write_at_rate_panics() {
+        let ports = rate2_port();
+        let mut bufs = vec![SignalBuf::default()];
+        let mut io = rate2_io(&ports, &mut bufs, false);
+        io.write(TdfSignal(0).writer(), 1, 1.0);
+        io.write(TdfSignal(0).writer(), 2, 2.0);
+    }
+
     #[test]
     fn ac_io_records_stamps() {
         let s_in = TdfSignal(0);
