@@ -557,21 +557,25 @@ mod tests {
         let _ = io.read1(TdfSignal(0).reader());
     }
 
-    /// A one-port `TdfIo` over signal 0, the port declared at rate 2 as
-    /// an input or as an output.
-    fn rate2_io<'a>(ports: &'a [PortRt], bufs: &'a mut [SignalBuf], input: bool) -> TdfIo<'a> {
+    /// A firing of module `m` over the given port tables.
+    fn io_over<'a>(
+        in_ports: &'a [PortRt],
+        out_ports: &'a [PortRt],
+        bufs: &'a mut [SignalBuf],
+    ) -> TdfIo<'a> {
         TdfIo {
             module_name: "m",
             t0: 0.0,
             t0_exact: SimTime::ZERO,
             timestep: 1.0,
             timestep_exact: SimTime::from_secs(1),
-            in_ports: if input { ports } else { &[] },
-            out_ports: if input { &[] } else { ports },
+            in_ports,
+            out_ports,
             bufs,
         }
     }
 
+    /// Signal 0 declared at rate 2 without delay.
     fn rate2_port() -> [PortRt; 1] {
         [PortRt::new(&PortDecl {
             signal: TdfSignal(0),
@@ -587,7 +591,7 @@ mod tests {
         let mut bufs = vec![SignalBuf::default()];
         // The sample exists, so only the rate check can refuse the read.
         bufs[0].set(2, 0.0);
-        let mut io = rate2_io(&ports, &mut bufs, true);
+        let mut io = io_over(&ports, &[], &mut bufs);
         let _ = io.read(TdfSignal(0).reader(), 2);
     }
 
@@ -596,7 +600,7 @@ mod tests {
     fn write_at_rate_panics() {
         let ports = rate2_port();
         let mut bufs = vec![SignalBuf::default()];
-        let mut io = rate2_io(&ports, &mut bufs, false);
+        let mut io = io_over(&[], &ports, &mut bufs);
         io.write(TdfSignal(0).writer(), 1, 1.0);
         io.write(TdfSignal(0).writer(), 2, 2.0);
     }
