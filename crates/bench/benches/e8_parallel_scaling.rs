@@ -1,36 +1,41 @@
-//! E8 — parallel execution scaling (`ams-exec`).
+//! E8 — parallel co-simulation scaling (`AmsSimulator::with_workers`).
 //!
 //! The paper motivates statically scheduled dataflow clusters with
-//! simulation efficiency: clusters synchronize with the DE kernel only
-//! at cluster-period boundaries, so between two synchronization points
-//! they are independent work. `ams-exec` exploits that and runs them on
-//! worker threads.
+//! simulation efficiency: a cluster meets the DE kernel only through
+//! its converter ports. A cluster without converter ports needs no
+//! synchronization at all, so `AmsSimulator::with_workers(n)` runs such
+//! clusters beside the kernel on up to `n` threads, while clusters with
+//! converter ports stay on the kernel.
 //!
-//! Measured: wall time to simulate N independent ADSL-style clusters
-//! (source → tanh line driver → embedded MNA line network → anti-alias
-//! biquad → Σ∆ modulator → CIC decimator → FIR) serially with
-//! `AmsSimulator` and in parallel with `ParallelSim` at 1/2/4/8
-//! workers. Reported series: wall time per configuration and the
-//! speedup over serial. A correctness gate first asserts the parallel
-//! probe waveforms are bit-identical to the serial ones.
+//! Measured: the run phase (`run_until`, after elaboration) of N
+//! ADSL-style clusters (source → tanh line driver → embedded MNA line
+//! network → anti-alias biquad → Σ∆ modulator → CIC decimator → FIR),
+//! serially with `AmsSimulator::new` and with `with_workers` at
+//! 1/2/4/8 workers, in two series:
+//!
+//! * `free` — all 8 clusters free-running;
+//! * `mixed` — 4 clusters send their output to a kernel signal
+//!   (converter-bound) and 4 are free.
+//!
+//! A correctness gate first asserts that every worker count reproduces
+//! the serial probe waveforms bit for bit, in both series.
 //!
 //! Note: speedup tracks the physical core count; on a single-core
 //! machine every configuration degenerates to ~1×.
 
-use std::time::Instant;
-
 use ams_blocks::{CicDecimator, FirFilter, LtiFilter, SigmaDelta2, SineSource, TanhAmp};
 use ams_core::{AmsSimulator, CtModule, NetlistCtSolver, TdfGraph, TdfProbe};
-use ams_exec::ParallelSim;
-use ams_kernel::SimTime;
+use ams_kernel::{Signal, SimTime};
 use ams_net::{Circuit, IntegrationMethod, Waveform};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 const CLUSTERS: usize = 8;
 
 /// One ADSL-style subscriber-line cluster; `i` detunes the tone so every
-/// cluster computes a distinct waveform.
-fn build_graph(i: usize) -> (TdfGraph, TdfProbe) {
+/// cluster computes a distinct waveform. With `de`, the digital output
+/// also goes to that kernel signal, which binds the cluster to the
+/// kernel.
+fn build_graph(i: usize, de: Option<Signal<f64>>) -> (TdfGraph, TdfProbe) {
     let mut g = TdfGraph::new(format!("slic{i}"));
     let tone = g.signal("tone");
     let driven = g.signal("driven");
@@ -96,81 +101,79 @@ fn build_graph(i: usize) -> (TdfGraph, TdfProbe) {
         "fir",
         FirFilter::lowpass_design(decimated.reader(), digital.writer(), 63, 0.16),
     );
+    if let Some(de) = de {
+        g.to_de("out", digital, de);
+    }
     (g, probe)
 }
 
-fn run_serial(ms: u64) -> Vec<Vec<(f64, f64)>> {
-    let mut sim = AmsSimulator::new();
+/// The E8 model, elaborated: `CLUSTERS` clusters, the first `bound` of
+/// them converter-bound. `workers = None` builds the serial
+/// `AmsSimulator::new()`.
+fn build(workers: Option<usize>, bound: usize) -> (AmsSimulator, Vec<TdfProbe>) {
+    let mut sim = match workers {
+        None => AmsSimulator::new(),
+        Some(n) => AmsSimulator::with_workers(n),
+    };
     let mut probes = Vec::new();
     for i in 0..CLUSTERS {
-        let (g, p) = build_graph(i);
+        let de = (i < bound).then(|| sim.kernel_mut().signal(format!("out{i}"), 0.0f64));
+        let (g, p) = build_graph(i, de);
         sim.add_cluster(g).unwrap();
         probes.push(p);
     }
+    (sim, probes)
+}
+
+/// Runs a built model for `ms` simulated milliseconds and returns its
+/// probe waveforms.
+fn run((mut sim, probes): (AmsSimulator, Vec<TdfProbe>), ms: u64) -> Vec<Vec<(f64, f64)>> {
     sim.run_until(SimTime::from_ms(ms)).unwrap();
     probes.iter().map(|p| p.samples()).collect()
 }
 
-fn run_parallel(ms: u64, workers: usize) -> Vec<Vec<(f64, f64)>> {
-    let mut sim = ParallelSim::new(workers);
-    let mut probes = Vec::new();
-    for i in 0..CLUSTERS {
-        let (g, p) = build_graph(i);
-        sim.add_graph(g);
-        probes.push(p);
-    }
-    sim.run_until(SimTime::from_ms(ms)).unwrap();
-    probes.iter().map(|p| p.samples()).collect()
-}
+/// Simulated horizon of the timed runs.
+const MS: u64 = 5;
 
 fn bench(c: &mut Criterion) {
-    // Correctness gate: parallel output must be bit-identical to serial.
-    let reference = run_serial(2);
-    for workers in [1, 2, 4, 8] {
-        let par = run_parallel(2, workers);
-        assert_eq!(
-            reference, par,
-            "parallel probes diverged from serial at {workers} workers"
-        );
-    }
+    for (series, bound) in [("free", 0), ("mixed", CLUSTERS / 2)] {
+        // Correctness gate: every worker count is bit-identical to serial.
+        let reference = run(build(None, bound), 2);
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(
+                reference,
+                run(build(Some(workers), bound), 2),
+                "{series} probes diverged from serial at {workers} workers"
+            );
+        }
 
-    // One-shot speedup table over a longer horizon, outside criterion's
-    // repetition so the summary is easy to read in the bench log.
-    const MS: u64 = 5;
-    let t0 = Instant::now();
-    let _ = run_serial(MS);
-    let serial = t0.elapsed();
-    println!("\n=== E8: parallel scaling, {CLUSTERS} ADSL-style clusters, {MS} ms ===");
-    println!(
-        "  serial (AmsSimulator) : {:>9.1} ms   1.00x",
-        serial.as_secs_f64() * 1e3
-    );
-    for workers in [1, 2, 4, 8] {
-        let t0 = Instant::now();
-        let _ = run_parallel(MS, workers);
-        let par = t0.elapsed();
         println!(
-            "  parallel, {workers} worker(s) : {:>9.1} ms   {:.2}x",
-            par.as_secs_f64() * 1e3,
-            serial.as_secs_f64() / par.as_secs_f64()
+            "\n=== E8 {series}: {CLUSTERS} ADSL-style clusters, {bound} bound, {MS} ms, \
+             run phase, {} CPUs ===",
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         );
-    }
-    println!(
-        "  ({} physical CPUs visible to this run)\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-
-    let mut group = c.benchmark_group("e8_parallel_scaling");
-    group.sample_size(10);
-    group.bench_function("serial", |b| b.iter(|| run_serial(2)));
-    for workers in [1, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("parallel", workers), |b| {
-            b.iter(|| run_parallel(2, workers))
+        let mut group = c.benchmark_group(format!("e8_parallel_scaling/{series}"));
+        group.sample_size(21);
+        group.bench_function("serial", |b| {
+            b.iter_batched(
+                || build(None, bound),
+                |m| run(m, MS),
+                BatchSize::PerIteration,
+            )
         });
+        for workers in [1, 2, 4, 8] {
+            group.bench_function(BenchmarkId::new("workers", workers), |b| {
+                b.iter_batched(
+                    || build(Some(workers), bound),
+                    |m| run(m, MS),
+                    BatchSize::PerIteration,
+                )
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 criterion_group!(benches, bench);

@@ -1,10 +1,9 @@
 //! E9 — cost of the pre-elaboration static analysis (`ams-lint`).
 //!
-//! The lint gate runs on every `add_cluster` / `NetlistCtSolver::new` /
-//! `ParallelSim::elaborate`, so it must be cheap relative to the work it
-//! fronts. Measured on the paper's Figure 1 front end (the `f1_adsl`
-//! model: tone → HV driver → MNA subscriber line → anti-alias biquad →
-//! Σ∆ → CIC → FIR):
+//! The lint gate runs on every `add_cluster` and `NetlistCtSolver::new`,
+//! so it must be cheap relative to the work it fronts. Measured on the
+//! paper's Figure 1 front end (the `f1_adsl` model: tone → HV driver →
+//! MNA subscriber line → anti-alias biquad → Σ∆ → CIC → FIR):
 //!
 //! * `lint/f1_tdf_graph` — `TdfGraph::lint` on the full 7-module chain
 //!   (setup pass, balance equations, SCC, port audit).

@@ -11,7 +11,7 @@
 
 use crate::module::{AcIo, PortRt, SignalBuf, TdfInit, TdfIo, TdfModule, TdfSetup};
 use crate::port::{TdfIn, TdfSignal};
-use crate::shared::{sample_queue, SampleQueue, SampleSink, SampleSource, SharedSample};
+use crate::shared::{sample_queue, SampleQueue, SharedSample};
 use crate::CoreError;
 use ams_kernel::{Signal, SimTime};
 use ams_math::{Complex64, DMat, DVec, Lu};
@@ -63,48 +63,49 @@ impl TdfProbe {
     }
 }
 
-/// Input converter: pulls one sample per firing from a [`SampleSource`]
-/// (the DE latch, or an external transport such as an SPSC ring).
-struct SourceInModule {
+/// DE→TDF converter: writes the latched kernel value once per firing.
+struct DeReadModule {
     out: crate::port::TdfOut,
-    source: Box<dyn SampleSource>,
+    cell: SharedSample,
 }
 
-impl TdfModule for SourceInModule {
+impl TdfModule for DeReadModule {
     fn setup(&mut self, cfg: &mut TdfSetup) {
         cfg.output(self.out);
     }
     fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
-        let v = self.source.pull();
-        io.write1(self.out, v);
+        io.write1(self.out, self.cell.get());
         Ok(())
     }
 }
 
-/// Output converter: pushes each sample with its exact time into a
-/// [`SampleSink`] (a kernel-replayed queue, or an external transport).
-struct SinkOutModule {
+/// TDF→DE converter: queues each sample with its exact time for the
+/// kernel-side writer process.
+struct DeWriteModule {
     inp: TdfIn,
-    sink: Box<dyn SampleSink>,
+    queue: SampleQueue,
 }
 
-impl TdfModule for SinkOutModule {
+impl TdfModule for DeWriteModule {
     fn setup(&mut self, cfg: &mut TdfSetup) {
         cfg.input(self.inp);
     }
     fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
         let v = io.read1(self.inp);
-        self.sink.push(io.time_exact(), v);
+        self.queue
+            .lock()
+            .expect("sample queue poisoned")
+            .push_back((io.time_exact(), v));
         Ok(())
     }
 }
 
 /// A DE→TDF converter binding: the kernel signal and the shared cell its
 /// value is sampled into at each cluster activation.
-pub type DeReadBinding = (Signal<f64>, SharedSample);
+type DeReadBinding = (Signal<f64>, SharedSample);
 /// A TDF→DE converter binding: the kernel signal and the timestamped
 /// sample queue feeding it.
-pub type DeWriteBinding = (Signal<f64>, SampleQueue);
+type DeWriteBinding = (Signal<f64>, SampleQueue);
 
 /// A timed-dataflow graph under construction.
 ///
@@ -186,9 +187,18 @@ impl TdfGraph {
     /// the kernel signal, sampled at each cluster activation (the
     /// standard TDF converter-port semantics).
     pub fn from_de(&mut self, name: impl Into<String>, de: Signal<f64>) -> TdfSignal {
+        let name = name.into();
         let cell = SharedSample::new(0.0);
         self.de_reads.push((de, cell.clone()));
-        self.from_source(name, cell)
+        let sig = self.signal(format!("{name}.tdf"));
+        self.add_module(
+            name,
+            DeReadModule {
+                out: sig.writer(),
+                cell,
+            },
+        );
+        sig
     }
 
     /// Adds a TDF→DE converter: each sample of `input` is written to the
@@ -196,44 +206,11 @@ impl TdfGraph {
     pub fn to_de(&mut self, name: impl Into<String>, input: TdfSignal, de: Signal<f64>) {
         let queue = sample_queue();
         self.de_writes.push((de, queue.clone()));
-        self.to_sink(name, input, queue);
-    }
-
-    /// Adds an input converter fed by an arbitrary [`SampleSource`]: the
-    /// returned signal carries one pulled sample per firing. This is how
-    /// external transports (e.g. the `ams-exec` SPSC rings crossing a
-    /// partition boundary) inject samples without a kernel signal.
-    pub fn from_source(
-        &mut self,
-        name: impl Into<String>,
-        source: impl SampleSource + 'static,
-    ) -> TdfSignal {
-        let name = name.into();
-        let sig = self.signal(format!("{name}.tdf"));
         self.add_module(
             name,
-            SourceInModule {
-                out: sig.writer(),
-                source: Box::new(source),
-            },
-        );
-        sig
-    }
-
-    /// Adds an output converter draining `input` into an arbitrary
-    /// [`SampleSink`], one timestamped sample per firing — the outbound
-    /// counterpart of [`TdfGraph::from_source`].
-    pub fn to_sink(
-        &mut self,
-        name: impl Into<String>,
-        input: TdfSignal,
-        sink: impl SampleSink + 'static,
-    ) {
-        self.add_module(
-            name,
-            SinkOutModule {
+            DeWriteModule {
                 inp: input.reader(),
-                sink: Box::new(sink),
+                queue,
             },
         );
     }
@@ -825,13 +802,6 @@ impl Cluster {
         s
     }
 
-    /// Firings per schedule iteration — the static cost model used by the
-    /// `ams-exec` partitioner (derived from the balance-equation
-    /// repetition vector, i.e. the token rates).
-    pub fn iteration_cost(&self) -> u64 {
-        self.schedule_order.len() as u64
-    }
-
     /// Enables or disables span tracing on the cluster and every
     /// embedded solver (via [`TdfModule::set_tracing`]). Disabled (the
     /// default) costs one branch per iteration.
@@ -871,26 +841,6 @@ impl Cluster {
             }
         }
         out
-    }
-
-    /// `true` if the cluster exchanges samples with DE kernel signals
-    /// through converter bindings. Such clusters constrain the
-    /// synchronization window of a parallel run; fully decoupled clusters
-    /// can free-run to the horizon.
-    pub fn has_de_bindings(&self) -> bool {
-        !self.de_reads.is_empty() || !self.de_writes.is_empty()
-    }
-
-    /// DE→TDF converter bindings: each kernel signal and the shared cell
-    /// its value is sampled into at cluster activation.
-    pub fn de_read_bindings(&self) -> &[DeReadBinding] {
-        &self.de_reads
-    }
-
-    /// TDF→DE converter bindings: each kernel signal and the timestamped
-    /// sample queue feeding it.
-    pub fn de_write_bindings(&self) -> &[DeWriteBinding] {
-        &self.de_writes
     }
 
     /// Rewinds the elaborated cluster to `t = 0` without re-elaboration:

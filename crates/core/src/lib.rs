@@ -12,9 +12,11 @@
 //! * [`TdfGraph`] / [`Cluster`] — signal-flow graphs, elaborated with
 //!   exact balance-equation scheduling, timestep propagation and
 //!   consistency checks (via `ams-sdf`);
-//! * [`AmsSimulator`] — the synchronization layer: clusters run as DE
-//!   processes at their period, converter ports ([`TdfGraph::from_de`],
-//!   [`TdfGraph::to_de`]) exchange values with kernel signals;
+//! * [`AmsSimulator`] — the synchronization layer: clusters with
+//!   converter ports ([`TdfGraph::from_de`], [`TdfGraph::to_de`]) run
+//!   as DE processes at their period and exchange values with kernel
+//!   signals; clusters without them never meet the kernel and run on
+//!   up to [`AmsSimulator::with_workers`] threads;
 //! * [`CtSolver`] — the open solver-coupling architecture (O8), with
 //!   bundled [`LtiCtSolver`] (linear state-space) and [`NetlistCtSolver`]
 //!   (conservative-law MNA) plug-ins and the [`CtModule`] embedding;
@@ -66,12 +68,11 @@ mod sim;
 mod solver;
 
 pub use cluster::{
-    Cluster, ClusterCheckpoint, ClusterStats, DeReadBinding, DeWriteBinding, ModuleId, TdfAcResult,
-    TdfGraph, TdfProbe,
+    Cluster, ClusterCheckpoint, ClusterStats, ModuleId, TdfAcResult, TdfGraph, TdfProbe,
 };
 pub use error::CoreError;
 pub use module::{AcIo, TdfInit, TdfIo, TdfModule, TdfSetup};
 pub use port::{TdfIn, TdfOut, TdfSignal};
-pub use shared::{SampleQueue, SampleSink, SampleSource, SharedSample};
+pub use shared::{SampleQueue, SharedSample};
 pub use sim::{AmsSimulator, ClusterHandle};
 pub use solver::{CtModule, CtSolver, LtiCtSolver, NetlistCtSolver};

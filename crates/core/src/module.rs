@@ -324,7 +324,8 @@ impl TdfIo<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the port was not declared or `k` exceeds its rate.
+    /// Panics if the port was not declared or `k` is not below its
+    /// rate (valid indices are `0..rate`).
     pub fn read(&mut self, port: TdfIn, k: u64) -> f64 {
         let ip = self
             .in_ports
@@ -338,7 +339,7 @@ impl TdfIo<'_> {
             });
         assert!(
             k < ip.rate,
-            "module '{}': read index {k} exceeds rate {}",
+            "module '{}': read index {k} is out of range for rate {}",
             self.module_name,
             ip.rate
         );
@@ -366,7 +367,8 @@ impl TdfIo<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the port was not declared or `k` exceeds its rate.
+    /// Panics if the port was not declared or `k` is not below its
+    /// rate (valid indices are `0..rate`).
     pub fn write(&mut self, port: TdfOut, k: u64, value: f64) {
         let op = self
             .out_ports
@@ -380,7 +382,7 @@ impl TdfIo<'_> {
             });
         assert!(
             k < op.rate,
-            "module '{}': write index {k} exceeds rate {}",
+            "module '{}': write index {k} is out of range for rate {}",
             self.module_name,
             op.rate
         );
@@ -585,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds rate")]
+    #[should_panic(expected = "read index 2 is out of range for rate 2")]
     fn read_at_rate_panics() {
         let ports = rate2_port();
         let mut bufs = vec![SignalBuf::default()];
@@ -596,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds rate")]
+    #[should_panic(expected = "write index 2 is out of range for rate 2")]
     fn write_at_rate_panics() {
         let ports = rate2_port();
         let mut bufs = vec![SignalBuf::default()];

@@ -1,21 +1,17 @@
 //! Thread-safe converter-port primitives.
 //!
-//! The original converter ports ([`crate::TdfGraph::from_de`] /
-//! [`crate::TdfGraph::to_de`]) coupled clusters to the DE kernel through
-//! `Rc<Cell<…>>` plumbing, which pinned every cluster to one thread. The
-//! parallel execution engine (`ams-exec`) runs clusters on worker
-//! threads, so the boundary types here are `Send + Sync`:
+//! A cluster's converter ports ([`crate::TdfGraph::from_de`] /
+//! [`crate::TdfGraph::to_de`]) reach the DE kernel through the two
+//! types here. They are `Send + Sync`, so a cluster stays `Send` and
+//! [`crate::AmsSimulator`] can run clusters without converter ports on
+//! worker threads:
 //!
 //! * [`SharedSample`] — an atomic, lock-free `f64` cell (the DE→TDF
 //!   latch: the synchronization layer stores the kernel signal's value,
 //!   the cluster samples it at activation);
 //! * [`SampleQueue`] — a mutex-guarded queue of `(time, value)` samples
 //!   (the TDF→DE direction: the cluster enqueues each sample with its
-//!   exact time, a kernel process replays them);
-//! * [`SampleSource`] / [`SampleSink`] — object-safe pull/push
-//!   interfaces so external transports (e.g. the lock-free SPSC rings in
-//!   `ams-exec`) can feed or drain a cluster without going through the
-//!   kernel at all.
+//!   exact time, a kernel process replays them).
 
 use ams_kernel::SimTime;
 use std::collections::VecDeque;
@@ -58,40 +54,6 @@ pub fn sample_queue() -> SampleQueue {
     Arc::new(Mutex::new(VecDeque::new()))
 }
 
-/// A pull-style sample input: one value per call, consumed by a
-/// converter module at every firing.
-///
-/// Implemented by [`SharedSample`] (latest-value latch) and by the SPSC
-/// ring consumers in `ams-exec` (FIFO semantics).
-pub trait SampleSource: Send {
-    /// Produces the next input sample.
-    fn pull(&mut self) -> f64;
-}
-
-impl SampleSource for SharedSample {
-    fn pull(&mut self) -> f64 {
-        self.get()
-    }
-}
-
-/// A push-style sample output: receives every sample of a signal with
-/// its exact time, in order.
-///
-/// Implemented by the SPSC ring producers in `ams-exec`; a
-/// [`SampleQueue`] wrapper is provided for kernel-side replay.
-pub trait SampleSink: Send {
-    /// Consumes one output sample.
-    fn push(&mut self, t: SimTime, value: f64);
-}
-
-impl SampleSink for SampleQueue {
-    fn push(&mut self, t: SimTime, value: f64) {
-        self.lock()
-            .expect("sample queue poisoned")
-            .push_back((t, value));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,17 +85,5 @@ mod tests {
             assert!((0.0..10_000.0).contains(&v));
         }
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn sample_queue_sink_preserves_order() {
-        let mut q = sample_queue();
-        q.push(SimTime::from_us(1), 1.0);
-        q.push(SimTime::from_us(2), 2.0);
-        let drained: Vec<_> = q.lock().unwrap().drain(..).collect();
-        assert_eq!(
-            drained,
-            vec![(SimTime::from_us(1), 1.0), (SimTime::from_us(2), 2.0)]
-        );
     }
 }

@@ -2,27 +2,38 @@
 //!
 //! This is the paper's **synchronization layer** ("here comes the concept
 //! of a dedicated manager, let us call it the synchronization layer, in
-//! the SystemC-AMS framework", §3 O6). Each elaborated cluster is
-//! registered as a DE method process that re-arms itself every cluster
-//! period; converter bindings move values across the boundary with the
-//! static-dataflow semantics of the paper's phase 1:
+//! the SystemC-AMS framework", §3 O6). A cluster with converter bindings
+//! is registered as a DE method process that re-arms itself every
+//! cluster period; converter bindings move values across the boundary
+//! with the static-dataflow semantics of the paper's phase 1:
 //!
 //! * **DE → TDF**: the kernel signal is sampled at cluster activation.
 //! * **TDF → DE**: every sample is written to the kernel signal at its
 //!   exact sample time by a dedicated writer process (delta-cycle
 //!   semantics preserved).
 //!
+//! A cluster without converter bindings has nothing to synchronize, so
+//! it never meets the kernel: [`AmsSimulator::run_until`] runs its
+//! iterations directly, beside the kernel on up to
+//! [`AmsSimulator::with_workers`] threads. Such clusters share nothing,
+//! so every worker count gives the same bits.
+//!
 //! Before the first activation every module's `initialize` has
 //! established the paper's "consistent initial (quiescent) state".
 
 use crate::cluster::{Cluster, TdfAcResult, TdfGraph};
 use crate::CoreError;
-use ams_kernel::{Kernel, SimTime};
+use ams_kernel::{Kernel, KernelError, SimTime};
 use ams_lint::{LintPolicy, LintReport};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
+use std::sync::Mutex;
 
 /// Handle to a cluster registered with an [`AmsSimulator`].
+///
+/// A cluster without converter bindings runs beside the kernel, not in
+/// step with it, so read its handle between runs, not from a kernel
+/// process.
 #[derive(Clone)]
 pub struct ClusterHandle {
     inner: Rc<RefCell<Cluster>>,
@@ -53,6 +64,38 @@ impl ClusterHandle {
 impl std::fmt::Debug for ClusterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.borrow().fmt(f)
+    }
+}
+
+/// A cluster without converter bindings, run by
+/// [`AmsSimulator::run_until`] instead of the kernel.
+struct FreeCluster {
+    handle: ClusterHandle,
+    /// Set by the first failure: the cluster stops for good, as a
+    /// failed driver process does.
+    stopped: bool,
+}
+
+impl FreeCluster {
+    /// Stores a run's failure for [`AmsSimulator::run_until`] to report.
+    fn record(&mut self, result: Result<(), CoreError>) {
+        if let Err(e) = result {
+            self.stopped = true;
+            *self.handle.error.borrow_mut() = Some(e);
+        }
+    }
+}
+
+/// Runs every iteration of a free cluster that starts at or before
+/// `until` (horizon-inclusive, like the kernel driver). Free clusters
+/// start at `t = 0`, so iteration `k` starts at `period × k`.
+fn run_free(cluster: &mut Cluster, until: SimTime) -> Result<(), CoreError> {
+    loop {
+        let start = cluster.period() * cluster.iterations();
+        if start > until {
+            return Ok(());
+        }
+        cluster.run_iteration(start)?;
     }
 }
 
@@ -94,7 +137,14 @@ impl std::fmt::Debug for ClusterHandle {
 /// ```
 pub struct AmsSimulator {
     kernel: Kernel,
+    /// Every cluster, in registration order.
     clusters: Vec<ClusterHandle>,
+    /// The clusters without converter bindings, in registration order.
+    free: Vec<FreeCluster>,
+    workers: usize,
+    /// Set by the first run. The kernel initializes its processes once,
+    /// so a cluster added later would never fire.
+    started: bool,
     lint_policy: LintPolicy,
     lint_reports: Vec<LintReport>,
     tracing: bool,
@@ -107,11 +157,25 @@ impl Default for AmsSimulator {
 }
 
 impl AmsSimulator {
-    /// Creates a simulator with an empty kernel at time zero.
+    /// Creates a simulator with an empty kernel at time zero that runs
+    /// every cluster on the caller's thread.
     pub fn new() -> Self {
+        AmsSimulator::with_workers(1)
+    }
+
+    /// Creates a simulator that runs the clusters without converter
+    /// bindings on up to `workers` threads (clamped to at least 1): the
+    /// caller's, which also runs the kernel, plus up to `workers − 1`
+    /// scoped threads per [`run_until`](Self::run_until). Clusters with
+    /// converter bindings always run on the kernel. Every worker count
+    /// gives the same results bit for bit.
+    pub fn with_workers(workers: usize) -> Self {
         AmsSimulator {
             kernel: Kernel::new(),
             clusters: Vec::new(),
+            free: Vec::new(),
+            workers: workers.max(1),
+            started: false,
             lint_policy: LintPolicy::default(),
             lint_reports: Vec::new(),
             tracing: false,
@@ -133,7 +197,8 @@ impl AmsSimulator {
     /// Drains all trace buffers into a [`ams_scope::ScopeTrace`]: the
     /// kernel's delta-cycle instants on track `(coordinator, kernel)`
     /// and each cluster (and traced solver inside it) on its own
-    /// `(coordinator, source)` track.
+    /// `(coordinator, source)` track, in registration order — so the
+    /// export does not depend on the worker count.
     pub fn take_trace(&mut self) -> ams_scope::ScopeTrace {
         let mut trace = ams_scope::ScopeTrace::new();
         let kernel_events = self.kernel.take_trace_events();
@@ -181,16 +246,24 @@ impl AmsSimulator {
     }
 
     /// Elaborates a TDF graph and registers it for execution: the cluster
-    /// activates at `t = 0` and every period thereafter.
+    /// activates at `t = 0` and every period thereafter. A graph with
+    /// converter bindings becomes a DE driver process; one without never
+    /// meets the kernel (see [`AmsSimulator::with_workers`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Lint`] when the pre-elaboration static
+    /// Returns [`CoreError::Invalid`] once [`AmsSimulator::run_until`]
+    /// has run, [`CoreError::Lint`] when the pre-elaboration static
     /// analyses find a diagnostic the active [`LintPolicy`] denies
     /// (default: any error-severity finding), and otherwise propagates
     /// elaboration failures (scheduling, timestep, topology).
     pub fn add_cluster(&mut self, mut graph: TdfGraph) -> Result<ClusterHandle, CoreError> {
         let name = graph.name().to_string();
+        if self.started {
+            return Err(CoreError::invalid(format!(
+                "cluster '{name}' added after the first run; add every cluster before running"
+            )));
+        }
 
         // Static analysis precedes elaboration so ill-posed graphs are
         // rejected with stable diagnostic codes instead of mid-build
@@ -229,11 +302,34 @@ impl AmsSimulator {
             report.merge(timing);
         }
         self.lint_reports.push(report);
-        let period = cluster.period();
-        let de_reads = cluster.de_reads.clone();
-        let de_writes = cluster.de_writes.clone();
-        let inner = Rc::new(RefCell::new(cluster));
-        let error = Rc::new(RefCell::new(None::<CoreError>));
+
+        let handle = ClusterHandle {
+            inner: Rc::new(RefCell::new(cluster)),
+            error: Rc::new(RefCell::new(None)),
+        };
+        if n_bindings > 0 {
+            self.add_driver(&name, &handle);
+        } else {
+            self.free.push(FreeCluster {
+                handle: handle.clone(),
+                stopped: false,
+            });
+        }
+        self.clusters.push(handle.clone());
+        Ok(handle)
+    }
+
+    /// Registers the driver process of a cluster with converter
+    /// bindings, plus one writer process per TDF→DE binding.
+    fn add_driver(&mut self, name: &str, handle: &ClusterHandle) {
+        let (period, de_reads, de_writes) = {
+            let cluster = handle.inner.borrow();
+            (
+                cluster.period(),
+                cluster.de_reads.clone(),
+                cluster.de_writes.clone(),
+            )
+        };
 
         // One writer process + wake event per TDF→DE binding.
         let mut write_events = Vec::new();
@@ -262,11 +358,11 @@ impl AmsSimulator {
         }
 
         // The cluster driver process.
-        let inner2 = inner.clone();
-        let error2 = error.clone();
+        let inner = handle.inner.clone();
+        let error = handle.error.clone();
         self.kernel
             .add_process(format!("{name}.driver"), move |ctx| {
-                if error2.borrow().is_some() {
+                if error.borrow().is_some() {
                     return; // poisoned: stop re-arming
                 }
                 // Sample DE inputs at activation time.
@@ -274,7 +370,7 @@ impl AmsSimulator {
                     cell.set(ctx.read(*sig));
                 }
                 let start = ctx.now();
-                let result = inner2.borrow_mut().run_iteration(start);
+                let result = inner.borrow_mut().run_iteration(start);
                 match result {
                     Ok(()) => {
                         // Wake the writer processes (next delta, same time).
@@ -284,29 +380,95 @@ impl AmsSimulator {
                         ctx.next_trigger_in(period);
                     }
                     Err(e) => {
-                        *error2.borrow_mut() = Some(e);
+                        *error.borrow_mut() = Some(e);
                     }
                 }
             });
-
-        let handle = ClusterHandle { inner, error };
-        self.clusters.push(handle.clone());
-        Ok(handle)
     }
 
-    /// Runs the co-simulation until `until`.
+    /// Runs the co-simulation until `until`: the kernel with its driven
+    /// clusters, and every iteration of each cluster without converter
+    /// bindings that starts at or before `until`. At one worker those
+    /// run on the caller's thread after the kernel; otherwise they run
+    /// beside it (see [`AmsSimulator::with_workers`]).
+    ///
+    /// A failing cluster stops for good; its error is kept until a
+    /// `run_until` reports it.
     ///
     /// # Errors
     ///
-    /// Returns the first cluster failure or kernel error encountered.
+    /// A kernel error first, then the failures of the clusters in
+    /// registration order, one per call.
     pub fn run_until(&mut self, until: SimTime) -> Result<(), CoreError> {
-        self.kernel.run_until(until)?;
+        self.started = true;
+        let kernel = if self.workers == 1 {
+            let kernel = self.kernel.run_until(until);
+            for f in &mut self.free {
+                if !f.stopped {
+                    let result = run_free(&mut f.handle.inner.borrow_mut(), until);
+                    f.record(result);
+                }
+            }
+            kernel
+        } else {
+            self.run_beside_kernel(until)
+        };
+        kernel?;
         for c in &self.clusters {
             if let Some(e) = c.error.borrow_mut().take() {
                 return Err(e);
             }
         }
         Ok(())
+    }
+
+    /// Runs the kernel on the caller's thread while up to `workers − 1`
+    /// scoped threads take free clusters from a shared queue; the caller
+    /// drains the queue too once the kernel is done. The clusters share
+    /// nothing, so any assignment gives the same bits.
+    fn run_beside_kernel(&mut self, until: SimTime) -> Result<(), KernelError> {
+        let mut clusters: Vec<(usize, RefMut<'_, Cluster>)> = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| !f.stopped)
+            .map(|(i, f)| (i, f.handle.inner.borrow_mut()))
+            .collect();
+        if clusters.is_empty() {
+            return self.kernel.run_until(until);
+        }
+        let threads = (self.workers - 1).min(clusters.len());
+        let jobs: Vec<(usize, &mut Cluster)> =
+            clusters.iter_mut().map(|(i, c)| (*i, &mut **c)).collect();
+        let queue = Mutex::new(jobs.into_iter());
+        let kernel = &mut self.kernel;
+        let (kernel_result, results) = std::thread::scope(|scope| {
+            let drain = || {
+                let mut done = Vec::new();
+                loop {
+                    let job = queue.lock().expect("cluster queue poisoned").next();
+                    let Some((i, cluster)) = job else {
+                        return done;
+                    };
+                    done.push((i, run_free(cluster, until)));
+                }
+            };
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(drain)).collect();
+            let kernel_result = kernel.run_until(until);
+            let mut results = drain();
+            for h in handles {
+                results.extend(
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            (kernel_result, results)
+        });
+        drop(clusters);
+        for (i, result) in results {
+            self.free[i].record(result);
+        }
+        kernel_result
     }
 
     /// Runs for a duration from the current time.
@@ -330,6 +492,7 @@ impl std::fmt::Debug for AmsSimulator {
         f.debug_struct("AmsSimulator")
             .field("kernel", &self.kernel)
             .field("clusters", &self.clusters.len())
+            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -604,5 +767,45 @@ mod tests {
         // Iteration k: tdf_out = 2·tdf_out_prev + 1 → 1, 3, 7, 15, …
         sim.run_until(SimTime::from_us(3)).unwrap();
         assert_eq!(sim.kernel().peek(tdf_out), 15.0);
+    }
+
+    #[test]
+    fn add_cluster_after_run_is_rejected() {
+        fn ramp(
+            name: &str,
+            de_out: Option<ams_kernel::Signal<f64>>,
+        ) -> (TdfGraph, crate::TdfProbe) {
+            let mut g = TdfGraph::new(name);
+            let s = g.signal("r");
+            let probe = g.probe(s);
+            g.add_module(
+                "ramp",
+                Ramp {
+                    out: s.writer(),
+                    ts: SimTime::from_us(1),
+                    v: 0.0,
+                },
+            );
+            if let Some(de) = de_out {
+                g.to_de("conv", s, de);
+            }
+            (g, probe)
+        }
+        let mut sim = AmsSimulator::new();
+        let out = sim.kernel_mut().signal("out", 0.0f64);
+        let late_out = sim.kernel_mut().signal("late_out", 0.0f64);
+        let (g, early) = ramp("early", Some(out));
+        sim.add_cluster(g).unwrap();
+        sim.run_until(SimTime::from_us(10)).unwrap();
+        assert_eq!(early.len(), 11);
+        // Bound or free, a late cluster would never start at t = 0.
+        for de in [Some(late_out), None] {
+            let (g, late) = ramp("late", de);
+            let err = sim.add_cluster(g).unwrap_err();
+            assert!(matches!(err, CoreError::Invalid { .. }), "{err}");
+            assert!(late.is_empty());
+        }
+        sim.run_until(SimTime::from_us(20)).unwrap();
+        assert_eq!(early.len(), 21);
     }
 }

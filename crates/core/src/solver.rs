@@ -269,12 +269,6 @@ impl NetlistCtSolver {
             now: SimTime::ZERO,
         })
     }
-
-    /// Access to the underlying transient solver (e.g. to flip switches
-    /// from a TDF module).
-    pub fn transient_mut(&mut self) -> &mut TransientSolver {
-        &mut self.solver
-    }
 }
 
 impl CtSolver for NetlistCtSolver {

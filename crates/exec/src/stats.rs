@@ -1,32 +1,37 @@
 //! Execution statistics.
 //!
-//! Profiling a mixed-signal simulation means knowing where the time
-//! goes: dataflow firings, Newton iterations and matrix factorizations
-//! inside embedded solvers, FIFO pressure on converter streams, and the
-//! synchronization overhead of meeting the DE kernel at every cluster
-//! period. [`ExecStats`] aggregates all of it from the per-cluster
-//! counters ([`ClusterStats`], with `ams_net::TransientStats` folded in
-//! through `TdfModule::solver_stats`).
+//! Profiling a mixed-signal batch means knowing where the time goes:
+//! dataflow firings, Newton iterations and matrix factorizations inside
+//! embedded solvers, and the wall time of the compute and merge phases.
+//! [`ExecStats`] aggregates all of it from the per-item counters
+//! ([`ClusterStats`], with `ams_net::TransientStats` folded in through
+//! `TdfModule::solver_stats`).
+//!
+//! No ring buffers or synchronization windows are left in the stack:
+//! [`ExecStats::ring_high_water`] always reads 0, and a sweep report
+//! counts its scenarios in `windows` and its shards in `barriers`. The
+//! names stay because the sweep and service `result` wire format
+//! carries them.
 
 use ams_core::ClusterStats;
 use std::time::Duration;
 
-/// Aggregated execution statistics of one parallel run.
+/// Aggregated execution statistics of one batch run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Synchronization windows executed.
+    /// Work items run (a sweep counts its scenarios).
     pub windows: u64,
-    /// Barriers crossed (one per window with at least one busy worker).
+    /// Worker shards joined (a sweep counts its shards).
     pub barriers: u64,
     /// Per-cluster counters, in registration order: `(name, stats)`.
     /// Newton/factorization totals of embedded solvers are folded into
     /// each entry.
     pub clusters: Vec<(String, ClusterStats)>,
-    /// Highest occupancy observed across all SPSC converter rings.
+    /// Always 0: no ring buffers are left. Kept for the wire format.
     pub ring_high_water: usize,
-    /// Wall time spent inside worker compute (dispatch to barrier).
+    /// Wall time from dispatch until the coordinator's own work finished.
     pub compute_wall: Duration,
-    /// Wall time spent synchronizing with the DE kernel (drain + advance).
+    /// Wall time the coordinator then spent joining the other workers.
     pub sync_wall: Duration,
     /// Deny-level diagnostics found by the pre-elaboration lint pass.
     /// Non-zero only when elaboration was rejected.
@@ -47,7 +52,7 @@ impl ExecStats {
 
     /// Exports the aggregate into an `ams-scope` metrics registry:
     /// window/barrier/firing counters, embedded-solver totals, the
-    /// SPSC ring high-water gauge and the per-phase wall-time gauges —
+    /// ring high-water gauge and the per-phase wall-time gauges —
     /// one deterministic name space shared with `ScopeReport`.
     pub fn to_metrics(&self) -> ams_scope::MetricsRegistry {
         let mut m = ams_scope::MetricsRegistry::new();

@@ -646,16 +646,6 @@ impl Kernel {
         self.run_until(until)
     }
 
-    /// Runs until no timed activity remains (or `horizon` is reached).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Kernel::run_until`].
-    pub fn run_to_quiescence(&mut self, horizon: SimTime) -> Result<SimTime, KernelError> {
-        self.run_until(horizon)?;
-        Ok(self.time)
-    }
-
     /// Name of a process (diagnostics).
     pub fn process_name(&self, pid: ProcessId) -> &str {
         &self.processes[pid.0].name

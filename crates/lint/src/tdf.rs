@@ -99,16 +99,6 @@ impl TdfModel {
         self.probed[signal] = true;
     }
 
-    /// Number of modules.
-    pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Number of signals.
-    pub fn signal_count(&self) -> usize {
-        self.signals.len()
-    }
-
     /// The cluster period implied by the declared timesteps and the
     /// balance solution, in femtoseconds — `None` if the model is not
     /// consistent enough to have one.

@@ -135,12 +135,6 @@ impl ImplicitStepper {
         }
     }
 
-    /// Overrides the Newton options used for each implicit solve.
-    pub fn with_newton_options(mut self, opts: NewtonOptions) -> Self {
-        self.newton = opts;
-        self
-    }
-
     /// The configured step size.
     pub fn step_size(&self) -> f64 {
         self.h

@@ -109,15 +109,6 @@ impl<T: Scalar> DMat<T> {
         }
     }
 
-    /// Adds `v` to the entry at `(i, j)` — the "stamp" primitive used by MNA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn add_at(&mut self, i: usize, j: usize, v: T) {
-        self[(i, j)] += v;
-    }
-
     /// Returns a borrowed view of row `i`.
     ///
     /// # Panics

@@ -327,15 +327,6 @@ impl<T: Scalar> CsrMat<T> {
         self.row_ptr[i]..self.row_ptr[i + 1]
     }
 
-    /// `true` when this matrix has the same dimensions and sparsity
-    /// pattern as `other` (values may differ).
-    pub fn same_pattern(&self, other: &CsrMat<T>) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-    }
-
     /// Matrix–vector product `A·x`.
     ///
     /// # Errors

@@ -36,11 +36,6 @@ impl Verdict {
         matches!(self, Verdict::Pass)
     }
 
-    /// `true` for [`Verdict::Vacuous`].
-    pub fn is_vacuous(&self) -> bool {
-        matches!(self, Verdict::Vacuous)
-    }
-
     /// `true` for [`Verdict::Fail`].
     pub fn is_fail(&self) -> bool {
         matches!(self, Verdict::Fail { .. })

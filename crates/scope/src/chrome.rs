@@ -197,9 +197,9 @@ mod tests {
 
     fn sample_trace() -> ScopeTrace {
         let mut coord = Tracer::on();
-        coord.begin(SpanKind::DeWindow, 0);
+        coord.begin(SpanKind::ClusterIteration, 0);
         coord.instant(SpanKind::DeltaCycle, 500_000, 2);
-        coord.end(SpanKind::DeWindow, 1_000_000_000);
+        coord.end(SpanKind::ClusterIteration, 1_000_000_000);
         let mut worker = Tracer::on();
         worker.begin_with(SpanKind::Scenario, 0, 7);
         worker.begin(SpanKind::MnaFactor, 0);

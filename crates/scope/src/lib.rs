@@ -10,16 +10,16 @@
 //! Three pillars:
 //!
 //! * **Spans and events** ([`Tracer`], [`TraceEvent`], [`SpanKind`]):
-//!   scoped spans for DE windows, delta cycles, cluster activations,
-//!   MNA assemble/factor/solve, Newton iterations and adaptive-step
+//!   scoped spans for delta cycles, cluster activations, sweep
+//!   scenarios, MNA assemble/factor/solve, Newton iterations and adaptive-step
 //!   accept/reject, each carrying *simulated* time (in femtoseconds)
 //!   and wall time. Every tracer is single-owner, so the per-worker
 //!   buffers are lock-free by construction; a buffer that must cross
 //!   threads travels with its owner.
 //! * **Metrics** ([`MetricsRegistry`], [`Histogram`]): named counters,
 //!   gauges and HDR-style log-bucket histograms (pure Rust, no deps)
-//!   for step sizes, Newton iteration counts, refactorizations, ring
-//!   occupancy and barrier waits. The `ExecStats`/`SolveStats`
+//!   for step sizes, Newton iteration counts and refactorizations.
+//!   The `ExecStats`/`SolveStats`
 //!   aggregates of the execution crates feed this registry.
 //! * **Exporters**: Chrome `trace_event` JSON ([`chrome::export`],
 //!   loadable in Perfetto / `chrome://tracing`, one track per tracer,
@@ -39,9 +39,9 @@
 //! use ams_scope::{chrome, ScopeTrace, SpanKind, Tracer};
 //!
 //! let mut tracer = Tracer::on();
-//! tracer.begin(SpanKind::DeWindow, 0);
+//! tracer.begin(SpanKind::ClusterIteration, 0);
 //! tracer.instant(SpanKind::NewtonIteration, 500, 3);
-//! tracer.end(SpanKind::DeWindow, 1_000);
+//! tracer.end(SpanKind::ClusterIteration, 1_000);
 //!
 //! let mut trace = ScopeTrace::new();
 //! trace.add_track("coordinator", "exec", tracer.take_events());

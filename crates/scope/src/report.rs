@@ -5,9 +5,9 @@
 //! wall deltas are always taken between the begin and end events of
 //! the *same* tracer, so epochs never mix) and derives distribution
 //! metrics from the event payloads: accepted/rejected step sizes,
-//! Newton iterations per solve, barrier waits. Execution-level
-//! aggregates (`ExecStats` and friends) merge in through an extra
-//! [`MetricsRegistry`].
+//! Newton iterations per solve, delta-cycle activations.
+//! Execution-level aggregates (`ExecStats` and friends) merge in
+//! through an extra [`MetricsRegistry`].
 
 use crate::{Histogram, MetricsRegistry, Phase, ScopeTrace, SpanKind};
 use std::fmt::Write;
@@ -63,9 +63,6 @@ impl ScopeReport {
                             let wall = ev.wall_ns.saturating_sub(w0);
                             slot.wall_ns += wall;
                             slot.wall.record(wall as f64);
-                            if ev.kind == SpanKind::BarrierWait {
-                                metrics.record("exec.barrier_wait_us", wall as f64 / 1e3);
-                            }
                         }
                     }
                     Phase::Instant => {
@@ -166,12 +163,12 @@ mod tests {
 
     fn trace() -> ScopeTrace {
         let mut t = Tracer::on();
-        t.begin(SpanKind::DeWindow, 0);
+        t.begin(SpanKind::ClusterIteration, 0);
         t.instant(SpanKind::StepAccept, 1_000, 1e-6f64.to_bits());
         t.instant(SpanKind::StepAccept, 2_000, 2e-6f64.to_bits());
         t.instant(SpanKind::StepReject, 2_500, 8e-6f64.to_bits());
         t.instant(SpanKind::NewtonIteration, 3_000, 4);
-        t.end(SpanKind::DeWindow, 1_000_000);
+        t.end(SpanKind::ClusterIteration, 1_000_000);
         let mut trace = ScopeTrace::new();
         trace.add_track("coordinator", "exec", t.take_events());
         trace
@@ -180,8 +177,8 @@ mod tests {
     #[test]
     fn spans_and_instants_are_aggregated() {
         let r = ScopeReport::from_parts(&trace(), &MetricsRegistry::new());
-        assert_eq!(r.kind(SpanKind::DeWindow).spans, 1);
-        assert_eq!(r.kind(SpanKind::DeWindow).sim_fs, 1_000_000);
+        assert_eq!(r.kind(SpanKind::ClusterIteration).spans, 1);
+        assert_eq!(r.kind(SpanKind::ClusterIteration).sim_fs, 1_000_000);
         assert_eq!(r.kind(SpanKind::StepAccept).instants, 2);
         assert_eq!(r.events, 6);
         assert_eq!(r.tracks, 1);
@@ -211,7 +208,7 @@ mod tests {
     fn render_mentions_every_active_kind() {
         let r = ScopeReport::from_parts(&trace(), &MetricsRegistry::new());
         let text = r.render();
-        assert!(text.contains("de.window: 1 span(s)"), "{text}");
+        assert!(text.contains("tdf.iteration: 1 span(s)"), "{text}");
         assert!(text.contains("step.accept"), "{text}");
         assert!(text.contains("step.h_accepted"), "{text}");
     }

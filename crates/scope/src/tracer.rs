@@ -19,58 +19,52 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// One DE synchronization window of the parallel execution engine
-    /// (span; `arg` unused).
-    DeWindow = 0,
     /// One delta cycle of the DE kernel (instant; `arg` = number of
     /// process activations).
-    DeltaCycle = 1,
+    DeltaCycle = 0,
     /// One schedule iteration of a TDF cluster (span; `arg` =
     /// iteration index).
-    ClusterIteration = 2,
+    ClusterIteration = 1,
     /// MNA matrix assembly (span).
-    MnaAssemble = 3,
+    MnaAssemble = 2,
     /// MNA factorization — dense LU or sparse numeric/symbolic (span).
-    MnaFactor = 4,
+    MnaFactor = 3,
     /// MNA forward/backward substitution (span).
-    MnaSolve = 5,
+    MnaSolve = 4,
     /// One converged Newton solve (instant; `arg` = iterations spent).
-    NewtonIteration = 6,
+    NewtonIteration = 5,
     /// An accepted adaptive step (instant; `arg` = step size `h` as
     /// `f64` bits).
-    StepAccept = 7,
+    StepAccept = 6,
     /// A rejected adaptive step (instant; `arg` = step size `h` as
     /// `f64` bits).
-    StepReject = 8,
+    StepReject = 7,
     /// One sweep scenario (span; `arg` = scenario index).
-    Scenario = 9,
-    /// Waiting on the worker barrier at the end of a DE window (span).
-    BarrierWait = 10,
+    Scenario = 8,
     /// User-defined (instant or span; `arg` free).
-    Custom = 11,
+    Custom = 9,
     /// One wire request handled by the `ams-serve` daemon (span; `arg`
     /// = request ordinal on the connection).
-    ServeRequest = 12,
+    ServeRequest = 10,
     /// One `ams-serve` job from admission to completion (span; `arg` =
     /// job sequence number).
-    ServeJob = 13,
+    ServeJob = 11,
     /// One sweep-space abstract-interpretation pass (span; `arg` =
     /// number of scenarios in the batch it fronts).
-    SpaceLint = 14,
+    SpaceLint = 12,
     /// Solver-state checkpoint activity: a shared-prefix run, a state
     /// capture or a restore (span for prefix runs, instant for
     /// capture/restore; `arg` = forks served or checkpoint bytes).
-    Checkpoint = 15,
+    Checkpoint = 13,
     /// One monitor verdict rendered after a scenario (instant; `arg` =
     /// property index `<< 8 | ` violation-code number, `0` for a pass,
     /// timestamped with the witness point's simulated time).
-    Monitor = 16,
+    Monitor = 14,
 }
 
 impl SpanKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [SpanKind; 17] = [
-        SpanKind::DeWindow,
+    pub const ALL: [SpanKind; 15] = [
         SpanKind::DeltaCycle,
         SpanKind::ClusterIteration,
         SpanKind::MnaAssemble,
@@ -80,7 +74,6 @@ impl SpanKind {
         SpanKind::StepAccept,
         SpanKind::StepReject,
         SpanKind::Scenario,
-        SpanKind::BarrierWait,
         SpanKind::Custom,
         SpanKind::ServeRequest,
         SpanKind::ServeJob,
@@ -92,7 +85,6 @@ impl SpanKind {
     /// Stable display name, used as the Chrome event name.
     pub fn name(self) -> &'static str {
         match self {
-            SpanKind::DeWindow => "de.window",
             SpanKind::DeltaCycle => "de.delta",
             SpanKind::ClusterIteration => "tdf.iteration",
             SpanKind::MnaAssemble => "mna.assemble",
@@ -102,7 +94,6 @@ impl SpanKind {
             SpanKind::StepAccept => "step.accept",
             SpanKind::StepReject => "step.reject",
             SpanKind::Scenario => "sweep.scenario",
-            SpanKind::BarrierWait => "exec.barrier",
             SpanKind::Custom => "custom",
             SpanKind::ServeRequest => "serve.request",
             SpanKind::ServeJob => "serve.job",
@@ -379,9 +370,9 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::off();
-        t.begin(SpanKind::DeWindow, 0);
+        t.begin(SpanKind::ClusterIteration, 0);
         t.instant(SpanKind::DeltaCycle, 5, 1);
-        t.end(SpanKind::DeWindow, 10);
+        t.end(SpanKind::ClusterIteration, 10);
         assert!(!t.is_enabled());
         assert!(t.is_empty());
         assert!(t.take_events().is_empty());

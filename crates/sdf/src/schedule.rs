@@ -35,16 +35,6 @@ impl Schedule {
     pub fn buffer_bounds(&self) -> &[u64] {
         &self.buffer_bounds
     }
-
-    /// Total firings per iteration.
-    pub fn len(&self) -> usize {
-        self.firings.len()
-    }
-
-    /// Returns `true` for an empty schedule (graph with no actors).
-    pub fn is_empty(&self) -> bool {
-        self.firings.is_empty()
-    }
 }
 
 /// Builds a schedule for one iteration of the graph.
@@ -212,7 +202,7 @@ mod tests {
     fn empty_graph_gives_empty_schedule() {
         let g = SdfGraph::new();
         let s = schedule(&g).unwrap();
-        assert!(s.is_empty());
+        assert!(s.firings().is_empty());
     }
 
     #[test]
@@ -230,7 +220,7 @@ mod tests {
         g.connect(b, 1, d, 1, 0).unwrap();
         g.connect(c, 1, d, 1, 0).unwrap();
         let s = schedule(&g).unwrap();
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.firings().len(), 4);
         // d must fire last.
         assert_eq!(*s.firings().last().unwrap(), d);
         // a must fire first.

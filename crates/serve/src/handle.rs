@@ -49,14 +49,6 @@ pub enum JobState {
 }
 
 impl JobState {
-    /// Whether the job will never change state again.
-    pub fn is_terminal(&self) -> bool {
-        !matches!(
-            self,
-            JobState::Queued | JobState::Running | JobState::Suspended
-        )
-    }
-
     /// Stable wire tag.
     pub fn tag(&self) -> &'static str {
         match self {

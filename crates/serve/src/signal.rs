@@ -42,14 +42,3 @@ pub fn install_stop_flag() -> &'static AtomicBool {
     }
     &STOP
 }
-
-/// Whether a latched stop signal has been observed.
-pub fn stop_requested() -> bool {
-    STOP.load(Ordering::Relaxed)
-}
-
-/// Manually latch the stop flag (tests, or shutdown paths that want
-/// to share it without raising a signal).
-pub fn request_stop() {
-    STOP.store(true, Ordering::Relaxed);
-}

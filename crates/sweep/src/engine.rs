@@ -2,10 +2,9 @@
 //! with the bundle-to-results step and the report tail both drivers
 //! use.
 //!
-//! Scenarios are split over workers by [`ams_exec::partition`]'s
-//! longest-processing-time heuristic with uniform costs — a pure
-//! function of `(scenario count, worker count)`, so the shard layout is
-//! reproducible. The coordinator spawns one thread per shard but the
+//! Scenarios are dealt round-robin over workers (item `i` goes to shard
+//! `i mod w`) — a pure function of `(scenario count, worker count)`, so
+//! the shard layout is reproducible. The coordinator spawns one thread per shard but the
 //! last, runs the last shard itself, then joins the others; every shard
 //! hands back its items' [`ScenarioResult`]s with its join result.
 //! There is nothing to poll while shards compute, and a one-shard batch
@@ -18,7 +17,7 @@ use crate::report::{ScenarioResult, SweepReport};
 use crate::spec::Scenario;
 use crate::SweepError;
 use ams_core::ClusterStats;
-use ams_exec::{partition, ExecStats};
+use ams_exec::ExecStats;
 use ams_monitor::{codes as mon_codes, MonitorSpec, Verdict};
 use ams_scope::{ScopeTrace, SpanKind, TraceEvent, Tracer};
 use std::time::{Duration, Instant};
@@ -206,10 +205,8 @@ where
     }
 
     let shards_wanted = workers.max(1).min(n_items);
-    let part = partition(&vec![1; n_items], &[], shards_wanted);
     let shard_items: Vec<Vec<usize>> = (0..shards_wanted)
-        .map(|w| part.nodes_of(w))
-        .filter(|items| !items.is_empty())
+        .map(|s| (s..n_items).step_by(shards_wanted).collect())
         .collect();
     let shards = shard_items.len();
 
@@ -374,7 +371,7 @@ mod tests {
 
     #[test]
     fn the_caller_runs_exactly_the_last_shard() {
-        let last = partition(&[1; 10], &[], 3).nodes_of(2);
+        let last: Vec<usize> = (2..10).step_by(3).collect();
         assert!(!last.is_empty() && last.len() < 10);
         assert_eq!(items_run_by_caller(10, 3), last);
     }
@@ -383,7 +380,7 @@ mod tests {
     fn a_panic_in_any_shard_reaches_the_caller() {
         // Item 0 runs on a spawned shard, the last shard's first item on
         // the caller.
-        let last = partition(&[1; 6], &[], 3).nodes_of(2);
+        let last: Vec<usize> = (2..6).step_by(3).collect();
         for bad in [0, last[0]] {
             let caught = std::panic::catch_unwind(|| {
                 run_sharded(

@@ -31,7 +31,7 @@
 //!
 //! # Determinism
 //!
-//! Scenario seeds, scheduling (via [`ams_exec::partition()`]) and the
+//! Scenario seeds, scheduling (a round-robin deal over shards) and the
 //! shared symbolic factor are all computed on the coordinator from the
 //! spec alone. The same spec therefore produces a **bit-identical**
 //! [`SweepReport`] (compare [`SweepReport::fingerprint`]) regardless of

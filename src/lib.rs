@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`math`] | `ams-math` | dense linear algebra, complex numbers, ODE/DAE integrators, Newton, FFT |
 //! | [`kernel`] | `ams-kernel` | discrete-event kernel: time, signals, delta cycles, processes, clocks |
-//! | [`sdf`] | `ams-sdf` | synchronous dataflow: balance equations, static schedules, execution |
+//! | [`sdf`] | `ams-sdf` | synchronous dataflow: balance equations, static schedules |
 //! | [`lti`] | `ams-lti` | transfer functions, zero-pole, state space, discretization, Bode |
 //! | [`net`] | `ams-net` | conservative-law MNA networks: DC/transient/AC/noise, multi-domain |
 //! | [`lint`] | `ams-lint` | pre-elaboration static analysis: balance/cycle/topology diagnostics |
@@ -22,7 +22,7 @@
 //! | [`core`] | `ams-core` | TDF MoC, DE↔CT synchronization layer, solver plug-ins, AMS simulator |
 //! | [`blocks`] | `ams-blocks` | mixed-signal block library (sources → Σ∆ → RF → power → control) |
 //! | [`wave`] | `ams-wave` | VCD/CSV tracing, spectral analysis (SNR/SINAD/THD/ENOB) |
-//! | [`exec`] | `ams-exec` | parallel execution engine: partitioner, worker pool, SPSC rings, stats |
+//! | [`exec`] | `ams-exec` | execution statistics and the worker-slot semaphore of batch runs |
 //! | [`sweep`] | `ams-sweep` | batched multi-scenario runs: grids, corners, Monte Carlo, reports |
 //! | [`scope`] | `ams-scope` | observability: span tracer, metrics registry, Chrome trace export |
 //! | [`serve`] | `ams-serve` | simulation service: TCP/JSON daemon, warm topology cache, tenant quotas |

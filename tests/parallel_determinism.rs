@@ -1,22 +1,25 @@
-//! Parallel execution must be observationally identical to serial.
+//! Co-simulation must give the same bits at every worker count.
 //!
-//! The `ams-exec` engine promises bit-identical results: for the same
-//! model, probe waveforms and DE signal traces from [`ParallelSim`] must
-//! equal those from the serial [`AmsSimulator`], sample for sample, bit
+//! [`AmsSimulator::with_workers`] runs the clusters without converter
+//! bindings beside the DE kernel on up to `n` threads. For the same
+//! model, probe waveforms, DE signal traces, failures and the Chrome
+//! trace export must equal the one-worker run, sample for sample, bit
 //! for bit — regardless of worker count or scheduling jitter.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use systemc_ams::blocks::{FirFilter, SineSource};
-use systemc_ams::core::{AmsSimulator, CoreError, TdfGraph, TdfIo, TdfModule, TdfProbe, TdfSetup};
-use systemc_ams::exec::ParallelSim;
+use systemc_ams::core::{
+    AmsSimulator, CoreError, TdfGraph, TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
+};
 use systemc_ams::kernel::{Kernel, Signal, SimTime};
+use systemc_ams::scope::chrome;
 
 /// A self-timed oscillator with internal state, so scheduling mistakes
-/// (skipped/duplicated firings, stale resets) corrupt the waveform.
+/// (skipped or duplicated firings) corrupt the waveform.
 struct StatefulOsc {
-    out: systemc_ams::core::TdfOut,
+    out: TdfOut,
     k: u64,
     freq: f64,
 }
@@ -31,9 +34,6 @@ impl TdfModule for StatefulOsc {
         io.write1(self.out, phase.sin() + 0.25 * (3.0 * phase).cos());
         self.k += 1;
         Ok(())
-    }
-    fn reset(&mut self) {
-        self.k = 0;
     }
 }
 
@@ -122,16 +122,16 @@ fn run_serial() -> (Vec<Vec<(f64, f64)>>, Vec<(u64, f64)>) {
 
 #[allow(clippy::type_complexity)]
 fn run_parallel(workers: usize) -> (Vec<Vec<(f64, f64)>>, Vec<(u64, f64)>) {
-    let mut sim = ParallelSim::new(workers);
+    let mut sim = AmsSimulator::with_workers(workers);
     let (stim, resp, trace) = de_side(sim.kernel_mut());
     let mut probes = Vec::new();
     for i in 0..4 {
         let (g, p) = free_cluster(i);
-        sim.add_graph(g);
+        sim.add_cluster(g).expect("elaborates");
         probes.push(p);
     }
     let (g, p) = bound_cluster(0, stim, resp);
-    sim.add_graph(g);
+    sim.add_cluster(g).expect("elaborates");
     probes.push(p);
     sim.run_until(HORIZON).expect("parallel run");
     let samples = probes.iter().map(|p| p.samples()).collect();
@@ -161,105 +161,102 @@ fn parallel_matches_serial_bit_for_bit() {
     }
 }
 
-#[test]
-fn independent_clusters_spread_across_workers() {
-    let mut sim = ParallelSim::new(4);
-    for i in 0..4 {
-        let (g, _) = free_cluster(i);
-        sim.add_graph(g);
+/// Fails at its fourth firing, after three clean iterations.
+struct FailAfterThree {
+    out: TdfOut,
+    left: u32,
+}
+
+impl TdfModule for FailAfterThree {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.output(self.out);
+        cfg.set_timestep(SimTime::from_us(1));
     }
-    sim.elaborate().expect("elaborates");
-    let part = sim.partition().expect("partitioned");
-    assert_eq!(part.components.len(), 4);
-    assert_eq!(part.busy_workers(), 4);
-}
-
-/// A piped two-cluster chain must equal the same chain fused into one
-/// serial cluster: the SPSC ring delivers sample k of the producer as
-/// pull k of the consumer, which is exactly a direct signal connection.
-#[test]
-fn pipe_matches_direct_connection() {
-    const T: SimTime = SimTime::from_us(200);
-
-    // Serial reference: source → moving average inside one graph.
-    let mut sim = AmsSimulator::new();
-    let mut g = TdfGraph::new("direct");
-    let s = g.signal("s");
-    let out = g.signal("out");
-    let reference = g.probe(out);
-    g.add_module(
-        "src",
-        SineSource::new(s.writer(), 500.0, 1.0, Some(SimTime::from_us(1))),
-    );
-    g.add_module("ma", FirFilter::moving_average(s.reader(), out.writer(), 2));
-    sim.add_cluster(g).expect("elaborates");
-    sim.run_until(T).expect("serial run");
-
-    // Piped: producer and consumer are separate clusters linked by a ring.
-    let mut sim = ParallelSim::new(2);
-    let mut ga = TdfGraph::new("prod");
-    let sa = ga.signal("s");
-    ga.add_module(
-        "src",
-        SineSource::new(sa.writer(), 500.0, 1.0, Some(SimTime::from_us(1))),
-    );
-    let mut gb = TdfGraph::new("cons");
-    let out = gb.signal("out");
-    let piped = gb.probe(out);
-    // Pins the consumer's period; the pipe input has no intrinsic rate.
-    let pace = gb.signal("pace");
-    gb.add_module(
-        "pace",
-        SineSource::new(pace.writer(), 1.0, 0.0, Some(SimTime::from_us(1))),
-    );
-    let a = sim.add_graph(ga);
-    let b = sim.add_graph(gb);
-    // Capacity must cover the whole horizon: free-running clusters get
-    // one window for the entire run.
-    let inp = sim.pipe("link", a, sa, b, 256);
-    sim.graph_mut(b).add_module(
-        "ma",
-        FirFilter::moving_average(inp.reader(), out.writer(), 2),
-    );
-    sim.run_until(T).expect("piped run");
-
-    assert_eq!(
-        reference.samples(),
-        piped.samples(),
-        "piped chain diverged from the fused serial cluster"
-    );
-    let part = sim.partition().expect("partitioned");
-    assert_eq!(
-        part.components,
-        vec![vec![0, 1]],
-        "pipe must fuse components"
-    );
-    assert!(sim.stats().ring_high_water > 0, "ring saw traffic");
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        if self.left == 0 {
+            return Err(CoreError::solver("fail", "injected failure"));
+        }
+        self.left -= 1;
+        io.write1(self.out, 0.0);
+        Ok(())
+    }
 }
 
 #[test]
-fn reset_reruns_identically() {
-    let mut sim = ParallelSim::new(2);
-    let mut probes = Vec::new();
+fn a_failing_free_cluster_stops_alone_at_every_worker_count() {
+    let mut reference: Option<Vec<Vec<(f64, f64)>>> = None;
+    for workers in [1, 2, 4] {
+        let mut sim = AmsSimulator::with_workers(workers);
+        let mut probes = Vec::new();
+        let mut failing = None;
+        for i in 0..4 {
+            if i == 1 {
+                let mut g = TdfGraph::new("failing");
+                let s = g.signal("s");
+                g.add_module(
+                    "f",
+                    FailAfterThree {
+                        out: s.writer(),
+                        left: 3,
+                    },
+                );
+                failing = Some(sim.add_cluster(g).expect("elaborates"));
+            } else {
+                let (g, p) = free_cluster(i);
+                sim.add_cluster(g).expect("elaborates");
+                probes.push(p);
+            }
+        }
+        let failing = failing.expect("registered");
+        let err = sim.run_until(HORIZON).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Solver { .. }),
+            "{err} ({workers} workers)"
+        );
+        sim.run_until(HORIZON + HORIZON)
+            .expect("the error was reported once");
+        assert_eq!(failing.iterations(), 3, "{workers} workers");
+        let samples: Vec<Vec<(f64, f64)>> = probes.iter().map(|p| p.samples()).collect();
+        assert!(samples.iter().all(|s| s.len() == 1001));
+        match &reference {
+            None => reference = Some(samples),
+            Some(r) => assert_eq!(r, &samples, "probes diverged with {workers} workers"),
+        }
+    }
+}
+
+/// Three free clusters and one bound cluster, traced.
+fn traced_export(workers: usize) -> String {
+    let mut sim = AmsSimulator::with_workers(workers);
+    sim.set_tracing(true);
+    let (stim, resp, _) = de_side(sim.kernel_mut());
     for i in 0..3 {
-        let (g, p) = free_cluster(i);
-        sim.add_graph(g);
-        probes.push(p);
+        let (g, _) = free_cluster(i);
+        sim.add_cluster(g).expect("elaborates");
     }
-    sim.run_until(SimTime::from_us(100)).expect("first run");
-    let first: Vec<Vec<(f64, f64)>> = probes.iter().map(|p| p.samples()).collect();
-    assert!(first.iter().all(|s| !s.is_empty()));
+    let (g, _) = bound_cluster(0, stim, resp);
+    sim.add_cluster(g).expect("elaborates");
+    sim.run_until(HORIZON).expect("traced run");
+    chrome::export(&sim.take_trace())
+}
 
-    sim.reset().expect("reset");
-    assert_eq!(sim.now(), SimTime::ZERO);
-    assert!(probes.iter().all(|p| p.is_empty()), "reset clears probes");
-
-    sim.run_until(SimTime::from_us(100)).expect("second run");
-    let second: Vec<Vec<(f64, f64)>> = probes.iter().map(|p| p.samples()).collect();
-    assert_eq!(first, second, "re-run after reset must reproduce exactly");
-
-    let stats = sim.stats();
-    assert!(stats.windows > 0);
-    assert_eq!(stats.clusters.len(), 3);
-    assert!(stats.totals().iterations > 0);
+#[test]
+fn traced_export_is_byte_identical_at_every_worker_count() {
+    let reference = traced_export(1);
+    for name in [
+        "kernel",
+        "free0",
+        "free2",
+        "bound0",
+        "tdf.iteration",
+        "de.delta",
+    ] {
+        assert!(reference.contains(name), "{name} missing from the export");
+    }
+    for workers in [2, 4] {
+        assert!(
+            traced_export(workers) == reference,
+            "the Chrome export changed with {workers} workers"
+        );
+    }
 }
