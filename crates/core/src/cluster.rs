@@ -25,8 +25,13 @@ use std::sync::{Arc, Mutex};
 pub struct ModuleId(pub(crate) usize);
 
 /// A recorded waveform handle: clones share the same storage, so the
-/// probe stays readable after the graph is consumed by elaboration —
-/// including from another thread while a worker runs the cluster.
+/// probe stays readable after the graph is consumed by elaboration.
+///
+/// A cluster without converter bindings fills its probes beside the
+/// kernel during [`AmsSimulator::run_until`](crate::AmsSimulator::run_until),
+/// not in step with it. Read such a probe between runs: a read from a
+/// DE process during a run sees a snapshot that depends on the worker
+/// count and on thread timing.
 #[derive(Debug, Clone, Default)]
 pub struct TdfProbe {
     data: Arc<Mutex<Vec<(f64, f64)>>>,
@@ -770,8 +775,9 @@ impl Cluster {
     }
 
     /// Runs the cluster standalone (without a DE kernel) for `iterations`
-    /// schedule iterations starting at time zero. Converter bindings, if
-    /// any, read 0.0 and queue writes unobserved.
+    /// more schedule iterations; iteration `k` starts at `period × k`, so
+    /// a fresh cluster starts at time zero. Converter bindings, if any,
+    /// read 0.0 and queue writes unobserved.
     ///
     /// # Errors
     ///

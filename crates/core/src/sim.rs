@@ -16,7 +16,7 @@
 //! it never meets the kernel: [`AmsSimulator::run_until`] runs its
 //! iterations directly, beside the kernel on up to
 //! [`AmsSimulator::with_workers`] threads. Such clusters share nothing,
-//! so every worker count gives the same bits.
+//! so every worker count gives the same bits, read between runs.
 //!
 //! Before the first activation every module's `initialize` has
 //! established the paper's "consistent initial (quiescent) state".
@@ -32,8 +32,9 @@ use std::sync::Mutex;
 /// Handle to a cluster registered with an [`AmsSimulator`].
 ///
 /// A cluster without converter bindings runs beside the kernel, not in
-/// step with it, so read its handle between runs, not from a kernel
-/// process.
+/// step with it, and [`AmsSimulator::run_until`] holds it borrowed for
+/// the whole run: read its handle between runs. Read from a kernel
+/// process during a run, it panics.
 #[derive(Clone)]
 pub struct ClusterHandle {
     inner: Rc<RefCell<Cluster>>,
@@ -88,15 +89,10 @@ impl FreeCluster {
 
 /// Runs every iteration of a free cluster that starts at or before
 /// `until` (horizon-inclusive, like the kernel driver). Free clusters
-/// start at `t = 0`, so iteration `k` starts at `period × k`.
+/// start at `t = 0`, so those are the first `until / period + 1`.
 fn run_free(cluster: &mut Cluster, until: SimTime) -> Result<(), CoreError> {
-    loop {
-        let start = cluster.period() * cluster.iterations();
-        if start > until {
-            return Ok(());
-        }
-        cluster.run_iteration(start)?;
-    }
+    let due = until / cluster.period() + 1;
+    cluster.run_standalone(due.saturating_sub(cluster.iterations()))
 }
 
 /// The heterogeneous simulator: one DE kernel plus any number of TDF
@@ -167,8 +163,13 @@ impl AmsSimulator {
     /// bindings on up to `workers` threads (clamped to at least 1): the
     /// caller's, which also runs the kernel, plus up to `workers − 1`
     /// scoped threads per [`run_until`](Self::run_until). Clusters with
-    /// converter bindings always run on the kernel. Every worker count
-    /// gives the same results bit for bit.
+    /// converter bindings always run on the kernel.
+    ///
+    /// Every worker count gives the same results bit for bit, read
+    /// between `run_until` calls. A free cluster does not advance in
+    /// step with the kernel, so a DE process that reads its
+    /// [`TdfProbe`](crate::TdfProbe) during a run sees a snapshot that
+    /// depends on the worker count and on thread timing.
     pub fn with_workers(workers: usize) -> Self {
         AmsSimulator {
             kernel: Kernel::new(),
@@ -388,9 +389,10 @@ impl AmsSimulator {
 
     /// Runs the co-simulation until `until`: the kernel with its driven
     /// clusters, and every iteration of each cluster without converter
-    /// bindings that starts at or before `until`. At one worker those
-    /// run on the caller's thread after the kernel; otherwise they run
-    /// beside it (see [`AmsSimulator::with_workers`]).
+    /// bindings that starts at or before `until`, beside the kernel (see
+    /// [`AmsSimulator::with_workers`]). Those clusters share nothing
+    /// with the kernel, so they run to `until` even when the kernel
+    /// fails earlier, at every worker count.
     ///
     /// A failing cluster stops for good; its error is kept until a
     /// `run_until` reports it.
@@ -401,19 +403,7 @@ impl AmsSimulator {
     /// registration order, one per call.
     pub fn run_until(&mut self, until: SimTime) -> Result<(), CoreError> {
         self.started = true;
-        let kernel = if self.workers == 1 {
-            let kernel = self.kernel.run_until(until);
-            for f in &mut self.free {
-                if !f.stopped {
-                    let result = run_free(&mut f.handle.inner.borrow_mut(), until);
-                    f.record(result);
-                }
-            }
-            kernel
-        } else {
-            self.run_beside_kernel(until)
-        };
-        kernel?;
+        self.run_beside_kernel(until)?;
         for c in &self.clusters {
             if let Some(e) = c.error.borrow_mut().take() {
                 return Err(e);
@@ -424,8 +414,9 @@ impl AmsSimulator {
 
     /// Runs the kernel on the caller's thread while up to `workers − 1`
     /// scoped threads take free clusters from a shared queue; the caller
-    /// drains the queue too once the kernel is done. The clusters share
-    /// nothing, so any assignment gives the same bits.
+    /// drains the queue too once the kernel is done (at one worker, every
+    /// free cluster in registration order). The clusters share nothing,
+    /// so any assignment gives the same bits.
     fn run_beside_kernel(&mut self, until: SimTime) -> Result<(), KernelError> {
         let mut clusters: Vec<(usize, RefMut<'_, Cluster>)> = self
             .free

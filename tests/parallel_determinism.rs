@@ -13,7 +13,7 @@ use systemc_ams::blocks::{FirFilter, SineSource};
 use systemc_ams::core::{
     AmsSimulator, CoreError, TdfGraph, TdfIo, TdfModule, TdfOut, TdfProbe, TdfSetup,
 };
-use systemc_ams::kernel::{Kernel, Signal, SimTime};
+use systemc_ams::kernel::{Kernel, KernelError, Signal, SimTime};
 use systemc_ams::scope::chrome;
 
 /// A self-timed oscillator with internal state, so scheduling mistakes
@@ -161,6 +161,39 @@ fn parallel_matches_serial_bit_for_bit() {
     }
 }
 
+/// The reference the runner does not share: each free cluster elaborated
+/// on its own and run standalone for every iteration that starts at or
+/// before the horizon.
+fn standalone_free_probes() -> Vec<Vec<(f64, f64)>> {
+    (0..4)
+        .map(|i| {
+            let (g, p) = free_cluster(i);
+            let mut c = g.elaborate().expect("elaborates");
+            c.run_standalone(HORIZON / c.period() + 1)
+                .expect("standalone run");
+            p.samples()
+        })
+        .collect()
+}
+
+#[test]
+fn free_clusters_match_standalone_runs_at_every_worker_count() {
+    let reference = standalone_free_probes();
+    for s in &reference {
+        assert_eq!(s.len(), 501, "one sample per µs, both ends included");
+        assert_eq!(s[0].0, 0.0);
+        assert!((s[500].0 - HORIZON.to_seconds()).abs() < 1e-15);
+    }
+    for workers in [1, 2, 4] {
+        let (probes, _) = run_parallel(workers);
+        assert_eq!(
+            &probes[..4],
+            &reference[..],
+            "free probes diverged from standalone runs with {workers} workers"
+        );
+    }
+}
+
 /// Fails at its fourth firing, after three clean iterations.
 struct FailAfterThree {
     out: TdfOut,
@@ -222,6 +255,42 @@ fn a_failing_free_cluster_stops_alone_at_every_worker_count() {
             None => reference = Some(samples),
             Some(r) => assert_eq!(r, &samples, "probes diverged with {workers} workers"),
         }
+    }
+}
+
+#[test]
+fn a_kernel_error_leaves_free_clusters_running_to_the_horizon() {
+    let reference = standalone_free_probes();
+    for workers in [1, 2, 4] {
+        let mut sim = AmsSimulator::with_workers(workers);
+        let kernel = sim.kernel_mut();
+        kernel.set_delta_limit(50);
+        // Starts a zero-delay oscillation at 100 µs.
+        let s = kernel.signal("osc", false);
+        let toggle = kernel.add_process("toggle", move |ctx| {
+            if ctx.now() == SimTime::ZERO {
+                ctx.next_trigger_in(SimTime::from_us(100));
+            } else {
+                let v = ctx.read(s);
+                ctx.write(s, !v);
+            }
+        });
+        let ev = kernel.signal_event(s);
+        kernel.make_sensitive(toggle, ev);
+        let mut probes = Vec::new();
+        for i in 0..4 {
+            let (g, p) = free_cluster(i);
+            sim.add_cluster(g).expect("elaborates");
+            probes.push(p);
+        }
+        let err = sim.run_until(HORIZON).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Kernel(KernelError::DeltaOverflow { .. })),
+            "{err} ({workers} workers)"
+        );
+        assert_eq!(sim.now(), SimTime::from_us(100), "{workers} workers");
+        let samples: Vec<Vec<(f64, f64)>> = probes.iter().map(|p| p.samples()).collect();
+        assert_eq!(samples, reference, "{workers} workers");
     }
 }
 
