@@ -24,6 +24,12 @@
 //! * `space/serve_ladder_128`, `space/serve_ladder_175` — the ends of
 //!   `serve_churn`'s cold ladder sizes.
 //!
+//! And on a controlled-source circuit:
+//!
+//! * `space/vcvs_buffer` — a gain-2 VCVS whose output is its own
+//!   control input, loaded by 1 kΩ ∥ 1 nF with both bound ±5 %, `h` =
+//!   1 µs: SPC002 proves it regular.
+//!
 //! EXPERIMENTS.md quotes the proof-vs-sweep ratio from this bench and
 //! the E10 sweep numbers.
 
@@ -105,6 +111,35 @@ fn serve_ladder(stages: usize) -> (Circuit, SpaceSpec) {
     (ckt, spec)
 }
 
+/// The gain-2 VCVS buffer: its branch row reads `−V(out) = 0`.
+fn vcvs_buffer() -> (Circuit, SpaceSpec) {
+    let mut ckt = Circuit::new();
+    let out = ckt.node("out");
+    ckt.vcvs("E1", out, Circuit::GROUND, out, Circuit::GROUND, 2.0)
+        .unwrap();
+    ckt.resistor("R1", out, Circuit::GROUND, 1e3).unwrap();
+    ckt.capacitor("C1", out, Circuit::GROUND, 1e-9).unwrap();
+    let bind = |param: &str, element: &str, target, nominal| SpaceBind {
+        param: param.into(),
+        element: element.into(),
+        target,
+        relative: true,
+        nominal,
+    };
+    let spec = SpaceSpec::new(
+        vec![
+            ParamRange::new("dr", -0.05, 0.05),
+            ParamRange::new("dc", -0.05, 0.05),
+        ],
+        vec![
+            bind("dr", "R1", SpaceTarget::Resistance, 1e3),
+            bind("dc", "C1", SpaceTarget::Capacitance, 1e-9),
+        ],
+    )
+    .requested_h(1e-6);
+    (ckt, spec)
+}
+
 fn bench_space_lint(c: &mut Criterion) {
     let ckt = ladder();
     let safe = spec((-0.12, 0.12), (-0.12, 0.12));
@@ -126,6 +161,14 @@ fn bench_space_lint(c: &mut Criterion) {
             b.iter(|| lint_space("e14", &ckt, &spec))
         });
     }
+    let (ckt, spec) = vcvs_buffer();
+    assert_eq!(
+        lint_space("e14", &ckt, &spec).verdict(ams_lint::codes::SPC002),
+        Some(&ams_lint::Verdict::ProvedSafe)
+    );
+    c.bench_function("space/vcvs_buffer", |b| {
+        b.iter(|| lint_space("e14", &ckt, &spec))
+    });
 }
 
 criterion_group!(benches, bench_space_lint);

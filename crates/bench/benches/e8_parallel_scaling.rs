@@ -10,8 +10,8 @@
 //! Measured: the run phase (`run_until`, after elaboration) of N
 //! ADSL-style clusters (source → tanh line driver → embedded MNA line
 //! network → anti-alias biquad → Σ∆ modulator → CIC decimator → FIR),
-//! serially with `AmsSimulator::new` and with `with_workers` at
-//! 1/2/4/8 workers, in two series:
+//! with `with_workers` at 1/2/4/8 workers (one worker is the serial
+//! run, every cluster on the calling thread), in two series:
 //!
 //! * `free` — all 8 clusters free-running;
 //! * `mixed` — 4 clusters send their output to a kernel signal
@@ -109,13 +109,9 @@ fn build_graph(i: usize, de: Option<Signal<f64>>) -> (TdfGraph, TdfProbe) {
 }
 
 /// The E8 model, elaborated: `CLUSTERS` clusters, the first `bound` of
-/// them converter-bound. `workers = None` builds the serial
-/// `AmsSimulator::new()`.
-fn build(workers: Option<usize>, bound: usize) -> (AmsSimulator, Vec<TdfProbe>) {
-    let mut sim = match workers {
-        None => AmsSimulator::new(),
-        Some(n) => AmsSimulator::with_workers(n),
-    };
+/// them converter-bound.
+fn build(workers: usize, bound: usize) -> (AmsSimulator, Vec<TdfProbe>) {
+    let mut sim = AmsSimulator::with_workers(workers);
     let mut probes = Vec::new();
     for i in 0..CLUSTERS {
         let de = (i < bound).then(|| sim.kernel_mut().signal(format!("out{i}"), 0.0f64));
@@ -160,7 +156,7 @@ fn bench(c: &mut Criterion) {
         for workers in [1, 2, 4, 8] {
             assert_eq!(
                 reference,
-                run(build(Some(workers), bound), 2),
+                run(build(workers, bound), 2),
                 "{series} probes diverged from standalone runs at {workers} workers"
             );
         }
@@ -174,17 +170,10 @@ fn bench(c: &mut Criterion) {
         );
         let mut group = c.benchmark_group(format!("e8_parallel_scaling/{series}"));
         group.sample_size(21);
-        group.bench_function("serial", |b| {
-            b.iter_batched(
-                || build(None, bound),
-                |m| run(m, MS),
-                BatchSize::PerIteration,
-            )
-        });
         for workers in [1, 2, 4, 8] {
             group.bench_function(BenchmarkId::new("workers", workers), |b| {
                 b.iter_batched(
-                    || build(Some(workers), bound),
+                    || build(workers, bound),
                     |m| run(m, MS),
                     BatchSize::PerIteration,
                 )

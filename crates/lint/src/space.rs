@@ -28,20 +28,35 @@
 //! enclosure test (Rump-style): with `R = A(mid)⁻¹`, if the row-sum
 //! norm `‖I − R·A(box)‖∞ < 1` holds in interval arithmetic then every
 //! concrete matrix in the box family is nonsingular (the criterion holds
-//! for any `R`). It is evaluated sparsely, as the MNA runtime solves:
-//! once per [`lint_space`] call, one walk of the interval stamps records
-//! the CSR pattern and a stamp pointer per write; per box, the walk
-//! refills `A(box)` and `A(mid)` in place, [`ams_math::SparseLu`]
-//! factors `A(mid)`, and row `i` of `R·A(box)` is one transpose solve
-//! `A(mid)ᵀ·r = eᵢ` times the sparse `A(box)`. A box costs
-//! O(n·(nnz(LU) + nnz(A))) time and O(nnz) memory; no n×n matrix is
-//! built for a box the test proves.
+//! for any `R`). The matrices are the solver's own: this module keeps no
+//! MNA layout or stamp of its own, and every matrix comes from
+//! [`Circuit::stamp_matrix`], the real walk `ams-net` assembles the DC
+//! point and every transient step with — at `f64` for `A(mid)` and the
+//! witness check, at [`Interval`] for `A(box)`. So `SPC002` decides
+//! every linear kind: resistors, capacitors, inductors, independent and
+//! controlled sources, and switches. In `A(box)` a switch takes the hull
+//! of its on and off resistances, sound in either state; in `A(mid)` and
+//! the witness check it stands in its initial state, as the solver
+//! starts. A circuit with a diode or MOSFET stays [`Verdict::Unknown`]:
+//! a junction's conductance has no finite bound without a bias box.
+//!
+//! The test is evaluated sparsely, as the MNA runtime solves: once per
+//! [`lint_space`] call, one walk records the CSR pattern and a stamp
+//! pointer per write; per box, the walk refills `A(box)` and `A(mid)` in
+//! place, [`ams_math::SparseLu`] factors `A(mid)`, and row `i` of
+//! `R·A(box)` is one transpose solve `A(mid)ᵀ·r = eᵢ` times the sparse
+//! `A(box)`. A box costs O(n·(nnz(LU) + nnz(A))) time and O(nnz)
+//! memory; no n×n matrix is built for a box the test proves.
 //!
 //! The witness rule: a box is refuted only when the concrete check
 //! [`classify_point`] applies — the dense LU of the point matrix —
 //! rejects the box midpoint, and that check runs only when the sparse
 //! factorization of the midpoint fails. A box neither proved nor
 //! refuted bisects.
+//!
+//! The `SPC003` timestep bound sums the R/C part of the network; it is
+//! `None` when any kind but R, C, L or an independent source couples
+//! the nodes.
 //!
 //! Codes issued here are `SPC001`–`SPC006` in the stable registry
 //! ([`crate::codes::registry`]). Consumers: `NetlistSweep` prunes
@@ -50,15 +65,10 @@
 
 use crate::diag::{codes, Diagnostic, LintReport};
 use crate::mna::lint_circuit;
-use ams_math::{CsrMat, DMat, DVec, Interval, Lu, SparseLu, Triplets};
+use ams_math::{CsrMat, DMat, DVec, Interval, Lu, Scalar, SparseLu, Triplets};
 use ams_net::{Circuit, ElementKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// The solver's capacitor leak at DC, mirrored from
-/// `ams-net::dcop::GMIN` so the abstract DC matrix is the one the
-/// runtime factors.
-const GMIN: f64 = 1e-12;
 
 /// One named parameter with its range over the whole sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -370,10 +380,11 @@ struct ResolvedBind {
 }
 
 impl ResolvedBind {
-    /// The element value over a parameter interval.
-    fn value(&self, p: Interval) -> Interval {
+    /// The element value at parameter `p`: over an interval of the
+    /// parameter, or at a point of it.
+    fn value<T: Scalar>(&self, p: T) -> T {
         if self.relative {
-            (p + 1.0) * self.nominal
+            (p + T::ONE) * T::from_f64(self.nominal)
         } else {
             p
         }
@@ -503,178 +514,54 @@ fn refine(root: ParamBox, budget: usize, mut eval: impl FnMut(&ParamBox) -> BoxE
 // Interval MNA assembly
 // ---------------------------------------------------------------------
 
-/// Element values over per-axis parameter intervals: `values[elem]` is
-/// `Some(iv)` for bound R/C/L elements, `None` for unbound ones (use the
-/// template's concrete value). Point intervals give the concrete values
-/// at a point.
-fn element_intervals(
+/// Element values over per-axis parameter values: `values[elem]` is
+/// `Some` for a bound element and `None` for an unbound one, which keeps
+/// its template value. Intervals give the values over a box, `f64`s the
+/// values at a point.
+fn element_values<T: Scalar>(
     ckt: &Circuit,
     binds: &[ResolvedBind],
-    params: &[Interval],
-) -> Vec<Option<Interval>> {
-    let mut v: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
+    params: &[T],
+) -> Vec<Option<T>> {
+    let mut v = vec![None; ckt.element_count()];
     for rb in binds {
         v[rb.elem] = Some(rb.value(params[rb.param]));
     }
     v
 }
 
-/// The template's concrete R/C/L value for an element.
-fn template_value(kind: &ElementKind) -> Option<f64> {
-    match kind {
-        ElementKind::Resistor { ohms } => Some(*ohms),
-        ElementKind::Capacitor { farads, .. } => Some(*farads),
-        ElementKind::Inductor { henries, .. } => Some(*henries),
-        _ => None,
-    }
-}
-
-/// The MNA unknown layout for the abstract matrix: non-ground node
-/// voltages first, then one branch current per voltage-defined or
-/// inductive element. Returns `None` when the circuit contains element
-/// kinds outside the linear R/C/L/source family the interval stamps
-/// model (controlled sources, diodes, MOS, switches) — the matrix
-/// checks then answer [`Verdict::Unknown`] rather than overclaim.
-struct MnaLayout {
-    /// node index -> matrix row (ground excluded).
-    node_row: Vec<Option<usize>>,
-    /// element index -> branch row, for branch-current elements.
-    branch_row: Vec<Option<usize>>,
-    n: usize,
-}
-
-fn layout(ckt: &Circuit) -> Option<MnaLayout> {
-    let ground = Circuit::GROUND.index();
-    let mut node_row = vec![None; ckt.node_count()];
-    let mut next = 0usize;
-    for node in ckt.nodes() {
-        if node.index() != ground {
-            node_row[node.index()] = Some(next);
-            next += 1;
-        }
-    }
-    let mut branch_row = vec![None; ckt.elements().len()];
-    for (i, e) in ckt.elements().iter().enumerate() {
-        match e.kind {
-            ElementKind::Inductor { .. } | ElementKind::VoltageSource { .. } => {
-                branch_row[i] = Some(next);
-                next += 1;
-            }
-            ElementKind::Resistor { .. }
-            | ElementKind::Capacitor { .. }
-            | ElementKind::CurrentSource { .. } => {}
-            // Controlled sources and nonlinear devices are outside the
-            // interval stamp family.
-            _ => return None,
-        }
-    }
-    Some(MnaLayout {
-        node_row,
-        branch_row,
-        n: next,
-    })
-}
-
-/// Walks the interval BE companion stamps `G + C/h` (plus source and
-/// inductor branch rows) element by element, handing each matrix write
-/// `(row, col, value)` to `stamp`; `h = None` walks the DC matrix
-/// (capacitors open but for a `GMIN` leak, inductors shorts).
-/// `values[elem]` overrides the template value of a bound element.
-///
-/// For the kinds it models, these are exactly the matrices `ams-net`
-/// factors: its DC operating point and a backward-Euler step of `h`,
-/// with the same unknown order and no leak but the capacitor's at DC.
-/// A trapezoidal step factors `2C/h` and `2L/h`, which is this walk's
-/// matrix at `h/2`.
-///
-/// The write sequence depends on the topology and `h` only, never on
-/// the values, so [`IntervalMna`] records it once and replays it.
-fn walk_stamps(
-    ckt: &Circuit,
-    lay: &MnaLayout,
-    values: &[Option<Interval>],
-    h: Option<f64>,
-    mut stamp: impl FnMut(usize, usize, Interval),
-) {
-    let mut add = |i: Option<usize>, j: Option<usize>, v: Interval| {
-        if let (Some(i), Some(j)) = (i, j) {
-            stamp(i, j, v);
-        }
-    };
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        let p = lay.node_row[e.p.index()];
-        let nn = lay.node_row[e.n.index()];
-        let value = |template: f64| values[idx].unwrap_or(Interval::point(template));
-        match &e.kind {
-            ElementKind::Resistor { ohms } => {
-                let g = value(*ohms).recip();
-                add(p, p, g);
-                add(nn, nn, g);
-                add(p, nn, -g);
-                add(nn, p, -g);
-            }
-            ElementKind::Capacitor { farads, .. } => {
-                let g = match h {
-                    Some(h) => value(*farads) * (1.0 / h),
-                    None => Interval::point(GMIN),
-                };
-                add(p, p, g);
-                add(nn, nn, g);
-                add(p, nn, -g);
-                add(nn, p, -g);
-            }
-            ElementKind::Inductor { henries, .. } => {
-                let br = lay.branch_row[idx];
-                let one = Interval::point(1.0);
-                add(p, br, one);
-                add(nn, br, -one);
-                add(br, p, one);
-                add(br, nn, -one);
-                // BE companion: v = (L/h)(i - i_prev); DC: v = 0 with
-                // the branch current free — diagonal stays 0.
-                if let Some(h) = h {
-                    add(br, br, -(value(*henries) * (1.0 / h)));
-                }
-            }
-            ElementKind::VoltageSource { .. } => {
-                let br = lay.branch_row[idx];
-                let one = Interval::point(1.0);
-                add(p, br, one);
-                add(nn, br, -one);
-                add(br, p, one);
-                add(br, nn, -one);
-            }
-            // Current sources stamp no matrix entry, and `layout`
-            // rejects every kind the walk does not model.
-            _ => {}
-        }
-    }
+/// Whether the circuit has a diode or MOSFET. Their conductance has no
+/// finite bound without a bias box, so `SPC002` leaves such circuits
+/// undecided and `classify_point` passes them.
+fn nonlinear(ckt: &Circuit) -> bool {
+    ckt.elements().iter().any(|e| e.is_nonlinear())
 }
 
 /// The concrete singularity check: whether the dense LU rejects the
-/// point matrix of `values` (point intervals). It is `classify_point`'s
-/// `SPC002` test, and an `SPC002` witness box is one whose midpoint it
-/// rejects.
-fn singular_at(
-    ckt: &Circuit,
-    lay: &MnaLayout,
-    values: &[Option<Interval>],
-    h: Option<f64>,
-) -> bool {
-    let mut a: DMat<f64> = DMat::zeros(lay.n, lay.n);
-    walk_stamps(ckt, lay, values, h, |i, j, v| a[(i, j)] += v.midpoint());
+/// matrix the solver assembles with element values `values`. It is
+/// `classify_point`'s `SPC002` test, and an `SPC002` witness box is one
+/// whose midpoint it rejects.
+fn singular_at(ckt: &Circuit, values: &[Option<f64>], h: Option<f64>) -> bool {
+    let mut writes = Vec::with_capacity(4 * ckt.element_count());
+    let n = ckt.stamp_matrix(values, h, |i, j, v| writes.push((i, j, v)));
+    let mut a: DMat<f64> = DMat::zeros(n, n);
+    for (i, j, v) in writes {
+        a[(i, j)] += v;
+    }
     Lu::factor(&a).is_err()
 }
 
 /// The interval MNA matrix of one topology at one step, recorded once
 /// per [`lint_space`] call: the CSR pattern of every stamped position and
-/// a stamp pointer per write of [`walk_stamps`], as `ams-net`'s
+/// a stamp pointer per write of [`Circuit::stamp_matrix`], as `ams-net`'s
 /// `MnaSystem` replays its stamps. Each box refills `A(box)` and
-/// `A(mid)` in place.
+/// `A(mid)` in place through the same call, so both are the matrices the
+/// solver assembles: `A(mid)` bit for bit, `A(box)` over the box.
 struct IntervalMna<'a> {
     ckt: &'a Circuit,
-    lay: &'a MnaLayout,
     h: Option<f64>,
+    /// Number of unknowns.
+    n: usize,
     /// The pattern, holding the midpoint matrix `A(mid)`.
     mid: CsrMat<f64>,
     /// `A(box)`, slot for slot with `mid`'s values.
@@ -684,11 +571,10 @@ struct IntervalMna<'a> {
 }
 
 impl<'a> IntervalMna<'a> {
-    fn new(ckt: &'a Circuit, lay: &'a MnaLayout, h: Option<f64>) -> IntervalMna<'a> {
+    fn new(ckt: &'a Circuit, h: Option<f64>) -> IntervalMna<'a> {
         let mut coords = Vec::new();
-        let template = vec![None; ckt.elements().len()];
-        walk_stamps(ckt, lay, &template, h, |i, j, _| coords.push((i, j)));
-        let mut t = Triplets::new(lay.n, lay.n);
+        let n = ckt.stamp_matrix::<f64>(&[], h, |i, j, _| coords.push((i, j)));
+        let mut t = Triplets::new(n, n);
         for &(i, j) in &coords {
             t.push(i, j, 0.0);
         }
@@ -699,33 +585,39 @@ impl<'a> IntervalMna<'a> {
             .collect();
         IntervalMna {
             ckt,
-            lay,
             h,
-            boxed: vec![Interval::point(0.0); mid.nnz()],
+            n,
+            boxed: vec![Interval::ZERO; mid.nnz()],
             mid,
             slots,
         }
     }
 
     /// Fills `A(box)` and `A(mid)` for box `b` and returns the element
-    /// values at its midpoint.
-    fn fill(&mut self, binds: &[ResolvedBind], b: &ParamBox) -> Vec<Option<Interval>> {
-        let (ckt, lay, h) = (self.ckt, self.lay, self.h);
-        let (boxed, slots) = (&mut self.boxed, &self.slots);
-        boxed.fill(Interval::point(0.0));
-        let box_values = element_intervals(ckt, binds, &b.intervals);
+    /// values at its midpoint. In `A(box)` a switch takes the hull of
+    /// its two resistances, sound in either state; in `A(mid)` it
+    /// stands in its initial state, as in the witness check.
+    fn fill(&mut self, binds: &[ResolvedBind], b: &ParamBox) -> Vec<Option<f64>> {
+        let (ckt, h, slots) = (self.ckt, self.h, &self.slots);
+        let mut box_values = element_values(ckt, binds, &b.intervals);
+        for (v, e) in box_values.iter_mut().zip(ckt.elements()) {
+            if let ElementKind::Switch { r_on, r_off, .. } = e.kind {
+                *v = Some(Interval::new(r_on, r_off));
+            }
+        }
+        let boxed = &mut self.boxed;
+        boxed.fill(Interval::ZERO);
         let mut k = 0;
-        walk_stamps(ckt, lay, &box_values, h, |_, _, v| {
-            boxed[slots[k]] = boxed[slots[k]] + v;
+        ckt.stamp_matrix(&box_values, h, |_, _, v| {
+            boxed[slots[k]] += v;
             k += 1;
         });
-        let points: Vec<Interval> = b.midpoint().into_iter().map(Interval::point).collect();
-        let mid_values = element_intervals(ckt, binds, &points);
+        let mid_values = element_values(ckt, binds, &b.midpoint());
         let mid = self.mid.values_mut();
         mid.fill(0.0);
         let mut k = 0;
-        walk_stamps(ckt, lay, &mid_values, h, |_, _, v| {
-            mid[slots[k]] += v.midpoint();
+        ckt.stamp_matrix(&mid_values, h, |_, _, v| {
+            mid[slots[k]] += v;
             k += 1;
         });
         mid_values
@@ -738,12 +630,11 @@ impl<'a> IntervalMna<'a> {
     /// dense product does. O(n·(nnz(LU) + nnz(A))) time and O(n) scratch.
     /// Infinite when a row sum is not finite.
     fn row_sum_norm(&self, lu: &SparseLu<f64>) -> f64 {
-        let n = self.lay.n;
-        let zero = Interval::point(0.0);
+        let n = self.n;
         let mut e = DVec::zeros(n);
         let mut scratch = DVec::zeros(n);
         let mut r = DVec::zeros(n);
-        let mut row = vec![zero; n];
+        let mut row = vec![Interval::ZERO; n];
         let mut worst: f64 = 0.0;
         for i in 0..n {
             e[i] = 1.0;
@@ -755,7 +646,7 @@ impl<'a> IntervalMna<'a> {
                 if rik != 0.0 {
                     let (cols, _) = self.mid.row(k);
                     for (&j, &akj) in cols.iter().zip(&self.boxed[self.mid.row_range(k)]) {
-                        row[j] = row[j] + akj * rik;
+                        row[j] += akj * rik;
                     }
                 }
             }
@@ -763,7 +654,7 @@ impl<'a> IntervalMna<'a> {
             for (j, cij) in row.iter_mut().enumerate() {
                 let eij = if i == j { *cij + (-1.0) } else { *cij };
                 row_sum += eij.abs().hi;
-                *cij = zero;
+                *cij = Interval::ZERO;
             }
             if !row_sum.is_finite() {
                 return f64::INFINITY;
@@ -784,7 +675,7 @@ impl<'a> IntervalMna<'a> {
         match SparseLu::factor(&self.mid) {
             Ok(lu) if self.row_sum_norm(&lu) < 1.0 => BoxEval::Safe,
             Ok(_) => BoxEval::Undecided,
-            Err(_) if singular_at(self.ckt, self.lay, &mid_values, self.h) => BoxEval::Violated,
+            Err(_) if singular_at(self.ckt, &mid_values, self.h) => BoxEval::Violated,
             Err(_) => BoxEval::Undecided,
         }
     }
@@ -918,15 +809,16 @@ pub fn lint_space(context: impl Into<String>, ckt: &Circuit, spec: &SpaceSpec) -
     // when the structure is sound and values stay in-domain (a zero
     // crossing already makes some corner singular — but that corner is
     // SPC001's finding, not a new one).
-    let lay = layout(ckt);
-    let spc002 = match &lay {
-        Some(lay) if matches!(spc001, Verdict::ProvedSafe) && structural_errors.is_empty() => {
-            let mut mna = IntervalMna::new(ckt, lay, spec.requested_h);
-            refine(full.clone(), spec.budget, |b| mna.classify(&binds, b))
-        }
-        // Out-of-domain values or unmodelled element kinds: undecided
-        // over the whole box rather than a false proof either way.
-        _ => Verdict::Unknown(vec![full.clone()]),
+    let decidable =
+        matches!(spc001, Verdict::ProvedSafe) && structural_errors.is_empty() && !nonlinear(ckt);
+    let spc002 = if decidable {
+        let mut mna = IntervalMna::new(ckt, spec.requested_h);
+        refine(full.clone(), spec.budget, |b| mna.classify(&binds, b))
+    } else {
+        // Out-of-domain values, structural defects or junctions:
+        // undecided over the whole box rather than a false proof
+        // either way.
+        Verdict::Unknown(vec![full.clone()])
     };
     if let Verdict::ProvedViolated(w) = &spc002 {
         r.push(Diagnostic::error(
@@ -945,9 +837,7 @@ pub fn lint_space(context: impl Into<String>, ckt: &Circuit, spec: &SpaceSpec) -
     // magnitude is bounded by max_i (Σ_j |G_ij|.hi) / c_ii.lo over
     // capacitive nodes. 2/λ̄ is the trapezoidal stability / accuracy
     // guard band.
-    let safe_h = lay
-        .as_ref()
-        .and_then(|lay| gershgorin_safe_h(ckt, lay, &binds, &full));
+    let safe_h = gershgorin_safe_h(ckt, &binds, &full);
     if let (Some(h_req), Some(h_safe)) = (spec.requested_h, safe_h) {
         if h_req > h_safe {
             r.push(Diagnostic::warning(
@@ -977,32 +867,28 @@ pub fn lint_space(context: impl Into<String>, ckt: &Circuit, spec: &SpaceSpec) -
 }
 
 /// `2 / λ̄` where `λ̄` bounds the fastest RC eigenvalue over the whole
-/// box. `None` when no node carries capacitance (nothing to bound) or
-/// any needed interval is unusable.
-fn gershgorin_safe_h(
-    ckt: &Circuit,
-    lay: &MnaLayout,
-    binds: &[ResolvedBind],
-    b: &ParamBox,
-) -> Option<f64> {
-    let values = element_intervals(ckt, binds, &b.intervals);
-    let n_nodes = lay.node_row.len();
+/// box. `None` when no node carries capacitance (nothing to bound), any
+/// needed interval is unusable, or an element outside the R/C/L and
+/// independent-source family couples the nodes (the bound sums the R/C
+/// part only).
+fn gershgorin_safe_h(ckt: &Circuit, binds: &[ResolvedBind], b: &ParamBox) -> Option<f64> {
+    let values = element_values(ckt, binds, &b.intervals);
+    let n_nodes = ckt.node_count();
     // Per-node capacitance (lo) and conductance row magnitude (hi).
     let mut cap_lo = vec![0.0f64; n_nodes];
     let mut g_hi = vec![0.0f64; n_nodes];
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        let iv = values[idx].or_else(|| template_value(&e.kind).map(Interval::point));
-        match &e.kind {
-            ElementKind::Capacitor { .. } => {
-                let c = iv?;
+    for (e, iv) in ckt.elements().iter().zip(&values) {
+        match e.kind {
+            ElementKind::Capacitor { farads, .. } => {
+                let c = iv.unwrap_or(Interval::point(farads));
                 if c.lo <= 0.0 {
                     return None;
                 }
                 cap_lo[e.p.index()] += c.lo;
                 cap_lo[e.n.index()] += c.lo;
             }
-            ElementKind::Resistor { .. } => {
-                let g = iv?.recip();
+            ElementKind::Resistor { ohms } => {
+                let g = iv.unwrap_or(Interval::point(ohms)).recip();
                 if !g.hi.is_finite() || g.lo <= 0.0 {
                     return None;
                 }
@@ -1010,7 +896,10 @@ fn gershgorin_safe_h(
                 g_hi[e.p.index()] += 2.0 * g.hi;
                 g_hi[e.n.index()] += 2.0 * g.hi;
             }
-            _ => {}
+            ElementKind::Inductor { .. }
+            | ElementKind::VoltageSource { .. }
+            | ElementKind::CurrentSource { .. } => {}
+            _ => return None,
         }
     }
     let ground = Circuit::GROUND.index();
@@ -1044,7 +933,8 @@ pub fn classify_point(
 ) -> Option<&'static str> {
     let value_of =
         |name: &str| -> Option<f64> { names.iter().position(|n| n == name).map(|i| values[i]) };
-    let mut resolved: Vec<(usize, SpaceTarget, f64)> = Vec::new();
+    // Later binds override earlier ones on the same element.
+    let mut elem_values: Vec<Option<f64>> = vec![None; ckt.element_count()];
     for b in &spec.binds {
         let p = match value_of(&b.param) {
             Some(p) => p,
@@ -1053,25 +943,14 @@ pub fn classify_point(
         let Some(elem) = ckt.elements().iter().position(|e| e.name == b.element) else {
             return Some(codes::SPC004);
         };
-        let v = if b.relative { b.nominal * (1.0 + p) } else { p };
-        resolved.retain(|(e, t, _)| !(*e == elem && *t == b.target));
-        resolved.push((elem, b.target, v));
+        elem_values[elem] = Some(if b.relative { b.nominal * (1.0 + p) } else { p });
     }
-    if resolved.iter().any(|&(_, _, v)| v <= 0.0) {
+    if elem_values.iter().flatten().any(|&v| v <= 0.0) {
         return Some(codes::SPC001);
     }
-    // Singularity at the concrete point, with the same companion stamps
-    // the interval pass uses.
-    if let Some(lay) = layout(ckt) {
-        let mut values: Vec<Option<Interval>> = vec![None; ckt.elements().len()];
-        for &(e, _, v) in &resolved {
-            values[e] = Some(Interval::point(v));
-        }
-        if singular_at(ckt, &lay, &values, spec.requested_h) {
-            return Some(codes::SPC002);
-        }
-    }
-    None
+    // Singularity at the concrete point, in the matrix the solver
+    // factors.
+    (!nonlinear(ckt) && singular_at(ckt, &elem_values, spec.requested_h)).then_some(codes::SPC002)
 }
 
 // ---------------------------------------------------------------------
@@ -1113,7 +992,7 @@ mod tests {
     /// row-sum norm of `I − R·A(box)` over n×n interval rows. Infinite
     /// when `A(mid)` does not factor or a row sum is not finite.
     fn dense_row_sum_norm(mna: &IntervalMna<'_>) -> f64 {
-        let n = mna.lay.n;
+        let n = mna.n;
         let mut a = vec![vec![Interval::point(0.0); n]; n];
         for (i, ai) in a.iter_mut().enumerate() {
             let (cols, _) = mna.mid.row(i);
@@ -1133,7 +1012,7 @@ mod tests {
                 for (k, ak) in a.iter().enumerate() {
                     let rik = r[(i, k)];
                     if rik != 0.0 {
-                        cij = cij + ak[j] * rik;
+                        cij += ak[j] * rik;
                     }
                 }
                 let eij = if i == j { cij + (-1.0) } else { cij };
@@ -1151,6 +1030,16 @@ mod tests {
     /// sparse factorization of `A(mid)` fails.
     fn sparse_row_sum_norm(mna: &IntervalMna<'_>) -> f64 {
         SparseLu::factor(&mna.mid).map_or(f64::INFINITY, |lu| mna.row_sum_norm(&lu))
+    }
+
+    /// The template's concrete R/C/L value for an element.
+    fn template_value(kind: &ElementKind) -> Option<f64> {
+        match kind {
+            ElementKind::Resistor { ohms } => Some(*ohms),
+            ElementKind::Capacitor { farads, .. } => Some(*farads),
+            ElementKind::Inductor { henries, .. } => Some(*henries),
+            _ => None,
+        }
     }
 
     /// A random linear netlist of at most 12 unknowns: `nodes` nodes,
@@ -1230,8 +1119,6 @@ mod tests {
             log_h in -9.0f64..-7.0,
         ) {
             let ckt = random_netlist(nodes, &tree, &extra);
-            let lay = layout(&ckt).expect("only modelled kinds");
-            prop_assert!(lay.n <= 12);
             let bindable: Vec<usize> = ckt
                 .elements()
                 .iter()
@@ -1259,7 +1146,8 @@ mod tests {
             }
             let full = SpaceSpec::new(ranges, Vec::new()).param_box();
             for h in [None, Some(10f64.powf(log_h))] {
-                let mut mna = IntervalMna::new(&ckt, &lay, h);
+                let mut mna = IntervalMna::new(&ckt, h);
+                prop_assert!(mna.n <= 12);
                 mna.fill(&resolved, &full);
                 let sparse = sparse_row_sum_norm(&mna);
                 let dense = dense_row_sum_norm(&mna);
@@ -1545,6 +1433,121 @@ mod tests {
             "{}",
             rep.render()
         );
+    }
+
+    /// A VCVS whose output is its own control input, loaded by
+    /// 1 kΩ ∥ 1 nF, both bound relatively by ±5 %. Its branch row reads
+    /// `(1 − gain)·V(out) = 0`, so the matrix is singular at gain 1 and
+    /// regular at any other gain.
+    fn vcvs_buffer(gain: f64, h: Option<f64>) -> (Circuit, SpaceSpec) {
+        let mut ckt = Circuit::new();
+        let out = ckt.node("out");
+        ckt.vcvs("E1", out, Circuit::GROUND, out, Circuit::GROUND, gain)
+            .unwrap();
+        ckt.resistor("R1", out, Circuit::GROUND, 1e3).unwrap();
+        ckt.capacitor("C1", out, Circuit::GROUND, 1e-9).unwrap();
+        let mut spec = spec_rel((-0.05, 0.05), (-0.05, 0.05), 0);
+        for (param, element, target, nominal) in [
+            ("dr", "R1", SpaceTarget::Resistance, 1e3),
+            ("dc", "C1", SpaceTarget::Capacitance, 1e-9),
+        ] {
+            spec.binds.push(SpaceBind {
+                param: param.into(),
+                element: element.into(),
+                target,
+                relative: true,
+                nominal,
+            });
+        }
+        spec.requested_h = h;
+        (ckt, spec)
+    }
+
+    #[test]
+    fn a_regular_vcvs_buffer_proves_safe_at_dc_and_at_a_step() {
+        let names = ["dr".to_string(), "dc".to_string()];
+        for h in [None, Some(1e-6)] {
+            let (ckt, spec) = vcvs_buffer(2.0, h);
+            let rep = lint_space("t", &ckt, &spec);
+            assert_eq!(
+                rep.verdict(codes::SPC002),
+                Some(&Verdict::ProvedSafe),
+                "h = {h:?}: {}",
+                rep.render()
+            );
+            assert!(rep.report.is_clean(), "h = {h:?}: {}", rep.render());
+            assert_eq!(classify_point(&ckt, &spec, &names, &[0.05, -0.05]), None);
+        }
+    }
+
+    #[test]
+    fn a_singular_vcvs_buffer_is_refuted_at_dc_and_at_a_step() {
+        let names = ["dr".to_string(), "dc".to_string()];
+        for h in [None, Some(1e-6)] {
+            let (ckt, spec) = vcvs_buffer(1.0, h);
+            let rep = lint_space("t", &ckt, &spec);
+            let Some(Verdict::ProvedViolated(w)) = rep.verdict(codes::SPC002) else {
+                panic!("h = {h:?}: expected an SPC002 witness: {}", rep.render());
+            };
+            assert!(rep.report.has_code(codes::SPC002), "{}", rep.render());
+            assert_eq!(
+                classify_point(&ckt, &spec, w.names(), &w.midpoint()),
+                Some(codes::SPC002)
+            );
+            assert_eq!(
+                classify_point(&ckt, &spec, &names, &[0.05, -0.05]),
+                Some(codes::SPC002)
+            );
+        }
+        assert!(vcvs_buffer(1.0, None).0.dc_operating_point().is_err());
+    }
+
+    /// `vcvs_buffer` at gain 2 with a switch from `out` to ground.
+    fn switched_buffer(r_on: f64, r_off: f64, initially_on: bool) -> (Circuit, SpaceSpec) {
+        let (mut ckt, spec) = vcvs_buffer(2.0, None);
+        let out = ckt.find_node("out").unwrap();
+        ckt.switch("S1", out, Circuit::GROUND, r_on, r_off, initially_on)
+            .unwrap();
+        (ckt, spec)
+    }
+
+    #[test]
+    fn a_switch_is_proved_in_both_states_or_left_unknown() {
+        // 0.9 to 1.1 kΩ: the hull of both states stays well conditioned.
+        for on in [false, true] {
+            let (ckt, spec) = switched_buffer(900.0, 1.1e3, on);
+            let rep = lint_space("t", &ckt, &spec);
+            assert_eq!(
+                rep.verdict(codes::SPC002),
+                Some(&Verdict::ProvedSafe),
+                "{}",
+                rep.render()
+            );
+        }
+        // 1 Ω to 1 MΩ: no box bisection narrows the switch, so the hull
+        // stays too wide to prove, and nothing is refuted either.
+        let (ckt, spec) = switched_buffer(1.0, 1e6, false);
+        let rep = lint_space("t", &ckt, &spec);
+        assert!(
+            matches!(rep.verdict(codes::SPC002), Some(Verdict::Unknown(_))),
+            "{}",
+            rep.render()
+        );
+    }
+
+    #[test]
+    fn junction_circuits_stay_undecided() {
+        let (mut ckt, spec) = vcvs_buffer(1.0, None);
+        let out = ckt.find_node("out").unwrap();
+        ckt.diode("D1", out, Circuit::GROUND, 1e-14, 1.0).unwrap();
+        let rep = lint_space("t", &ckt, &spec);
+        assert!(
+            matches!(rep.verdict(codes::SPC002), Some(Verdict::Unknown(_))),
+            "{}",
+            rep.render()
+        );
+        let names = ["dr".to_string(), "dc".to_string()];
+        assert_eq!(classify_point(&ckt, &spec, &names, &[0.0, 0.0]), None);
     }
 
     #[test]

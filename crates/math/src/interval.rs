@@ -9,9 +9,17 @@
 //! every operation over-approximates the true range, which these do in
 //! real arithmetic).
 //!
+//! `Interval` is a [`Scalar`] that is stamped but never factored: the
+//! space pass runs `ams-net`'s real walk (`Circuit::stamp_matrix`) over
+//! it. On points it computes what `f64` computes, bit for bit (a
+//! nonzero point divisor divides the bounds, not by a reciprocal).
+//!
 //! Division by an interval containing zero yields the whole real line
 //! `[-∞, +∞]` — the sound "I know nothing" answer — rather than
 //! panicking, so transfer functions can be written without case splits.
+
+use crate::Scalar;
+use std::ops::{AddAssign, DivAssign, MulAssign, SubAssign};
 
 /// A closed interval `[lo, hi]` with `lo <= hi`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,11 +191,50 @@ impl std::ops::Mul for Interval {
 
 impl std::ops::Div for Interval {
     type Output = Interval;
-    // Interval division IS multiplication by the reciprocal hull —
-    // recip() handles the zero-crossing cases.
+    // A nonzero point divisor divides the bounds, so `[c, c] / [h, h]`
+    // is the `f64` quotient `c / h`; any other divisor multiplies by
+    // the reciprocal hull, and recip() handles the zero-crossing cases.
     #[allow(clippy::suspicious_arithmetic_impl)]
     fn div(self, rhs: Interval) -> Interval {
-        self * rhs.recip()
+        if rhs.is_point() && rhs.lo != 0.0 {
+            Interval::new(self.lo / rhs.lo, self.hi / rhs.lo)
+        } else {
+            self * rhs.recip()
+        }
+    }
+}
+
+macro_rules! assign_op {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl $trait for Interval {
+            fn $method(&mut self, rhs: Interval) {
+                *self = *self $op rhs;
+            }
+        }
+    };
+}
+
+assign_op!(AddAssign, add_assign, +);
+assign_op!(SubAssign, sub_assign, -);
+assign_op!(MulAssign, mul_assign, *);
+assign_op!(DivAssign, div_assign, /);
+
+impl Scalar for Interval {
+    const ZERO: Interval = Interval { lo: 0.0, hi: 0.0 };
+    const ONE: Interval = Interval { lo: 1.0, hi: 1.0 };
+
+    /// The largest magnitude in the interval.
+    fn modulus(self) -> f64 {
+        self.lo.abs().max(self.hi.abs())
+    }
+
+    /// The point `[x, x]`.
+    fn from_f64(x: f64) -> Interval {
+        Interval::point(x)
+    }
+
+    fn is_finite(self) -> bool {
+        self.lo.is_finite() && self.hi.is_finite()
     }
 }
 
@@ -255,6 +302,35 @@ mod tests {
         assert_eq!(l, Interval::new(0.0, 4.0));
         assert_eq!(r, Interval::new(4.0, 8.0));
         assert_eq!(l.hull(r), Interval::new(0.0, 8.0));
+    }
+
+    #[test]
+    fn point_operations_are_the_f64_operations() {
+        // 4.7e-6 · (1/1.1e-7) rounds differently from 4.7e-6 / 1.1e-7.
+        let (c, h) = (4.7e-6, 1.1e-7);
+        assert_ne!(c * (1.0 / h), c / h);
+        let p = |v: f64| Interval::point(v);
+        assert_eq!(p(c) / p(h), p(c / h));
+        assert_eq!(p(2.0) * p(c) / p(h), p(2.0 * c / h));
+        assert_eq!(p(1.0) / p(-3.0), p(1.0 / -3.0));
+        assert_eq!(Interval::new(1.0, 2.0) / p(-2.0), Interval::new(-1.0, -0.5));
+        let mut acc = Interval::ZERO;
+        acc += p(0.1);
+        acc += p(0.2);
+        assert_eq!(acc, p(0.1 + 0.2));
+        acc -= p(0.3);
+        acc *= p(3.0);
+        acc /= p(7.0);
+        assert_eq!(acc, p((0.1 + 0.2 - 0.3) * 3.0 / 7.0));
+    }
+
+    #[test]
+    fn scalar_constants_modulus_and_finiteness() {
+        assert_eq!(Interval::ONE, Interval::point(1.0));
+        assert_eq!(Interval::from_f64(2.5), Interval::point(2.5));
+        assert_eq!(Interval::new(-3.0, 2.0).modulus(), 3.0);
+        assert!(Interval::new(-3.0, 2.0).is_finite());
+        assert!(!Interval::entire().is_finite());
     }
 
     #[test]

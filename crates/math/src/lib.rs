@@ -22,8 +22,9 @@
 //! * [`newton`] — damped Newton–Raphson with numeric Jacobians.
 //! * [`fft`] — radix-2 FFT, windows and spectral helpers.
 //! * [`Rational`] — exact rational arithmetic for SDF balance equations.
-//! * [`Interval`] — closed-interval arithmetic backing the sweep-space
-//!   abstract interpretation in `ams-lint::space`.
+//! * [`Interval`] — closed-interval arithmetic, a [`Scalar`] that is
+//!   stamped but never factored, backing the sweep-space abstract
+//!   interpretation in `ams-lint::space`.
 //! * [`interp`] / [`stats`] — interpolation and running statistics.
 //!
 //! # Example

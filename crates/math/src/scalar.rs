@@ -4,16 +4,17 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 
 /// A field scalar usable by the generic dense linear algebra.
 ///
-/// Implemented for three families: `f64` (DC, transient), [`Complex64`]
-/// (AC, noise), and [`crate::lanes::F64xK`] (lane-bundled batch
-/// transient — K parameter corners in lockstep), so one LU
-/// factorization routine serves real, complex, and bundled Modified
-/// Nodal Analysis. The trait is sealed by convention: the three
-/// implementor families above are the supported set, and downstream
-/// code should not add scalar types. Note that `Display` is
-/// deliberately *not* a supertrait — lane bundles have no natural
-/// scalar rendering — so generic code must format through `Debug` or
-/// `modulus()`.
+/// Implemented for three families that are factored: `f64` (DC,
+/// transient), [`Complex64`] (AC, noise), and [`crate::lanes::F64xK`]
+/// (lane-bundled batch transient — K parameter corners in lockstep),
+/// so one LU factorization routine serves real, complex, and bundled
+/// Modified Nodal Analysis. A fourth, [`crate::Interval`], is stamped
+/// but never factored: the sweep-space proof runs the real stamp walk
+/// over parameter boxes. The trait is sealed by convention: these
+/// implementors are the supported set, and downstream code should not
+/// add scalar types. Note that `Display` is deliberately *not* a
+/// supertrait — lane bundles have no natural scalar rendering — so
+/// generic code must format through `Debug` or `modulus()`.
 pub trait Scalar:
     Copy
     + Debug

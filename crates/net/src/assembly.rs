@@ -6,11 +6,12 @@
 //!
 //! * [`DenseStamp`] writes into a dense `DMat` (the original path, still
 //!   the right choice for small systems);
-//! * [`PatternStamp`] records the coordinate sequence without any values
-//!   — run once per (circuit, analysis) to discover the sparsity
-//!   pattern, which is valid forever because the stamp-call sequence of
-//!   an assembly routine is data-independent (element loops and branch
-//!   structure never depend on the state or time);
+//! * [`MatrixWrites`] hands each matrix write to a closure — run once
+//!   per (circuit, analysis) to record the coordinate sequence and so
+//!   the sparsity pattern, which is valid forever because the
+//!   stamp-call sequence of an assembly routine is data-independent
+//!   (element loops and branch structure never depend on the state or
+//!   time), and by `Circuit::stamp_matrix` to hand the values out;
 //! * [`CsrStamp`] replays that sequence through **stamp pointers**:
 //!   precomputed flat indices into the CSR value array, making per-step
 //!   assembly a `values.fill(0)` plus indexed adds with no hashing,
@@ -78,15 +79,13 @@ impl<T: Scalar> Stamp<T> for DenseStamp<'_, T> {
     }
 }
 
-/// Records the matrix coordinate sequence of an assembly run (values and
-/// RHS writes are discarded).
-pub(crate) struct PatternStamp<'a> {
-    pub coords: &'a mut Vec<(usize, usize)>,
-}
+/// Hands each matrix write `(i, j, v)` of an assembly run to a closure;
+/// RHS writes are discarded.
+pub(crate) struct MatrixWrites<F>(pub F);
 
-impl<T: Scalar> Stamp<T> for PatternStamp<'_> {
-    fn mat(&mut self, i: usize, j: usize, _v: T) {
-        self.coords.push((i, j));
+impl<T: Scalar, F: FnMut(usize, usize, T)> Stamp<T> for MatrixWrites<F> {
+    fn mat(&mut self, i: usize, j: usize, v: T) {
+        (self.0)(i, j, v);
     }
     fn rhs(&mut self, _i: usize, _v: T) {}
 }
@@ -172,16 +171,14 @@ pub(crate) type Analysis<T> = fn(&CsrMat<T>) -> ams_math::Result<SparseLu<T>>;
 
 impl<T: Scalar> MnaSystem<T> {
     /// Creates the system state for `n` unknowns. When `sparse`, the
-    /// `record` closure is run once against a [`PatternStamp`] to
+    /// `record` closure is run once against a [`MatrixWrites`] sink to
     /// discover the sparsity pattern and resolve the stamp pointers; the
     /// same closure's stamp sequence must be replayed by every later
     /// [`MnaSystem::assemble`].
     pub fn new(n: usize, sparse: bool, record: impl FnOnce(&mut dyn Stamp<T>)) -> Self {
         let backend = if sparse {
             let mut coords = Vec::new();
-            record(&mut PatternStamp {
-                coords: &mut coords,
-            });
+            record(&mut MatrixWrites(|i, j, _: T| coords.push((i, j))));
             let mut t = Triplets::new(n, n);
             for &(i, j) in &coords {
                 t.push(i, j, T::ZERO);

@@ -280,7 +280,7 @@ pub(crate) fn dc_newton(
     walk: RealWalk<'_, f64>,
     guess: Option<DVec<f64>>,
 ) -> Result<DcPoint, NetError> {
-    let (ckt, layout) = (&walk.circuits[0], walk.layout);
+    let (ckt, layout) = (&walk.values[0], walk.layout);
     let n = layout.n_unknowns;
     let mut x = guess.unwrap_or_else(|| DVec::zeros(n));
     if x.len() != n {
@@ -362,7 +362,7 @@ pub(crate) fn dc_walk<'a>(
     gmin: f64,
 ) -> RealWalk<'a, f64> {
     RealWalk {
-        circuits: std::slice::from_ref(ckt),
+        values: std::slice::from_ref(ckt),
         layout,
         x,
         switches,

@@ -10,10 +10,13 @@
 //! one of two walks:
 //!
 //! * [`RealWalk`] assembles the DC operating point and every transient
-//!   step, at `f64` or at a lane bundle. The analysis supplies only what
-//!   differs: the energy-storage models ([`Storage`]), the source values
-//!   ([`Sources`]), the junction gmin, and whether the matrix is stamped
-//!   at all (the linear fast path replays the right-hand side only).
+//!   step, at `f64` or at a lane bundle, and the matrices
+//!   [`Circuit::stamp_matrix`] hands out in any number field, intervals
+//!   included. The analysis supplies only what differs: where element
+//!   values come from ([`ElementValues`]), the energy-storage models
+//!   ([`Storage`]), the source values ([`Sources`]), the junction gmin,
+//!   and whether the matrix is stamped at all (the linear fast path
+//!   replays the right-hand side only).
 //! * [`assemble_ac`](crate::ac::assemble_ac) assembles the complex
 //!   small-signal system of AC and noise analysis, stimulus included.
 //!
@@ -275,41 +278,192 @@ pub(crate) enum Sources<'a> {
     At { t: f64, ext: &'a [Vec<f64>] },
 }
 
-/// Bundles field `$field` of the `$kind` element at `$idx` across the
-/// lane circuits `$circuits`. Lane 0 takes `$v0`, the value the caller
-/// already destructured from the template element, so the one-lane
-/// instance never re-matches.
-macro_rules! lane_param {
-    ($circuits:expr, $idx:expr, $v0:expr, $kind:ident, $field:ident) => {
-        T::from_fn(|l| {
-            if l == 0 {
-                $v0
-            } else {
-                match &$circuits[l].elements()[$idx].kind {
-                    $crate::ElementKind::$kind { $field, .. } => *$field,
-                    _ => unreachable!("lane circuits share one topology"),
-                }
-            }
+/// Where a [`RealWalk`] reads element values: the lane circuits of a
+/// solve (`&[Circuit]`), or one optional value per element of a
+/// template ([`Overrides`]). Everything else in the walk is shared.
+pub(crate) trait ElementValues<T: Scalar>: Copy {
+    /// The circuit whose elements are walked (lane 0's).
+    fn template(&self) -> &Circuit;
+
+    /// A value of element `idx`: `v0` is the template's, and `pick`
+    /// reads the same field of another lane's element.
+    fn param(&self, idx: usize, v0: f64, pick: impl Fn(&ElementKind) -> f64) -> T;
+
+    /// Independent source `idx`'s value; `wave0` is the template's
+    /// waveform.
+    fn source(&self, idx: usize, wave0: &crate::Waveform, sources: Sources<'_>) -> T;
+
+    /// Diode `idx`'s current and conductance at junction voltage `v`.
+    fn diode(&self, idx: usize, v: T) -> (T, T);
+
+    /// MOSFET `idx` linearized at gate, drain and source voltages.
+    fn nmos(&self, idx: usize, vg: T, vd: T, vs: T) -> NmosOp<T>;
+}
+
+/// Field `$field` of the `$kind` element at `$idx`, read through
+/// `$values`; `$v0` is the value the caller already destructured from
+/// the template element.
+macro_rules! param {
+    ($values:expr, $idx:expr, $v0:expr, $kind:ident, $field:ident) => {
+        $values.param($idx, $v0, |k| match k {
+            ElementKind::$kind { $field, .. } => *$field,
+            _ => unreachable!("lane circuits share one topology"),
         })
     };
 }
-pub(crate) use lane_param;
 
-/// The one real-valued assembly: every element of `circuits[0]`
-/// stamped once, in element order, with each lane's parameters.
+/// One circuit per lane, topology-identical: every value is bundled
+/// across the lanes, and lane 0 takes the template's, so the one-lane
+/// instance never re-matches.
+impl<T: Lanes> ElementValues<T> for &[Circuit] {
+    fn template(&self) -> &Circuit {
+        &self[0]
+    }
+
+    #[inline(always)]
+    fn param(&self, idx: usize, v0: f64, pick: impl Fn(&ElementKind) -> f64) -> T {
+        T::from_fn(|l| {
+            if l == 0 {
+                v0
+            } else {
+                pick(&self[l].elements()[idx].kind)
+            }
+        })
+    }
+
+    #[inline(always)]
+    fn source(&self, idx: usize, wave0: &crate::Waveform, sources: Sources<'_>) -> T {
+        let wave = |l: usize| {
+            if l == 0 {
+                wave0
+            } else {
+                match &self[l].elements()[idx].kind {
+                    ElementKind::VoltageSource { wave, .. }
+                    | ElementKind::CurrentSource { wave, .. } => wave,
+                    _ => unreachable!("lane circuits share one topology"),
+                }
+            }
+        };
+        match sources {
+            Sources::Dc { scale, ext } => T::from_fn(|l| scale * wave(l).dc_value(ext)),
+            Sources::At { t, ext } => T::from_fn(|l| wave(l).value_at(t, &ext[l])),
+        }
+    }
+
+    /// The exponential is inherently scalar: each lane is linearized at
+    /// its own bias.
+    #[inline]
+    fn diode(&self, idx: usize, v: T) -> (T, T) {
+        let (mut i, mut g) = (T::ZERO, T::ZERO);
+        for (l, ckt) in self[..T::LANES].iter().enumerate() {
+            if let ElementKind::Diode { is_sat, n } = ckt.elements()[idx].kind {
+                let (il, gl) = diode_iv(v.lane(l), is_sat, n);
+                i.set_lane(l, il);
+                g.set_lane(l, gl);
+            }
+        }
+        (i, g)
+    }
+
+    #[inline]
+    fn nmos(&self, idx: usize, vg: T, vd: T, vs: T) -> NmosOp<T> {
+        let mut op = NmosOp::<T>::default();
+        for (l, ckt) in self[..T::LANES].iter().enumerate() {
+            if let ElementKind::Nmos { kp, vt, lambda, .. } = ckt.elements()[idx].kind {
+                let o = nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);
+                op.id.set_lane(l, o.id);
+                op.a_g.set_lane(l, o.a_g);
+                op.a_d.set_lane(l, o.a_d);
+                op.a_s.set_lane(l, o.a_s);
+            }
+        }
+        op
+    }
+}
+
+/// A template whose element `i` takes `values[i]` when that is `Some`
+/// (a missing entry is `None`), in any number field: what
+/// [`Circuit::stamp_matrix`] walks. Sources read zero, and junctions
+/// are linearized at zero bias.
+#[derive(Clone, Copy)]
+pub(crate) struct Overrides<'a, T> {
+    pub circuit: &'a Circuit,
+    pub values: &'a [Option<T>],
+}
+
+impl<T: Scalar> ElementValues<T> for Overrides<'_, T> {
+    fn template(&self) -> &Circuit {
+        self.circuit
+    }
+
+    fn param(&self, idx: usize, v0: f64, _pick: impl Fn(&ElementKind) -> f64) -> T {
+        match self.values.get(idx) {
+            Some(&Some(v)) => v,
+            _ => T::from_f64(v0),
+        }
+    }
+
+    fn source(&self, _idx: usize, _wave0: &crate::Waveform, _sources: Sources<'_>) -> T {
+        T::ZERO
+    }
+
+    fn diode(&self, idx: usize, _v: T) -> (T, T) {
+        let (i, g) = std::slice::from_ref(self.circuit).diode(idx, 0.0);
+        (T::from_f64(i), T::from_f64(g))
+    }
+
+    fn nmos(&self, idx: usize, _vg: T, _vd: T, _vs: T) -> NmosOp<T> {
+        let o: NmosOp = std::slice::from_ref(self.circuit).nmos(idx, 0.0, 0.0, 0.0);
+        NmosOp {
+            id: T::from_f64(o.id),
+            a_g: T::from_f64(o.a_g),
+            a_d: T::from_f64(o.a_d),
+            a_s: T::from_f64(o.a_s),
+        }
+    }
+}
+
+/// Writes each capacitor's companion conductance and each inductor's
+/// companion resistance over a step of `h` into `out[idx]`: `C/h` and
+/// `L/h` under backward Euler (`be`), `2C/h` and `2L/h` under the
+/// trapezoidal rule. Other entries are left as they are.
+pub(crate) fn fill_companions<T: Scalar>(
+    values: impl ElementValues<T>,
+    h: f64,
+    be: bool,
+    out: &mut [T],
+) {
+    let hh = T::from_f64(h);
+    let two = T::from_f64(2.0);
+    for (idx, e) in values.template().elements().iter().enumerate() {
+        let v = match &e.kind {
+            ElementKind::Capacitor { farads, .. } => {
+                param!(values, idx, *farads, Capacitor, farads)
+            }
+            ElementKind::Inductor { henries, .. } => {
+                param!(values, idx, *henries, Inductor, henries)
+            }
+            _ => continue,
+        };
+        out[idx] = if be { v / hh } else { two * v / hh };
+    }
+}
+
+/// The one real-valued assembly: every element of the template stamped
+/// once, in element order, with the values `values` gives.
 ///
 /// [`RealWalk::stamp`] stamps the whole system; [`RealWalk::stamp_rhs`]
 /// replays the right-hand side only, over factors already cached (the
 /// linear fast path, so never over a diode or MOSFET), and computes no
 /// matrix entry. The stamp-call sequence depends only on the topology —
-/// not on the iterate, the time, the step, the switch states, the
-/// sources or the lane — so the sparse pattern and stamp pointers
-/// recorded from one walk serve every later one, at DC and in every
-/// step, and so does an adopted symbolic factor.
+/// not on the values, the iterate, the time, the step, the switch
+/// states, the sources, the lane or the number field — so the sparse
+/// pattern and stamp pointers recorded from one walk serve every later
+/// one, at DC and in every step, and so does an adopted symbolic factor.
 #[derive(Clone, Copy)]
-pub(crate) struct RealWalk<'a, T: Scalar> {
-    /// One circuit per lane, topology-identical.
-    pub circuits: &'a [Circuit],
+pub(crate) struct RealWalk<'a, T: Scalar, V = &'a [Circuit]> {
+    /// Where element values come from (see [`ElementValues`]).
+    pub values: V,
     pub layout: &'a MnaLayout,
     /// The point diodes and MOSFETs are linearized at.
     pub x: &'a DVec<T>,
@@ -322,28 +476,7 @@ pub(crate) struct RealWalk<'a, T: Scalar> {
     pub gmin: f64,
 }
 
-impl<T: Lanes> RealWalk<'_, T> {
-    /// Independent source `idx`'s value in every lane; lane 0 reads
-    /// `wave0`, the template element's waveform.
-    #[inline(always)]
-    fn source(&self, idx: usize, wave0: &crate::Waveform) -> T {
-        let wave = |l: usize| {
-            if l == 0 {
-                wave0
-            } else {
-                match &self.circuits[l].elements()[idx].kind {
-                    ElementKind::VoltageSource { wave, .. }
-                    | ElementKind::CurrentSource { wave, .. } => wave,
-                    _ => unreachable!("lane circuits share one topology"),
-                }
-            }
-        };
-        match self.sources {
-            Sources::Dc { scale, ext } => T::from_fn(|l| scale * wave(l).dc_value(ext)),
-            Sources::At { t, ext } => T::from_fn(|l| wave(l).value_at(t, &ext[l])),
-        }
-    }
-
+impl<T: Scalar, V: ElementValues<T>> RealWalk<'_, T, V> {
     /// Stamps every element's matrix and right-hand-side entries.
     pub fn stamp(&self, st: &mut dyn Stamp<T>) {
         self.walk::<true>(st);
@@ -356,8 +489,8 @@ impl<T: Lanes> RealWalk<'_, T> {
 
     #[inline]
     fn walk<const MATRIX: bool>(&self, st: &mut dyn Stamp<T>) {
-        let (circuits, layout, x) = (self.circuits, self.layout, self.x);
-        for (idx, e) in circuits[0].elements().iter().enumerate() {
+        let (values, layout, x) = (self.values, self.layout, self.x);
+        for (idx, e) in values.template().elements().iter().enumerate() {
             let eid = ElementId(idx);
             match &e.kind {
                 // A right-hand-side replay skips what stamps only the
@@ -372,7 +505,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                 | ElementKind::Nmos { .. }
                     if !MATRIX => {}
                 ElementKind::Resistor { ohms } => {
-                    let r = lane_param!(circuits, idx, *ohms, Resistor, ohms);
+                    let r = param!(values, idx, *ohms, Resistor, ohms);
                     stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
                 }
                 ElementKind::Capacitor { .. } => match self.storage {
@@ -426,24 +559,24 @@ impl<T: Lanes> RealWalk<'_, T> {
                         stamp_branch_kcl(layout, st, e.p, e.n, b);
                         stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
                     }
-                    st.rhs(b, self.source(idx, wave));
+                    st.rhs(b, values.source(idx, wave, self.sources));
                 }
                 ElementKind::CurrentSource { wave, .. } => {
-                    stamp_current(layout, st, e.p, e.n, self.source(idx, wave));
+                    stamp_current(layout, st, e.p, e.n, values.source(idx, wave, self.sources));
                 }
                 ElementKind::Vcvs { cp, cn, gain } => {
-                    let gain = lane_param!(circuits, idx, *gain, Vcvs, gain);
+                    let gain = param!(values, idx, *gain, Vcvs, gain);
                     let b = layout.branch_var(eid).expect("vcvs branch");
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
                     stamp_branch_voltage(layout, st, b, e.p, e.n, T::ONE);
                     stamp_branch_voltage(layout, st, b, *cp, *cn, -gain);
                 }
                 ElementKind::Vccs { cp, cn, gm } => {
-                    let gm = lane_param!(circuits, idx, *gm, Vccs, gm);
+                    let gm = param!(values, idx, *gm, Vccs, gm);
                     stamp_vccs(layout, st, e.p, e.n, *cp, *cn, gm);
                 }
                 ElementKind::Cccs { ctrl, gain } => {
-                    let gain = lane_param!(circuits, idx, *gain, Cccs, gain);
+                    let gain = param!(values, idx, *gain, Cccs, gain);
                     let cb = layout.branch_var(*ctrl).expect("validated control");
                     if let Some(ip) = layout.node_var(e.p) {
                         st.mat(ip, cb, gain);
@@ -453,7 +586,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                     }
                 }
                 ElementKind::Ccvs { ctrl, r } => {
-                    let r = lane_param!(circuits, idx, *r, Ccvs, r);
+                    let r = param!(values, idx, *r, Ccvs, r);
                     let b = layout.branch_var(eid).expect("ccvs branch");
                     let cb = layout.branch_var(*ctrl).expect("validated control");
                     stamp_branch_kcl(layout, st, e.p, e.n, b);
@@ -462,16 +595,7 @@ impl<T: Lanes> RealWalk<'_, T> {
                 }
                 ElementKind::Diode { .. } => {
                     let v = node_value(layout, x, e.p) - node_value(layout, x, e.n);
-                    // The exponential is inherently scalar: linearize
-                    // each lane at its own bias.
-                    let (mut i, mut g) = (T::ZERO, T::ZERO);
-                    for (l, ckt) in circuits[..T::LANES].iter().enumerate() {
-                        if let ElementKind::Diode { is_sat, n } = ckt.elements()[idx].kind {
-                            let (il, gl) = diode_iv(v.lane(l), is_sat, n);
-                            i.set_lane(l, il);
-                            g.set_lane(l, gl);
-                        }
-                    }
+                    let (i, g) = values.diode(idx, v);
                     // Companion: i ≈ g·v + (i₀ − g·v₀).
                     stamp_conductance(layout, st, e.p, e.n, g + T::from_f64(self.gmin));
                     stamp_current(layout, st, e.p, e.n, i - g * v);
@@ -480,25 +604,15 @@ impl<T: Lanes> RealWalk<'_, T> {
                     let vg = node_value(layout, x, *gate);
                     let vd = node_value(layout, x, e.p);
                     let vs = node_value(layout, x, e.n);
-                    let mut op = NmosOp::<T>::default();
-                    for (l, ckt) in circuits[..T::LANES].iter().enumerate() {
-                        if let ElementKind::Nmos { kp, vt, lambda, .. } = ckt.elements()[idx].kind {
-                            let o =
-                                nmos_linearize(vg.lane(l), vd.lane(l), vs.lane(l), kp, vt, lambda);
-                            op.id.set_lane(l, o.id);
-                            op.a_g.set_lane(l, o.a_g);
-                            op.a_d.set_lane(l, o.a_d);
-                            op.a_s.set_lane(l, o.a_s);
-                        }
-                    }
+                    let op = values.nmos(idx, vg, vd, vs);
                     stamp_mos(layout, st, e.p, *gate, e.n, &op, vg, vd, vs);
                     stamp_conductance(layout, st, e.p, e.n, T::from_f64(self.gmin));
                 }
                 ElementKind::Switch { r_on, r_off, .. } => {
                     let r = if self.switches.get(idx).copied().unwrap_or(false) {
-                        lane_param!(circuits, idx, *r_on, Switch, r_on)
+                        param!(values, idx, *r_on, Switch, r_on)
                     } else {
-                        lane_param!(circuits, idx, *r_off, Switch, r_off)
+                        param!(values, idx, *r_off, Switch, r_off)
                     };
                     stamp_conductance(layout, st, e.p, e.n, T::ONE / r);
                 }

@@ -24,7 +24,8 @@ use crate::assembly::{MnaSystem, SolverBackend};
 use crate::checkpoint::Checkpoint;
 use crate::dcop::{GMIN, NEWTON_MAX_ITER, NEWTON_REL_TOL, NEWTON_V_TOL};
 use crate::mna::{
-    element_current, lane_param, node_value, EnergyState, MnaLayout, RealWalk, Sources, Storage,
+    element_current, fill_companions, node_value, EnergyState, MnaLayout, RealWalk, Sources,
+    Storage,
 };
 use crate::{Circuit, ElementId, ElementKind, InputId, NetError, NodeId};
 use ams_math::{DVec, F64xK, Lanes, Scalar, SolveStats, SparseLu};
@@ -896,30 +897,7 @@ impl<T: Lanes> Transient<T> {
         if self.companion_key == Some(key) {
             return;
         }
-        let hh = T::from_f64(h);
-        let two = T::from_f64(2.0);
-        for (idx, e) in self.circuits[0].elements().iter().enumerate() {
-            let g = match &e.kind {
-                ElementKind::Capacitor { farads, .. } => {
-                    let c = lane_param!(self.circuits, idx, *farads, Capacitor, farads);
-                    if be {
-                        c / hh
-                    } else {
-                        two * c / hh
-                    }
-                }
-                ElementKind::Inductor { henries, .. } => {
-                    let ind = lane_param!(self.circuits, idx, *henries, Inductor, henries);
-                    if be {
-                        ind / hh
-                    } else {
-                        two * ind / hh
-                    }
-                }
-                _ => continue,
-            };
-            self.companion[idx] = g;
-        }
+        fill_companions(self.circuits.as_slice(), h, be, &mut self.companion);
         self.companion_key = Some(key);
     }
 
@@ -1014,7 +992,7 @@ impl<T: Lanes> Transient<T> {
     /// linearized at `x`.
     fn walk<'a>(&'a self, x: &'a DVec<T>, t_new: f64, be: bool) -> RealWalk<'a, T> {
         RealWalk {
-            circuits: &self.circuits,
+            values: &self.circuits,
             layout: &self.layout,
             x,
             switches: &self.switches,

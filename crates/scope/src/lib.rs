@@ -54,6 +54,7 @@
 
 pub mod args;
 pub mod chrome;
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod report;

@@ -28,6 +28,7 @@ use crate::ServeError;
 use ams_lint::{ParamRange, SpaceBind, SpaceSpec, SpaceTarget};
 use ams_monitor::MonitorSpec;
 use ams_net::{Circuit, ElementId, IntegrationMethod, NodeId, Waveform};
+use ams_scope::fnv::Fnv;
 use ams_sweep::json::Json;
 use ams_sweep::{
     CancelToken, FactorSink, NetlistSweep, ProgressFn, SweepError, SweepReport, SweepSpec,
@@ -284,10 +285,9 @@ impl CircuitSpec {
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         for e in &self.elements {
-            h.bytes(e.kind.tag().as_bytes());
-            h.bytes(e.name.as_bytes());
-            h.bytes(e.p.as_bytes());
-            h.bytes(e.n.as_bytes());
+            for field in [e.kind.tag(), &e.name, &e.p, &e.n] {
+                hash_str(&mut h, field);
+            }
             match &e.kind {
                 ElementKindSpec::Resistor(v)
                 | ElementKindSpec::Capacitor(v)
@@ -777,7 +777,7 @@ impl JobSpec {
             Some(m) => {
                 let mut h = Fnv::new();
                 h.u64(self.circuit.fingerprint());
-                h.bytes(m.as_bytes());
+                hash_str(&mut h, m);
                 h.finish()
             }
         }
@@ -1280,39 +1280,11 @@ impl PreparedJob {
     }
 }
 
-/// FNV-1a, the same construction `ams-sweep` uses for report
-/// fingerprints — small, stable, dependency-free.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        // Length prefix keeps adjacent fields from gluing together.
-        for b in (bs.len() as u64).to_le_bytes() {
-            self.byte(b);
-        }
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Hashes a string behind its length, so adjacent fields do not glue
+/// together.
+fn hash_str(h: &mut Fnv, s: &str) {
+    h.u64(s.len() as u64);
+    h.bytes(s.as_bytes());
 }
 
 #[cfg(test)]

@@ -1277,6 +1277,37 @@ mod tests {
     }
 
     #[test]
+    fn space_gate_prunes_a_singular_controlled_source_corner() {
+        // `b` is held to ground by `R` and by a VCCS drawing
+        // −1 mS·V(b); a second VCCS drives it from `a`. At R = 1 kΩ
+        // (dr = 0) the two cancel and nothing else enters V(b)'s column,
+        // so that corner's matrix is singular.
+        let mut ckt = Circuit::new();
+        let (inp, a, b) = (ckt.node("in"), ckt.node("a"), ckt.node("b"));
+        let gnd = Circuit::GROUND;
+        ckt.voltage_source("V", inp, gnd, 1.0).unwrap();
+        ckt.resistor("R1", inp, a, 1e3).unwrap();
+        ckt.capacitor("C", a, gnd, 1e-9).unwrap();
+        ckt.vccs("G2", gnd, b, a, gnd, 1e-3).unwrap();
+        let r = ckt.resistor("R", b, gnd, 1e3).unwrap();
+        ckt.vccs("G", b, gnd, b, gnd, -1e-3).unwrap();
+        assert!(ckt.dc_operating_point().is_err());
+
+        let spec = SweepSpec::grid(&[("dr", &[-0.5, 0.0, 0.5])], 3).unwrap();
+        let apply =
+            |c: &mut Circuit, sc: &Scenario| c.set_resistance(r, 1e3 * (1.0 + sc.value("dr")));
+        let report = NetlistSweep::new(ckt, IntegrationMethod::Trapezoidal)
+            .fixed_step(2e-6, 2e-9)
+            .space(rc_space(-0.5, 0.5))
+            .run(&spec, 2, &["v"], apply, |tr, m| m[0] = tr.voltage(b))
+            .unwrap();
+        assert_eq!(report.space_pruned, vec![(1, "SPC002".to_string())]);
+        let kept: Vec<usize> = report.scenarios.iter().map(|s| s.index).collect();
+        assert_eq!(kept, [0, 2]);
+        assert!(report.scenarios.iter().all(|s| s.metrics[0].is_finite()));
+    }
+
+    #[test]
     fn space_gate_rejects_unknown_binds_and_fully_doomed_batches() {
         let Rc { ckt, r, out } = rc();
         let apply =

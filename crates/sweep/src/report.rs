@@ -4,6 +4,7 @@
 use ams_core::ClusterStats;
 use ams_exec::ExecStats;
 use ams_monitor::Verdict;
+use ams_scope::fnv::Fnv;
 
 /// One scenario's outcome: its metric values (in the order of
 /// [`SweepReport::metric_names`]) and the solver counters it spent.
@@ -445,31 +446,6 @@ impl SweepReport {
             t.iterations, t.factorizations, t.solve.symbolic_analyses, t.solve.numeric_refactors
         );
         out
-    }
-}
-
-/// Minimal FNV-1a, enough to fingerprint a report without pulling in a
-/// hashing dependency.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

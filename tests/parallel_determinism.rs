@@ -102,25 +102,6 @@ fn de_side(kernel: &mut Kernel) -> (Signal<f64>, Signal<f64>, Rc<RefCell<Vec<(u6
 const HORIZON: SimTime = SimTime::from_us(500);
 
 #[allow(clippy::type_complexity)]
-fn run_serial() -> (Vec<Vec<(f64, f64)>>, Vec<(u64, f64)>) {
-    let mut sim = AmsSimulator::new();
-    let (stim, resp, trace) = de_side(sim.kernel_mut());
-    let mut probes = Vec::new();
-    for i in 0..4 {
-        let (g, p) = free_cluster(i);
-        sim.add_cluster(g).expect("elaborates");
-        probes.push(p);
-    }
-    let (g, p) = bound_cluster(0, stim, resp);
-    sim.add_cluster(g).expect("elaborates");
-    probes.push(p);
-    sim.run_until(HORIZON).expect("serial run");
-    let samples = probes.iter().map(|p| p.samples()).collect();
-    let trace = trace.borrow().clone();
-    (samples, trace)
-}
-
-#[allow(clippy::type_complexity)]
 fn run_parallel(workers: usize) -> (Vec<Vec<(f64, f64)>>, Vec<(u64, f64)>) {
     let mut sim = AmsSimulator::with_workers(workers);
     let (stim, resp, trace) = de_side(sim.kernel_mut());
@@ -139,10 +120,12 @@ fn run_parallel(workers: usize) -> (Vec<Vec<(f64, f64)>>, Vec<(u64, f64)>) {
     (samples, trace)
 }
 
+/// The one-worker run, where every cluster runs on the calling thread,
+/// is the serial reference for the 2- and 4-worker runs.
 #[test]
 fn parallel_matches_serial_bit_for_bit() {
-    let (serial_probes, serial_trace) = run_serial();
-    for workers in [1, 2, 4] {
+    let (serial_probes, serial_trace) = run_parallel(1);
+    for workers in [2, 4] {
         let (par_probes, par_trace) = run_parallel(workers);
         assert_eq!(
             serial_probes.len(),

@@ -4,10 +4,9 @@
 //! scenario list) produces the same [`SweepReport`] — metric bits,
 //! scenario order and solver counters — whether it runs on one worker
 //! or many. Scenario seeds are derived from `(base_seed, index)` alone,
-//! scheduling is the deterministic `ams-exec` partitioner, and the
-//! shared symbolic factor always comes from scenario 0 on the
-//! coordinator, so no run order or thread interleaving can leak into
-//! the results. This is the sweep-level mirror of
+//! shards are dealt to workers round-robin, and the shared symbolic
+//! factor always comes from scenario 0 on the coordinator, so no run
+//! order or thread interleaving can leak into the results. This is the sweep-level mirror of
 //! `parallel_determinism.rs`. A linear fixed-step sweep is also
 //! bit-identical across lane widths: every bundle pivots like the
 //! scalar run over scenario 0 (the `lane` properties below).
