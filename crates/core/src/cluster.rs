@@ -1860,6 +1860,100 @@ mod tests {
     }
 
     #[test]
+    fn save_restore_of_multirate_feedback_with_monitors_resumes_identically() {
+        /// 4:1 decimator with a delay-1 feedback input:
+        /// `y[n] = mean(x[4n..4n+4]) + fb[n−1] / 2`, `fb[−1] = 0.25`.
+        struct DecimateFb {
+            inp: TdfIn,
+            fb: TdfIn,
+            out: TdfOut,
+        }
+        impl TdfModule for DecimateFb {
+            fn setup(&mut self, cfg: &mut TdfSetup) {
+                cfg.input_with(self.inp, 4, 0);
+                cfg.input_with(self.fb, 1, 1);
+                cfg.output(self.out);
+            }
+            fn initialize(&mut self, init: &mut TdfInit<'_>) -> Result<(), CoreError> {
+                init.set_initial(self.fb, 0, 0.25);
+                Ok(())
+            }
+            fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+                let mean = (0..4).map(|k| io.read(self.inp, k)).sum::<f64>() / 4.0;
+                let y = mean + 0.5 * io.read1(self.fb);
+                io.write1(self.out, y);
+                Ok(())
+            }
+        }
+        use ams_monitor::MonitorSpec;
+        // `slow` reads 2.625, 7.68, 13.96, … and crosses 40 at
+        // iteration 6, after the checkpoint.
+        let spec = MonitorSpec::parse(
+            "peak:overshoot(max=40)@slow;fin:finite()@fast;loop:overshoot(max=1e9)@fb",
+        )
+        .unwrap();
+        let build = || {
+            let mut g = TdfGraph::new("ring");
+            let fast = g.signal("fast");
+            let slow = g.signal("slow");
+            let fb = g.signal("fb");
+            let probes = (g.probe(fast), g.probe(slow));
+            g.add_module(
+                "cnt",
+                Counter {
+                    out: fast.writer(),
+                    next: 1.0,
+                    ts: SimTime::from_us(1),
+                },
+            );
+            g.add_module(
+                "dec",
+                DecimateFb {
+                    inp: fast.reader(),
+                    fb: fb.reader(),
+                    out: slow.writer(),
+                },
+            );
+            g.add_module(
+                "loop",
+                Gain {
+                    inp: slow.reader(),
+                    out: fb.writer(),
+                    k: 0.9,
+                },
+            );
+            let mut c = g.elaborate().unwrap();
+            let bank = MonitorBank::new(&spec);
+            let sigs: Vec<TdfSignal> = bank
+                .channels()
+                .iter()
+                .map(|ch| c.find_signal(ch).unwrap())
+                .collect();
+            c.attach_monitors(bank, &sigs);
+            (c, probes)
+        };
+        let (mut full, (full_fast, full_slow)) = build();
+        full.run_standalone(10).unwrap();
+        let verdicts = full.monitor_bank().unwrap().finish();
+        assert_eq!(verdicts[0].code(), Some("MON002"), "{verdicts:?}");
+
+        let (mut first, _) = build();
+        first.run_standalone(3).unwrap();
+        let cp = first.save();
+        let bank = first.monitor_bank().unwrap().clone();
+        let (mut fork, (fork_fast, fork_slow)) = build();
+        fork.restore(&cp).unwrap();
+        fork.set_monitor_bank_state(bank);
+        fork.run_standalone(7).unwrap();
+        assert_eq!(fork_fast.samples(), full_fast.samples());
+        assert_eq!(fork_slow.samples(), full_slow.samples());
+        assert_eq!(fork.stats(), full.stats());
+        let fed = fork.monitor_bank().unwrap();
+        assert_eq!(fed.samples(), full.monitor_bank().unwrap().samples());
+        assert_eq!(fed.finish(), verdicts);
+    }
+
+    #[test]
     fn buffers_are_trimmed() {
         let mut g = TdfGraph::new("trim");
         let s1 = g.signal("s1");

@@ -21,7 +21,7 @@
 //! Before the first activation every module's `initialize` has
 //! established the paper's "consistent initial (quiescent) state".
 
-use crate::cluster::{Cluster, TdfAcResult, TdfGraph};
+use crate::cluster::{Cluster, ClusterStats, TdfAcResult, TdfGraph};
 use crate::CoreError;
 use ams_kernel::{Kernel, KernelError, SimTime};
 use ams_lint::{LintPolicy, LintReport};
@@ -50,6 +50,11 @@ impl ClusterHandle {
     /// Completed iterations.
     pub fn iterations(&self) -> u64 {
         self.inner.borrow().iterations()
+    }
+
+    /// The cluster's execution counters; see [`Cluster::stats`].
+    pub fn stats(&self) -> ClusterStats {
+        self.inner.borrow().stats()
     }
 
     /// Runs a small-signal AC analysis over the cluster's module graph.

@@ -3,13 +3,18 @@
 //! paper's O1 ("suitable for the description and the simulation of
 //! heterogeneous systems") exercised end-to-end.
 
-use systemc_ams::blocks::{Comparator, Gain, LtiFilter, SineSource, Sum};
+use systemc_ams::blocks::{
+    CicDecimator, Comparator, FirFilter, Gain, LtiFilter, Product, SigmaDelta2, SineSource, Sum,
+    TanhAmp,
+};
 use systemc_ams::core::{
-    AmsSimulator, CoreError, CtModule, LtiCtSolver, NetlistCtSolver, TdfGraph,
+    AmsSimulator, CoreError, CtModule, LtiCtSolver, NetlistCtSolver, TdfGraph, TdfIn, TdfIo,
+    TdfModule, TdfOut, TdfSetup,
 };
 use systemc_ams::kernel::SimTime;
 use systemc_ams::lti::{Discretization, TransferFunction};
 use systemc_ams::net::{Circuit, IntegrationMethod, Waveform};
+use systemc_ams::scope::fnv::Fnv;
 
 /// RC step response through the complete stack:
 /// DE signal → converter → CT solver in TDF → converter → DE signal.
@@ -291,4 +296,166 @@ fn quiescent_state_initialization_is_glitch_free() {
     // The DC solution includes the capacitor's gmin stamp (1e-12 S), so
     // the quiescent point differs from the ideal divider by a few nV.
     assert!(max_dev < 1e-6, "glitch of {max_dev} V from the DC state");
+}
+
+/// Sliding mean-square power estimator: Figure 1's "DSP algorithm", as
+/// the `f1_adsl` benchmark workload builds it.
+struct PowerEstimator {
+    inp: TdfIn,
+    out: TdfOut,
+    acc: f64,
+}
+
+impl TdfModule for PowerEstimator {
+    fn setup(&mut self, cfg: &mut TdfSetup) {
+        cfg.input(self.inp);
+        cfg.output(self.out);
+    }
+    fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+        let x = io.read1(self.inp);
+        self.acc = 0.995 * self.acc + 0.005 * x * x;
+        io.write1(self.out, self.acc);
+        Ok(())
+    }
+}
+
+/// Figure 1 exactly as the `f1_adsl` benchmark workload builds it (DE
+/// AGC, line netlist, biquad, Σ∆, CIC, FIR and power estimator), with a
+/// 5 kHz tone run for the workload's 40-ms window. One FNV-1a
+/// fingerprint covers the digital probe's `(t, v)` bits, the final DE
+/// `power`, the cluster's iteration and firing counts and the kernel's
+/// delta-cycle and activation counts, so the cluster runtime cannot
+/// change an output bit or a count without failing here.
+#[test]
+fn f1_adsl_window_bits_and_counts_are_pinned() {
+    const TARGET_POWER: f64 = 0.02;
+    let mut sim = AmsSimulator::new();
+    let power_de = sim.kernel_mut().signal("power", 0.0f64);
+    let gain_de = sim.kernel_mut().signal("tx_gain", 1.0f64);
+    sim.kernel_mut().add_process("agc", move |ctx| {
+        let p = ctx.read(power_de);
+        let g = ctx.read(gain_de);
+        let adj = if p > 1e-12 {
+            (TARGET_POWER / p).powf(0.1).clamp(0.7, 1.3)
+        } else {
+            1.2
+        };
+        ctx.write(gain_de, (g * adj).clamp(0.05, 20.0));
+        ctx.next_trigger_in(SimTime::from_us(500));
+    });
+
+    let fs = SimTime::from_us(1);
+    let mut g = TdfGraph::new("slic");
+    let tone = g.signal("tone");
+    let gain_ctl = g.from_de("gain_ctl", gain_de);
+    let scaled = g.signal("scaled");
+    let driven = g.signal("driven");
+    let line_out = g.signal("line_out");
+    let anti_alias = g.signal("anti_alias");
+    let bitstream = g.signal("bitstream");
+    let decimated = g.signal("decimated");
+    let digital = g.signal("digital");
+    let power = g.signal("power");
+    let probe = g.probe(digital);
+    g.add_module(
+        "tone",
+        SineSource::new(tone.writer(), 5_000.0, 0.5, Some(fs)),
+    );
+    g.add_module(
+        "tx_gain",
+        Product::new(tone.reader(), gain_ctl.reader(), scaled.writer()),
+    );
+    g.add_module(
+        "hv_driver",
+        TanhAmp::new(scaled.reader(), driven.writer(), 4.0, 12.0),
+    );
+    // Driver → protection resistor → 600 Ω line with shunt capacitance.
+    let mut ckt = Circuit::new();
+    let drive = ckt.node("drive");
+    let line = ckt.node("line");
+    let sub = ckt.node("subscriber");
+    let line_in = ckt.external_input();
+    ckt.voltage_source_wave("Vdrv", drive, Circuit::GROUND, Waveform::External(line_in))
+        .unwrap();
+    ckt.resistor("Rprot", drive, line, 50.0).unwrap();
+    ckt.capacitor("Cline", line, Circuit::GROUND, 20e-9)
+        .unwrap();
+    ckt.resistor("Rline", line, sub, 130.0).unwrap();
+    ckt.resistor("Rsub", sub, Circuit::GROUND, 600.0).unwrap();
+    ckt.capacitor("Csub", sub, Circuit::GROUND, 10e-9).unwrap();
+    let solver = NetlistCtSolver::new(
+        &ckt,
+        IntegrationMethod::Trapezoidal,
+        vec![line_in],
+        vec![sub],
+    )
+    .unwrap();
+    g.add_module(
+        "line",
+        CtModule::new(
+            "line",
+            Box::new(solver),
+            vec![driven.reader()],
+            vec![line_out.writer()],
+            None,
+        ),
+    );
+    g.add_module(
+        "anti_alias",
+        LtiFilter::biquad_low_pass(
+            line_out.reader(),
+            anti_alias.writer(),
+            20_000.0,
+            0.707,
+            None,
+        )
+        .unwrap(),
+    );
+    g.add_module(
+        "sd_prefi",
+        SigmaDelta2::new(anti_alias.reader(), bitstream.writer()),
+    );
+    g.add_module(
+        "cic",
+        CicDecimator::new(bitstream.reader(), decimated.writer(), 16, 2),
+    );
+    g.add_module(
+        "chan_fir",
+        FirFilter::lowpass_design(decimated.reader(), digital.writer(), 63, 0.16),
+    );
+    g.add_module(
+        "dsp_power",
+        PowerEstimator {
+            inp: digital.reader(),
+            out: power.writer(),
+            acc: 0.0,
+        },
+    );
+    g.to_de("power_out", power, power_de);
+    let cluster = sim.add_cluster(g).unwrap();
+    sim.run_until(SimTime::from_ms(40)).unwrap();
+
+    let samples = probe.samples();
+    let stats = cluster.stats();
+    let kernel = sim.kernel().stats();
+    // `run_until` is horizon-inclusive: one iteration per 16 µs, plus
+    // the one at t = 40 ms.
+    assert_eq!(samples.len(), 2501);
+    assert_eq!(stats.iterations, 2501);
+    assert_eq!(
+        (kernel.delta_cycles, kernel.activations),
+        (5062, 5083),
+        "kernel counts"
+    );
+    let mut h = Fnv::new();
+    for (t, v) in samples {
+        h.u64(t.to_bits());
+        h.u64(v.to_bits());
+    }
+    h.u64(sim.kernel().peek(power_de).to_bits());
+    h.u64(stats.iterations);
+    h.u64(stats.firings);
+    h.u64(kernel.delta_cycles);
+    h.u64(kernel.activations);
+    assert_eq!(h.finish(), 0x9755_1f0e_7233_141b);
 }
