@@ -3,9 +3,9 @@
 //! A [`TdfGraph`] is the user-facing builder; [`TdfGraph::elaborate`]
 //! performs the analysis the paper prescribes for the SDF↔CT coupling —
 //! balance-equation scheduling (via `ams-sdf`), timestep propagation and
-//! consistency checking, buffer sizing — and produces a [`Cluster`], a
+//! consistency checking — and compiles the schedule into a [`Cluster`], a
 //! self-contained executable that runs one schedule iteration per cluster
-//! period. The synchronization layer in [`crate::sim`] drives clusters
+//! period: a firing plan of back-to-back runs over fixed sample rings. The synchronization layer in [`crate::sim`] drives clusters
 //! from the DE kernel; [`Cluster::ac_analysis`] derives the small-signal
 //! frequency-domain model from the very same module graph.
 
@@ -279,7 +279,15 @@ impl TdfGraph {
 
     /// Elaborates the graph: runs `setup`, checks writer uniqueness,
     /// solves the balance equations, builds the static schedule,
-    /// propagates timesteps, and runs `initialize`.
+    /// propagates timesteps, runs `initialize`, and compiles the
+    /// schedule into the cluster's firing plan and signal rings.
+    ///
+    /// The plan groups the schedule's consecutive firings of one module
+    /// into a run, so a run fires its module back to back. Each signal
+    /// gets a ring of its writer's samples per iteration plus its
+    /// deepest reader delay, rounded up to a power of two: enough for
+    /// every read within an iteration and for the probe and monitor
+    /// flush after it, so nothing is trimmed or grown while running.
     ///
     /// # Errors
     ///
@@ -290,6 +298,8 @@ impl TdfGraph {
     /// * [`CoreError::Sdf`] for inconsistent rates or deadlock.
     /// * [`CoreError::NoTimestep`] / [`CoreError::InconsistentTimestep`] /
     ///   [`CoreError::InexactTimestep`] for timestep problems.
+    /// * [`CoreError::Invalid`] when a signal's ring cannot be allocated
+    ///   (an absurd rate or delay).
     pub fn elaborate(mut self) -> Result<Cluster, CoreError> {
         let n_sigs = self.signal_names.len();
         let n_mods = self.modules.len();
@@ -399,7 +409,32 @@ impl TdfGraph {
             }
         }
 
-        // Phase 4: initialization, which writes delay-slot values into
+        // Phase 4: the signal rings: the writer's samples per iteration
+        // plus the deepest reader delay.
+        let mut ring_len = vec![0u64; n_sigs];
+        for (s, w) in writer.iter().enumerate() {
+            if let Some((w_idx, w_rate)) = w {
+                ring_len[s] = q[*w_idx].saturating_mul(*w_rate);
+            }
+        }
+        let mut deepest = vec![0u64; n_sigs];
+        for inp in setups.iter().flat_map(|cfg| &cfg.inputs) {
+            deepest[inp.signal.0] = deepest[inp.signal.0].max(inp.delay);
+        }
+        let bufs = ring_len
+            .iter()
+            .zip(&deepest)
+            .zip(&self.signal_names)
+            .map(|((&len, &delay), name)| {
+                SignalBuf::with_capacity(len.saturating_add(delay)).ok_or_else(|| {
+                    CoreError::invalid(format!(
+                        "signal '{name}' needs a ring of {len} samples per iteration plus a delay of {delay}, more than can be allocated"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // Phase 5: initialization, which writes delay-slot values into
         // each module's input-port table.
         let mut modules_rt = Vec::with_capacity(n_mods);
         for ((name, mut module), (cfg, timestep)) in
@@ -414,24 +449,38 @@ impl TdfGraph {
             let out_ports = cfg.outputs.iter().map(PortRt::new).collect();
             modules_rt.push(ModuleRt {
                 name,
-                module: Some(module),
+                module,
                 timestep,
                 timestep_secs: timestep.to_seconds(),
                 in_ports,
                 out_ports,
-                firing_in_iter: 0,
             });
         }
 
-        let schedule_order: Vec<usize> = sched.firings().iter().map(|a| a.index()).collect();
+        // Phase 6: the firing plan, one run per stretch of consecutive
+        // firings of one module in the schedule.
+        let mut plan: Vec<Run> = Vec::new();
+        let mut fired = vec![0u64; n_mods];
+        for actor in sched.firings() {
+            let module = actor.index();
+            match plan.last_mut() {
+                Some(run) if run.module == module => run.count += 1,
+                _ => plan.push(Run {
+                    module,
+                    count: 1,
+                    first: fired[module],
+                }),
+            }
+            fired[module] += 1;
+        }
         Ok(Cluster {
             name: self.name,
             signal_names: self.signal_names,
             period,
             modules: modules_rt,
-            schedule_order,
-            bufs: vec![SignalBuf::default(); n_sigs],
-            keep_from: vec![i64::MAX; n_sigs],
+            plan,
+            firings_per_iteration: sched.firings().len() as u64,
+            bufs,
             iteration: 0,
             sig_period_secs,
             stats: ClusterStats::default(),
@@ -464,13 +513,63 @@ impl std::fmt::Debug for TdfGraph {
 
 struct ModuleRt {
     name: String,
-    module: Option<Box<dyn TdfModule>>,
+    module: Box<dyn TdfModule>,
     timestep: SimTime,
     timestep_secs: f64,
     /// Port tables in declaration order, one entry per signal.
     in_ports: Vec<PortRt>,
     out_ports: Vec<PortRt>,
-    firing_in_iter: u64,
+}
+
+/// One entry of a cluster's firing plan: `count` back-to-back firings
+/// of one module, the first of them its `first`-th firing (from 0) in
+/// the iteration.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    module: usize,
+    count: u64,
+    first: u64,
+}
+
+impl ModuleRt {
+    /// Fires the module `run.count` times back to back over `bufs`,
+    /// borrowing it in place, then advances its port counters once.
+    /// Returns the firings made (a failing one included) and the first
+    /// failure, with module context.
+    fn fire_run(
+        &mut self,
+        run: Run,
+        start: SimTime,
+        bufs: &mut [SignalBuf],
+    ) -> (u64, Result<(), CoreError>) {
+        let mut io = TdfIo {
+            module_name: &self.name,
+            run_start: start + self.timestep * run.first,
+            firing: 0,
+            timestep: self.timestep_secs,
+            timestep_exact: self.timestep,
+            in_ports: &self.in_ports,
+            out_ports: &self.out_ports,
+            bufs,
+        };
+        let mut fired = run.count;
+        let mut result = Ok(());
+        for firing in 0..run.count {
+            io.firing = firing;
+            if let Err(e) = self.module.processing(&mut io) {
+                fired = firing + 1;
+                result = Err(match e {
+                    CoreError::Solver { .. } => e,
+                    other => CoreError::solver(&self.name, other),
+                });
+                break;
+            }
+        }
+        for port in self.in_ports.iter_mut().chain(&mut self.out_ports) {
+            port.counter += (fired * port.rate) as i64;
+        }
+        (fired, result)
+    }
 }
 
 struct ProbeRt {
@@ -518,11 +617,12 @@ pub struct Cluster {
     signal_names: Vec<String>,
     period: SimTime,
     modules: Vec<ModuleRt>,
-    schedule_order: Vec<usize>,
+    /// The schedule compiled into runs of back-to-back firings.
+    plan: Vec<Run>,
+    /// Firings per iteration: the plan's run lengths summed.
+    firings_per_iteration: u64,
+    /// One ring per signal, sized at elaboration.
     bufs: Vec<SignalBuf>,
-    /// Per signal, the oldest sample still needed: scratch space for
-    /// [`Cluster::trim_buffers`], kept so an iteration does not allocate.
-    keep_from: Vec<i64>,
     iteration: u64,
     sig_period_secs: Vec<f64>,
     probes: Vec<ProbeRt>,
@@ -535,14 +635,14 @@ pub struct Cluster {
     monitors: Option<ClusterMonitors>,
 }
 
-/// A monitor bank bound to this cluster's signal buffers. Each channel
-/// walks its signal's buffer with a cursor, exactly like a probe — but
+/// A monitor bank bound to this cluster's signal rings. Each channel
+/// walks its signal's ring with a cursor, exactly like a probe — but
 /// folds samples into the automata instead of storing them.
 struct ClusterMonitors {
     bank: MonitorBank,
     /// The bank as attached, for [`Cluster::reset`].
     pristine: MonitorBank,
-    /// Per channel: `(signal index, next buffer index to feed)`.
+    /// Per channel: `(signal index, next stream index to feed)`.
     taps: Vec<(usize, i64)>,
 }
 
@@ -576,8 +676,9 @@ impl Cluster {
     /// streams signal `signals[ch]` (pair them with
     /// [`MonitorBank::channels`], resolved via
     /// [`Cluster::find_signal`]). Samples are fed once per completed
-    /// iteration, in buffer order, with the same timestamps probes
-    /// record; nothing is buffered. Replaces any bank attached earlier.
+    /// iteration, in stream order and from the next sample each signal
+    /// produces, with the same timestamps probes record; nothing is
+    /// buffered. Replaces any bank attached earlier.
     ///
     /// # Panics
     ///
@@ -593,7 +694,7 @@ impl Cluster {
             .iter()
             .map(|s| {
                 assert!(s.0 < self.bufs.len(), "signal out of range");
-                (s.0, 0i64)
+                (s.0, self.bufs[s.0].end())
             })
             .collect();
         self.monitors = Some(ClusterMonitors {
@@ -615,7 +716,7 @@ impl Cluster {
     }
 
     /// Overwrites the attached bank's automaton state and re-syncs the
-    /// feed cursors to the current buffer positions. [`Cluster::save`]
+    /// feed cursors to the current ring ends. [`Cluster::save`]
     /// deliberately excludes monitor state, so a checkpoint-forking
     /// sweep calls this right after [`Cluster::restore`] with the bank
     /// snapshot it took at the checkpoint. No-op when no bank is
@@ -624,8 +725,7 @@ impl Cluster {
         if let Some(mon) = self.monitors.as_mut() {
             mon.bank = bank;
             for (sig, next) in mon.taps.iter_mut() {
-                let buf = &self.bufs[*sig];
-                *next = buf.base + buf.data.len() as i64;
+                *next = self.bufs[*sig].end();
             }
         }
     }
@@ -635,7 +735,8 @@ impl Cluster {
         self.modules[id.0].timestep
     }
 
-    /// Runs one schedule iteration whose first sample is at `start`.
+    /// Runs one schedule iteration whose first sample is at `start`:
+    /// the firing plan's runs in order.
     ///
     /// # Errors
     ///
@@ -646,99 +747,52 @@ impl Cluster {
             self.tracer
                 .begin_with(SpanKind::ClusterIteration, start.as_fs(), self.iteration);
         }
-        for m in &mut self.modules {
-            m.firing_in_iter = 0;
+        for &run in &self.plan {
+            let (fired, result) = self.modules[run.module].fire_run(run, start, &mut self.bufs);
+            self.stats.firings += fired;
+            result?;
         }
-        let order = std::mem::take(&mut self.schedule_order);
-        let mut result = Ok(());
-        for &midx in &order {
-            if let Err(e) = self.fire(midx, start) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.schedule_order = order;
-        result?;
         self.iteration += 1;
         self.stats.iterations += 1;
         self.flush_probes();
         self.feed_monitors();
-        self.trim_buffers();
         if traced {
             self.tracer.end_with(
                 SpanKind::ClusterIteration,
                 (start + self.period).as_fs(),
-                self.schedule_order.len() as u64,
+                self.firings_per_iteration,
             );
         }
         Ok(())
     }
 
-    fn fire(&mut self, midx: usize, start: SimTime) -> Result<(), CoreError> {
-        let mut module = self.modules[midx]
-            .module
-            .take()
-            .expect("module present outside of firing");
-        let t0_exact = start + self.modules[midx].timestep * self.modules[midx].firing_in_iter;
-        let result = {
-            let mrt = &self.modules[midx];
-            let mut io = TdfIo {
-                module_name: &mrt.name,
-                t0: t0_exact.to_seconds(),
-                t0_exact,
-                timestep: mrt.timestep_secs,
-                timestep_exact: mrt.timestep,
-                in_ports: &mrt.in_ports,
-                out_ports: &mrt.out_ports,
-                bufs: &mut self.bufs,
-            };
-            module.processing(&mut io)
-        };
-        let mrt = &mut self.modules[midx];
-        mrt.module = Some(module);
-        for ip in &mut mrt.in_ports {
-            ip.counter += ip.rate as i64;
-        }
-        for op in &mut mrt.out_ports {
-            op.counter += op.rate as i64;
-        }
-        mrt.firing_in_iter += 1;
-        self.stats.firings += 1;
-        result.map_err(|e| match e {
-            CoreError::Solver { .. } => e,
-            other => CoreError::solver(&mrt.name, other),
-        })
-    }
-
     fn flush_probes(&mut self) {
         for p in &mut self.probes {
             let buf = &self.bufs[p.signal.0];
-            let end = buf.base + buf.data.len() as i64;
+            let end = buf.end();
             let period = self.sig_period_secs[p.signal.0];
-            let mut data = p.probe.data.lock().expect("probe storage poisoned");
-            let from = p.next_idx.max(buf.base);
-            for idx in from..end {
-                let v = buf.get(idx).expect("index within window");
+            let mut data = p.probe.lock();
+            for idx in p.next_idx..end {
+                let v = buf.get(idx).expect("probe cursor within the ring");
                 data.push((idx as f64 * period, v));
-                self.stats.probe_samples += 1;
             }
+            self.stats.probe_samples += (end - p.next_idx) as u64;
             p.next_idx = end;
         }
     }
 
-    /// Streams every not-yet-seen buffer sample of each monitored
-    /// signal into the attached bank (same cursor walk as
+    /// Streams every not-yet-seen sample of each monitored signal into
+    /// the attached bank (same cursor walk as
     /// [`Cluster::flush_probes`], without storing anything). One branch
     /// when no bank is attached.
     fn feed_monitors(&mut self) {
         if let Some(mon) = self.monitors.as_mut() {
             for (ch, (sig, next)) in mon.taps.iter_mut().enumerate() {
                 let buf = &self.bufs[*sig];
-                let end = buf.base + buf.data.len() as i64;
+                let end = buf.end();
                 let period = self.sig_period_secs[*sig];
-                let from = (*next).max(buf.base);
-                for idx in from..end {
-                    let v = buf.get(idx).expect("index within window");
+                for idx in *next..end {
+                    let v = buf.get(idx).expect("monitor cursor within the ring");
                     mon.bank.feed(ch, idx as f64 * period, v);
                 }
                 *next = end;
@@ -746,32 +800,24 @@ impl Cluster {
         }
     }
 
-    fn trim_buffers(&mut self) {
-        let keep_from = &mut self.keep_from;
-        keep_from.fill(i64::MAX);
-        for m in &self.modules {
-            for ip in &m.in_ports {
-                let s = ip.signal.0;
-                keep_from[s] = keep_from[s].min(ip.counter - ip.delay as i64);
-            }
+    /// Per signal, the oldest sample a reader, probe or monitor still
+    /// needs (the ring's end when none does, never below 0): where the
+    /// window a checkpoint stores begins.
+    fn window_starts(&self) -> Vec<i64> {
+        let mut from: Vec<i64> = self.bufs.iter().map(SignalBuf::end).collect();
+        for ip in self.modules.iter().flat_map(|m| &m.in_ports) {
+            let s = ip.signal.0;
+            from[s] = from[s].min(ip.counter - ip.delay as i64);
         }
         for p in &self.probes {
-            keep_from[p.signal.0] = keep_from[p.signal.0].min(p.next_idx);
+            from[p.signal.0] = from[p.signal.0].min(p.next_idx);
         }
         if let Some(mon) = &self.monitors {
-            for (sig, next) in &mon.taps {
-                keep_from[*sig] = keep_from[*sig].min(*next);
+            for &(sig, next) in &mon.taps {
+                from[sig] = from[sig].min(next);
             }
         }
-        for (s, buf) in self.bufs.iter_mut().enumerate() {
-            let kf = keep_from[s];
-            if kf == i64::MAX {
-                // No reader, no probe: drop everything produced.
-                buf.trim(buf.base + buf.data.len() as i64);
-            } else {
-                buf.trim(kf);
-            }
-        }
+        from.iter().map(|&f| f.max(0)).collect()
     }
 
     /// Runs the cluster standalone (without a DE kernel) for `iterations`
@@ -796,12 +842,11 @@ impl Cluster {
     pub fn stats(&self) -> ClusterStats {
         let mut s = self.stats;
         for m in &self.modules {
-            let module = m.module.as_ref().expect("module present outside of firing");
-            if let Some((newton, lu)) = module.solver_stats() {
+            if let Some((newton, lu)) = m.module.solver_stats() {
                 s.newton_iterations += newton;
                 s.factorizations += lu;
             }
-            if let Some(solve) = module.solve_stats() {
+            if let Some(solve) = m.module.solve_stats() {
                 s.solve.merge(&solve);
             }
         }
@@ -814,10 +859,7 @@ impl Cluster {
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracer.set_enabled(enabled);
         for m in &mut self.modules {
-            m.module
-                .as_mut()
-                .expect("module present outside of firing")
-                .set_tracing(enabled);
+            m.module.set_tracing(enabled);
         }
     }
 
@@ -837,11 +879,7 @@ impl Cluster {
             out.push((self.name.clone(), own));
         }
         for m in &mut self.modules {
-            let events = m
-                .module
-                .as_mut()
-                .expect("module present outside of firing")
-                .take_trace_events();
+            let events = m.module.take_trace_events();
             if !events.is_empty() {
                 out.push((format!("{}/{}", self.name, m.name), events));
             }
@@ -850,7 +888,7 @@ impl Cluster {
     }
 
     /// Rewinds the elaborated cluster to `t = 0` without re-elaboration:
-    /// clears signal buffers, port counters, probes, queued DE writes and
+    /// clears signal rings, port counters, probes, queued DE writes and
     /// execution counters, and asks every module to restore its
     /// post-`initialize` state via [`TdfModule::reset`].
     ///
@@ -862,25 +900,17 @@ impl Cluster {
         self.iteration = 0;
         self.stats = ClusterStats::default();
         for buf in &mut self.bufs {
-            buf.data.clear();
-            buf.base = 0;
+            buf.refill(0, &[]);
         }
         for m in &mut self.modules {
-            for ip in &mut m.in_ports {
-                ip.counter = 0;
+            for port in m.in_ports.iter_mut().chain(&mut m.out_ports) {
+                port.counter = 0;
             }
-            for op in &mut m.out_ports {
-                op.counter = 0;
-            }
-            m.firing_in_iter = 0;
-            m.module
-                .as_mut()
-                .expect("module present outside of firing")
-                .reset();
+            m.module.reset();
         }
         for p in &mut self.probes {
             p.next_idx = 0;
-            p.probe.data.lock().expect("probe storage poisoned").clear();
+            p.probe.lock().clear();
         }
         if let Some(mon) = self.monitors.as_mut() {
             mon.bank = mon.pristine.clone();
@@ -894,8 +924,9 @@ impl Cluster {
     }
 
     /// Freezes the cluster's full dynamic state into a
-    /// [`ClusterCheckpoint`]: iteration/stat counters, every signal
-    /// buffer's window, per-port sample counters, probe cursors *and*
+    /// [`ClusterCheckpoint`]: iteration/stat counters, the window of
+    /// each signal's ring that a reader, probe or monitor still needs,
+    /// per-port sample counters, probe cursors *and*
     /// recorded probe data, converter-binding samples and queues, plus
     /// each module's internal state via
     /// [`TdfModule::save_state`]. Restoring with [`Cluster::restore`]
@@ -907,7 +938,12 @@ impl Cluster {
         ClusterCheckpoint {
             iteration: self.iteration,
             stats: self.stats,
-            bufs: self.bufs.iter().map(|b| (b.base, b.data.clone())).collect(),
+            bufs: self
+                .bufs
+                .iter()
+                .zip(self.window_starts())
+                .map(|(buf, from)| (from, buf.window(from)))
+                .collect(),
             // Port counters are captured in declaration order, the order
             // of the port tables.
             in_counters: self
@@ -925,19 +961,12 @@ impl Cluster {
                 .iter()
                 .map(|m| {
                     let mut st = Vec::new();
-                    m.module
-                        .as_ref()
-                        .expect("module present outside of firing")
-                        .save_state(&mut st);
+                    m.module.save_state(&mut st);
                     st
                 })
                 .collect(),
             probe_next: self.probes.iter().map(|p| p.next_idx).collect(),
-            probe_data: self
-                .probes
-                .iter()
-                .map(|p| p.probe.data.lock().expect("probe storage poisoned").clone())
-                .collect(),
+            probe_data: self.probes.iter().map(|p| p.probe.lock().clone()).collect(),
             de_reads: self.de_reads.iter().map(|(_, cell)| cell.get()).collect(),
             de_writes: self
                 .de_writes
@@ -953,7 +982,8 @@ impl Cluster {
         }
     }
 
-    /// Rewinds the cluster to a state captured with [`Cluster::save`].
+    /// Rewinds the cluster to a state captured with [`Cluster::save`],
+    /// refilling each signal's ring with the saved window.
     /// The target must be structurally identical (same elaboration:
     /// module, signal, probe and converter counts) — typically the same
     /// cluster, or a fresh elaboration of the same graph. Validation
@@ -963,7 +993,7 @@ impl Cluster {
     /// # Errors
     ///
     /// [`CoreError::Invalid`] when the checkpoint's shape does not match
-    /// this cluster's.
+    /// this cluster's, or a saved window does not fit its signal's ring.
     pub fn restore(&mut self, cp: &ClusterCheckpoint) -> Result<(), CoreError> {
         if cp.bufs.len() != self.bufs.len()
             || cp.in_counters.len() != self.modules.len()
@@ -991,11 +1021,18 @@ impl Cluster {
                 )));
             }
         }
+        for (s, (buf, (base, data))) in self.bufs.iter().zip(&cp.bufs).enumerate() {
+            if *base < 0 || data.len() > buf.capacity() {
+                return Err(CoreError::invalid(format!(
+                    "checkpoint window of signal '{}' does not fit its ring",
+                    self.signal_names[s]
+                )));
+            }
+        }
         self.iteration = cp.iteration;
         self.stats = cp.stats;
         for (buf, (base, data)) in self.bufs.iter_mut().zip(&cp.bufs) {
-            buf.base = *base;
-            buf.data.clone_from(data);
+            buf.refill(*base, data);
         }
         for (midx, m) in self.modules.iter_mut().enumerate() {
             for (p, &c) in m.in_ports.iter_mut().zip(&cp.in_counters[midx]) {
@@ -1004,11 +1041,7 @@ impl Cluster {
             for (p, &c) in m.out_ports.iter_mut().zip(&cp.out_counters[midx]) {
                 p.counter = c;
             }
-            m.firing_in_iter = 0;
-            m.module
-                .as_mut()
-                .expect("module present outside of firing")
-                .restore_state(&cp.module_state[midx]);
+            m.module.restore_state(&cp.module_state[midx]);
         }
         for (p, (&next, data)) in self
             .probes
@@ -1016,11 +1049,7 @@ impl Cluster {
             .zip(cp.probe_next.iter().zip(&cp.probe_data))
         {
             p.next_idx = next;
-            p.probe
-                .data
-                .lock()
-                .expect("probe storage poisoned")
-                .clone_from(data);
+            p.probe.lock().clone_from(data);
         }
         for ((_, cell), &v) in self.de_reads.iter().zip(&cp.de_reads) {
             cell.set(v);
@@ -1054,7 +1083,6 @@ impl Cluster {
             let mut mat = DMat::<Complex64>::identity(n);
             let mut rhs = DVec::<Complex64>::zeros(n);
             for m in &mut self.modules {
-                let module = m.module.as_mut().expect("module present");
                 let ins: Vec<TdfSignal> = m.in_ports.iter().map(|p| p.signal).collect();
                 let outs: Vec<TdfSignal> = m.out_ports.iter().map(|p| p.signal).collect();
                 let mut ac = AcIo {
@@ -1065,7 +1093,7 @@ impl Cluster {
                     gains: Vec::new(),
                     sources: Vec::new(),
                 };
-                module.ac_processing(&mut ac);
+                m.module.ac_processing(&mut ac);
                 for (out, inp, g) in ac.gains {
                     mat[(out.0, inp.0)] -= g;
                 }
@@ -1091,7 +1119,7 @@ impl Cluster {
     }
 }
 
-/// A frozen [`Cluster`] state: counters, signal-buffer windows, port
+/// A frozen [`Cluster`] state: counters, signal-ring windows, port
 /// cursors, probe data, converter-binding samples and per-module
 /// internal state. Produced by [`Cluster::save`], re-applied by
 /// [`Cluster::restore`]. Cloning is cheap relative to a run, so the
@@ -1101,7 +1129,8 @@ impl Cluster {
 pub struct ClusterCheckpoint {
     iteration: u64,
     stats: ClusterStats,
-    /// Per-signal `(base, window)` buffer snapshots.
+    /// Per signal, `(first stream index, samples)`: the window of its
+    /// ring that a reader, probe or monitor still needed.
     bufs: Vec<(i64, Vec<f64>)>,
     /// Per-module input-port counters, in declaration order.
     in_counters: Vec<Vec<i64>>,
@@ -1954,38 +1983,70 @@ mod tests {
     }
 
     #[test]
-    fn buffers_are_trimmed() {
-        let mut g = TdfGraph::new("trim");
-        let s1 = g.signal("s1");
-        let s2 = g.signal("s2");
+    fn rings_hold_one_iteration_plus_the_deepest_delay() {
+        /// Accumulates its 4:1 decimated input over a delay-3 feedback.
+        struct Acc3 {
+            inp: TdfIn,
+            fb: TdfIn,
+            out: TdfOut,
+        }
+        impl TdfModule for Acc3 {
+            fn setup(&mut self, cfg: &mut TdfSetup) {
+                cfg.input(self.inp);
+                cfg.input_with(self.fb, 1, 3);
+                cfg.output(self.out);
+            }
+            fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+                let y = io.read1(self.inp) + io.read1(self.fb);
+                io.write1(self.out, y);
+                Ok(())
+            }
+        }
+        let mut g = TdfGraph::new("rings");
+        let fast = g.signal("fast");
+        let slow = g.signal("slow");
+        let acc = g.signal("acc");
+        let probe = g.probe(acc);
         g.add_module(
             "cnt",
             Counter {
-                out: s1.writer(),
+                out: fast.writer(),
                 next: 0.0,
                 ts: SimTime::from_us(1),
             },
         );
         g.add_module(
-            "g",
-            Gain {
-                inp: s1.reader(),
-                out: s2.writer(),
-                k: 1.0,
+            "mean",
+            Mean4 {
+                inp: fast.reader(),
+                out: slow.writer(),
+            },
+        );
+        g.add_module(
+            "acc",
+            Acc3 {
+                inp: slow.reader(),
+                fb: acc.reader(),
+                out: acc.writer(),
             },
         );
         let mut c = g.elaborate().unwrap();
+        // 4 samples of `fast` per iteration; 1 of `slow`; 1 of `acc`
+        // plus its delay of 3.
+        let caps: Vec<usize> = c.bufs.iter().map(SignalBuf::capacity).collect();
+        assert_eq!(caps, vec![4, 1, 4]);
+        // The plan fires the counter as one run of four.
+        let runs: Vec<(usize, u64, u64)> = c
+            .plan
+            .iter()
+            .map(|r| (r.module, r.count, r.first))
+            .collect();
+        assert_eq!(runs, vec![(0, 4, 0), (1, 1, 0), (2, 1, 0)]);
         c.run_standalone(1000).unwrap();
-        // No probe on s1/s2 readers beyond the gain: buffers stay bounded.
-        assert!(
-            c.bufs[0].data.len() <= 2,
-            "s1 buffer grew: {}",
-            c.bufs[0].data.len()
-        );
-        assert!(
-            c.bufs[1].data.len() <= 2,
-            "s2 buffer grew: {}",
-            c.bufs[1].data.len()
-        );
+        let caps: Vec<usize> = c.bufs.iter().map(SignalBuf::capacity).collect();
+        assert_eq!(caps, vec![4, 1, 4], "rings never grow");
+        // acc[n] = mean(4n..4n+4) + acc[n−3]: 1.5, 5.5, 9.5, 15, 23, …
+        assert_eq!(probe.values()[..5], [1.5, 5.5, 9.5, 15.0, 23.0]);
+        assert_eq!(probe.len(), 1000);
     }
 }

@@ -209,41 +209,85 @@ impl TdfInit<'_> {
     }
 }
 
-/// Sample storage for one TDF signal: a window of the absolute sample
-/// stream produced by its writer.
-#[derive(Debug, Clone, Default)]
+/// Sample storage for one TDF signal: a fixed power-of-two ring over
+/// the absolute sample stream its writer produces. Elaboration sizes it
+/// once to the writer's samples per iteration plus the deepest reader
+/// delay, which holds every sample a reader can still ask for during an
+/// iteration and every sample the probes and monitors flush after it.
+#[derive(Debug, Clone)]
 pub(crate) struct SignalBuf {
-    /// Samples, with `data[0]` holding absolute stream index `base`.
-    pub data: Vec<f64>,
-    /// Absolute stream index of `data[0]`.
-    pub base: i64,
+    /// Stream index `i` lives in `ring[i & mask]`.
+    ring: Box<[f64]>,
+    mask: usize,
+    /// One past the highest stream index written: the ring holds the
+    /// last `min(end, capacity)` samples.
+    end: i64,
 }
 
 impl SignalBuf {
+    /// An empty ring of at least `samples` slots (and at least one).
+    /// `None` when that many samples cannot be allocated.
+    pub fn with_capacity(samples: u64) -> Option<Self> {
+        let cap = usize::try_from(samples.max(1))
+            .ok()?
+            .checked_next_power_of_two()?;
+        let mut ring = Vec::new();
+        ring.try_reserve_exact(cap).ok()?;
+        ring.resize(cap, 0.0);
+        Some(SignalBuf {
+            ring: ring.into_boxed_slice(),
+            mask: cap - 1,
+            end: 0,
+        })
+    }
+
+    pub fn capacity(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// One past the highest stream index written.
+    pub fn end(&self) -> i64 {
+        self.end
+    }
+
+    /// The sample at stream index `idx`, when the ring holds it.
     pub fn get(&self, idx: i64) -> Option<f64> {
-        if idx < self.base {
-            return None;
-        }
-        self.data.get((idx - self.base) as usize).copied()
+        // `end − 1 − idx` counts back from the newest sample; a negative
+        // count (a sample not yet written) wraps to a huge one.
+        let held = self.end.min(self.ring.len() as i64);
+        (((self.end - 1 - idx) as u64) < held as u64).then(|| self.ring[idx as usize & self.mask])
     }
 
+    /// Stores the sample at stream index `idx`. Stream indices skipped
+    /// past the previous end read 0.0.
     pub fn set(&mut self, idx: i64, v: f64) {
-        debug_assert!(idx >= self.base, "writing below the trimmed window");
-        let pos = (idx - self.base) as usize;
-        if pos >= self.data.len() {
-            self.data.resize(pos + 1, 0.0);
+        debug_assert!(
+            self.end - idx <= self.ring.len() as i64,
+            "writing below the held window"
+        );
+        if idx > self.end {
+            for skipped in self.end.max(idx - self.mask as i64)..idx {
+                self.ring[skipped as usize & self.mask] = 0.0;
+            }
         }
-        self.data[pos] = v;
+        self.end = self.end.max(idx + 1);
+        self.ring[idx as usize & self.mask] = v;
     }
 
-    /// Drops samples with stream index below `keep_from`.
-    pub fn trim(&mut self, keep_from: i64) {
-        if keep_from <= self.base {
-            return;
+    /// The held samples from stream index `from` to the end.
+    pub fn window(&self, from: i64) -> Vec<f64> {
+        (from..self.end)
+            .map(|idx| self.get(idx).expect("window within the ring"))
+            .collect()
+    }
+
+    /// Empties the ring, then holds `data` at stream indices `base..`.
+    pub fn refill(&mut self, base: i64, data: &[f64]) {
+        self.ring.fill(0.0);
+        self.end = base;
+        for (idx, &v) in (base..).zip(data) {
+            self.set(idx, v);
         }
-        let drop = ((keep_from - self.base) as usize).min(self.data.len());
-        self.data.drain(..drop);
-        self.base = keep_from;
     }
 }
 
@@ -284,10 +328,13 @@ impl PortRt {
 /// firing.
 pub struct TdfIo<'a> {
     pub(crate) module_name: &'a str,
-    /// Absolute time of this firing's first sample, in seconds.
-    pub(crate) t0: f64,
-    /// The same instant as an exact kernel time (drift-free).
-    pub(crate) t0_exact: SimTime,
+    /// Exact time of the first firing of this run of back-to-back
+    /// firings.
+    pub(crate) run_start: SimTime,
+    /// This firing's index within its run: a port's samples this firing
+    /// start at `counter + firing·rate`, its counter being advanced
+    /// once per run.
+    pub(crate) firing: u64,
     /// Module firing period in seconds.
     pub(crate) timestep: f64,
     /// The same period as an exact kernel time.
@@ -302,12 +349,12 @@ pub struct TdfIo<'a> {
 impl TdfIo<'_> {
     /// Time of this firing's first sample, in seconds.
     pub fn time(&self) -> f64 {
-        self.t0
+        self.time_exact().to_seconds()
     }
 
     /// The same instant as an exact (femtosecond) kernel time.
     pub fn time_exact(&self) -> SimTime {
-        self.t0_exact
+        self.run_start + self.timestep_exact * self.firing
     }
 
     /// This module's firing period, in seconds.
@@ -343,7 +390,7 @@ impl TdfIo<'_> {
             self.module_name,
             ip.rate
         );
-        let idx = ip.counter + k as i64 - ip.delay as i64;
+        let idx = ip.counter + (self.firing * ip.rate + k) as i64 - ip.delay as i64;
         if idx < 0 {
             // Delay slot: slot 0 is consumed first.
             let slot = (ip.delay as i64 + idx) as usize;
@@ -386,7 +433,7 @@ impl TdfIo<'_> {
             self.module_name,
             op.rate
         );
-        let idx = op.counter + k as i64;
+        let idx = op.counter + (self.firing * op.rate + k) as i64;
         self.bufs[port.signal.0].set(idx, value);
     }
 
@@ -400,7 +447,7 @@ impl std::fmt::Debug for TdfIo<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TdfIo")
             .field("module", &self.module_name)
-            .field("t0", &self.t0)
+            .field("t0", &self.time())
             .field("timestep", &self.timestep)
             .finish()
     }
@@ -498,26 +545,42 @@ mod tests {
         cfg.input_with(TdfSignal(0).reader(), 0, 0);
     }
 
+    /// An empty ring of `samples` slots.
+    fn ring(samples: u64) -> SignalBuf {
+        SignalBuf::with_capacity(samples).unwrap()
+    }
+
     #[test]
     fn signal_buf_window() {
-        let mut b = SignalBuf::default();
+        let mut b = ring(3);
+        assert_eq!(b.capacity(), 4);
         b.set(0, 1.0);
         b.set(3, 4.0);
         assert_eq!(b.get(0), Some(1.0));
-        assert_eq!(b.get(1), Some(0.0)); // gap filled with zeros
+        assert_eq!(b.get(1), Some(0.0)); // skipped slots read zero
         assert_eq!(b.get(3), Some(4.0));
         assert_eq!(b.get(4), None);
-        b.trim(2);
-        assert_eq!(b.get(1), None);
-        assert_eq!(b.get(3), Some(4.0));
+        // Skipping index 4 zeroes the slot that held index 0.
         b.set(5, 6.0);
-        assert_eq!(b.get(5), Some(6.0));
+        assert_eq!(b.get(1), None);
+        assert_eq!(b.window(2), vec![0.0, 4.0, 0.0, 6.0]);
+        // A refill zeroes the ring below its window.
+        b.refill(10, &[7.0, 8.0]);
+        assert_eq!(b.end(), 12);
+        assert_eq!(b.window(8), vec![0.0, 0.0, 7.0, 8.0]);
+        assert_eq!(b.get(7), None);
+    }
+
+    #[test]
+    fn ring_sizes_beyond_memory_are_refused() {
+        assert!(SignalBuf::with_capacity(1 << 62).is_none());
+        assert!(SignalBuf::with_capacity(u64::MAX).is_none());
     }
 
     #[test]
     fn io_reads_delay_slots_then_stream() {
         let sig = TdfSignal(0);
-        let mut bufs = vec![SignalBuf::default()];
+        let mut bufs = vec![ring(4)];
         bufs[0].set(0, 10.0);
         let in_ports = [PortRt {
             initial: vec![42.0],
@@ -527,39 +590,50 @@ mod tests {
                 delay: 1,
             })
         }];
-        let mut io = TdfIo {
-            module_name: "m",
-            t0: 0.0,
-            t0_exact: SimTime::ZERO,
-            timestep: 1e-6,
-            timestep_exact: SimTime::from_us(1),
-            in_ports: &in_ports,
-            out_ports: &[],
-            bufs: &mut bufs,
-        };
+        let mut io = io_over(&in_ports, &[], &mut bufs);
         // k=0 → stream index −1 → delay slot 0 = 42; k=1 → stream 0 = 10.
         assert_eq!(io.read(sig.reader(), 0), 42.0);
         assert_eq!(io.read(sig.reader(), 1), 10.0);
     }
 
     #[test]
+    fn io_indexes_samples_and_time_by_firing_within_the_run() {
+        let ports = rate2_port();
+        let mut bufs = vec![ring(8)];
+        for idx in 0..6 {
+            bufs[0].set(idx, idx as f64);
+        }
+        let mut io = io_over(&ports, &[], &mut bufs);
+        io.run_start = SimTime::from_us(3);
+        io.firing = 2;
+        assert_eq!(io.read(TdfSignal(0).reader(), 0), 4.0);
+        assert_eq!(io.read(TdfSignal(0).reader(), 1), 5.0);
+        assert_eq!(io.time_exact(), SimTime::from_us(3) + SimTime::from_secs(2));
+        assert_eq!(io.time().to_bits(), io.time_exact().to_seconds().to_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "undeclared input")]
     fn undeclared_read_panics() {
         let mut bufs: Vec<SignalBuf> = vec![];
-        let mut io = TdfIo {
-            module_name: "m",
-            t0: 0.0,
-            t0_exact: SimTime::ZERO,
-            timestep: 1.0,
-            timestep_exact: SimTime::from_secs(1),
-            in_ports: &[],
-            out_ports: &[],
-            bufs: &mut bufs,
-        };
+        let mut io = io_over(&[], &[], &mut bufs);
         let _ = io.read1(TdfSignal(0).reader());
     }
 
-    /// A firing of module `m` over the given port tables.
+    #[test]
+    #[should_panic(expected = "scheduler invariant violated")]
+    fn read_outside_the_ring_panics() {
+        let ports = rate2_port();
+        let mut bufs = vec![ring(2)];
+        for idx in 0..4 {
+            bufs[0].set(idx, 0.0);
+        }
+        // Samples 0 and 1 have left the two-slot ring.
+        let mut io = io_over(&ports, &[], &mut bufs);
+        let _ = io.read(TdfSignal(0).reader(), 1);
+    }
+
+    /// Firing 0 of a run of module `m` over the given port tables.
     fn io_over<'a>(
         in_ports: &'a [PortRt],
         out_ports: &'a [PortRt],
@@ -567,8 +641,8 @@ mod tests {
     ) -> TdfIo<'a> {
         TdfIo {
             module_name: "m",
-            t0: 0.0,
-            t0_exact: SimTime::ZERO,
+            run_start: SimTime::ZERO,
+            firing: 0,
             timestep: 1.0,
             timestep_exact: SimTime::from_secs(1),
             in_ports,
@@ -590,7 +664,7 @@ mod tests {
     #[should_panic(expected = "read index 2 is out of range for rate 2")]
     fn read_at_rate_panics() {
         let ports = rate2_port();
-        let mut bufs = vec![SignalBuf::default()];
+        let mut bufs = vec![ring(4)];
         // The sample exists, so only the rate check can refuse the read.
         bufs[0].set(2, 0.0);
         let mut io = io_over(&ports, &[], &mut bufs);
@@ -601,7 +675,7 @@ mod tests {
     #[should_panic(expected = "write index 2 is out of range for rate 2")]
     fn write_at_rate_panics() {
         let ports = rate2_port();
-        let mut bufs = vec![SignalBuf::default()];
+        let mut bufs = vec![ring(4)];
         let mut io = io_over(&[], &ports, &mut bufs);
         io.write(TdfSignal(0).writer(), 1, 1.0);
         io.write(TdfSignal(0).writer(), 2, 2.0);
