@@ -1983,6 +1983,40 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_beyond_memory_is_a_typed_error() {
+        /// Reads its own output 2⁶² samples late.
+        struct Late {
+            inp: TdfIn,
+            out: TdfOut,
+        }
+        impl TdfModule for Late {
+            fn setup(&mut self, cfg: &mut TdfSetup) {
+                cfg.input_with(self.inp, 1, 1 << 62);
+                cfg.output(self.out);
+                cfg.set_timestep(SimTime::from_us(1));
+            }
+            fn processing(&mut self, io: &mut TdfIo<'_>) -> Result<(), CoreError> {
+                let v = io.read1(self.inp);
+                io.write1(self.out, v);
+                Ok(())
+            }
+        }
+        let mut g = TdfGraph::new("late");
+        let s = g.signal("echo");
+        g.add_module(
+            "late",
+            Late {
+                inp: s.reader(),
+                out: s.writer(),
+            },
+        );
+        let Err(CoreError::Invalid { reason }) = g.elaborate() else {
+            panic!("an unallocatable ring must be refused");
+        };
+        assert!(reason.contains("'echo'"), "{reason}");
+    }
+
+    #[test]
     fn rings_hold_one_iteration_plus_the_deepest_delay() {
         /// Accumulates its 4:1 decimated input over a delay-3 feedback.
         struct Acc3 {
