@@ -1,21 +1,19 @@
-//! Static schedule construction (PASS) and buffer-bound analysis.
+//! Static schedule construction (PASS).
 //!
 //! "One cycle of the scheduling consists in traversing the graph until all
 //! required nodes have been visited and their corresponding computations
 //! executed" (paper §3). Given a consistent repetition vector, this module
 //! builds a *periodic admissible sequential schedule* by symbolic token
-//! simulation, detecting deadlock when no admissible firing exists, and
-//! reports the maximum buffer occupancy of each edge over one iteration.
+//! simulation, detecting deadlock when no admissible firing exists.
 
 use crate::{ActorId, SdfError, SdfGraph};
 
 /// A periodic admissible sequential schedule: the actor firing order for
-/// one graph iteration, plus derived bookkeeping.
+/// one graph iteration, plus the repetition vector it realises.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     firings: Vec<ActorId>,
     repetition: Vec<u64>,
-    buffer_bounds: Vec<u64>,
 }
 
 impl Schedule {
@@ -27,13 +25,6 @@ impl Schedule {
     /// The repetition vector used to build the schedule.
     pub fn repetition_vector(&self) -> &[u64] {
         &self.repetition
-    }
-
-    /// Maximum tokens simultaneously buffered on each edge during one
-    /// iteration, starting from the initial-token configuration. This is
-    /// the FIFO capacity needed to run the schedule without blocking.
-    pub fn buffer_bounds(&self) -> &[u64] {
-        &self.buffer_bounds
     }
 }
 
@@ -70,7 +61,6 @@ pub fn schedule(graph: &SdfGraph) -> Result<Schedule, SdfError> {
     let n = graph.actor_count();
     let mut remaining: Vec<u64> = repetition.clone();
     let mut tokens: Vec<u64> = graph.edges().map(|(_, e)| e.initial_tokens).collect();
-    let mut bounds: Vec<u64> = tokens.clone();
     let total: u64 = repetition.iter().sum();
     let mut firings = Vec::with_capacity(total as usize);
 
@@ -108,7 +98,6 @@ pub fn schedule(graph: &SdfGraph) -> Result<Schedule, SdfError> {
                 for &ei in &out_edges[a] {
                     let e = graph.edge(crate::EdgeId(ei));
                     tokens[ei] += e.produce;
-                    bounds[ei] = bounds[ei].max(tokens[ei]);
                 }
                 remaining[a] -= 1;
                 firings.push(ActorId(a));
@@ -128,7 +117,6 @@ pub fn schedule(graph: &SdfGraph) -> Result<Schedule, SdfError> {
     Ok(Schedule {
         firings,
         repetition,
-        buffer_bounds: bounds,
     })
 }
 
@@ -144,7 +132,6 @@ mod tests {
         g.connect(a, 1, b, 1, 0).unwrap();
         let s = schedule(&g).unwrap();
         assert_eq!(s.firings(), &[a, b]);
-        assert_eq!(s.buffer_bounds(), &[1]);
     }
 
     #[test]
@@ -185,17 +172,6 @@ mod tests {
         g.connect(b, 1, a, 1, 1).unwrap(); // one delay breaks the deadlock
         let s = schedule(&g).unwrap();
         assert_eq!(s.firings(), &[a, b]);
-    }
-
-    #[test]
-    fn buffer_bounds_track_peak_occupancy() {
-        // a produces 4, b consumes 1: peak of 4 tokens on the edge.
-        let mut g = SdfGraph::new();
-        let a = g.add_actor("a");
-        let b = g.add_actor("b");
-        g.connect(a, 4, b, 1, 0).unwrap();
-        let s = schedule(&g).unwrap();
-        assert_eq!(s.buffer_bounds(), &[4]);
     }
 
     #[test]

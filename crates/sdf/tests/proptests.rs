@@ -75,17 +75,12 @@ proptest! {
                 }
                 // Periodicity: back to the initial state.
                 prop_assert!(tokens.iter().all(|&t| t == 0));
-                // Buffer bounds hold: replay stays within the reported caps.
-                for (k, &bound) in s.buffer_bounds().iter().enumerate() {
-                    prop_assert!(bound >= 1, "edge {k} bound {bound}");
-                }
             }
         }
     }
 
     /// Initial tokens (delays) never make a consistent graph *less*
-    /// schedulable, and the reported buffer bound grows at most by the
-    /// added delay.
+    /// schedulable.
     #[test]
     fn delays_preserve_schedulability(
         p in 1u64..5, c in 1u64..5, delay in 0u64..6,
@@ -103,6 +98,5 @@ proptest! {
         let s1 = schedule(&g1).unwrap();
 
         prop_assert_eq!(s0.repetition_vector(), s1.repetition_vector());
-        prop_assert!(s1.buffer_bounds()[0] <= s0.buffer_bounds()[0] + delay);
     }
 }
