@@ -104,6 +104,17 @@ pub enum SpaceTarget {
 }
 
 impl SpaceTarget {
+    /// Whether an element of `kind` carries this value: the one kind
+    /// check behind `lint_space`'s and `classify_point`'s `SPC004`.
+    fn fits(self, kind: &ElementKind) -> bool {
+        matches!(
+            (kind, self),
+            (ElementKind::Resistor { .. }, SpaceTarget::Resistance)
+                | (ElementKind::Capacitor { .. }, SpaceTarget::Capacitance)
+                | (ElementKind::Inductor { .. }, SpaceTarget::Inductance)
+        )
+    }
+
     fn noun(self) -> &'static str {
         match self {
             SpaceTarget::Resistance => "resistance",
@@ -412,13 +423,7 @@ fn resolve_binds(
             bad.push(format!("element '{}'", b.element));
             continue;
         };
-        let kind_ok = matches!(
-            (&ckt.elements()[elem].kind, b.target),
-            (ElementKind::Resistor { .. }, SpaceTarget::Resistance)
-                | (ElementKind::Capacitor { .. }, SpaceTarget::Capacitance)
-                | (ElementKind::Inductor { .. }, SpaceTarget::Inductance)
-        );
-        if !kind_ok {
+        if !b.target.fits(&ckt.elements()[elem].kind) {
             bad.push(format!(
                 "element '{}' has no {}",
                 b.element,
@@ -923,8 +928,9 @@ fn gershgorin_safe_h(ckt: &Circuit, binds: &[ResolvedBind], b: &ParamBox) -> Opt
 /// is statically doomed (`SPC001` out-of-domain element value, `SPC002`
 /// singular matrix), `None` when it passes. `names`/`values` are the
 /// scenario's parameter row; parameters the binds do not use are
-/// ignored, and a bind whose parameter is missing from the row is
-/// classified `SPC004`.
+/// ignored, and a bind whose parameter is missing from the row, or
+/// whose element is unknown or of the wrong kind, is classified
+/// `SPC004`, as [`lint_space`] reports it.
 pub fn classify_point(
     ckt: &Circuit,
     spec: &SpaceSpec,
@@ -943,6 +949,9 @@ pub fn classify_point(
         let Some(elem) = ckt.elements().iter().position(|e| e.name == b.element) else {
             return Some(codes::SPC004);
         };
+        if !b.target.fits(&ckt.elements()[elem].kind) {
+            return Some(codes::SPC004);
+        }
         elem_values[elem] = Some(if b.relative { b.nominal * (1.0 + p) } else { p });
     }
     if elem_values.iter().flatten().any(|&v| v <= 0.0) {
@@ -1290,6 +1299,29 @@ mod tests {
         // Missing bind parameter in the row.
         assert_eq!(
             classify_point(&ckt, &spec, &["dr".to_string()], &[0.0]),
+            Some(codes::SPC004)
+        );
+    }
+
+    #[test]
+    fn point_classification_refuses_a_bind_on_the_wrong_kind() {
+        let ckt = rc_ladder(2);
+        // Farads bound to a resistor: lint_space reports SPC004, and so
+        // must the point classifier, rather than stamp 1 nΩ.
+        let spec = SpaceSpec::new(
+            vec![ParamRange::new("dc", -0.1, 0.1)],
+            vec![SpaceBind {
+                param: "dc".into(),
+                element: "R0".into(),
+                target: SpaceTarget::Capacitance,
+                relative: true,
+                nominal: 1e-9,
+            }],
+        );
+        assert!(lint_space("t", &ckt, &spec).report.has_code(codes::SPC004));
+        let names = vec!["dc".to_string()];
+        assert_eq!(
+            classify_point(&ckt, &spec, &names, &[0.0]),
             Some(codes::SPC004)
         );
     }
