@@ -479,7 +479,6 @@ impl TdfGraph {
             period,
             modules: modules_rt,
             plan,
-            firings_per_iteration: sched.firings().len() as u64,
             bufs,
             iteration: 0,
             sig_period_secs,
@@ -619,8 +618,6 @@ pub struct Cluster {
     modules: Vec<ModuleRt>,
     /// The schedule compiled into runs of back-to-back firings.
     plan: Vec<Run>,
-    /// Firings per iteration: the plan's run lengths summed.
-    firings_per_iteration: u64,
     /// One ring per signal, sized at elaboration.
     bufs: Vec<SignalBuf>,
     iteration: u64,
@@ -757,10 +754,11 @@ impl Cluster {
         self.flush_probes();
         self.feed_monitors();
         if traced {
+            let firings = self.plan.iter().map(|run| run.count).sum();
             self.tracer.end_with(
                 SpanKind::ClusterIteration,
                 (start + self.period).as_fs(),
-                self.firings_per_iteration,
+                firings,
             );
         }
         Ok(())
@@ -1026,6 +1024,16 @@ impl Cluster {
                 return Err(CoreError::invalid(format!(
                     "checkpoint window of signal '{}' does not fit its ring",
                     self.signal_names[s]
+                )));
+            }
+        }
+        // A probe resumes from its cursor, which the saved window holds.
+        for (p, &next) in self.probes.iter().zip(&cp.probe_next) {
+            let (base, data) = &cp.bufs[p.signal.0];
+            if !(*base..=*base + data.len() as i64).contains(&next) {
+                return Err(CoreError::invalid(format!(
+                    "checkpoint probe cursor of signal '{}' is outside its saved window",
+                    self.signal_names[p.signal.0]
                 )));
             }
         }
@@ -1845,6 +1853,43 @@ mod tests {
         let mut other = g2.elaborate().unwrap();
         assert!(other.restore(&cp).is_err());
         // Failed restores leave the cluster untouched.
+        assert_eq!(other.iterations(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_a_probe_cursor_outside_its_window() {
+        // Same shape, different probe placement: the saved cursor (3,
+        // on the slow signal) lies outside the fast signal's window.
+        let build = |probe_fast: bool| {
+            let mut g = TdfGraph::new("probe");
+            let fast = g.signal("fast");
+            let slow = g.signal("slow");
+            g.probe(if probe_fast { fast } else { slow });
+            g.add_module(
+                "cnt",
+                Counter {
+                    out: fast.writer(),
+                    next: 0.0,
+                    ts: SimTime::from_us(1),
+                },
+            );
+            g.add_module(
+                "mean",
+                Mean4 {
+                    inp: fast.reader(),
+                    out: slow.writer(),
+                },
+            );
+            g.elaborate().unwrap()
+        };
+        let mut c = build(false);
+        c.run_standalone(3).unwrap();
+        let cp = c.save();
+        let mut other = build(true);
+        let Err(CoreError::Invalid { reason }) = other.restore(&cp) else {
+            panic!("a probe cursor outside its window must be refused");
+        };
+        assert!(reason.contains("'fast'"), "{reason}");
         assert_eq!(other.iterations(), 0);
     }
 
