@@ -5,8 +5,9 @@
 //! balance-equation scheduling (via `ams-sdf`), timestep propagation and
 //! consistency checking — and compiles the schedule into a [`Cluster`], a
 //! self-contained executable that runs one schedule iteration per cluster
-//! period: a firing plan of back-to-back runs over fixed sample rings. The synchronization layer in [`crate::sim`] drives clusters
-//! from the DE kernel; [`Cluster::ac_analysis`] derives the small-signal
+//! period: a firing plan of back-to-back runs over fixed sample rings.
+//! The synchronization layer in [`crate::sim`] drives clusters from the
+//! DE kernel; [`Cluster::ac_analysis`] derives the small-signal
 //! frequency-domain model from the very same module graph.
 
 use crate::module::{AcIo, PortRt, SignalBuf, TdfInit, TdfIo, TdfModule, TdfSetup};
@@ -401,22 +402,19 @@ impl TdfGraph {
             timesteps.push(period / reps);
         }
 
-        // Signal sample periods (seconds) for probe timestamps.
+        // Per signal: the sample period (seconds) for probe timestamps,
+        // and the writer's samples per iteration.
         let mut sig_period_secs = vec![0.0f64; n_sigs];
+        let mut ring_len = vec![0u64; n_sigs];
         for (s, w) in writer.iter().enumerate() {
             if let Some((w_idx, w_rate)) = w {
                 sig_period_secs[s] = timesteps[*w_idx].to_seconds() / *w_rate as f64;
+                ring_len[s] = q[*w_idx].saturating_mul(*w_rate);
             }
         }
 
         // Phase 4: the signal rings: the writer's samples per iteration
         // plus the deepest reader delay.
-        let mut ring_len = vec![0u64; n_sigs];
-        for (s, w) in writer.iter().enumerate() {
-            if let Some((w_idx, w_rate)) = w {
-                ring_len[s] = q[*w_idx].saturating_mul(*w_rate);
-            }
-        }
         let mut deepest = vec![0u64; n_sigs];
         for inp in setups.iter().flat_map(|cfg| &cfg.inputs) {
             deepest[inp.signal.0] = deepest[inp.signal.0].max(inp.delay);
