@@ -12,11 +12,12 @@
 //!   exact rational arithmetic, with consistency checking (the solver
 //!   itself, [`solve_balance`], also takes a plain edge list);
 //! * [`schedule`] — periodic admissible sequential schedule construction
-//!   with deadlock detection and FIFO bound analysis.
+//!   with deadlock detection.
 //!
 //! The crate runs nothing itself. `ams-core` schedules every timed-dataflow
-//! cluster with it and fires the modules in that order, and `ams-lint`
-//! predicts the same rate and deadlock failures before elaboration.
+//! cluster with it and compiles that order into its firing plan, and
+//! `ams-lint` predicts the same rate and deadlock failures before
+//! elaboration.
 //!
 //! # Example
 //!

@@ -16,10 +16,11 @@ use systemc_ams::wave::analyze_sine;
 
 /// E1 — dataflow clustering avoids per-sample DE scheduling.
 ///
-/// The same 3-stage chain processed (a) as one TDF cluster activated once
-/// per sample period by the kernel, and (b) as three DE processes chained
-/// through kernel signals. The cluster run needs ~1 activation per
-/// sample; the DE run needs ≥3 activations plus delta cycles per sample.
+/// The same 8-block gain chain processed (a) as one TDF cluster activated
+/// once per sample period by the kernel, and (b) as eight DE processes
+/// chained through kernel signals. The cluster run needs 2 activations
+/// per sample (driver and converter writer); the DE run needs 9 (source
+/// and eight blocks) plus delta cycles.
 #[test]
 fn e1_tdf_cluster_uses_fewer_kernel_activations() {
     const SAMPLES: u64 = 2_000;
